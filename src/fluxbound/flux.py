@@ -28,14 +28,16 @@ import numpy as np
 from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, NumericError, ValidationError
-from .linalg import Spectrum, eigh, expectation, require_hermitian
+from .linalg import (Spectrum, eigh, expectation, first_row, require_hermitian,
+                     row_label, take_row)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                     symmetric_average)
+                     stack_of_one, symmetric_average)
 
 
 @dataclass(frozen=True)
 class Observable:
-    """A Hermitian observable with cached spectrum and spread."""
+    """A Hermitian observable with cached spectrum and spread, or a stack
+    of B of them (theta_max and theta_min are then arrays over the rows)."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -45,7 +47,7 @@ class Observable:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def capacity(self) -> float:
@@ -59,31 +61,39 @@ class Observable:
 
 
 def make_observable(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Observable:
+    """Validate a Hermitian matrix, or a (B, n, n) stack, and cache its
+    spectrum."""
     a = require_hermitian(matrix, tols)
-    spec = eigh(a, tols)
-    obs = Observable(
-        matrix=a,
-        eigenvalues=spec.eigenvalues,
-        eigenvectors=spec.eigenvectors,
-        theta_max=float(spec.eigenvalues[-1]),
-        theta_min=float(spec.eigenvalues[0]),
-    )
-    # the centered operator must have sup norm capacity / 2
-    centered = float(np.max(np.abs(spec.eigenvalues - obs.lambda_star)))
-    if abs(centered - 0.5 * obs.capacity) > tols.shift_norm:
-        raise NumericError("centered sup norm deviates from capacity / 2")
-    return obs
+    w, v = eigh(a, tols, checked=True)
+    if a.ndim == 2:
+        return Observable(a, w, v, float(w[-1]), float(w[0]))
+    return Observable(a, w, v, w[:, -1], w[:, 0])
+
+
+def _observable_stack_of_one(observable: Observable) -> Observable:
+    return Observable(observable.matrix[None], observable.eigenvalues[None],
+                      observable.eigenvectors[None],
+                      np.array([observable.theta_max]),
+                      np.array([observable.theta_min]))
 
 
 def flux(observable: Observable, rho: DensityMatrix, sigma: DensityMatrix,
-         tols: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """tr(theta (rho - sigma)); always within capacity up to slack."""
+         tols: Tolerances = DEFAULT_TOLERANCES):
+    """tr(theta (rho - sigma)); always within capacity up to slack.  An
+    array over the rows for stacked arguments."""
+    single = observable.matrix.ndim == 2
+    if single:
+        observable = _observable_stack_of_one(observable)
+        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
     value = expectation(observable.matrix, rho.matrix - sigma.matrix, tols)
-    if abs(value) > observable.capacity + tols.slack:
+    bad = np.abs(value) > observable.capacity + tols.slack
+    if bad.any():
+        k = first_row(bad)
         raise NumericError(
-            f"flux {value!r} exceeds capacity {observable.capacity!r}"
+            f"flux {value[k].item()!r} exceeds capacity "
+            f"{observable.capacity[k].item()!r}{row_label(bad, single)}"
         )
-    return value
+    return value.item() if single else value
 
 
 @dataclass(frozen=True)
@@ -135,6 +145,10 @@ class SignDecomposition:
     collects the (numerically) zero ones.  Their squares add to the
     identity.  epsilon is the weight either state puts on the kernel; the
     two weights agree, which is checked at construction.
+
+    For stacks every field gains a leading row axis, and states_equal
+    flags the rows whose states coincide within tolerance (a single pair
+    that coincides raises DegenerateInputError instead).
     """
 
     sign_operator: np.ndarray
@@ -142,45 +156,61 @@ class SignDecomposition:
     epsilon: float
     zero_tolerance: float
     difference_spectrum: Spectrum
+    states_equal: bool = False
 
 
 def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix,
                        zero_tolerance: float | None = None,
                        tols: Tolerances = DEFAULT_TOLERANCES) -> SignDecomposition:
-    if rho.dim != sigma.dim:
-        raise ValidationError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    spec = eigh(rho.matrix - sigma.matrix, tols)
-    w = spec.eigenvalues
+    if rho.matrix.shape != sigma.matrix.shape:
+        raise ValidationError(
+            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
+    single = rho.matrix.ndim == 2
+    if single:
+        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
+    difference = rho.matrix - sigma.matrix
+    w, vecs = eigh(difference, tols, checked=True)
+    magnitude = np.abs(w)
     if zero_tolerance is None:
-        zero_tolerance = tols.sign_zero_scale * max(1.0, float(np.max(np.abs(w))))
-    trace_norm = float(np.sum(np.abs(w)))
-    if trace_norm <= zero_tolerance:
+        zero_tolerance = tols.sign_zero_scale * np.maximum(1.0, magnitude.max(axis=1))
+    else:
+        zero_tolerance = np.full(len(w), float(zero_tolerance))
+    equal = magnitude.sum(axis=1) <= zero_tolerance
+    if single and equal[0]:
         raise DegenerateInputError(
-            f"states coincide within tolerance (||rho - sigma||_1 = {trace_norm!r})"
+            f"states coincide within tolerance "
+            f"(||rho - sigma||_1 = {magnitude.sum().item()!r})"
         )
-    signs = np.where(np.abs(w) <= zero_tolerance, 0.0, np.sign(w))
-    kernel = (np.abs(w) <= zero_tolerance).astype(np.float64)
-    vecs = spec.eigenvectors
-    omega = (vecs * signs) @ vecs.conj().T
-    eps_op = (vecs * kernel) @ vecs.conj().T
+    in_kernel = magnitude <= zero_tolerance[:, None]
+    signs = np.where(in_kernel, 0.0, np.sign(w))
+    vecs_h = vecs.conj().swapaxes(1, 2)
+    omega = (vecs * signs[:, None, :]) @ vecs_h
+    eps_op = (vecs * in_kernel[:, None, :]) @ vecs_h
     eps_rho = expectation(eps_op, rho.matrix, tols)
     eps_sigma = expectation(eps_op, sigma.matrix, tols)
-    if abs(eps_rho - eps_sigma) > tols.slack:
+    bad = ~equal & (np.abs(eps_rho - eps_sigma) > tols.slack)
+    if bad.any():
+        k = first_row(bad)
         raise NumericError(
-            f"kernel weights disagree: {eps_rho!r} vs {eps_sigma!r}"
+            f"kernel weights disagree{row_label(bad, single)}: "
+            f"{eps_rho[k].item()!r} vs {eps_sigma[k].item()!r}"
         )
     # the sign operator recovers the trace norm as a flux
-    recovered = expectation(omega, rho.matrix - sigma.matrix, tols)
-    if abs(recovered - float(np.sum(np.abs(w[np.abs(w) > zero_tolerance])))) > tols.slack:
-        raise NumericError("sign operator does not recover the trace norm")
-    epsilon = min(max(0.5 * (eps_rho + eps_sigma), 0.0), 1.0)
-    return SignDecomposition(
+    recovered = expectation(omega, difference, tols)
+    bad = ~equal & (np.abs(recovered - np.where(in_kernel, 0.0, magnitude).sum(axis=1))
+                    > tols.slack)
+    if bad.any():
+        raise NumericError(
+            f"sign operator does not recover the trace norm{row_label(bad, single)}")
+    decomposition = SignDecomposition(
         sign_operator=omega,
         kernel_projector=eps_op,
-        epsilon=epsilon,
-        zero_tolerance=float(zero_tolerance),
-        difference_spectrum=spec,
+        epsilon=np.clip(0.5 * (eps_rho + eps_sigma), 0.0, 1.0),
+        zero_tolerance=zero_tolerance,
+        difference_spectrum=Spectrum(w, vecs),
+        states_equal=equal,
     )
+    return take_row(decomposition, 0) if single else decomposition
 
 
 @dataclass(frozen=True)
@@ -233,7 +263,8 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix,
 @dataclass(frozen=True)
 class Verdict:
     """One inequality outcome: holds within slack, or holds trivially
-    (infinite right-hand side / degenerate input)."""
+    (infinite right-hand side / degenerate input).  Arrays over the rows
+    in the report of a stack."""
 
     holds: bool
     slack: float
@@ -242,7 +273,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Full bound evaluation for one (observable, rho, sigma) triple.
+    """Full bound evaluation for one (observable, rho, sigma) triple, or
+    for a stack of them (every field is then an array over the rows).
 
     flux_ratio_sq is (flux / capacity)^2.  pinsker_rhs is half the
     symmetric relative entropy, main_rhs the sharp curve at that entropy,
@@ -266,126 +298,100 @@ class BoundReport:
     degenerate_capacity: bool = False
     states_equal: bool = False
 
-    def all_hold(self) -> bool:
-        return all(v.holds for v in self.verdicts.values())
-
-
-def _trivial_verdicts() -> dict:
-    names = ("capacity", "trace_norm", "pinsker_sym", "pinsker_fwd",
-             "main", "strengthened", "onsager")
-    return {name: Verdict(holds=True, slack=math.inf, trivial=True)
-            for name in names}
+    def all_hold(self):
+        """Whether every verdict holds (per row for a stack)."""
+        holds = True
+        for verdict in self.verdicts.values():
+            holds = holds & verdict.holds
+        return holds
 
 
 def evaluate_bounds(observable: Observable, rho: DensityMatrix,
                     sigma: DensityMatrix,
                     config: _bounds.BoundFunctionConfig = _bounds.DEFAULT_BOUND_CONFIG,
                     tols: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
-    """Evaluate every flux bound for one triple and report slacks.
+    """Evaluate every flux bound for one triple, or for stacks of B
+    triples, and report slacks.
 
     Degenerate inputs do not raise: an observable proportional to the
-    identity or a coinciding pair of states yields a report flagged
-    accordingly, with all verdicts trivially satisfied.
+    identity or a coinciding pair of states yields a report (a row of the
+    report, for a stack) flagged accordingly, with all verdicts trivially
+    satisfied.
     """
-    if observable.dim != rho.dim or rho.dim != sigma.dim:
+    if not observable.matrix.shape == rho.matrix.shape == sigma.matrix.shape:
         raise ValidationError("observable and states must share one dimension")
+    single = observable.matrix.ndim == 2
+    if single:
+        observable = _observable_stack_of_one(observable)
+        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
     phi = flux(observable, rho, sigma, tols)
     capacity = observable.capacity
-    theta_scale = max(1.0, abs(observable.theta_max), abs(observable.theta_min))
-    if capacity <= tols.capacity_floor * theta_scale:
-        return BoundReport(
-            flux=phi, capacity=capacity, flux_ratio_sq=0.0,
-            trace_norm=0.0, epsilon=0.0,
-            s_forward=RelEntropyValue(0.0), s_backward=RelEntropyValue(0.0),
-            s_tilde=RelEntropyValue(0.0),
-            pinsker_rhs=0.0, main_rhs=0.0, strengthened_rhs=0.0,
-            verdicts=_trivial_verdicts(), degenerate_capacity=True,
-        )
-    try:
-        decomposition = sign_decomposition(rho, sigma, None, tols)
-    except DegenerateInputError:
-        forward, backward = directed_entropy_pair(rho, sigma, tols)
-        s_tilde = symmetric_average(forward, backward)
-        return BoundReport(
-            flux=phi, capacity=capacity, flux_ratio_sq=(phi / capacity) ** 2,
-            trace_norm=0.0, epsilon=0.0,
-            s_forward=forward, s_backward=backward, s_tilde=s_tilde,
-            pinsker_rhs=0.5 * s_tilde.as_float(),
-            main_rhs=0.0, strengthened_rhs=0.0,
-            verdicts=_trivial_verdicts(), states_equal=True,
-        )
-
-    w = decomposition.difference_spectrum.eigenvalues
-    trace_norm = float(np.sum(np.abs(w)))
-    epsilon = decomposition.epsilon
+    theta_scale = np.maximum(1.0, np.maximum(np.abs(observable.theta_max),
+                                             np.abs(observable.theta_min)))
+    degenerate = capacity <= tols.capacity_floor * theta_scale
+    decomposition = sign_decomposition(rho, sigma, None, tols)
+    equal = decomposition.states_equal & ~degenerate
+    trivial_rows = degenerate | equal
     forward, backward = directed_entropy_pair(rho, sigma, tols)
     s_tilde = symmetric_average(forward, backward)
+    finite = s_tilde.finite
 
-    ratio_sq = (phi / capacity) ** 2
+    ratio = np.abs(phi) / np.where(degenerate, 1.0, capacity)
+    ratio_sq = ratio * ratio
+    trace_norm = np.abs(decomposition.difference_spectrum.eigenvalues).sum(axis=1)
     quarter_tn_sq = 0.25 * trace_norm * trace_norm
-    if s_tilde.finite:
-        main_rhs = _bounds.flux_ratio_sq_bound(s_tilde.value, config)
-        main_trivial = False
-    else:
-        main_rhs = 1.0  # the curve saturates at infinite divergence
-        main_trivial = True
-    strengthened_rhs = (1.0 - epsilon) * main_rhs
+    # the curve saturates at 1 for infinite divergence
+    main_rhs = np.ones(len(phi))
+    if finite.any():
+        main_rhs[finite] = _bounds.flux_ratio_sq_bound(s_tilde.value[finite], config)
+    strengthened_rhs = (1.0 - decomposition.epsilon) * main_rhs
     pinsker_rhs = 0.5 * s_tilde.as_float()
+    half_forward = 0.5 * forward.as_float()
+    # infinite entropy satisfies any cost; an infinite cost at ratio 1
+    # forces infinite entropy, which the finite case cannot represent
+    cost = _bounds.onsager_like(np.minimum(ratio, 1.0))
+    both_finite = finite & np.isfinite(cost)
+    s_value = np.where(both_finite, s_tilde.value, 0.0)
+    cost = np.where(both_finite, cost, 0.0)
 
     slack = tols.slack
-    verdicts: dict = {}
-    verdicts["capacity"] = Verdict(
-        holds=abs(phi) <= capacity + slack,
-        slack=capacity - abs(phi),
+    verdicts = {
+        "capacity": (np.abs(phi) <= capacity + slack, capacity - np.abs(phi), False),
+        "trace_norm": (ratio_sq <= quarter_tn_sq + slack,
+                       quarter_tn_sq - ratio_sq, False),
+        "pinsker_sym": (quarter_tn_sq <= pinsker_rhs + slack,
+                        pinsker_rhs - quarter_tn_sq, ~finite),
+        "pinsker_fwd": (quarter_tn_sq <= half_forward + slack,
+                        half_forward - quarter_tn_sq, ~forward.finite),
+        "main": (ratio_sq <= main_rhs + slack, main_rhs - ratio_sq, ~finite),
+        "strengthened": (quarter_tn_sq <= strengthened_rhs + slack,
+                         strengthened_rhs - quarter_tn_sq, ~finite),
+        "onsager": (np.where(both_finite, cost <= s_value + slack, ~finite),
+                    np.where(both_finite, s_value - cost,
+                             np.where(finite, -math.inf, math.inf)),
+                    ~finite),
+    }
+    report = BoundReport(
+        flux=phi,
+        capacity=capacity,
+        flux_ratio_sq=np.where(degenerate, 0.0, ratio_sq),
+        trace_norm=np.where(trivial_rows, 0.0, trace_norm),
+        epsilon=np.where(trivial_rows, 0.0, decomposition.epsilon),
+        s_forward=_zero_where(forward, degenerate),
+        s_backward=_zero_where(backward, degenerate),
+        s_tilde=_zero_where(s_tilde, degenerate),
+        pinsker_rhs=np.where(degenerate, 0.0, pinsker_rhs),
+        main_rhs=np.where(trivial_rows, 0.0, main_rhs),
+        strengthened_rhs=np.where(trivial_rows, 0.0, strengthened_rhs),
+        verdicts={name: Verdict(holds | trivial_rows,
+                                np.where(trivial_rows, math.inf, gap),
+                                trivial | trivial_rows)
+                  for name, (holds, gap, trivial) in verdicts.items()},
+        degenerate_capacity=degenerate,
+        states_equal=equal,
     )
-    verdicts["trace_norm"] = Verdict(
-        holds=ratio_sq <= quarter_tn_sq + slack,
-        slack=quarter_tn_sq - ratio_sq,
-    )
-    if s_tilde.finite:
-        verdicts["pinsker_sym"] = Verdict(
-            holds=quarter_tn_sq <= pinsker_rhs + slack,
-            slack=pinsker_rhs - quarter_tn_sq,
-        )
-    else:
-        verdicts["pinsker_sym"] = Verdict(True, math.inf, trivial=True)
-    if forward.finite:
-        verdicts["pinsker_fwd"] = Verdict(
-            holds=quarter_tn_sq <= 0.5 * forward.value + slack,
-            slack=0.5 * forward.value - quarter_tn_sq,
-        )
-    else:
-        verdicts["pinsker_fwd"] = Verdict(True, math.inf, trivial=True)
-    verdicts["main"] = Verdict(
-        holds=ratio_sq <= main_rhs + slack,
-        slack=main_rhs - ratio_sq,
-        trivial=main_trivial,
-    )
-    verdicts["strengthened"] = Verdict(
-        holds=quarter_tn_sq <= strengthened_rhs + slack,
-        slack=strengthened_rhs - quarter_tn_sq,
-        trivial=main_trivial,
-    )
-    ratio = min(abs(phi) / capacity, 1.0)
-    cost = _bounds.onsager_like(ratio)
-    if s_tilde.finite and math.isfinite(cost):
-        verdicts["onsager"] = Verdict(
-            holds=cost <= s_tilde.value + slack,
-            slack=s_tilde.value - cost,
-        )
-    else:
-        # infinite entropy satisfies any cost; an infinite cost at ratio 1
-        # forces infinite entropy, which the finite case cannot represent
-        verdicts["onsager"] = Verdict(
-            holds=not s_tilde.finite,
-            slack=math.inf if not s_tilde.finite else -math.inf,
-            trivial=not s_tilde.finite,
-        )
+    return take_row(report, 0) if single else report
 
-    return BoundReport(
-        flux=phi, capacity=capacity, flux_ratio_sq=ratio_sq,
-        trace_norm=trace_norm, epsilon=epsilon,
-        s_forward=forward, s_backward=backward, s_tilde=s_tilde,
-        pinsker_rhs=pinsker_rhs, main_rhs=main_rhs,
-        strengthened_rhs=strengthened_rhs, verdicts=verdicts,
-    )
+
+def _zero_where(value: RelEntropyValue, rows: np.ndarray) -> RelEntropyValue:
+    return RelEntropyValue(np.where(rows, 0.0, value.value), value.finite | rows)

@@ -17,6 +17,11 @@ variates u1..u7:
 
 All magnitudes are taken as square roots of uniformly drawn squared
 magnitudes; phases are uniform on the half-open interval [0, 2 pi).
+
+The sweep samples each draw from its own substream, in draw order, and
+validates and evaluates the draws in blocks of BLOCK_DRAWS as one stack.
+Every row of a stack is computed as it would be alone, so the records do
+not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
 from .flux import BoundReport, Observable, evaluate_bounds, make_observable
-from .linalg import unitary_from_generator
+from .linalg import as_array, unitary_from_generator
 from .states import DensityMatrix, validate_state
 from .thermo import BipartiteScenario, make_scenario
 
@@ -38,10 +43,25 @@ POLICY_REDRAW = "redraw"
 POLICY_REPORT_INFINITE = "report_infinite"
 
 _STREAM_SHIFT = 48  # draw indices live below bit 48 of the Philox key
+_STREAM_BITS = 16  # stream ids fill the key word above the draw index
+# draws validated and evaluated as one stack: per-draw cost levels off
+# from about a hundred draws on, and a block of 128 keeps the sweep's peak
+# memory at that of draw-by-draw evaluation
+BLOCK_DRAWS = 128
+
+
+def check_master_seed(master_seed: int) -> None:
+    """Master seeds are the first 64-bit word of the Philox key."""
+    if not 0 <= master_seed < (1 << 64):
+        raise ValidationError(
+            f"master seed {master_seed} out of range [0, 2^64)")
 
 
 def substream(master_seed: int, draw_index: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for one draw: key = (seed, stream | index)."""
+    check_master_seed(master_seed)
+    if not 0 <= stream < (1 << _STREAM_BITS):
+        raise ValidationError(f"stream {stream} out of range [0, 2^16)")
     if draw_index < 0 or draw_index >= (1 << _STREAM_SHIFT):
         raise ValidationError(f"draw index {draw_index} out of range")
     key = np.array([np.uint64(master_seed),
@@ -50,26 +70,42 @@ def substream(master_seed: int, draw_index: int, stream: int = 0) -> np.random.G
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def triple_from_uniforms(u, tols: Tolerances = DEFAULT_TOLERANCES,
-                         ) -> tuple[Observable, DensityMatrix, DensityMatrix]:
-    """Deterministic (theta, rho, sigma) from seven uniforms in [0, 1)."""
+def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The protocol's raw (theta, rho, sigma) matrices from seven uniforms
+    in [0, 1), not yet validated."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (7,):
         raise ValidationError("the qubit protocol consumes exactly 7 uniforms")
-    p1 = float(u[0])
-    rho = validate_state(np.diag([1.0 - p1, p1]), tols)
-
-    q1 = float(u[1])
-    coherence_sq = float(u[2]) * q1 * (1.0 - q1)
-    coherence = math.sqrt(coherence_sq) * cmath.exp(2j * math.pi * float(u[3]))
-    sigma = validate_state(np.array([[1.0 - q1, coherence],
-                                     [coherence.conjugate(), q1]]), tols)
-
-    w = 4.0 * float(u[4])
-    offdiag = math.sqrt(float(u[5])) * cmath.exp(2j * math.pi * float(u[6]))
-    theta = make_observable(np.array([[-w, offdiag],
-                                      [offdiag.conjugate(), w]]), tols)
+    p1, q1, u3, u4, u5, u6, u7 = u.tolist()
+    rho = np.array([[1.0 - p1, 0.0], [0.0, p1]], dtype=np.complex128)
+    coherence = math.sqrt(u3 * q1 * (1.0 - q1)) * cmath.exp(2j * math.pi * u4)
+    sigma = np.array([[1.0 - q1, coherence], [coherence.conjugate(), q1]])
+    w = 4.0 * u5
+    offdiag = math.sqrt(u6) * cmath.exp(2j * math.pi * u7)
+    theta = np.array([[-w, offdiag], [offdiag.conjugate(), w]])
     return theta, rho, sigma
+
+
+def validate_triple(theta, rho, sigma, tols: Tolerances = DEFAULT_TOLERANCES,
+                    ) -> tuple[Observable, DensityMatrix, DensityMatrix]:
+    """make_observable and validate_state on one triple of matrices, or on
+    three (B, n, n) stacks."""
+    return (make_observable(theta, tols), validate_state(rho, tols),
+            validate_state(sigma, tols))
+
+
+def triple_from_uniforms(u, tols: Tolerances = DEFAULT_TOLERANCES,
+                         ) -> tuple[Observable, DensityMatrix, DensityMatrix]:
+    """Deterministic (theta, rho, sigma) from seven uniforms in [0, 1)."""
+    return validate_triple(*qubit_matrices(u), tols)
+
+
+def sample_qubit_matrices(rng: np.random.Generator,
+                          tols: Tolerances = DEFAULT_TOLERANCES,
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep's default sampler: one draw's raw matrices, which the
+    sweep validates a block at a time."""
+    return qubit_matrices(rng.random(7))
 
 
 def sample_qubit_triple(rng: np.random.Generator,
@@ -127,6 +163,7 @@ class DrawConfig:
     def __post_init__(self):
         if self.n_draws < 1:
             raise ValidationError("n_draws must be positive")
+        check_master_seed(self.master_seed)
         if self.rejection_policy not in (POLICY_REDRAW, POLICY_REPORT_INFINITE):
             raise ValidationError(
                 f"unknown rejection policy {self.rejection_policy!r}")
@@ -163,62 +200,77 @@ class MonteCarloSummary:
     total_redraws: int = 0
 
 
-def _record_from_report(index: int, report: BoundReport, redraws: int) -> DrawRecord:
-    return DrawRecord(
-        draw=index,
-        flux_ratio_sq=report.flux_ratio_sq,
-        s_tilde=report.s_tilde.as_float(),
-        pinsker_rhs=report.pinsker_rhs,
-        main_rhs=report.main_rhs,
-        strengthened_rhs=report.strengthened_rhs,
-        epsilon=report.epsilon,
-        redraws=redraws,
-        holds_all=report.all_hold(),
-        holds_main=report.verdicts["main"].holds,
-        infinite=not report.s_tilde.finite,
-    )
+def _evaluate_block(triples: list, tols: Tolerances) -> BoundReport:
+    """Stack the samplers' triples (matrices, or records carrying one in
+    .matrix), validate each stack once and evaluate it."""
+    stacks = (np.stack([as_array(m) for m in ms]) for ms in zip(*triples))
+    return evaluate_bounds(*validate_triple(*stacks, tols), tols=tols)
+
+
+def _record_block(first: int, report: BoundReport, redraws: int,
+                  records: list, summary: MonteCarloSummary) -> None:
+    """Append the block's records, as Python scalars, and fold the block
+    into the summary."""
+    s_tilde = report.s_tilde.as_float()
+    infinite = ~report.s_tilde.finite
+    main = report.verdicts["main"]
+    columns = zip(report.flux_ratio_sq.tolist(), s_tilde.tolist(),
+                  report.pinsker_rhs.tolist(), report.main_rhs.tolist(),
+                  report.strengthened_rhs.tolist(), report.epsilon.tolist(),
+                  report.all_hold().tolist(), main.holds.tolist(),
+                  infinite.tolist())
+    for offset, row in enumerate(columns):
+        records.append(DrawRecord(first + offset, *row[:6], redraws, *row[6:]))
+    summary.total_redraws += redraws * len(s_tilde)
+    summary.infinite_records += int(np.count_nonzero(infinite))
+    far = s_tilde >= 2.0
+    summary.draws_s_tilde_ge_2 += int(np.count_nonzero(far))
+    summary.draws_far_from_equilibrium += int(np.count_nonzero(
+        far & ~infinite & (report.main_rhs < 1.0)))
+    for name, verdict in report.verdicts.items():
+        failed = int(np.count_nonzero(~verdict.holds))
+        if failed:
+            summary.violations[name] = summary.violations.get(name, 0) + failed
+    counted = ~main.trivial & np.isfinite(main.slack)
+    if counted.any():
+        summary.min_slack_main = min(summary.min_slack_main,
+                                     float(main.slack[counted].min()))
 
 
 def run_montecarlo(config: DrawConfig = DrawConfig(),
-                   sampler=sample_qubit_triple,
+                   sampler=sample_qubit_matrices,
                    tols: Tolerances | None = None,
                    ) -> tuple[list[DrawRecord], MonteCarloSummary]:
     """Run the sweep and evaluate every bound on every draw.
 
-    Under the redraw policy a draw whose symmetric relative entropy is
-    infinite is resampled from the same substream (the redraw count is
-    recorded); under report_infinite it is emitted with its markers.
+    sampler(rng, tols) returns one draw's (theta, rho, sigma), as matrices
+    or as records carrying one in .matrix; it is called once per draw, in
+    draw order, on the draw's own substream.  Under report_infinite a
+    draw with infinite symmetric relative entropy is emitted with its
+    markers, and the draws are evaluated BLOCK_DRAWS at a time.  Under
+    redraw such a draw is resampled from the same substream (the redraw
+    count is recorded); each draw is then its own block, so that its
+    redraws are sampled before the next draw.
     """
     if tols is None:
         tols = DEFAULT_TOLERANCES
     if tols.slack != config.slack_tolerance:
         tols = replace(tols, slack=config.slack_tolerance)
+    redraw = config.rejection_policy == POLICY_REDRAW
+    block = 1 if redraw else BLOCK_DRAWS
     records: list[DrawRecord] = []
     summary = MonteCarloSummary(n_draws=config.n_draws)
-    for index in range(config.n_draws):
-        rng = substream(config.master_seed, index)
+    for first in range(0, config.n_draws, block):
+        triples = []
+        for index in range(first, min(first + block, config.n_draws)):
+            rng = substream(config.master_seed, index)
+            triples.append(sampler(rng, tols))
+        report = _evaluate_block(triples, tols)
+        # under redraw the block is one draw, and rng is its substream
         redraws = 0
-        while True:
-            theta, rho, sigma = sampler(rng, tols)
-            report = evaluate_bounds(theta, rho, sigma, tols=tols)
-            if (report.s_tilde.finite
-                    or config.rejection_policy == POLICY_REPORT_INFINITE
-                    or redraws >= config.max_redraws):
-                break
+        while (redraw and not report.s_tilde.finite[0]
+               and redraws < config.max_redraws):
             redraws += 1
-        record = _record_from_report(index, report, redraws)
-        records.append(record)
-        summary.total_redraws += redraws
-        if record.infinite:
-            summary.infinite_records += 1
-        if record.s_tilde >= 2.0:
-            summary.draws_s_tilde_ge_2 += 1
-            if not record.infinite and record.main_rhs < 1.0:
-                summary.draws_far_from_equilibrium += 1
-        for name, verdict in report.verdicts.items():
-            if not verdict.holds:
-                summary.violations[name] = summary.violations.get(name, 0) + 1
-        main = report.verdicts["main"]
-        if not main.trivial and math.isfinite(main.slack):
-            summary.min_slack_main = min(summary.min_slack_main, main.slack)
+            report = _evaluate_block([sampler(rng, tols)], tols)
+        _record_block(first, report, redraws, records, summary)
     return records, summary

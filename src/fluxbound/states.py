@@ -22,17 +22,19 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NumericError, ValidationError
-from .linalg import eigh, require_hermitian, schatten_norm
+from .linalg import eigh, first_row, require_hermitian, row_label
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated state.
+    """A validated state, or a stack of B of them.
 
-    matrix: the (possibly clamped and renormalized) density matrix.
+    matrix: the (possibly clamped and renormalized) density matrix,
+        exactly Hermitian; (n, n), or (B, n, n) for a stack.
     eigenvalues: ascending, clamped to [0, 1] and renormalized to unit sum.
     eigenvectors: columns matching eigenvalues.
-    clamped: True when a small negative eigenvalue was rounded up to zero.
+    clamped: True when a small negative eigenvalue was rounded up to zero
+        (a bool array over the rows of a stack).
     rank_tolerance: eigenvalues <= this are treated as exact zeros.
     """
 
@@ -44,51 +46,71 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
-    def support_dim(self) -> int:
-        return int(np.sum(self.eigenvalues > self.rank_tolerance))
+    def support_dim(self):
+        """Number of eigenvalues above rank_tolerance (per row of a stack)."""
+        count = np.sum(self.eigenvalues > self.rank_tolerance, axis=-1)
+        return int(count) if count.ndim == 0 else count
+
+
+def stack_of_one(state: DensityMatrix) -> DensityMatrix:
+    """A single state as a stack of one."""
+    return DensityMatrix(state.matrix[None], state.eigenvalues[None],
+                         state.eigenvectors[None], np.array([state.clamped]),
+                         state.rank_tolerance)
 
 
 def validate_state(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
-    """Check hermiticity, positivity and unit trace; clamp rounding noise.
+    """Check finiteness, hermiticity, positivity and unit trace of a matrix
+    or a (B, n, n) stack; clamp rounding noise.
 
     Eigenvalues in [-tols.state_negativity, 0) are clamped to zero and the
     spectrum renormalized; anything more negative is rejected.  The trace
-    must be 1 within tols.state_trace.
+    must be 1 within tols.state_trace.  Errors name the first failing row
+    of a stack.
     """
     a = require_hermitian(matrix, tols)
-    trace = float(np.trace(a).real)
-    if abs(trace - 1.0) > tols.state_trace:
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    trace = a.diagonal(axis1=1, axis2=2).real.sum(axis=1)
+    bad = np.abs(trace - 1.0) > tols.state_trace
+    if bad.any():
         raise ValidationError(
-            f"state trace invariant violated: tr = {trace!r}, "
+            f"state trace invariant violated{row_label(bad, single)}: "
+            f"tr = {trace[first_row(bad)].item()!r}, "
             f"|tr - 1| > {tols.state_trace:.1e}"
         )
-    spec = eigh(a, tols)
-    smallest = float(spec.eigenvalues[0])
-    if smallest < -tols.state_negativity:
+    values, vecs = eigh(a, tols, checked=True)
+    smallest = values[:, 0]
+    bad = smallest < -tols.state_negativity
+    if bad.any():
         raise ValidationError(
-            f"state positivity invariant violated: eigenvalue {smallest!r} "
+            f"state positivity invariant violated{row_label(bad, single)}: "
+            f"eigenvalue {smallest[first_row(bad)].item()!r} "
             f"below -{tols.state_negativity:.1e}"
         )
     clamped = smallest < 0.0
-    values = np.clip(spec.eigenvalues, 0.0, None)
-    values = values / float(np.sum(values))
-    if clamped:
-        vecs = spec.eigenvectors
-        a = (vecs * values) @ vecs.conj().T
-    return DensityMatrix(
-        matrix=a,
-        eigenvalues=values,
-        eigenvectors=spec.eigenvectors,
-        clamped=clamped,
-        rank_tolerance=tols.rank,
-    )
+    values = np.maximum(values, 0.0)
+    values /= values.sum(axis=1, keepdims=True)
+    if clamped.any():
+        rows = np.flatnonzero(clamped)
+        v = vecs[rows]
+        rebuilt = (v * values[rows][:, None, :]) @ v.conj().swapaxes(1, 2)
+        a[rows] = 0.5 * (rebuilt + rebuilt.conj().swapaxes(1, 2))
+    if single:
+        return DensityMatrix(a[0], values[0], vecs[0], bool(clamped[0]), tols.rank)
+    return DensityMatrix(a, values, vecs, clamped, tols.rank)
 
 
 @dataclass(frozen=True)
 class RelEntropyValue:
-    """Nonnegative extended real: a finite value or a tagged infinity."""
+    """Nonnegative extended real: a finite value or a tagged infinity.
+
+    For a stack, value and finite are arrays over its rows.  An infinite
+    entry always carries value inf.
+    """
 
     value: float
     finite: bool = True
@@ -98,67 +120,111 @@ class RelEntropyValue:
         return cls(value=math.inf, finite=False)
 
     def __post_init__(self):
-        if self.finite and not (self.value >= 0.0 and math.isfinite(self.value)):
+        if isinstance(self.value, np.ndarray):
+            ok = ~self.finite | ((self.value >= 0.0) & np.isfinite(self.value))
+            if not ok.all():
+                raise ValidationError(
+                    f"finite relative entropy must be >= 0, got "
+                    f"{self.value[first_row(~ok)]!r}")
+        elif self.finite and not (self.value >= 0.0 and math.isfinite(self.value)):
             raise ValidationError(f"finite relative entropy must be >= 0, got {self.value!r}")
 
-    def as_float(self) -> float:
+    def as_float(self):
         """Plain float for display and serialization (inf when infinite)."""
+        if isinstance(self.value, np.ndarray):
+            return np.where(self.finite, self.value, math.inf)
         return self.value if self.finite else math.inf
 
 
-def _directed_entropy(p: np.ndarray, s: np.ndarray, overlap: np.ndarray,
-                      p_tol: float, s_tol: float,
-                      tols: Tolerances) -> RelEntropyValue:
-    # overlap[i, j] = |<p_i | s_j>|^2
+def _directed_entropies(p: np.ndarray, s: np.ndarray, overlap: np.ndarray,
+                        p_tol: np.ndarray, s_tol: np.ndarray) -> np.ndarray:
+    """S(p || s) for each row of a stack, before the rounding floor.
+
+    p, s: (R, n) spectra; overlap[r, i, j] = |<p_i | s_j>|^2; p_tol and
+    s_tol: (R, 1) rank tolerances.  Entries whose weight is treated as
+    zero are masked out of the sums (they add exact zeros), so each row
+    is computed as it would be alone.  inf where p puts more than s_tol
+    of its weight on the kernel of s.
+    """
     p_live = p > p_tol
     s_dead = s <= s_tol
-    if np.any(s_dead):
-        kernel_mass = float(p[p_live] @ overlap[np.ix_(p_live, s_dead)].sum(axis=1))
-        if kernel_mass > s_tol:
-            return RelEntropyValue.infinite()
-    s_live = ~s_dead
-    plive = p[p_live]
-    value = float(plive @ np.log(plive))
-    cross = overlap[np.ix_(p_live, s_live)] @ np.log(s[s_live])
-    value -= float(plive @ cross)
-    if value < 0.0:
-        if value < -tols.entropy_floor:
-            raise NumericError(f"relative entropy evaluated to {value!r}")
-        value = 0.0
-    return RelEntropyValue(value)
+    weights = np.where(p_live, p, 0.0)
+    value = (weights * np.log(np.where(p_live, p, 1.0))).sum(axis=1)
+    cross = (overlap * np.log(np.where(s_dead, 1.0, s))[:, None, :]).sum(axis=2)
+    value -= (weights * cross).sum(axis=1)
+    if s_dead.any():
+        kernel_mass = (weights * (overlap * s_dead[:, None, :]).sum(axis=2)).sum(axis=1)
+        value[kernel_mass > s_tol[:, 0]] = math.inf
+    return value
+
+
+def _entropy_floor(values: np.ndarray, tols: Tolerances, single: bool) -> np.ndarray:
+    """Round values in [-entropy_floor, 0) up to 0; raise on anything lower."""
+    bad = values < -tols.entropy_floor
+    if bad.any():
+        raise NumericError(
+            f"relative entropy evaluated to {values[first_row(bad)].item()!r}"
+            f"{row_label(bad, single)}")
+    return np.maximum(values, 0.0)
+
+
+def _stacked(state: DensityMatrix) -> tuple[DensityMatrix, bool]:
+    return (stack_of_one(state), True) if state.matrix.ndim == 2 else (state, False)
+
+
+def _check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+    if rho.matrix.shape != sigma.matrix.shape:
+        raise ValidationError(
+            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
+
+
+def _entropy_value(values: np.ndarray, single: bool) -> RelEntropyValue:
+    if single:
+        v = values.item()
+        return RelEntropyValue(v, math.isfinite(v))
+    return RelEntropyValue(values, np.isfinite(values))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
                      tols: Tolerances = DEFAULT_TOLERANCES) -> RelEntropyValue:
     """Quantum relative entropy S(rho || sigma), natural log."""
-    if rho.dim != sigma.dim:
-        raise ValidationError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    overlap = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-    return _directed_entropy(rho.eigenvalues, sigma.eigenvalues, overlap,
-                             rho.rank_tolerance, sigma.rank_tolerance, tols)
+    _check_pair(rho, sigma)
+    (rho, single), (sigma, _) = _stacked(rho), _stacked(sigma)
+    overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
+    values = _directed_entropies(rho.eigenvalues, sigma.eigenvalues, overlap,
+                                 np.full((len(overlap), 1), rho.rank_tolerance),
+                                 np.full((len(overlap), 1), sigma.rank_tolerance))
+    return _entropy_value(_entropy_floor(values, tols, single), single)
 
 
 def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
                           tols: Tolerances = DEFAULT_TOLERANCES,
                           ) -> tuple[RelEntropyValue, RelEntropyValue]:
-    """(S(rho || sigma), S(sigma || rho)), sharing one overlap matrix."""
-    if rho.dim != sigma.dim:
-        raise ValidationError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    overlap = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-    forward = _directed_entropy(rho.eigenvalues, sigma.eigenvalues, overlap,
-                                rho.rank_tolerance, sigma.rank_tolerance, tols)
-    backward = _directed_entropy(sigma.eigenvalues, rho.eigenvalues,
-                                 np.ascontiguousarray(overlap.T),
-                                 sigma.rank_tolerance, rho.rank_tolerance, tols)
-    return forward, backward
+    """(S(rho || sigma), S(sigma || rho)), sharing one overlap matrix.
+
+    Takes single states or two stacks of B states; both directions of all
+    B pairs are evaluated as one stack of 2 B rows.
+    """
+    _check_pair(rho, sigma)
+    (rho, single), (sigma, _) = _stacked(rho), _stacked(sigma)
+    overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
+    b = len(overlap)
+    tolerances = np.repeat([rho.rank_tolerance, sigma.rank_tolerance], b)[:, None]
+    values = _directed_entropies(
+        np.concatenate([rho.eigenvalues, sigma.eigenvalues]),
+        np.concatenate([sigma.eigenvalues, rho.eigenvalues]),
+        np.concatenate([overlap, overlap.swapaxes(1, 2)]),
+        tolerances, tolerances[::-1])
+    values = _entropy_floor(values, tols, single)
+    return _entropy_value(values[:b], single), _entropy_value(values[b:], single)
 
 
 def symmetric_average(forward: RelEntropyValue,
                       backward: RelEntropyValue) -> RelEntropyValue:
-    """(S(rho||sigma) + S(sigma||rho)) / 2 as a tagged value."""
-    if not (forward.finite and backward.finite):
-        return RelEntropyValue.infinite()
-    return RelEntropyValue(0.5 * (forward.value + backward.value))
+    """(S(rho||sigma) + S(sigma||rho)) / 2 as a tagged value (inf as soon
+    as either direction is)."""
+    return RelEntropyValue(0.5 * (forward.value + backward.value),
+                           forward.finite & backward.finite)
 
 
 def symmetric_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
@@ -177,7 +243,9 @@ def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix,
     """Trace norm ||rho - sigma||_1 (twice the trace distance)."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
-    return schatten_norm(rho.matrix - sigma.matrix, 1, tols)
+    # the difference of two validated states is exactly Hermitian
+    w = eigh(rho.matrix - sigma.matrix, tols, checked=True).eigenvalues
+    return float(np.sum(np.abs(w)))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from .errors import ValidationError
 from .flux import (evaluate_bounds, optimal_shift_check, qtur_check,
                    sign_decomposition)
 from .linalg import expectation
-from .montecarlo import (random_density, random_observable, random_scenario,
-                         sample_qubit_triple, substream)
+from .montecarlo import (check_master_seed, random_density, random_observable,
+                         random_scenario, sample_qubit_triple, substream)
 from .states import symmetric_relative_entropy
 from .thermo import (BATH_RESET, BOTH_RESET, SpinPairParams,
                      correlation, correlation_bound_report, entropy_flux,
@@ -69,6 +69,7 @@ class VerifyConfig:
     def __post_init__(self):
         if self.draws < 1:
             raise ValidationError("draws must be positive")
+        check_master_seed(self.master_seed)
         if self.slack_tolerance <= 0.0:
             raise ValidationError("slack tolerance must be positive")
 

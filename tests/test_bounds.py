@@ -171,3 +171,33 @@ def test_loose_config_still_brackets():
     config = BoundFunctionConfig(root_tolerance=1e-6, bracket_growth=4.0)
     y = gap_from_divergence(5.0, config)
     assert abs(divergence_from_gap(y) - 5.0) <= 1e-6 * 5.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("fn", [gap_from_divergence, flux_ratio_sq_bound])
+def test_divergence_functions_reject_non_finite_arguments(fn, bad):
+    # NaN used to run the root-finder to its iteration cap, and infinity
+    # came back from the curve as a silent NaN
+    for argument in (bad, np.array([0.5, bad, 2.0])):
+        with pytest.raises(DomainError) as excinfo:
+            fn(argument)
+        offending = excinfo.value.offending_value
+        assert offending == bad or (math.isnan(bad) and math.isnan(offending))
+
+
+def test_onsager_like_rejects_nan():
+    for argument in (math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(DomainError) as excinfo:
+            onsager_like(argument)
+        assert math.isnan(excinfo.value.offending_value)
+
+
+def test_bound_functions_take_arrays_entry_by_entry():
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 200.0, 50)])
+    for fn in (gap_from_divergence, flux_ratio_sq_bound):
+        values = fn(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        assert values.tolist() == [fn(float(x)) for x in xs]
+    ratios = np.linspace(-1.0, 1.0, 21)
+    assert onsager_like(ratios).tolist() == [onsager_like(float(r)) for r in ratios]
+    assert isinstance(flux_ratio_sq_bound(0.5), float)

@@ -172,6 +172,15 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_out_of_range_seeds_are_usage_errors(capsys):
+    for command in (["montecarlo", "--draws", "2"], ["verify", "--draws", "1"]):
+        for seed in ("-1", str(1 << 64)):
+            code, out, err = run_cli(command + ["--seed", seed], capsys)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert f"master seed {seed} out of range" in err
+
+
 def test_unwritable_output_path_is_an_io_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(

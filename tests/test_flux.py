@@ -11,6 +11,7 @@ from fluxbound import (evaluate_bounds, flux, make_observable,
                        validate_state)
 from fluxbound.errors import (DegenerateInputError, NumericError,
                               ValidationError)
+from fluxbound.linalg import take_row
 from fluxbound.montecarlo import random_observable
 from fluxbound.thermo import saturating_family
 
@@ -278,3 +279,38 @@ def test_bound_report_all_hold_reflects_verdicts(monkeypatch):
     report = evaluate_bounds(theta, diag_state(0.2, 0.8), diag_state(0.6, 0.4))
     assert not report.verdicts["main"].holds
     assert not report.all_hold()
+
+
+def test_evaluate_bounds_on_a_stack_matches_row_by_row():
+    # degenerate rows become per-row flags inside a stack: zero capacity,
+    # coinciding states and an infinite divergence sit among random rows
+    rng = rng_for(40, stream=301)
+    thetas = [random_observable(rng, 2).matrix for _ in range(3)]
+    rhos = [random_state_np(rng, 2) for _ in range(3)]
+    sigmas = [random_state_np(rng, 2) for _ in range(3)]
+    thetas += [3.0 * np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, -1.0])]
+    rhos += [np.diag([0.3, 0.7]), np.diag([0.3, 0.7]), 0.5 * np.eye(2)]
+    sigmas += [np.diag([0.6, 0.4]), np.diag([0.3, 0.7]), np.diag([1.0, 0.0])]
+    stacked = evaluate_bounds(make_observable(np.stack(thetas)),
+                              validate_state(np.stack(rhos)),
+                              validate_state(np.stack(sigmas)))
+    assert stacked.degenerate_capacity.tolist() == [False] * 3 + [True, False, False]
+    assert stacked.states_equal.tolist() == [False] * 4 + [True, False]
+    assert stacked.s_tilde.finite.tolist() == [True] * 5 + [False]
+    for row, (theta, rho, sigma) in enumerate(zip(thetas, rhos, sigmas)):
+        single = evaluate_bounds(make_observable(theta), validate_state(rho),
+                                 validate_state(sigma))
+        assert take_row(stacked, row) == single
+    # the stack's sign decomposition flags what a single pair raises on
+    dec = sign_decomposition(validate_state(np.stack(rhos)),
+                             validate_state(np.stack(sigmas)))
+    assert dec.states_equal.tolist() == [False] * 4 + [True, False]
+
+
+def test_stacked_state_errors_name_the_first_bad_row():
+    stack = np.stack([np.eye(2) / 2, np.diag([0.5, 0.6]), np.diag([0.5, 0.7])])
+    with pytest.raises(ValidationError, match="row 1 of the stack"):
+        validate_state(stack)
+    stack = np.stack([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.5, -0.5])])
+    with pytest.raises(ValidationError, match="row 2 of the stack"):
+        validate_state(stack)

@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 
 from conftest import random_hermitian_np, reference_partial_trace, rng_for
-from fluxbound import (eigh, expectation, matrix_function, partial_trace,
-                       schatten_norm, tensor_product, unitary_from_generator)
+from fluxbound import (Tolerances, eigh, expectation, matrix_function,
+                       partial_trace, schatten_norm, tensor_product,
+                       unitary_from_generator)
 from fluxbound.errors import DomainError, NumericError, ValidationError
 from fluxbound.linalg import (as_complex_matrix, hermiticity_defect,
                               require_hermitian)
@@ -50,6 +51,7 @@ def test_eigh_dim_one():
 
 @pytest.mark.parametrize("dim", range(2, 17))
 def test_eigh_matches_lapack_reference(dim):
+    matrices, spectra = [], []
     for k in range(10):
         rng = rng_for(100 * dim + k, stream=101)
         h = random_hermitian_np(rng, dim)
@@ -65,6 +67,18 @@ def test_eigh_matches_lapack_reference(dim):
         # eigenvalue agreement with the LAPACK route
         reference = np.linalg.eigvalsh(h)
         assert np.max(np.abs(spec.eigenvalues - reference)) <= 1e-10 * scale
+        matrices.append(h)
+        spectra.append(spec)
+    # the same matrices as one stack, with a diagonal one mixed in: every
+    # row equals its own solve bit for bit
+    matrices.insert(3, np.diag(np.arange(dim, 0, -1.0)))
+    spectra.insert(3, eigh(matrices[3]))
+    stacked = eigh(np.stack(matrices))
+    assert stacked.eigenvalues.shape == (11, dim)
+    assert stacked.eigenvectors.shape == (11, dim, dim)
+    for row, spec in enumerate(spectra):
+        assert np.array_equal(stacked.eigenvalues[row], spec.eigenvalues)
+        assert np.array_equal(stacked.eigenvectors[row], spec.eigenvectors)
 
 
 def test_eigh_reconstruction_invariant_sweep():
@@ -102,6 +116,40 @@ def test_eigh_degenerate_spectrum():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan)])
+def test_non_finite_matrices_are_rejected(bad):
+    # a NaN compares false against the hermiticity tolerance, so only an
+    # explicit check names it, before any sweep runs
+    m = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValidationError, match="non-finite"):
+        eigh(m)
+    with pytest.raises(ValidationError, match="non-finite"):
+        require_hermitian(m)
+    stack = np.stack([np.eye(2), np.eye(2), m, m]).astype(complex)
+    with pytest.raises(ValidationError, match="row 2 of the stack"):
+        eigh(stack)
+
+
+def test_unconverged_stack_names_the_first_failing_row():
+    # one sweep diagonalizes a 2x2 block exactly but not a dense 4x4
+    tols = Tolerances(jacobi_max_sweeps=1)
+    dense = random_hermitian_np(rng_for(5, stream=108), 4)
+    with pytest.raises(NumericError, match="did not converge"):
+        eigh(dense, tols)
+    stack = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), dense, dense])
+    with pytest.raises(NumericError, match="row 1 of the stack"):
+        eigh(stack, tols)
+
+
+def test_stacked_hermiticity_error_names_the_first_bad_row():
+    stack = np.stack([np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValidationError, match="row 2 of the stack"):
+        require_hermitian(stack)
+    out = require_hermitian(stack[:2])
+    assert out.shape == (2, 2, 2)
 
 
 def test_as_complex_matrix_rejects_non_square():

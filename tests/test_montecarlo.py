@@ -9,8 +9,10 @@ from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
                        evaluate_bounds, run_montecarlo, sample_qubit_triple,
                        substream, triple_from_uniforms, validate_state)
 from fluxbound.errors import ValidationError
-from fluxbound.montecarlo import (random_density, random_observable,
-                                  random_scenario, random_unitary)
+from fluxbound.montecarlo import (BLOCK_DRAWS, random_density,
+                                  random_observable, random_scenario,
+                                  random_unitary)
+from fluxbound.verify import VerifyConfig
 
 
 def test_substream_is_reproducible_and_independent():
@@ -77,15 +79,25 @@ def test_run_montecarlo_is_deterministic():
 
 
 def test_run_montecarlo_records_match_an_independent_replay():
-    config = DrawConfig(n_draws=10, master_seed=42)
-    records, _ = run_montecarlo(config)
-    for record in records:
-        theta, rho, sigma = sample_qubit_triple(substream(42, record.draw))
-        report = evaluate_bounds(theta, rho, sigma)
-        assert record.flux_ratio_sq == report.flux_ratio_sq
-        assert record.s_tilde == report.s_tilde.as_float()
-        assert record.main_rhs == report.main_rhs
-        assert record.holds_all == report.all_hold()
+    # the sweep evaluates blocks of draws as one stack; runs that end
+    # inside the first block, at its edge and past two of them replay
+    # draw by draw, bit for bit
+    for n_draws in (1, BLOCK_DRAWS - 1, BLOCK_DRAWS, 2 * BLOCK_DRAWS + 3):
+        config = DrawConfig(n_draws=n_draws, master_seed=42)
+        records, _ = run_montecarlo(config)
+        assert [r.draw for r in records] == list(range(n_draws))
+        for record in records:
+            theta, rho, sigma = sample_qubit_triple(substream(42, record.draw))
+            report = evaluate_bounds(theta, rho, sigma)
+            assert record.flux_ratio_sq == report.flux_ratio_sq
+            assert record.s_tilde == report.s_tilde.as_float()
+            assert record.pinsker_rhs == report.pinsker_rhs
+            assert record.main_rhs == report.main_rhs
+            assert record.strengthened_rhs == report.strengthened_rhs
+            assert record.epsilon == report.epsilon
+            assert record.holds_all is report.all_hold()
+            assert record.holds_main is report.verdicts["main"].holds
+            assert record.infinite is (not report.s_tilde.finite)
 
 
 def test_run_montecarlo_single_draw():
@@ -187,6 +199,22 @@ def test_draw_config_validation():
         DrawConfig(rejection_policy="drop")
     with pytest.raises(ValidationError):
         DrawConfig(slack_tolerance=0.0)
+
+
+def test_seed_and_stream_ranges_are_checked():
+    # out-of-range keys used to escape as OverflowError from numpy
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValidationError, match="master seed"):
+            substream(seed, 0)
+        with pytest.raises(ValidationError, match="master seed"):
+            DrawConfig(master_seed=seed)
+        with pytest.raises(ValidationError, match="master seed"):
+            VerifyConfig(master_seed=seed)
+    for stream in (-1, 1 << 16):
+        with pytest.raises(ValidationError, match="stream"):
+            substream(42, 0, stream=stream)
+    edge = substream((1 << 64) - 1, (1 << 48) - 1, stream=(1 << 16) - 1)
+    assert 0.0 <= edge.random() < 1.0
 
 
 def test_random_objects_are_well_formed():

@@ -3,6 +3,7 @@ are caught and named."""
 
 import math
 
+import numpy as np
 import pytest
 
 import fluxbound.bounds as bounds_module
@@ -41,10 +42,11 @@ def test_verify_config_validation():
 
 
 def test_a_broken_curve_is_caught_and_named(monkeypatch):
-    # halving the curve must break the saturation equality and the chain
+    # halving the curve must break the saturation equality and the chain;
+    # the curve takes a float or an array of divergences
     monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
                         lambda x, config=bounds_module.DEFAULT_BOUND_CONFIG:
-                        0.5 * math.tanh(0.5 * bounds_module.gap_from_divergence(x, config)) ** 2)
+                        0.5 * np.tanh(0.5 * bounds_module.gap_from_divergence(x, config)) ** 2)
     report = run_verify(VerifyConfig(draws=12))
     assert not report.ok
     failing = {s.name for s in report.suites if s.violations > 0}
