@@ -11,6 +11,8 @@ entropies, the scalar bound curves, per-triple bound reports, bipartite
 thermodynamic scenarios, reproducible Monte Carlo sweeps and a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (BoundFunctionConfig, DEFAULT_BOUND_CONFIG,
                      divergence_from_gap, flux_ratio_sq_bound,
                      gap_from_divergence, onsager_like, variance_ratio_floor)
@@ -45,4 +47,7 @@ from .verify import VerifyConfig, VerifyReport, run_verify
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes of the package too, but a star import must
+# not rebind names such as `config` in the importer's namespace
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

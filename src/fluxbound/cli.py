@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import io as _io
-from .errors import FluxboundError
+from .errors import FluxboundError, ValidationError
 from .montecarlo import (POLICY_REDRAW, POLICY_REPORT_INFINITE, DrawConfig,
                          run_montecarlo)
 from .thermo import SpinPairParams, saturating_family, spin_pair_timeseries
@@ -132,28 +132,32 @@ def _cmd_montecarlo(args) -> int:
     return EXIT_OK if total_violations == 0 else EXIT_VERIFICATION
 
 
+def _require_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{flag} must be finite, got {value!r}")
+
+
 def _cmd_spinpair(args) -> int:
-    times = tuple(np.linspace(0.0, args.t_max, args.t_steps))
-    try:
-        params = SpinPairParams(
-            excited_population_system=args.p,
-            excited_population_environment=args.q,
-            level_splitting=args.omega,
-            coupling_strength=args.g,
-            coupling_phase=args.omega0,
-            times=times,
-        )
-    except FluxboundError as exc:
-        print(f"fluxbound: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _require_finite("--t-max", args.t_max)
+    if args.t_steps < 1 or args.t_max < 0.0:
+        raise ValidationError("invalid time grid")
+    params = SpinPairParams(
+        excited_population_system=args.p,
+        excited_population_environment=args.q,
+        level_splitting=args.omega,
+        coupling_strength=args.g,
+        coupling_phase=args.omega0,
+        times=tuple(np.linspace(0.0, args.t_max, args.t_steps)),
+    )
     points = spin_pair_timeseries(params)
     return _emit(args, _io.SPINPAIR_HEADERS, _io.spinpair_rows(points))
 
 
 def _cmd_saturation(args) -> int:
+    _require_finite("--a-min", args.a_min)
+    _require_finite("--a-max", args.a_max)
     if args.a_steps < 1 or args.a_max < args.a_min or args.a_min < 0.0:
-        print("fluxbound: invalid gap grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError("invalid gap grid")
     grid = np.linspace(args.a_min, args.a_max, args.a_steps)
     samples = [saturating_family(float(a))[2] for a in grid]
     status = _emit(args, _io.SATURATION_HEADERS, _io.saturation_rows(samples))
@@ -180,6 +184,14 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
+_COMMANDS = {
+    "montecarlo": _cmd_montecarlo,
+    "spinpair": _cmd_spinpair,
+    "saturation": _cmd_saturation,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -188,27 +200,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "montecarlo":
-            if args.draws < 1:
-                print("fluxbound: --draws must be positive", file=sys.stderr)
-                return EXIT_USAGE
-            return _cmd_montecarlo(args)
-        if args.command == "spinpair":
-            if args.t_steps < 1 or args.t_max < 0.0:
-                print("fluxbound: invalid time grid", file=sys.stderr)
-                return EXIT_USAGE
-            return _cmd_spinpair(args)
-        if args.command == "saturation":
-            return _cmd_saturation(args)
-        if args.command == "verify":
-            if args.draws < 1:
-                print("fluxbound: --draws must be positive", file=sys.stderr)
-                return EXIT_USAGE
-            return _cmd_verify(args)
+        return _COMMANDS[args.command](args)
     except FluxboundError as exc:
         print(f"fluxbound: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

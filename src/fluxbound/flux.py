@@ -160,7 +160,6 @@ class SignDecomposition:
 
 
 def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix,
-                       zero_tolerance: float | None = None,
                        tols: Tolerances = DEFAULT_TOLERANCES) -> SignDecomposition:
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValidationError(
@@ -171,10 +170,7 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix,
     difference = rho.matrix - sigma.matrix
     w, vecs = eigh(difference, tols, checked=True)
     magnitude = np.abs(w)
-    if zero_tolerance is None:
-        zero_tolerance = tols.sign_zero_scale * np.maximum(1.0, magnitude.max(axis=1))
-    else:
-        zero_tolerance = np.full(len(w), float(zero_tolerance))
+    zero_tolerance = tols.sign_zero_scale * np.maximum(1.0, magnitude.max(axis=1))
     equal = magnitude.sum(axis=1) <= zero_tolerance
     if single and equal[0]:
         raise DegenerateInputError(
@@ -234,7 +230,6 @@ class QturCheck:
 
 
 def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix,
-               config: _bounds.BoundFunctionConfig = _bounds.DEFAULT_BOUND_CONFIG,
                tols: Tolerances = DEFAULT_TOLERANCES) -> QturCheck:
     h = require_hermitian(operator, tols)
     h2 = h @ h
@@ -254,7 +249,7 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix,
                          0.0, math.inf, True, True)
     if s_tilde.value == 0.0:
         raise DegenerateInputError("states coincide; the floor diverges")
-    floor = _bounds.variance_ratio_floor(s_tilde.value, config)
+    floor = _bounds.variance_ratio_floor(s_tilde.value)
     slack = lhs - floor
     return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, floor,
                      slack, slack >= -tols.slack, False)
@@ -308,7 +303,6 @@ class BoundReport:
 
 def evaluate_bounds(observable: Observable, rho: DensityMatrix,
                     sigma: DensityMatrix,
-                    config: _bounds.BoundFunctionConfig = _bounds.DEFAULT_BOUND_CONFIG,
                     tols: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
     """Evaluate every flux bound for one triple, or for stacks of B
     triples, and report slacks.
@@ -329,7 +323,7 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     theta_scale = np.maximum(1.0, np.maximum(np.abs(observable.theta_max),
                                              np.abs(observable.theta_min)))
     degenerate = capacity <= tols.capacity_floor * theta_scale
-    decomposition = sign_decomposition(rho, sigma, None, tols)
+    decomposition = sign_decomposition(rho, sigma, tols)
     equal = decomposition.states_equal & ~degenerate
     trivial_rows = degenerate | equal
     forward, backward = directed_entropy_pair(rho, sigma, tols)
@@ -343,7 +337,7 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     # the curve saturates at 1 for infinite divergence
     main_rhs = np.ones(len(phi))
     if finite.any():
-        main_rhs[finite] = _bounds.flux_ratio_sq_bound(s_tilde.value[finite], config)
+        main_rhs[finite] = _bounds.flux_ratio_sq_bound(s_tilde.value[finite])
     strengthened_rhs = (1.0 - decomposition.epsilon) * main_rhs
     pinsker_rhs = 0.5 * s_tilde.as_float()
     half_forward = 0.5 * forward.as_float()

@@ -48,6 +48,9 @@ _STREAM_BITS = 16  # stream ids fill the key word above the draw index
 # from about a hundred draws on, and a block of 128 keeps the sweep's peak
 # memory at that of draw-by-draw evaluation
 BLOCK_DRAWS = 128
+# redraws of one draw under the redraw policy before its infinite
+# divergence is reported after all
+MAX_REDRAWS = 64
 
 
 def check_master_seed(master_seed: int) -> None:
@@ -86,18 +89,12 @@ def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, rho, sigma
 
 
-def validate_triple(theta, rho, sigma, tols: Tolerances = DEFAULT_TOLERANCES,
-                    ) -> tuple[Observable, DensityMatrix, DensityMatrix]:
-    """make_observable and validate_state on one triple of matrices, or on
-    three (B, n, n) stacks."""
-    return (make_observable(theta, tols), validate_state(rho, tols),
-            validate_state(sigma, tols))
-
-
 def triple_from_uniforms(u, tols: Tolerances = DEFAULT_TOLERANCES,
                          ) -> tuple[Observable, DensityMatrix, DensityMatrix]:
     """Deterministic (theta, rho, sigma) from seven uniforms in [0, 1)."""
-    return validate_triple(*qubit_matrices(u), tols)
+    theta, rho, sigma = qubit_matrices(u)
+    return (make_observable(theta, tols), validate_state(rho, tols),
+            validate_state(sigma, tols))
 
 
 def sample_qubit_matrices(rng: np.random.Generator,
@@ -158,7 +155,6 @@ class DrawConfig:
     master_seed: int = 42
     rejection_policy: str = POLICY_REPORT_INFINITE
     slack_tolerance: float = 1e-9
-    max_redraws: int = 64
 
     def __post_init__(self):
         if self.n_draws < 1:
@@ -167,8 +163,10 @@ class DrawConfig:
         if self.rejection_policy not in (POLICY_REDRAW, POLICY_REPORT_INFINITE):
             raise ValidationError(
                 f"unknown rejection policy {self.rejection_policy!r}")
-        if self.slack_tolerance <= 0.0:
-            raise ValidationError("slack tolerance must be positive")
+        # a NaN slack would score every check as violated
+        if not 0.0 < self.slack_tolerance < math.inf:
+            raise ValidationError(f"slack_tolerance must be positive and finite, "
+                                  f"got {self.slack_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +201,9 @@ class MonteCarloSummary:
 def _evaluate_block(triples: list, tols: Tolerances) -> BoundReport:
     """Stack the samplers' triples (matrices, or records carrying one in
     .matrix), validate each stack once and evaluate it."""
-    stacks = (np.stack([as_array(m) for m in ms]) for ms in zip(*triples))
-    return evaluate_bounds(*validate_triple(*stacks, tols), tols=tols)
+    theta, rho, sigma = (np.stack([as_array(m) for m in ms]) for ms in zip(*triples))
+    return evaluate_bounds(make_observable(theta, tols), validate_state(rho, tols),
+                           validate_state(sigma, tols), tols)
 
 
 def _record_block(first: int, report: BoundReport, redraws: int,
@@ -269,7 +268,7 @@ def run_montecarlo(config: DrawConfig = DrawConfig(),
         # under redraw the block is one draw, and rng is its substream
         redraws = 0
         while (redraw and not report.s_tilde.finite[0]
-               and redraws < config.max_redraws):
+               and redraws < MAX_REDRAWS):
             redraws += 1
             report = _evaluate_block([sampler(rng, tols)], tols)
         _record_block(first, report, redraws, records, summary)

@@ -158,43 +158,11 @@ def _directed_entropies(p: np.ndarray, s: np.ndarray, overlap: np.ndarray,
     return value
 
 
-def _entropy_floor(values: np.ndarray, tols: Tolerances, single: bool) -> np.ndarray:
-    """Round values in [-entropy_floor, 0) up to 0; raise on anything lower."""
-    bad = values < -tols.entropy_floor
-    if bad.any():
-        raise NumericError(
-            f"relative entropy evaluated to {values[first_row(bad)].item()!r}"
-            f"{row_label(bad, single)}")
-    return np.maximum(values, 0.0)
-
-
-def _stacked(state: DensityMatrix) -> tuple[DensityMatrix, bool]:
-    return (stack_of_one(state), True) if state.matrix.ndim == 2 else (state, False)
-
-
-def _check_pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValidationError(
-            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
-
-
 def _entropy_value(values: np.ndarray, single: bool) -> RelEntropyValue:
     if single:
         v = values.item()
         return RelEntropyValue(v, math.isfinite(v))
     return RelEntropyValue(values, np.isfinite(values))
-
-
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                     tols: Tolerances = DEFAULT_TOLERANCES) -> RelEntropyValue:
-    """Quantum relative entropy S(rho || sigma), natural log."""
-    _check_pair(rho, sigma)
-    (rho, single), (sigma, _) = _stacked(rho), _stacked(sigma)
-    overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
-    values = _directed_entropies(rho.eigenvalues, sigma.eigenvalues, overlap,
-                                 np.full((len(overlap), 1), rho.rank_tolerance),
-                                 np.full((len(overlap), 1), sigma.rank_tolerance))
-    return _entropy_value(_entropy_floor(values, tols, single), single)
 
 
 def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
@@ -203,10 +171,16 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
     """(S(rho || sigma), S(sigma || rho)), sharing one overlap matrix.
 
     Takes single states or two stacks of B states; both directions of all
-    B pairs are evaluated as one stack of 2 B rows.
+    B pairs are evaluated as one stack of 2 B rows.  Values in
+    [-tols.entropy_floor, 0) are rounded up to 0; anything lower raises,
+    naming the first failing row of the caller's stack.
     """
-    _check_pair(rho, sigma)
-    (rho, single), (sigma, _) = _stacked(rho), _stacked(sigma)
+    if rho.matrix.shape != sigma.matrix.shape:
+        raise ValidationError(
+            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
+    single = rho.matrix.ndim == 2
+    if single:
+        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
     overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
     b = len(overlap)
     tolerances = np.repeat([rho.rank_tolerance, sigma.rank_tolerance], b)[:, None]
@@ -214,9 +188,23 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
         np.concatenate([rho.eigenvalues, sigma.eigenvalues]),
         np.concatenate([sigma.eigenvalues, rho.eigenvalues]),
         np.concatenate([overlap, overlap.swapaxes(1, 2)]),
-        tolerances, tolerances[::-1])
-    values = _entropy_floor(values, tols, single)
-    return _entropy_value(values[:b], single), _entropy_value(values[b:], single)
+        tolerances, tolerances[::-1]).reshape(2, b)
+    bad = values < -tols.entropy_floor
+    if bad.any():
+        rows = bad.any(axis=0)
+        k = first_row(rows)
+        raise NumericError(
+            f"relative entropy evaluated to "
+            f"{values[first_row(bad[:, k]), k].item()!r}{row_label(rows, single)}")
+    values = np.maximum(values, 0.0)
+    return _entropy_value(values[0], single), _entropy_value(values[1], single)
+
+
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
+                     tols: Tolerances = DEFAULT_TOLERANCES) -> RelEntropyValue:
+    """Quantum relative entropy S(rho || sigma), natural log: the forward
+    half of directed_entropy_pair."""
+    return directed_entropy_pair(rho, sigma, tols)[0]
 
 
 def symmetric_average(forward: RelEntropyValue,

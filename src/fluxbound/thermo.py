@@ -41,7 +41,7 @@ from .errors import DomainError, ValidationError
 from .flux import Observable, evaluate_bounds, make_observable
 from .linalg import (eigh, expectation, partial_trace, tensor_product,
                      unitary_from_generator)
-from .states import (DensityMatrix, RelEntropyValue, relative_entropy,
+from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      symmetric_average, symmetric_relative_entropy,
                      trace_distance_norm, validate_state)
 
@@ -94,8 +94,7 @@ def evolve(scenario: BipartiteScenario,
     marg_e = validate_state(partial_trace(joint.matrix, ds, de, "environment", tols), tols)
     reference = validate_state(
         tensor_product(marg_s.matrix, scenario.rho_environment.matrix), tols)
-    production = relative_entropy(joint, reference, tols)
-    dual = relative_entropy(reference, joint, tols)
+    production, dual = directed_entropy_pair(joint, reference, tols)
     return ScenarioOutcome(joint, marg_s, marg_e, reference, production, dual)
 
 
@@ -239,6 +238,9 @@ class SpinPairParams:
     times: Sequence[float] = (0.0,)
 
     def __post_init__(self):
+        for name in ("level_splitting", "coupling_strength", "coupling_phase", "times"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"{name} must be finite")
         for label, value in (("system", self.excited_population_system),
                              ("environment", self.excited_population_environment)):
             if not 0.0 <= value <= 1.0:
@@ -285,13 +287,20 @@ class SpinPairPoint:
     s_tilde: float
 
 
+def _spin_pair_initial_states(params: SpinPairParams, tols: Tolerances,
+                              ) -> tuple[DensityMatrix, DensityMatrix]:
+    """The exchange model's initial states (rho_S0, rho_E0)."""
+    return tuple(validate_state(np.diag([1.0 - x, x]), tols)
+                 for x in (params.excited_population_system,
+                           params.excited_population_environment))
+
+
 def spin_pair_timeseries(params: SpinPairParams,
                          tols: Tolerances = DEFAULT_TOLERANCES) -> list[SpinPairPoint]:
     p = params.excited_population_system
     q = params.excited_population_environment
     omega = params.level_splitting
-    rho_s0 = validate_state(np.diag([1.0 - p, p]), tols)
-    rho_e0 = validate_state(np.diag([1.0 - q, q]), tols)
+    rho_s0, rho_e0 = _spin_pair_initial_states(params, tols)
     h_s = spin_hamiltonian(omega)
     joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
     gen_spec = eigh(exchange_generator(params.coupling_strength,
@@ -321,10 +330,7 @@ def spin_pair_timeseries(params: SpinPairParams,
 def spin_pair_scenario(params: SpinPairParams, t: float,
                        tols: Tolerances = DEFAULT_TOLERANCES) -> BipartiteScenario:
     """The exchange model at a single time, as a generic scenario."""
-    p = params.excited_population_system
-    q = params.excited_population_environment
-    rho_s0 = validate_state(np.diag([1.0 - p, p]), tols)
-    rho_e0 = validate_state(np.diag([1.0 - q, q]), tols)
+    rho_s0, rho_e0 = _spin_pair_initial_states(params, tols)
     u = unitary_from_generator(
         exchange_generator(params.coupling_strength, params.coupling_phase), t, tols)
     return make_scenario(rho_s0, rho_e0, u, tols)
@@ -338,6 +344,19 @@ BATH_RESET = "bath_reset"
 BOTH_RESET = "both_reset"
 
 
+def _reset_states(scenario: BipartiteScenario, outcome: ScenarioOutcome,
+                  protocol: str,
+                  ) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix | None]:
+    """The system and environment states a protocol resets to, and their
+    validated product when evolve() already built it (else None)."""
+    if protocol == BATH_RESET:
+        return (outcome.rho_system, scenario.rho_environment,
+                outcome.sigma_reference)
+    if protocol == BOTH_RESET:
+        return scenario.rho_system, scenario.rho_environment, None
+    raise ValidationError(f"unknown protocol {protocol!r}")
+
+
 def correlation(theta_system: Observable, theta_environment: Observable,
                 scenario: BipartiteScenario, outcome: ScenarioOutcome,
                 protocol: str = BATH_RESET,
@@ -349,18 +368,11 @@ def correlation(theta_system: Observable, theta_environment: Observable,
     subtracts <theta_S>_{rho_S0} <theta_E>_{rho_E0}, the flux to the
     initial product state.
     """
-    if protocol not in (BATH_RESET, BOTH_RESET):
-        raise ValidationError(f"unknown protocol {protocol!r}")
+    system, environment, _ = _reset_states(scenario, outcome, protocol)
     joint_obs = tensor_product(theta_system.matrix, theta_environment.matrix)
     joint_mean = expectation(joint_obs, outcome.rho_joint.matrix, tols)
-    if protocol == BATH_RESET:
-        mean_s = expectation(theta_system.matrix, outcome.rho_system.matrix, tols)
-        mean_e = expectation(theta_environment.matrix,
-                             scenario.rho_environment.matrix, tols)
-    else:
-        mean_s = expectation(theta_system.matrix, scenario.rho_system.matrix, tols)
-        mean_e = expectation(theta_environment.matrix,
-                             scenario.rho_environment.matrix, tols)
+    mean_s = expectation(theta_system.matrix, system.matrix, tols)
+    mean_e = expectation(theta_environment.matrix, environment.matrix, tols)
     return joint_mean - mean_s * mean_e
 
 
@@ -371,16 +383,12 @@ def correlation_bound_report(theta_system: Observable,
                              tols: Tolerances = DEFAULT_TOLERANCES):
     """BoundReport for the product observable against the reference state
     matching the protocol; its flux equals correlation()."""
-    if protocol not in (BATH_RESET, BOTH_RESET):
-        raise ValidationError(f"unknown protocol {protocol!r}")
+    system, environment, reference = _reset_states(scenario, outcome, protocol)
     joint_obs = make_observable(
         tensor_product(theta_system.matrix, theta_environment.matrix), tols)
-    if protocol == BATH_RESET:
-        reference = outcome.sigma_reference
-    else:
-        reference = validate_state(tensor_product(scenario.rho_system.matrix,
-                                                  scenario.rho_environment.matrix),
-                                   tols)
+    if reference is None:
+        reference = validate_state(
+            tensor_product(system.matrix, environment.matrix), tols)
     return evaluate_bounds(joint_obs, outcome.rho_joint, reference, tols=tols)
 
 
@@ -404,13 +412,14 @@ class SaturatingFamily:
 
 
 def saturating_family(log_odds_gap: float,
-                      config: _bounds.BoundFunctionConfig = _bounds.DEFAULT_BOUND_CONFIG,
                       tols: Tolerances = DEFAULT_TOLERANCES,
                       ) -> tuple[DensityMatrix, DensityMatrix, SaturatingFamily]:
     """The two-level pair saturating the flux bound at every gap a.
 
-    rho has populations (e^{-a/2}, e^{a/2}) / (2 cosh(a/2)) on (|0>, |1>),
-    sigma is the same with a -> -a.  In closed form the trace norm is
+    rho has populations (1 / (1 + e^a), 1 / (1 + e^{-a})) on (|0>, |1>),
+    sigma is the same with a -> -a; both are computed from e^{-|a|}, so
+    no exponential overflows and the small population keeps its relative
+    accuracy at any gap.  In closed form the trace norm is
     2 tanh(|a| / 2), the symmetric relative entropy is a tanh(a / 2)
     = divergence_from_gap(|a|), the kernel weight vanishes, and
     ||rho - sigma||_1^2 / 4 equals flux_ratio_sq_bound(s_tilde) exactly.
@@ -418,15 +427,17 @@ def saturating_family(log_odds_gap: float,
     full numerical pipeline produces for the same pair.
     """
     a = float(log_odds_gap)
-    z = 2.0 * math.cosh(0.5 * a)
-    rho = validate_state(np.diag([math.exp(-0.5 * a) / z, math.exp(0.5 * a) / z]), tols)
-    sigma = validate_state(np.diag([math.exp(0.5 * a) / z, math.exp(-0.5 * a) / z]), tols)
+    t = math.exp(-abs(a))
+    small, large = t / (1.0 + t), 1.0 / (1.0 + t)
+    low, high = (small, large) if a >= 0.0 else (large, small)
+    rho = validate_state(np.diag([low, high]), tols)
+    sigma = validate_state(np.diag([high, low]), tols)
     tn_closed = 2.0 * math.tanh(0.5 * abs(a))
     s_closed = _bounds.divergence_from_gap(abs(a))
     tn = trace_distance_norm(rho, sigma, tols)
     s_tilde = symmetric_relative_entropy(rho, sigma, tols)
     s_value = s_tilde.as_float()
-    bound_value = _bounds.flux_ratio_sq_bound(s_value, config) if s_tilde.finite else 1.0
+    bound_value = _bounds.flux_ratio_sq_bound(s_value) if s_tilde.finite else 1.0
     gap = abs(0.25 * tn * tn - bound_value)
     return rho, sigma, SaturatingFamily(
         log_odds_gap=a,

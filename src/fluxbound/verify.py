@@ -70,8 +70,10 @@ class VerifyConfig:
         if self.draws < 1:
             raise ValidationError("draws must be positive")
         check_master_seed(self.master_seed)
-        if self.slack_tolerance <= 0.0:
-            raise ValidationError("slack tolerance must be positive")
+        # a NaN slack would score every check as violated
+        if not 0.0 < self.slack_tolerance < math.inf:
+            raise ValidationError(f"slack_tolerance must be positive and finite, "
+                                  f"got {self.slack_tolerance!r}")
 
 
 @dataclass
@@ -180,7 +182,7 @@ def suite_sign_identities(config: VerifyConfig, tols: Tolerances) -> SuiteResult
     for k, dim in enumerate(dims):
         rng = substream(config.master_seed, k, _SUITE_STREAMS["sign_identities"])
         rho, sigma = _random_pair(rng, dim, tols)
-        dec = sign_decomposition(rho, sigma, None, tols)
+        dec = sign_decomposition(rho, sigma, tols)
         tn = float(np.sum(np.abs(dec.difference_spectrum.eigenvalues)))
         gap = expectation(dec.sign_operator, rho.matrix - sigma.matrix, tols)
         result.record(tol - abs(gap - tn), tol, f"draw {k} trace-norm recovery")
@@ -203,13 +205,13 @@ def suite_uncertainty(config: VerifyConfig, tols: Tolerances) -> SuiteResult:
     for k, dim in enumerate(dims):
         rng = substream(config.master_seed, k, _SUITE_STREAMS["uncertainty"])
         rho, sigma = _random_pair(rng, dim, tols)
-        dec = sign_decomposition(rho, sigma, None, tols)
+        dec = sign_decomposition(rho, sigma, tols)
         check = qtur_check(dec.sign_operator, rho, sigma, tols=tols)
         if not check.trivial:
             result.record(check.slack, tol, f"draw {k} dim {dim}")
     for a in np.linspace(0.2, 6.0, 30):
         rho, sigma, _ = saturating_family(float(a), tols=tols)
-        dec = sign_decomposition(rho, sigma, None, tols)
+        dec = sign_decomposition(rho, sigma, tols)
         check = qtur_check(dec.sign_operator, rho, sigma, tols=tols)
         result.record(1e-8 - abs(check.slack), tol, f"equality at a={a!r}")
     return result

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -132,6 +133,42 @@ def test_saturation_rejects_bad_grids(capsys):
     assert run_cli(["saturation", "--a-min", "-1"], capsys)[0] == EXIT_USAGE
     assert run_cli(["saturation", "--a-min", "5", "--a-max", "1"],
                    capsys)[0] == EXIT_USAGE
+
+
+def test_saturation_handles_any_finite_gap(capsys):
+    # e^{a/2} used to overflow in math.cosh from a ~ 1420 on
+    for a_max in ("1e6", "1e308"):
+        code, out, err = run_cli(
+            ["saturation", "--a-max", a_max, "--a-steps", "3"], capsys)
+        assert code == EXIT_OK
+        rows = [[float(v) for v in line.split(",")]
+                for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert rows[-1][1:] == [1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spinpair", "--omega", "nan"], "level_splitting"),
+    (["spinpair", "--omega", "inf"], "level_splitting"),
+    (["spinpair", "--g", "nan"], "coupling_strength"),
+    (["spinpair", "--g", "inf"], "coupling_strength"),
+    (["spinpair", "--omega0", "nan"], "coupling_phase"),
+    (["spinpair", "--t-max", "inf"], "--t-max"),
+    (["spinpair", "--t-max", "nan"], "--t-max"),
+    (["saturation", "--a-max", "inf"], "--a-max"),
+    (["saturation", "--a-min", "nan"], "--a-min"),
+    (["montecarlo", "--tolerance", "inf"], "--tolerance"),
+])
+def test_non_finite_parameters_are_rejected_by_name(argv, name, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("fluxbound: ") and err.count("\n") == 1
+    assert name in err
+    assert caught == []
 
 
 def test_verify_reports_every_suite(capsys):

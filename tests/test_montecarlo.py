@@ -9,7 +9,7 @@ from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
                        evaluate_bounds, run_montecarlo, sample_qubit_triple,
                        substream, triple_from_uniforms, validate_state)
 from fluxbound.errors import ValidationError
-from fluxbound.montecarlo import (BLOCK_DRAWS, random_density,
+from fluxbound.montecarlo import (BLOCK_DRAWS, MAX_REDRAWS, random_density,
                                   random_observable, random_scenario,
                                   random_unitary)
 from fluxbound.verify import VerifyConfig
@@ -167,6 +167,26 @@ def test_redraw_policy_resamples_infinite_draws():
     assert summary.infinite_records == 0
 
 
+def test_redraw_policy_gives_up_after_max_redraws():
+    mixed = np.eye(2) / 2
+    pure = np.diag([1.0, 0.0])
+    calls = {"n": 0}
+
+    def sampler(rng, tols=None):
+        calls["n"] += 1
+        return np.diag([1.0, -1.0]), mixed, pure
+
+    config = DrawConfig(n_draws=1, rejection_policy=POLICY_REDRAW)
+    records, summary = run_montecarlo(config, sampler=sampler)
+    assert calls["n"] == MAX_REDRAWS + 1
+    (record,) = records
+    assert record.redraws == MAX_REDRAWS
+    assert record.infinite
+    assert record.s_tilde == math.inf
+    assert summary.infinite_records == 1
+    assert summary.total_redraws == MAX_REDRAWS
+
+
 def test_report_infinite_policy_keeps_the_markers():
     from fluxbound import make_observable
 
@@ -199,6 +219,9 @@ def test_draw_config_validation():
         DrawConfig(rejection_policy="drop")
     with pytest.raises(ValidationError):
         DrawConfig(slack_tolerance=0.0)
+    for slack in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="slack_tolerance"):
+            DrawConfig(slack_tolerance=slack)
 
 
 def test_seed_and_stream_ranges_are_checked():

@@ -10,7 +10,7 @@ from fluxbound import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                        partial_trace, pinsker_check, relative_entropy,
                        symmetric_average, symmetric_relative_entropy,
                        tensor_product, trace_distance_norm, validate_state)
-from fluxbound.errors import ValidationError
+from fluxbound.errors import NumericError, ValidationError
 from fluxbound.montecarlo import random_unitary
 
 # two-level pair with populations (e^{-a/2}, e^{a/2}) / (2 cosh(a/2)) and
@@ -124,6 +124,22 @@ def test_directed_pair_agrees_with_two_single_calls():
     forward, backward = directed_entropy_pair(rho, sigma)
     assert forward.value == pytest.approx(relative_entropy(rho, sigma).value, abs=1e-13)
     assert backward.value == pytest.approx(relative_entropy(sigma, rho).value, abs=1e-13)
+
+
+def test_stacked_entropy_error_names_the_callers_row():
+    # row 1 of sigma carries unnormalised eigenvalues, so S(sigma || rho)
+    # comes out negative there; both directions are evaluated as one
+    # stack of six rows internally, but the error names the pair's row
+    rho = validate_state(np.stack([np.diag([0.3, 0.7])] * 3))
+    good = validate_state(np.stack([np.diag([0.6, 0.4])] * 3))
+    eigenvalues = good.eigenvalues.copy()
+    eigenvalues[1] = [0.01, 0.01]
+    sigma = DensityMatrix(good.matrix, eigenvalues, good.eigenvectors,
+                          good.clamped, good.rank_tolerance)
+    with pytest.raises(NumericError, match=r"\(row 1 of the stack\)"):
+        directed_entropy_pair(rho, sigma)
+    with pytest.raises(NumericError, match=r"\(row 1 of the stack\)"):
+        directed_entropy_pair(sigma, rho)
 
 
 def test_symmetric_average_propagates_infinity():

@@ -1,6 +1,7 @@
 """System-environment scenarios, entropy flux, the exchange model,
 correlations, and the extremal family."""
 
+import decimal
 import math
 
 import numpy as np
@@ -227,6 +228,17 @@ def test_spin_pair_params_validation():
         SpinPairParams(times=(-0.1, 0.5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("level_splitting", math.nan), ("level_splitting", math.inf),
+    ("coupling_strength", math.nan), ("coupling_strength", math.inf),
+    ("coupling_phase", math.nan), ("coupling_phase", -math.inf),
+    ("times", (0.0, math.inf)), ("times", (math.nan,)),
+])
+def test_spin_pair_params_reject_non_finite_values_by_name(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        SpinPairParams(**{field: value})
+
+
 def test_exchange_generator_layout():
     gen = exchange_generator(2.0, 0.25)
     assert gen[1, 2] == pytest.approx(2.0 * np.exp(0.25j), abs=1e-15)
@@ -302,6 +314,24 @@ def test_saturating_family_at_zero_gap_is_degenerate():
     assert family.bound_value == 0.0
     assert family.gap <= 1e-14
     assert np.array_equal(rho.matrix, sigma.matrix)
+
+
+def test_saturating_family_populations_stay_accurate_at_large_gaps():
+    # 1 / (1 + e^a) to 40 digits; the (1 - tanh(a/2)) / 2 form loses a
+    # third of it to cancellation at a = 37.5
+    decimal.getcontext().prec = 40
+    for a in (12.0, 37.5, 700.0):
+        rho, sigma, family = saturating_family(a)
+        exact = float(1 / (1 + decimal.Decimal(a).exp()))
+        assert rho.matrix[0, 0].real == pytest.approx(exact, rel=1e-15)
+        assert sigma.matrix[1, 1].real == pytest.approx(exact, rel=1e-15)
+        assert math.isfinite(family.bound_value) and family.gap <= 1e-8
+    # far past the overflow of e^{a/2}: disjoint supports, B = 1
+    for a in (1e6, -1e6, 1e308):
+        _, _, family = saturating_family(a)
+        assert family.trace_norm == 2.0
+        assert family.bound_value == 1.0
+        assert family.gap == 0.0
 
 
 def test_saturating_family_meets_the_bound_over_a_sweep():

@@ -39,6 +39,9 @@ def test_verify_config_validation():
         VerifyConfig(draws=0)
     with pytest.raises(ValidationError):
         VerifyConfig(slack_tolerance=-1.0)
+    for slack in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="slack_tolerance"):
+            VerifyConfig(slack_tolerance=slack)
 
 
 def test_a_broken_curve_is_caught_and_named(monkeypatch):
