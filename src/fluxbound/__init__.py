@@ -13,8 +13,7 @@ thermodynamic scenarios, reproducible Monte Carlo sweeps and a CLI.
 
 from types import ModuleType as _ModuleType
 
-from .bounds import (BoundFunctionConfig, DEFAULT_BOUND_CONFIG,
-                     divergence_from_gap, flux_ratio_sq_bound,
+from .bounds import (divergence_from_gap, flux_ratio_sq_bound,
                      gap_from_divergence, onsager_like, variance_ratio_floor)
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (DegenerateInputError, DomainError, FluxboundError,

@@ -30,37 +30,19 @@ domain, NaN and infinity included, raises DomainError carrying it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, NumericError
 
-
-@dataclass(frozen=True)
-class BoundFunctionConfig:
-    """Root-finder knobs for gap_from_divergence.
-
-    root_tolerance is relative: iteration stops once
-    |divergence_from_gap(y) - x| <= root_tolerance * x.  A relative
-    criterion keeps the product identity accurate at small x and stays
-    reachable at large x, where an absolute one drowns in rounding.
-    """
-
-    root_tolerance: float = 1e-12
-    max_iterations: int = 200
-    bracket_growth: float = 2.0
-
-    def __post_init__(self):
-        if not (self.root_tolerance > 0.0):
-            raise ValidationError("root_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
-        if not (self.bracket_growth > 1.0):
-            raise ValidationError("bracket_growth must exceed 1")
-
-
-DEFAULT_BOUND_CONFIG = BoundFunctionConfig()
+# gap_from_divergence stops once |divergence_from_gap(y) - x| <=
+# ROOT_TOLERANCE * x: a relative criterion keeps the product identity
+# accurate at small x and stays reachable at large x, where an absolute one
+# drowns in rounding.  It takes at most MAX_ITERATIONS Newton steps, after
+# at most as many growths of the bracket by BRACKET_GROWTH.
+ROOT_TOLERANCE = 1e-12
+MAX_ITERATIONS = 200
+BRACKET_GROWTH = 2.0
 
 
 def divergence_from_gap(gap: float) -> float:
@@ -81,12 +63,12 @@ def _divergence_slope(gap: float) -> float:
     return t + 0.5 * gap * sech * sech
 
 
-def _entrywise(fn, x, *args):
+def _entrywise(fn, x):
     """fn on a float, or on every entry of an array, in order."""
     if isinstance(x, np.ndarray):
-        return np.array([fn(v, *args) for v in x.ravel().tolist()],
+        return np.array([fn(v) for v in x.ravel().tolist()],
                         dtype=np.float64).reshape(x.shape)
-    return fn(float(x), *args)
+    return fn(float(x))
 
 
 def _require_divergence(x: float) -> None:
@@ -95,7 +77,7 @@ def _require_divergence(x: float) -> None:
                           offending_value=x)
 
 
-def gap_from_divergence(x, config: BoundFunctionConfig = DEFAULT_BOUND_CONFIG):
+def gap_from_divergence(x):
     """Inverse of divergence_from_gap, by bracketed Newton iteration.
 
     Starts from the bracket [x, max(x + 2, sqrt(2 x) + 2)] (the inverse
@@ -103,10 +85,10 @@ def gap_from_divergence(x, config: BoundFunctionConfig = DEFAULT_BOUND_CONFIG):
     the upper end geometrically if needed, and falls back to bisection
     whenever a Newton step leaves the bracket.
     """
-    return _entrywise(_gap_from_divergence, x, config)
+    return _entrywise(_gap_from_divergence, x)
 
 
-def _gap_from_divergence(x: float, config: BoundFunctionConfig) -> float:
+def _gap_from_divergence(x: float) -> float:
     _require_divergence(x)
     if x == 0.0:
         return 0.0
@@ -114,13 +96,13 @@ def _gap_from_divergence(x: float, config: BoundFunctionConfig) -> float:
     hi = max(x + 2.0, math.sqrt(2.0 * x) + 2.0)
     growths = 0
     while divergence_from_gap(hi) < x:
-        hi *= config.bracket_growth
+        hi *= BRACKET_GROWTH
         growths += 1
-        if growths > config.max_iterations:
+        if growths > MAX_ITERATIONS:
             raise NumericError(f"could not bracket the inverse at x = {x!r}")
-    tol = config.root_tolerance * x
+    tol = ROOT_TOLERANCE * x
     y = 0.5 * (lo + hi)
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         residual = divergence_from_gap(y) - x
         if abs(residual) <= tol:
             return y
@@ -138,31 +120,31 @@ def _gap_from_divergence(x: float, config: BoundFunctionConfig) -> float:
         y = candidate
     raise NumericError(
         f"gap_from_divergence did not converge at x = {x!r} "
-        f"within {config.max_iterations} iterations"
+        f"within {MAX_ITERATIONS} iterations"
     )
 
 
-def flux_ratio_sq_bound(x, config: BoundFunctionConfig = DEFAULT_BOUND_CONFIG):
+def flux_ratio_sq_bound(x):
     """Sharp upper bound on (phi / phi_L)^2 at symmetric divergence x.
 
     Equals tanh(gap_from_divergence(x) / 2)^2, evaluated as
     (x / gap_from_divergence(x))^2; 0 at x = 0 by continuity, increasing,
     bounded by min(1, x / 2).
     """
-    gap = gap_from_divergence(x, config)
+    gap = gap_from_divergence(x)
     # gap is zero exactly where x is
     ratio = x / (gap + (gap == 0.0))
     return ratio * ratio
 
 
-def variance_ratio_floor(x: float, config: BoundFunctionConfig = DEFAULT_BOUND_CONFIG) -> float:
+def variance_ratio_floor(x: float) -> float:
     """Lower bound on the variance ratio of the uncertainty relation,
     1 / sinh(gap_from_divergence(x) / 2)^2.  Diverges as x -> 0+, so
     x = 0 is outside the domain; decreasing in x."""
     if x <= 0.0:
         raise DomainError("variance_ratio_floor requires positive divergence",
                           offending_value=x)
-    gap = gap_from_divergence(x, config)
+    gap = gap_from_divergence(x)
     if gap > 1400.0:
         # sinh overflows but its reciprocal square has long underflowed
         return 0.0

@@ -7,9 +7,11 @@ Subcommands:
     verify      run every verification suite and report slacks
 
 Common flags: --seed (master seed, default 42), --out (file path, default
-stdout), --format (csv or jsonl, default csv), --tolerance (inequality
-slack, default 1e-9).  Identical flags and seed give byte-identical
-primary output; summaries go to stderr.
+stdout), --format (csv or jsonl, default csv), --tolerance (default 1e-9):
+montecarlo and verify only score inequalities with it (a slack below
+-tolerance is a violation), spinpair and saturation ignore it, and the
+identity checks use the fixed thresholds in fluxbound.config.  Identical
+flags and seed give byte-identical primary output; summaries go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -51,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=(_io.FORMAT_CSV, _io.FORMAT_JSONL),
                         default=_io.FORMAT_CSV, help="output format")
     parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="inequality slack tolerance (default 1e-9)")
+                        help="inequality slack of montecarlo/verify (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,10 @@
 """Centralized numerical tolerances.
 
-Every hard-coded numerical threshold used by the library lives in one
-frozen record so that tests, the CLI and library callers agree on what
-"equal", "zero" and "satisfied" mean.  The defaults are deliberately
-conservative for dense matrices of dimension <= 16.
+Every numerical threshold the library uses lives in one frozen record,
+DEFAULT_TOLERANCES, conservative for dense matrices of dimension <= 16.
+The thresholds are constants, not parameters: each module reads the
+record at call time through its own module-level name DEFAULT_TOLERANCES
+(which a test may monkeypatch).
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ class Tolerances:
     # below jacobi_offdiag * ||H||_F, give up after jacobi_max_sweeps
     jacobi_offdiag: float = 1e-14
     jacobi_max_sweeps: int = 100
-    # ||V L V^dag - H||_max accepted for a spectral reconstruction
-    reconstruction: float = 1e-10
     # ||U^dag U - I||_max accepted for a unitary
     unitarity: float = 1e-10
     # |tr(pt(M)) - tr(M)| accepted for the partial trace

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as _bounds
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
 from .linalg import (Spectrum, eigh, expectation, first_row, require_hermitian,
                      row_label, take_row)
@@ -60,11 +60,11 @@ class Observable:
         return 0.5 * (self.theta_max + self.theta_min)
 
 
-def make_observable(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Observable:
+def make_observable(matrix) -> Observable:
     """Validate a Hermitian matrix, or a (B, n, n) stack, and cache its
     spectrum."""
-    a = require_hermitian(matrix, tols)
-    w, v = eigh(a, tols, checked=True)
+    a = require_hermitian(matrix)
+    w, v = eigh(a, checked=True)
     if a.ndim == 2:
         return Observable(a, w, v, float(w[-1]), float(w[0]))
     return Observable(a, w, v, w[:, -1], w[:, 0])
@@ -77,16 +77,15 @@ def _observable_stack_of_one(observable: Observable) -> Observable:
                       np.array([observable.theta_min]))
 
 
-def flux(observable: Observable, rho: DensityMatrix, sigma: DensityMatrix,
-         tols: Tolerances = DEFAULT_TOLERANCES):
+def flux(observable: Observable, rho: DensityMatrix, sigma: DensityMatrix):
     """tr(theta (rho - sigma)); always within capacity up to slack.  An
     array over the rows for stacked arguments."""
     single = observable.matrix.ndim == 2
     if single:
         observable = _observable_stack_of_one(observable)
         rho, sigma = stack_of_one(rho), stack_of_one(sigma)
-    value = expectation(observable.matrix, rho.matrix - sigma.matrix, tols)
-    bad = np.abs(value) > observable.capacity + tols.slack
+    value = expectation(observable.matrix, rho.matrix - sigma.matrix)
+    bad = np.abs(value) > observable.capacity + DEFAULT_TOLERANCES.slack
     if bad.any():
         k = first_row(bad)
         raise NumericError(
@@ -112,8 +111,7 @@ class ShiftCheck:
     holds: bool
 
 
-def optimal_shift_check(observable: Observable, grid,
-                        tols: Tolerances = DEFAULT_TOLERANCES) -> ShiftCheck:
+def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
     shifts = np.asarray(grid, dtype=np.float64)
     if shifts.ndim != 1 or shifts.size < 2:
         raise ValidationError("shift grid must be a 1-d array with >= 2 points")
@@ -123,9 +121,9 @@ def optimal_shift_check(observable: Observable, grid,
     half = 0.5 * observable.capacity
     at_star = float(np.max(np.abs(observable.eigenvalues - observable.lambda_star)))
     step = float(np.max(np.diff(np.sort(shifts))))
-    holds = (norms[k] >= half - tols.slack
+    holds = (norms[k] >= half - DEFAULT_TOLERANCES.slack
              and norms[k] <= half + step
-             and abs(at_star - half) <= tols.shift_norm)
+             and abs(at_star - half) <= DEFAULT_TOLERANCES.shift_norm)
     return ShiftCheck(
         grid_min=float(norms[k]),
         grid_argmin=float(shifts[k]),
@@ -159,8 +157,7 @@ class SignDecomposition:
     states_equal: bool = False
 
 
-def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix,
-                       tols: Tolerances = DEFAULT_TOLERANCES) -> SignDecomposition:
+def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
     if rho.matrix.shape != sigma.matrix.shape:
         raise ValidationError(
             f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
@@ -168,8 +165,9 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix,
     if single:
         rho, sigma = stack_of_one(rho), stack_of_one(sigma)
     difference = rho.matrix - sigma.matrix
-    w, vecs = eigh(difference, tols, checked=True)
+    w, vecs = eigh(difference, checked=True)
     magnitude = np.abs(w)
+    tols = DEFAULT_TOLERANCES
     zero_tolerance = tols.sign_zero_scale * np.maximum(1.0, magnitude.max(axis=1))
     equal = magnitude.sum(axis=1) <= zero_tolerance
     if single and equal[0]:
@@ -182,8 +180,8 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix,
     vecs_h = vecs.conj().swapaxes(1, 2)
     omega = (vecs * signs[:, None, :]) @ vecs_h
     eps_op = (vecs * in_kernel[:, None, :]) @ vecs_h
-    eps_rho = expectation(eps_op, rho.matrix, tols)
-    eps_sigma = expectation(eps_op, sigma.matrix, tols)
+    eps_rho = expectation(eps_op, rho.matrix)
+    eps_sigma = expectation(eps_op, sigma.matrix)
     bad = ~equal & (np.abs(eps_rho - eps_sigma) > tols.slack)
     if bad.any():
         k = first_row(bad)
@@ -192,7 +190,7 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix,
             f"{eps_rho[k].item()!r} vs {eps_sigma[k].item()!r}"
         )
     # the sign operator recovers the trace norm as a flux
-    recovered = expectation(omega, difference, tols)
+    recovered = expectation(omega, difference)
     bad = ~equal & (np.abs(recovered - np.where(in_kernel, 0.0, magnitude).sum(axis=1))
                     > tols.slack)
     if bad.any():
@@ -229,19 +227,18 @@ class QturCheck:
     trivial: bool
 
 
-def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix,
-               tols: Tolerances = DEFAULT_TOLERANCES) -> QturCheck:
-    h = require_hermitian(operator, tols)
+def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
+    h = require_hermitian(operator)
     h2 = h @ h
-    mean_rho = expectation(h, rho.matrix, tols)
-    mean_sigma = expectation(h, sigma.matrix, tols)
-    var_rho = expectation(h2, rho.matrix, tols) - mean_rho * mean_rho
-    var_sigma = expectation(h2, sigma.matrix, tols) - mean_sigma * mean_sigma
+    mean_rho = expectation(h, rho.matrix)
+    mean_sigma = expectation(h, sigma.matrix)
+    var_rho = expectation(h2, rho.matrix) - mean_rho * mean_rho
+    var_sigma = expectation(h2, sigma.matrix) - mean_sigma * mean_sigma
     gap = mean_rho - mean_sigma
     scale = 1.0 + abs(mean_rho) + abs(mean_sigma)
     if abs(gap) <= 1e-15 * scale:
         raise DegenerateInputError("observable means coincide; the ratio is undefined")
-    forward, backward = directed_entropy_pair(rho, sigma, tols)
+    forward, backward = directed_entropy_pair(rho, sigma)
     s_tilde = symmetric_average(forward, backward)
     lhs = (var_rho + var_sigma) / (0.5 * gap * gap)
     if not s_tilde.finite:
@@ -252,7 +249,7 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix,
     floor = _bounds.variance_ratio_floor(s_tilde.value)
     slack = lhs - floor
     return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, floor,
-                     slack, slack >= -tols.slack, False)
+                     slack, slack >= -DEFAULT_TOLERANCES.slack, False)
 
 
 @dataclass(frozen=True)
@@ -302,8 +299,7 @@ class BoundReport:
 
 
 def evaluate_bounds(observable: Observable, rho: DensityMatrix,
-                    sigma: DensityMatrix,
-                    tols: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
+                    sigma: DensityMatrix) -> BoundReport:
     """Evaluate every flux bound for one triple, or for stacks of B
     triples, and report slacks.
 
@@ -318,15 +314,15 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     if single:
         observable = _observable_stack_of_one(observable)
         rho, sigma = stack_of_one(rho), stack_of_one(sigma)
-    phi = flux(observable, rho, sigma, tols)
+    phi = flux(observable, rho, sigma)
     capacity = observable.capacity
     theta_scale = np.maximum(1.0, np.maximum(np.abs(observable.theta_max),
                                              np.abs(observable.theta_min)))
-    degenerate = capacity <= tols.capacity_floor * theta_scale
-    decomposition = sign_decomposition(rho, sigma, tols)
+    degenerate = capacity <= DEFAULT_TOLERANCES.capacity_floor * theta_scale
+    decomposition = sign_decomposition(rho, sigma)
     equal = decomposition.states_equal & ~degenerate
     trivial_rows = degenerate | equal
-    forward, backward = directed_entropy_pair(rho, sigma, tols)
+    forward, backward = directed_entropy_pair(rho, sigma)
     s_tilde = symmetric_average(forward, backward)
     finite = s_tilde.finite
 
@@ -348,7 +344,7 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     s_value = np.where(both_finite, s_tilde.value, 0.0)
     cost = np.where(both_finite, cost, 0.0)
 
-    slack = tols.slack
+    slack = DEFAULT_TOLERANCES.slack
     verdicts = {
         "capacity": (np.abs(phi) <= capacity + slack, capacity - np.abs(phi), False),
         "trace_norm": (ratio_sq <= quarter_tn_sq + slack,

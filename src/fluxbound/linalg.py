@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, NumericError, ValidationError
 
 
@@ -100,7 +100,7 @@ def hermiticity_defect(matrix) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def require_hermitian(matrix) -> np.ndarray:
     """Validate finiteness and hermiticity of a matrix or a stack, and
     return the symmetrized (M + M^dag)/2 in the input's layout.
 
@@ -114,15 +114,17 @@ def require_hermitian(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarr
             f"matrix has non-finite entries{row_label(bad, single)}")
     ah = a.conj().swapaxes(1, 2)
     defect = np.abs(a - ah)
-    if a.size and defect.max() > tols.hermiticity:
+    tolerance = DEFAULT_TOLERANCES.hermiticity
+    if a.size and defect.max() > tolerance:
         defect = defect.max(axis=(1, 2))
-        bad = defect > tols.hermiticity
+        bad = defect > tolerance
         raise ValidationError(
             f"matrix is not Hermitian{row_label(bad, single)}: "
             f"max |M - M^dag| = {defect[first_row(bad)]:.3e} "
-            f"exceeds {tols.hermiticity:.3e}"
+            f"exceeds {tolerance:.3e}"
         )
-    out = 0.5 * (a + ah)
+    # halves first: a + ah overflows for entries near the largest double
+    out = 0.5 * a + 0.5 * ah
     return out[0] if single else out
 
 
@@ -230,23 +232,23 @@ def _sorted_spectrum(values: np.ndarray, vectors: np.ndarray) -> Spectrum:
                     vectors.swapaxes(1, 2)[rows, order].swapaxes(1, 2))
 
 
-def eigh(matrix, tols: Tolerances = DEFAULT_TOLERANCES, *,
-         checked: bool = False) -> Spectrum:
+def eigh(matrix, *, checked: bool = False) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix or a (B, n, n) stack.
 
     Rotates the pairs of the round-robin schedule, sweep after sweep,
     until each matrix's off-diagonal Frobenius mass falls below
-    tols.jacobi_offdiag * ||H||_F; a matrix that meets the criterion at
-    the start of a sweep takes no further rotation.  Raises NumericError,
+    jacobi_offdiag * ||H||_F; a matrix that meets the criterion at the
+    start of a sweep takes no further rotation.  Raises NumericError,
     naming the first such row of a stack, if a matrix has not converged
-    after tols.jacobi_max_sweeps sweeps (it converges in well under ten
-    sweeps for dim <= 16 in practice).  checked=True skips the input
-    validation for a stack that already went through require_hermitian.
+    after jacobi_max_sweeps sweeps (it converges in well under ten sweeps
+    for dim <= 16 in practice), and ValidationError if ||H||_F^2 overflows
+    (entries beyond about 1e154).  checked=True skips the input validation
+    for a stack that already went through require_hermitian.
     """
     if checked:
         a, single = as_complex_stack(matrix)
     else:
-        a = require_hermitian(matrix, tols)
+        a = require_hermitian(matrix)
         a, single = (a[None], True) if a.ndim == 2 else (a, False)
     b, n = a.shape[0], a.shape[-1]
     diagonal = a.diagonal(axis1=1, axis2=2)
@@ -258,14 +260,20 @@ def eigh(matrix, tols: Tolerances = DEFAULT_TOLERANCES, *,
         return Spectrum(spec.eigenvalues[0], spec.eigenvectors[0]) if single else spec
     identity, upper, rounds = _round_robin(n)
     diagonal = diagonal.real.copy()
+    with np.errstate(over="ignore"):
+        mass = _upper_mass(a, upper)
+        norm_sq = (diagonal * diagonal).sum(axis=1) + 2.0 * mass
+    # an infinite threshold would pass any matrix as converged
+    huge = ~np.isfinite(norm_sq)
+    if huge.any():
+        raise ValidationError(f"matrix entries too large for the eigensolver"
+                              f"{row_label(huge, single)}: ||H||_F^2 overflows")
     # the criterion mass <= jacobi_offdiag * ||H||_F, squared and halved
-    mass = _upper_mass(a, upper)
-    threshold = 0.5 * tols.jacobi_offdiag ** 2 * (
-        (diagonal * diagonal).sum(axis=1) + 2.0 * mass)
+    threshold = 0.5 * DEFAULT_TOLERANCES.jacobi_offdiag ** 2 * norm_sq
     w = np.empty((b, 2 * n, n), dtype=np.complex128)
     w[:, :n] = a
     w[:, n:] = identity
-    for _ in range(tols.jacobi_max_sweeps):
+    for _ in range(DEFAULT_TOLERANCES.jacobi_max_sweeps):
         active = mass > threshold
         count = np.count_nonzero(active)
         if count == 0:
@@ -286,22 +294,21 @@ def eigh(matrix, tols: Tolerances = DEFAULT_TOLERANCES, *,
             residual = math.sqrt(2.0 * mass[first_row(failed)])
             raise NumericError(
                 f"Jacobi eigensolver did not converge in "
-                f"{tols.jacobi_max_sweeps} sweeps{row_label(failed, single)} "
-                f"(dim {n}, residual {residual:.3e})"
+                f"{DEFAULT_TOLERANCES.jacobi_max_sweeps} sweeps"
+                f"{row_label(failed, single)} (dim {n}, residual {residual:.3e})"
             )
     spec = _sorted_spectrum(diagonal, w[:, n:])
     return Spectrum(spec.eigenvalues[0], spec.eigenvectors[0]) if single else spec
 
 
-def matrix_function(matrix, fn: Callable[[float], complex],
-                    tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def matrix_function(matrix, fn: Callable[[float], complex]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     Returns V diag(fn(w)) V^dag.  Raises DomainError, carrying the
     offending eigenvalue, if fn raises or returns a non-finite value at
     any eigenvalue (for example log at a zero eigenvalue).
     """
-    spec = eigh(matrix, tols)
+    spec = eigh(matrix)
     fvals = np.empty(spec.eigenvalues.shape, dtype=np.complex128)
     with np.errstate(all="ignore"):
         for k, w in enumerate(spec.eigenvalues):
@@ -322,10 +329,9 @@ def matrix_function(matrix, fn: Callable[[float], complex],
     return (vecs * fvals) @ vecs.conj().T
 
 
-def unitary_from_generator(generator, t: float = 1.0,
-                           tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def unitary_from_generator(generator, t: float = 1.0) -> np.ndarray:
     """exp(-i t G) for Hermitian G, through the spectrum of G."""
-    return matrix_function(generator, lambda w: cmath.exp(-1j * t * w), tols)
+    return matrix_function(generator, lambda w: cmath.exp(-1j * t * w))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -334,8 +340,7 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def partial_trace(matrix, dim_system: int, dim_environment: int,
-                  keep: str = "system",
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+                  keep: str = "system") -> np.ndarray:
     """Trace out one tensor factor of a (dim_system * dim_environment)
     square matrix.
 
@@ -359,18 +364,18 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
     else:
         raise ValidationError(f"keep must be 'system' or 'environment', got {keep!r}")
     defect = abs(complex(np.trace(reduced)) - complex(np.trace(a)))
-    if defect > tols.trace_preservation:
+    if defect > DEFAULT_TOLERANCES.trace_preservation:
         raise NumericError(f"partial trace changed the trace by {defect:.3e}")
     return reduced
 
 
-def schatten_norm(matrix, k, tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+def schatten_norm(matrix, k) -> float:
     """Schatten k-norm of a Hermitian matrix, k in {1, 2, inf}.
 
     Computed from the eigenvalues: sum |w| for k = 1, sqrt(sum w^2) for
     k = 2, max |w| for k = inf.
     """
-    w = eigh(matrix, tols).eigenvalues
+    w = eigh(matrix).eigenvalues
     if k == 1:
         return float(np.sum(np.abs(w)))
     if k == 2:
@@ -391,7 +396,7 @@ def as_array(operator) -> np.ndarray:
     return np.asarray(operator, dtype=np.complex128)
 
 
-def expectation(operator, state, tols: Tolerances = DEFAULT_TOLERANCES):
+def expectation(operator, state):
     """tr(H rho) for Hermitian H, or for each pair of two (B, n, n) stacks
     (an array over the rows); the imaginary part must be rounding noise.
     Each trace is one sum along its own matrix, so it does not depend on
@@ -402,7 +407,7 @@ def expectation(operator, state, tols: Tolerances = DEFAULT_TOLERANCES):
         raise ValidationError(f"shape mismatch {h.shape} vs {r.shape}")
     b, n = h.shape[0], h.shape[-1]
     values = (h * r.swapaxes(1, 2)).reshape(b, n * n).sum(axis=1)
-    bad = np.abs(values.imag) > tols.imaginary_part
+    bad = np.abs(values.imag) > DEFAULT_TOLERANCES.imaginary_part
     if bad.any():
         raise NumericError(
             f"expectation of a Hermitian operator has imaginary part "

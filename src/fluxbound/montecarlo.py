@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
 from .flux import BoundReport, Observable, evaluate_bounds, make_observable
 from .linalg import as_array, unitary_from_generator
@@ -89,26 +88,22 @@ def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, rho, sigma
 
 
-def triple_from_uniforms(u, tols: Tolerances = DEFAULT_TOLERANCES,
-                         ) -> tuple[Observable, DensityMatrix, DensityMatrix]:
+def triple_from_uniforms(u) -> tuple[Observable, DensityMatrix, DensityMatrix]:
     """Deterministic (theta, rho, sigma) from seven uniforms in [0, 1)."""
     theta, rho, sigma = qubit_matrices(u)
-    return (make_observable(theta, tols), validate_state(rho, tols),
-            validate_state(sigma, tols))
+    return make_observable(theta), validate_state(rho), validate_state(sigma)
 
 
-def sample_qubit_matrices(rng: np.random.Generator,
-                          tols: Tolerances = DEFAULT_TOLERANCES,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sample_qubit_matrices(
+        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sweep's default sampler: one draw's raw matrices, which the
     sweep validates a block at a time."""
     return qubit_matrices(rng.random(7))
 
 
-def sample_qubit_triple(rng: np.random.Generator,
-                        tols: Tolerances = DEFAULT_TOLERANCES,
-                        ) -> tuple[Observable, DensityMatrix, DensityMatrix]:
-    return triple_from_uniforms(rng.random(7), tols)
+def sample_qubit_triple(
+        rng: np.random.Generator) -> tuple[Observable, DensityMatrix, DensityMatrix]:
+    return triple_from_uniforms(rng.random(7))
 
 
 # generic random objects, used by the verification suites and tests
@@ -118,31 +113,27 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def random_density(rng: np.random.Generator, dim: int,
-                   tols: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank state from a square Ginibre factor, rho = G G^dag / tr."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return validate_state(m / float(np.trace(m).real), tols)
+    return validate_state(m / float(np.trace(m).real))
 
 
-def random_observable(rng: np.random.Generator, dim: int,
-                      tols: Tolerances = DEFAULT_TOLERANCES) -> Observable:
-    return make_observable(random_hermitian(rng, dim), tols)
+def random_observable(rng: np.random.Generator, dim: int) -> Observable:
+    return make_observable(random_hermitian(rng, dim))
 
 
-def random_unitary(rng: np.random.Generator, dim: int,
-                   tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    return unitary_from_generator(random_hermitian(rng, dim), 1.0, tols)
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return unitary_from_generator(random_hermitian(rng, dim), 1.0)
 
 
 def random_scenario(rng: np.random.Generator, dim_system: int = 2,
-                    dim_environment: int = 2,
-                    tols: Tolerances = DEFAULT_TOLERANCES) -> BipartiteScenario:
-    rho_s = random_density(rng, dim_system, tols)
-    rho_e = random_density(rng, dim_environment, tols)
-    u = random_unitary(rng, dim_system * dim_environment, tols)
-    return make_scenario(rho_s, rho_e, u, tols)
+                    dim_environment: int = 2) -> BipartiteScenario:
+    rho_s = random_density(rng, dim_system)
+    rho_e = random_density(rng, dim_environment)
+    u = random_unitary(rng, dim_system * dim_environment)
+    return make_scenario(rho_s, rho_e, u)
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +189,27 @@ class MonteCarloSummary:
     total_redraws: int = 0
 
 
-def _evaluate_block(triples: list, tols: Tolerances) -> BoundReport:
+def _evaluate_block(triples: list) -> BoundReport:
     """Stack the samplers' triples (matrices, or records carrying one in
     .matrix), validate each stack once and evaluate it."""
     theta, rho, sigma = (np.stack([as_array(m) for m in ms]) for ms in zip(*triples))
-    return evaluate_bounds(make_observable(theta, tols), validate_state(rho, tols),
-                           validate_state(sigma, tols), tols)
+    return evaluate_bounds(make_observable(theta), validate_state(rho),
+                           validate_state(sigma))
 
 
-def _record_block(first: int, report: BoundReport, redraws: int,
+def _record_block(first: int, report: BoundReport, redraws: int, tolerance: float,
                   records: list, summary: MonteCarloSummary) -> None:
     """Append the block's records, as Python scalars, and fold the block
-    into the summary."""
+    into the summary.  A verdict holds when its slack clears -tolerance."""
     s_tilde = report.s_tilde.as_float()
     infinite = ~report.s_tilde.finite
     main = report.verdicts["main"]
+    holds = {name: v.slack >= -tolerance for name, v in report.verdicts.items()}
+    holds_all = np.logical_and.reduce(list(holds.values()))
     columns = zip(report.flux_ratio_sq.tolist(), s_tilde.tolist(),
                   report.pinsker_rhs.tolist(), report.main_rhs.tolist(),
                   report.strengthened_rhs.tolist(), report.epsilon.tolist(),
-                  report.all_hold().tolist(), main.holds.tolist(),
+                  holds_all.tolist(), holds["main"].tolist(),
                   infinite.tolist())
     for offset, row in enumerate(columns):
         records.append(DrawRecord(first + offset, *row[:6], redraws, *row[6:]))
@@ -226,8 +219,8 @@ def _record_block(first: int, report: BoundReport, redraws: int,
     summary.draws_s_tilde_ge_2 += int(np.count_nonzero(far))
     summary.draws_far_from_equilibrium += int(np.count_nonzero(
         far & ~infinite & (report.main_rhs < 1.0)))
-    for name, verdict in report.verdicts.items():
-        failed = int(np.count_nonzero(~verdict.holds))
+    for name, held in holds.items():
+        failed = int(np.count_nonzero(~held))
         if failed:
             summary.violations[name] = summary.violations.get(name, 0) + failed
     counted = ~main.trivial & np.isfinite(main.slack)
@@ -236,25 +229,20 @@ def _record_block(first: int, report: BoundReport, redraws: int,
                                      float(main.slack[counted].min()))
 
 
-def run_montecarlo(config: DrawConfig = DrawConfig(),
-                   sampler=sample_qubit_matrices,
-                   tols: Tolerances | None = None,
+def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=sample_qubit_matrices,
                    ) -> tuple[list[DrawRecord], MonteCarloSummary]:
     """Run the sweep and evaluate every bound on every draw.
 
-    sampler(rng, tols) returns one draw's (theta, rho, sigma), as matrices
+    sampler(rng) returns one draw's (theta, rho, sigma), as matrices
     or as records carrying one in .matrix; it is called once per draw, in
     draw order, on the draw's own substream.  Under report_infinite a
     draw with infinite symmetric relative entropy is emitted with its
     markers, and the draws are evaluated BLOCK_DRAWS at a time.  Under
     redraw such a draw is resampled from the same substream (the redraw
     count is recorded); each draw is then its own block, so that its
-    redraws are sampled before the next draw.
+    redraws are sampled before the next draw.  Each verdict is scored
+    against config.slack_tolerance.
     """
-    if tols is None:
-        tols = DEFAULT_TOLERANCES
-    if tols.slack != config.slack_tolerance:
-        tols = replace(tols, slack=config.slack_tolerance)
     redraw = config.rejection_policy == POLICY_REDRAW
     block = 1 if redraw else BLOCK_DRAWS
     records: list[DrawRecord] = []
@@ -263,13 +251,14 @@ def run_montecarlo(config: DrawConfig = DrawConfig(),
         triples = []
         for index in range(first, min(first + block, config.n_draws)):
             rng = substream(config.master_seed, index)
-            triples.append(sampler(rng, tols))
-        report = _evaluate_block(triples, tols)
+            triples.append(sampler(rng))
+        report = _evaluate_block(triples)
         # under redraw the block is one draw, and rng is its substream
         redraws = 0
         while (redraw and not report.s_tilde.finite[0]
                and redraws < MAX_REDRAWS):
             redraws += 1
-            report = _evaluate_block([sampler(rng, tols)], tols)
-        _record_block(first, report, redraws, records, summary)
+            report = _evaluate_block([sampler(rng)])
+        _record_block(first, report, redraws, config.slack_tolerance,
+                      records, summary)
     return records, summary

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import NumericError, ValidationError
 from .linalg import eigh, first_row, require_hermitian, row_label
 
@@ -61,16 +61,17 @@ def stack_of_one(state: DensityMatrix) -> DensityMatrix:
                          state.rank_tolerance)
 
 
-def validate_state(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def validate_state(matrix) -> DensityMatrix:
     """Check finiteness, hermiticity, positivity and unit trace of a matrix
     or a (B, n, n) stack; clamp rounding noise.
 
-    Eigenvalues in [-tols.state_negativity, 0) are clamped to zero and the
+    Eigenvalues in [-state_negativity, 0) are clamped to zero and the
     spectrum renormalized; anything more negative is rejected.  The trace
-    must be 1 within tols.state_trace.  Errors name the first failing row
-    of a stack.
+    must be 1 within state_trace.  Errors name the first failing row of a
+    stack.
     """
-    a = require_hermitian(matrix, tols)
+    tols = DEFAULT_TOLERANCES
+    a = require_hermitian(matrix)
     single = a.ndim == 2
     if single:
         a = a[None]
@@ -82,7 +83,7 @@ def validate_state(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> DensityMatr
             f"tr = {trace[first_row(bad)].item()!r}, "
             f"|tr - 1| > {tols.state_trace:.1e}"
         )
-    values, vecs = eigh(a, tols, checked=True)
+    values, vecs = eigh(a, checked=True)
     smallest = values[:, 0]
     bad = smallest < -tols.state_negativity
     if bad.any():
@@ -166,13 +167,12 @@ def _entropy_value(values: np.ndarray, single: bool) -> RelEntropyValue:
 
 
 def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
-                          tols: Tolerances = DEFAULT_TOLERANCES,
                           ) -> tuple[RelEntropyValue, RelEntropyValue]:
     """(S(rho || sigma), S(sigma || rho)), sharing one overlap matrix.
 
     Takes single states or two stacks of B states; both directions of all
     B pairs are evaluated as one stack of 2 B rows.  Values in
-    [-tols.entropy_floor, 0) are rounded up to 0; anything lower raises,
+    [-entropy_floor, 0) are rounded up to 0; anything lower raises,
     naming the first failing row of the caller's stack.
     """
     if rho.matrix.shape != sigma.matrix.shape:
@@ -189,7 +189,7 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
         np.concatenate([sigma.eigenvalues, rho.eigenvalues]),
         np.concatenate([overlap, overlap.swapaxes(1, 2)]),
         tolerances, tolerances[::-1]).reshape(2, b)
-    bad = values < -tols.entropy_floor
+    bad = values < -DEFAULT_TOLERANCES.entropy_floor
     if bad.any():
         rows = bad.any(axis=0)
         k = first_row(rows)
@@ -200,11 +200,10 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
     return _entropy_value(values[0], single), _entropy_value(values[1], single)
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                     tols: Tolerances = DEFAULT_TOLERANCES) -> RelEntropyValue:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> RelEntropyValue:
     """Quantum relative entropy S(rho || sigma), natural log: the forward
     half of directed_entropy_pair."""
-    return directed_entropy_pair(rho, sigma, tols)[0]
+    return directed_entropy_pair(rho, sigma)[0]
 
 
 def symmetric_average(forward: RelEntropyValue,
@@ -215,24 +214,23 @@ def symmetric_average(forward: RelEntropyValue,
                            forward.finite & backward.finite)
 
 
-def symmetric_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                               tols: Tolerances = DEFAULT_TOLERANCES) -> RelEntropyValue:
+def symmetric_relative_entropy(rho: DensityMatrix,
+                               sigma: DensityMatrix) -> RelEntropyValue:
     """Symmetrized relative entropy, the mean of the two directions.
 
     Infinite as soon as either direction is infinite, i.e. whenever the
     supports of the two states differ.
     """
-    forward, backward = directed_entropy_pair(rho, sigma, tols)
+    forward, backward = directed_entropy_pair(rho, sigma)
     return symmetric_average(forward, backward)
 
 
-def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix,
-                        tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Trace norm ||rho - sigma||_1 (twice the trace distance)."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
     # the difference of two validated states is exactly Hermitian
-    w = eigh(rho.matrix - sigma.matrix, tols, checked=True).eigenvalues
+    w = eigh(rho.matrix - sigma.matrix, checked=True).eigenvalues
     return float(np.sum(np.abs(w)))
 
 
@@ -248,13 +246,13 @@ class PinskerCheck:
     trivial: bool
 
 
-def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix,
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> PinskerCheck:
+def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix) -> PinskerCheck:
     """Evaluate the classical Pinsker inequality for a pair of states."""
-    s_forward = relative_entropy(rho, sigma, tols)
-    tn = trace_distance_norm(rho, sigma, tols)
+    s_forward = relative_entropy(rho, sigma)
+    tn = trace_distance_norm(rho, sigma)
     rhs = 0.5 * tn * tn
     if not s_forward.finite:
         return PinskerCheck(s_forward, tn, rhs, math.inf, True, True)
     slack = s_forward.value - rhs
-    return PinskerCheck(s_forward, tn, rhs, slack, slack >= -tols.slack, False)
+    return PinskerCheck(s_forward, tn, rhs, slack,
+                        slack >= -DEFAULT_TOLERANCES.slack, False)

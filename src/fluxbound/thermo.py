@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds as _bounds
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import Observable, evaluate_bounds, make_observable
 from .linalg import (eigh, expectation, partial_trace, tensor_product,
@@ -56,13 +56,13 @@ class BipartiteScenario:
 
 
 def make_scenario(rho_system: DensityMatrix, rho_environment: DensityMatrix,
-                  unitary, tols: Tolerances = DEFAULT_TOLERANCES) -> BipartiteScenario:
+                  unitary) -> BipartiteScenario:
     u = np.asarray(unitary, dtype=np.complex128)
     d = rho_system.dim * rho_environment.dim
     if u.shape != (d, d):
         raise ValidationError(f"unitary shape {u.shape} does not match joint dim {d}")
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if defect > tols.unitarity:
+    if defect > DEFAULT_TOLERANCES.unitarity:
         raise ValidationError(
             f"unitarity invariant violated: ||U^dag U - I||_max = {defect:.3e}"
         )
@@ -83,18 +83,17 @@ class ScenarioOutcome:
     entropy_production_dual: RelEntropyValue
 
 
-def evolve(scenario: BipartiteScenario,
-           tols: Tolerances = DEFAULT_TOLERANCES) -> ScenarioOutcome:
+def evolve(scenario: BipartiteScenario) -> ScenarioOutcome:
     u = scenario.unitary
     joint0 = tensor_product(scenario.rho_system.matrix,
                             scenario.rho_environment.matrix)
-    joint = validate_state(u @ joint0 @ u.conj().T, tols)
+    joint = validate_state(u @ joint0 @ u.conj().T)
     ds, de = scenario.dim_system, scenario.dim_environment
-    marg_s = validate_state(partial_trace(joint.matrix, ds, de, "system", tols), tols)
-    marg_e = validate_state(partial_trace(joint.matrix, ds, de, "environment", tols), tols)
+    marg_s = validate_state(partial_trace(joint.matrix, ds, de, "system"))
+    marg_e = validate_state(partial_trace(joint.matrix, ds, de, "environment"))
     reference = validate_state(
-        tensor_product(marg_s.matrix, scenario.rho_environment.matrix), tols)
-    production, dual = directed_entropy_pair(joint, reference, tols)
+        tensor_product(marg_s.matrix, scenario.rho_environment.matrix))
+    production, dual = directed_entropy_pair(joint, reference)
     return ScenarioOutcome(joint, marg_s, marg_e, reference, production, dual)
 
 
@@ -104,8 +103,7 @@ class EntropyFlux:
     capacity: float
 
 
-def entropy_flux(scenario: BipartiteScenario, outcome: ScenarioOutcome,
-                 tols: Tolerances = DEFAULT_TOLERANCES) -> EntropyFlux:
+def entropy_flux(scenario: BipartiteScenario, outcome: ScenarioOutcome) -> EntropyFlux:
     """Phi = tr((rho_E - rho_E') log rho_E) and its capacity.
 
     The environment must be full rank, otherwise log rho_E is unbounded
@@ -121,13 +119,12 @@ def entropy_flux(scenario: BipartiteScenario, outcome: ScenarioOutcome,
     log_eigs = np.log(env.eigenvalues)
     vecs = env.eigenvectors
     log_env = (vecs * log_eigs) @ vecs.conj().T
-    value = expectation(log_env, env.matrix - outcome.rho_environment.matrix, tols)
+    value = expectation(log_env, env.matrix - outcome.rho_environment.matrix)
     capacity = float(log_eigs[-1] - log_eigs[0])
     return EntropyFlux(value=value, capacity=capacity)
 
 
-def thermal_environment(hamiltonian, beta: float,
-                        tols: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def thermal_environment(hamiltonian, beta: float) -> DensityMatrix:
     """Gibbs state exp(-beta H) / Z.
 
     For a thermal environment the entropy flux reduces to heat times
@@ -136,12 +133,12 @@ def thermal_environment(hamiltonian, beta: float,
     """
     if beta <= 0.0:
         raise ValidationError("inverse temperature must be positive")
-    spec = eigh(hamiltonian, tols)
+    spec = eigh(hamiltonian)
     # subtract the ground energy before exponentiating for stability
     weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
     weights = weights / float(np.sum(weights))
     vecs = spec.eigenvectors
-    return validate_state((vecs * weights) @ vecs.conj().T, tols)
+    return validate_state((vecs * weights) @ vecs.conj().T)
 
 
 @dataclass(frozen=True)
@@ -165,8 +162,7 @@ class ChainCheck:
 
 def _chain_from_parts(phi: float, capacity: float,
                       s_tilde: RelEntropyValue,
-                      production_mean: RelEntropyValue | None,
-                      tols: Tolerances) -> ChainCheck:
+                      production_mean: RelEntropyValue | None) -> ChainCheck:
     if capacity <= 0.0:
         return ChainCheck(phi, capacity, 0.0, s_tilde, production_mean,
                           {}, True, True)
@@ -190,30 +186,29 @@ def _chain_from_parts(phi: float, capacity: float,
         steps["s_tilde_dominates_cost"] = -math.inf
     if math.isfinite(cost):
         steps["cost_dominates_quadratic"] = cost - 2.0 * ratio * ratio
-    holds = all(s >= -tols.slack for s in steps.values())
+    holds = all(s >= -DEFAULT_TOLERANCES.slack for s in steps.values())
     return ChainCheck(phi, capacity, ratio, s_tilde, production_mean,
                       steps, holds, trivial)
 
 
-def entropy_flux_chain_check(scenario: BipartiteScenario, outcome: ScenarioOutcome,
-                             tols: Tolerances = DEFAULT_TOLERANCES) -> ChainCheck:
+def entropy_flux_chain_check(scenario: BipartiteScenario,
+                             outcome: ScenarioOutcome) -> ChainCheck:
     """(Sigma + Sigma_dual)/2 >= S_sym(rho_E, rho_E') >= 2 r artanh r >= 2 r^2."""
-    ef = entropy_flux(scenario, outcome, tols)
+    ef = entropy_flux(scenario, outcome)
     s_env = symmetric_relative_entropy(scenario.rho_environment,
-                                       outcome.rho_environment, tols)
+                                       outcome.rho_environment)
     production_mean = symmetric_average(outcome.entropy_production,
                                         outcome.entropy_production_dual)
-    return _chain_from_parts(ef.value, ef.capacity, s_env, production_mean, tols)
+    return _chain_from_parts(ef.value, ef.capacity, s_env, production_mean)
 
 
 def local_system_bound_check(observable: Observable, rho_later: DensityMatrix,
-                             rho_earlier: DensityMatrix,
-                             tols: Tolerances = DEFAULT_TOLERANCES) -> ChainCheck:
+                             rho_earlier: DensityMatrix) -> ChainCheck:
     """S_sym(rho_later, rho_earlier) >= 2 r artanh r >= 2 r^2 for the flux
     of any bounded observable between two marginals of one evolution."""
-    phi = expectation(observable.matrix, rho_later.matrix - rho_earlier.matrix, tols)
-    s_tilde = symmetric_relative_entropy(rho_later, rho_earlier, tols)
-    return _chain_from_parts(phi, observable.capacity, s_tilde, None, tols)
+    phi = expectation(observable.matrix, rho_later.matrix - rho_earlier.matrix)
+    s_tilde = symmetric_relative_entropy(rho_later, rho_earlier)
+    return _chain_from_parts(phi, observable.capacity, s_tilde, None)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +249,9 @@ class SpinPairParams:
             raise ValidationError("times must be a nonempty list of nonnegative reals")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValidationError("times must be nondecreasing")
+        if not math.isfinite(float(self.coupling_strength) * float(times[-1])):
+            raise ValidationError(
+                "times must keep coupling_strength * max(times) finite")
 
 
 def spin_hamiltonian(level_splitting: float) -> np.ndarray:
@@ -287,34 +285,33 @@ class SpinPairPoint:
     s_tilde: float
 
 
-def _spin_pair_initial_states(params: SpinPairParams, tols: Tolerances,
-                              ) -> tuple[DensityMatrix, DensityMatrix]:
+def _spin_pair_initial_states(
+        params: SpinPairParams) -> tuple[DensityMatrix, DensityMatrix]:
     """The exchange model's initial states (rho_S0, rho_E0)."""
-    return tuple(validate_state(np.diag([1.0 - x, x]), tols)
+    return tuple(validate_state(np.diag([1.0 - x, x]))
                  for x in (params.excited_population_system,
                            params.excited_population_environment))
 
 
-def spin_pair_timeseries(params: SpinPairParams,
-                         tols: Tolerances = DEFAULT_TOLERANCES) -> list[SpinPairPoint]:
+def spin_pair_timeseries(params: SpinPairParams) -> list[SpinPairPoint]:
     p = params.excited_population_system
     q = params.excited_population_environment
     omega = params.level_splitting
-    rho_s0, rho_e0 = _spin_pair_initial_states(params, tols)
+    rho_s0, rho_e0 = _spin_pair_initial_states(params)
     h_s = spin_hamiltonian(omega)
     joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
     gen_spec = eigh(exchange_generator(params.coupling_strength,
-                                       params.coupling_phase), tols)
+                                       params.coupling_phase))
     points = []
     for t in params.times:
         phases = np.exp(-1j * gen_spec.eigenvalues * t)
         u = (gen_spec.eigenvectors * phases) @ gen_spec.eigenvectors.conj().T
         joint = u @ joint0 @ u.conj().T
-        rho_s = validate_state(partial_trace(joint, 2, 2, "system", tols), tols)
-        signed = expectation(h_s, rho_s.matrix - rho_s0.matrix, tols)
+        rho_s = validate_state(partial_trace(joint, 2, 2, "system"))
+        signed = expectation(h_s, rho_s.matrix - rho_s0.matrix)
         value = abs(signed)
         ratio = min(value / omega, 1.0)
-        s_tilde = symmetric_relative_entropy(rho_s, rho_s0, tols)
+        s_tilde = symmetric_relative_entropy(rho_s, rho_s0)
         points.append(SpinPairPoint(
             t=float(t),
             flux=value,
@@ -327,13 +324,12 @@ def spin_pair_timeseries(params: SpinPairParams,
     return points
 
 
-def spin_pair_scenario(params: SpinPairParams, t: float,
-                       tols: Tolerances = DEFAULT_TOLERANCES) -> BipartiteScenario:
+def spin_pair_scenario(params: SpinPairParams, t: float) -> BipartiteScenario:
     """The exchange model at a single time, as a generic scenario."""
-    rho_s0, rho_e0 = _spin_pair_initial_states(params, tols)
+    rho_s0, rho_e0 = _spin_pair_initial_states(params)
     u = unitary_from_generator(
-        exchange_generator(params.coupling_strength, params.coupling_phase), t, tols)
-    return make_scenario(rho_s0, rho_e0, u, tols)
+        exchange_generator(params.coupling_strength, params.coupling_phase), t)
+    return make_scenario(rho_s0, rho_e0, u)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +355,7 @@ def _reset_states(scenario: BipartiteScenario, outcome: ScenarioOutcome,
 
 def correlation(theta_system: Observable, theta_environment: Observable,
                 scenario: BipartiteScenario, outcome: ScenarioOutcome,
-                protocol: str = BATH_RESET,
-                tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+                protocol: str = BATH_RESET) -> float:
     """Correlation of local observables in the evolved state.
 
     bath_reset subtracts <theta_S>_{rho_S'} <theta_E>_{rho_E}: the flux of
@@ -370,26 +365,25 @@ def correlation(theta_system: Observable, theta_environment: Observable,
     """
     system, environment, _ = _reset_states(scenario, outcome, protocol)
     joint_obs = tensor_product(theta_system.matrix, theta_environment.matrix)
-    joint_mean = expectation(joint_obs, outcome.rho_joint.matrix, tols)
-    mean_s = expectation(theta_system.matrix, system.matrix, tols)
-    mean_e = expectation(theta_environment.matrix, environment.matrix, tols)
+    joint_mean = expectation(joint_obs, outcome.rho_joint.matrix)
+    mean_s = expectation(theta_system.matrix, system.matrix)
+    mean_e = expectation(theta_environment.matrix, environment.matrix)
     return joint_mean - mean_s * mean_e
 
 
 def correlation_bound_report(theta_system: Observable,
                              theta_environment: Observable,
                              scenario: BipartiteScenario, outcome: ScenarioOutcome,
-                             protocol: str = BATH_RESET,
-                             tols: Tolerances = DEFAULT_TOLERANCES):
+                             protocol: str = BATH_RESET):
     """BoundReport for the product observable against the reference state
     matching the protocol; its flux equals correlation()."""
     system, environment, reference = _reset_states(scenario, outcome, protocol)
     joint_obs = make_observable(
-        tensor_product(theta_system.matrix, theta_environment.matrix), tols)
+        tensor_product(theta_system.matrix, theta_environment.matrix))
     if reference is None:
         reference = validate_state(
-            tensor_product(system.matrix, environment.matrix), tols)
-    return evaluate_bounds(joint_obs, outcome.rho_joint, reference, tols=tols)
+            tensor_product(system.matrix, environment.matrix))
+    return evaluate_bounds(joint_obs, outcome.rho_joint, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +405,8 @@ class SaturatingFamily:
     gap: float
 
 
-def saturating_family(log_odds_gap: float,
-                      tols: Tolerances = DEFAULT_TOLERANCES,
-                      ) -> tuple[DensityMatrix, DensityMatrix, SaturatingFamily]:
+def saturating_family(
+        log_odds_gap: float) -> tuple[DensityMatrix, DensityMatrix, SaturatingFamily]:
     """The two-level pair saturating the flux bound at every gap a.
 
     rho has populations (1 / (1 + e^a), 1 / (1 + e^{-a})) on (|0>, |1>),
@@ -430,12 +423,12 @@ def saturating_family(log_odds_gap: float,
     t = math.exp(-abs(a))
     small, large = t / (1.0 + t), 1.0 / (1.0 + t)
     low, high = (small, large) if a >= 0.0 else (large, small)
-    rho = validate_state(np.diag([low, high]), tols)
-    sigma = validate_state(np.diag([high, low]), tols)
+    rho = validate_state(np.diag([low, high]))
+    sigma = validate_state(np.diag([high, low]))
     tn_closed = 2.0 * math.tanh(0.5 * abs(a))
     s_closed = _bounds.divergence_from_gap(abs(a))
-    tn = trace_distance_norm(rho, sigma, tols)
-    s_tilde = symmetric_relative_entropy(rho, sigma, tols)
+    tn = trace_distance_norm(rho, sigma)
+    s_tilde = symmetric_relative_entropy(rho, sigma)
     s_value = s_tilde.as_float()
     bound_value = _bounds.flux_ratio_sq_bound(s_value) if s_tilde.finite else 1.0
     gap = abs(0.25 * tn * tn - bound_value)

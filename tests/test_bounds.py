@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fluxbound import (BoundFunctionConfig, divergence_from_gap,
-                       flux_ratio_sq_bound, gap_from_divergence, onsager_like,
-                       variance_ratio_floor)
-from fluxbound.errors import DomainError, ValidationError
+from fluxbound import (divergence_from_gap, flux_ratio_sq_bound,
+                       gap_from_divergence, onsager_like, variance_ratio_floor)
+from fluxbound.errors import DomainError
 
 X_AT_GAP_2 = 1.5231883119115297      # 2 tanh(1)
 BOUND_AT_GAP_2 = 0.5800256583859739  # tanh(1)^2
@@ -156,21 +155,6 @@ def test_cost_form_meets_curve_form_at_equality():
     for r in np.linspace(0.05, 0.99, 20):
         s = onsager_like(float(r))
         assert flux_ratio_sq_bound(s) == pytest.approx(float(r) ** 2, rel=1e-9)
-
-
-def test_config_validation():
-    with pytest.raises(ValidationError):
-        BoundFunctionConfig(root_tolerance=0.0)
-    with pytest.raises(ValidationError):
-        BoundFunctionConfig(max_iterations=0)
-    with pytest.raises(ValidationError):
-        BoundFunctionConfig(bracket_growth=1.0)
-
-
-def test_loose_config_still_brackets():
-    config = BoundFunctionConfig(root_tolerance=1e-6, bracket_growth=4.0)
-    y = gap_from_divergence(5.0, config)
-    assert abs(divergence_from_gap(y) - 5.0) <= 1e-6 * 5.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

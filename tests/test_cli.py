@@ -159,6 +159,8 @@ def test_saturation_handles_any_finite_gap(capsys):
     (["saturation", "--a-max", "inf"], "--a-max"),
     (["saturation", "--a-min", "nan"], "--a-min"),
     (["montecarlo", "--tolerance", "inf"], "--tolerance"),
+    # finite, but g t overflows in the phases of the evolution
+    (["spinpair", "--t-max", "1e308"], "times"),
 ])
 def test_non_finite_parameters_are_rejected_by_name(argv, name, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -169,6 +171,31 @@ def test_non_finite_parameters_are_rejected_by_name(argv, name, capsys):
     assert err.startswith("fluxbound: ") and err.count("\n") == 1
     assert name in err
     assert caught == []
+
+
+def test_spinpair_rejects_a_coupling_too_large_for_the_eigensolver(capsys):
+    # the eigensolver used to take this generator as converged with a zero
+    # spectrum, and the run exited 0 with a flux column of zeros
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["spinpair", "--g", "1e200", "--t-steps", "3"],
+                                 capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("fluxbound: ") and err.count("\n") == 1
+    assert "too large" in err
+    assert caught == []
+
+
+def test_montecarlo_tolerance_only_scores_the_inequalities(capsys):
+    # --tolerance used to tighten the library's identity checks as well, and
+    # at 1e-16 the sign-operator check stopped the sweep with exit code 1
+    code, out, err = run_cli(["montecarlo", "--draws", "200"], capsys)
+    assert code == EXIT_OK
+    tight_code, tight_out, tight_err = run_cli(
+        ["montecarlo", "--draws", "200", "--tolerance", "1e-16"], capsys)
+    assert tight_code != EXIT_USAGE, tight_err
+    assert tight_out == out
 
 
 def test_verify_reports_every_suite(capsys):

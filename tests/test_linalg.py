@@ -1,15 +1,17 @@
 """Eigensolver and matrix utilities against numpy/scipy references."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import fluxbound.linalg as linalg_module
 from conftest import random_hermitian_np, reference_partial_trace, rng_for
-from fluxbound import (Tolerances, eigh, expectation, matrix_function,
-                       partial_trace, schatten_norm, tensor_product,
-                       unitary_from_generator)
+from fluxbound import (eigh, expectation, matrix_function, partial_trace,
+                       schatten_norm, tensor_product, unitary_from_generator)
 from fluxbound.errors import DomainError, NumericError, ValidationError
 from fluxbound.linalg import (as_complex_matrix, hermiticity_defect,
                               require_hermitian)
@@ -133,15 +135,41 @@ def test_non_finite_matrices_are_rejected(bad):
         eigh(stack)
 
 
-def test_unconverged_stack_names_the_first_failing_row():
+def test_unconverged_stack_names_the_first_failing_row(monkeypatch):
     # one sweep diagonalizes a 2x2 block exactly but not a dense 4x4
-    tols = Tolerances(jacobi_max_sweeps=1)
+    monkeypatch.setattr(linalg_module, "DEFAULT_TOLERANCES",
+                        replace(linalg_module.DEFAULT_TOLERANCES,
+                                jacobi_max_sweeps=1))
     dense = random_hermitian_np(rng_for(5, stream=108), 4)
     with pytest.raises(NumericError, match="did not converge"):
-        eigh(dense, tols)
+        eigh(dense)
     stack = np.stack([np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), dense, dense])
     with pytest.raises(NumericError, match="row 1 of the stack"):
-        eigh(stack, tols)
+        eigh(stack)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e308])
+def test_eigh_rejects_entries_whose_norm_overflows(scale):
+    # the squared entries used to overflow to an infinite convergence
+    # threshold, and [[0, s], [s, 0]] came back with eigenvalues [0, 0]
+    m = np.array([[0.0, scale], [scale, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="too large"):
+            eigh(m)
+        stack = np.stack([np.eye(2), np.eye(2)[::-1], m])
+        with pytest.raises(ValidationError, match="row 2 of the stack"):
+            eigh(stack)
+    # below the overflow the spectrum is still +-s, to rounding
+    values = eigh(m / scale * 1e150).eigenvalues
+    assert np.allclose(values, [-1e150, 1e150], rtol=1e-14, atol=0.0)
+
+
+def test_require_hermitian_does_not_overflow_near_the_largest_double():
+    m = np.array([[0.0, 1e308], [1e308, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(require_hermitian(m), m)
 
 
 def test_stacked_hermiticity_error_names_the_first_bad_row():

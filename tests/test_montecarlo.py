@@ -146,7 +146,7 @@ def _alternating_sampler():
     finite_sigma = validate_state(np.diag([0.6, 0.4]))
     calls = {"n": 0}
 
-    def sampler(rng, tols=None):
+    def sampler(rng):
         calls["n"] += 1
         if calls["n"] % 2 == 1:
             return z_like, mixed, pure
@@ -172,7 +172,7 @@ def test_redraw_policy_gives_up_after_max_redraws():
     pure = np.diag([1.0, 0.0])
     calls = {"n": 0}
 
-    def sampler(rng, tols=None):
+    def sampler(rng):
         calls["n"] += 1
         return np.diag([1.0, -1.0]), mixed, pure
 
@@ -195,7 +195,7 @@ def test_report_infinite_policy_keeps_the_markers():
     z_like = make_observable(np.diag([1.0, -1.0]))
     calls = {"n": 0}
 
-    def sampler(rng, tols=None):
+    def sampler(rng):
         calls["n"] += 1
         return z_like, mixed, pure
 

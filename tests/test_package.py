@@ -1,15 +1,19 @@
-"""The package surface: star-import names and the names the benchmark's
-tracer looks up."""
+"""The package surface: star-import names, the names the benchmark's
+tracer looks up, and signatures free of tolerance parameters."""
 
 import ast
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
 
 import fluxbound
+from fluxbound import config, verify
 
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = ("bounds", "cli", "config", "errors", "flux", "io", "linalg",
+           "montecarlo", "states", "thermo", "verify")
 
 
 def _readme_api_names() -> set:
@@ -17,8 +21,7 @@ def _readme_api_names() -> set:
     class of one of the package's modules."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     modules = [importlib.import_module(f"fluxbound.{name}")
-               for name in ("bounds", "config", "errors", "flux", "linalg",
-                            "montecarlo", "states", "thermo", "verify")]
+               for name in MODULES if name not in ("cli", "io")]
     return {name for name in re.findall(r"`([A-Za-z_]\w*)`", text)
             if any(callable(getattr(m, name, None)) for m in modules)}
 
@@ -47,3 +50,37 @@ def test_traced_benchmark_spans_name_existing_functions():
                              ("bounds", "divergence_from_gap")):
         assert callable(getattr(importlib.import_module(f"fluxbound.{module}"),
                                 function, None)), f"{module}.{function}"
+
+
+def _public_functions():
+    """(label, function) for every public function defined in a module of
+    the package."""
+    for name in MODULES:
+        module = importlib.import_module(f"fluxbound.{name}")
+        for attr, value in vars(module).items():
+            if (not attr.startswith("_") and inspect.isfunction(value)
+                    and value.__module__ == module.__name__):
+                yield f"{name}.{attr}", value
+
+
+def test_no_function_takes_a_tolerance_record():
+    # the thresholds are constants of fluxbound.config; only the scoring
+    # tolerance of montecarlo and verify is an input, carried by their configs
+    functions = dict(_public_functions())
+    assert {"linalg.eigh", "flux.evaluate_bounds", "verify.run_verify",
+            "montecarlo.run_montecarlo"} <= set(functions)
+    takes_tols = [label for label, fn in functions.items()
+                  if "tols" in inspect.signature(fn).parameters]
+    # kept, and ignored, for the benchmark's set-up call
+    assert takes_tols == ["verify.suite_capacity"]
+    bound_functions = [label for label in functions if label.startswith("bounds.")]
+    assert "bounds.gap_from_divergence" in bound_functions
+    for label in bound_functions:
+        assert "config" not in inspect.signature(functions[label]).parameters, label
+
+
+def test_benchmark_setup_call_of_suite_capacity_still_works():
+    # perfbench/worker.py warms up with this exact call
+    result = verify.suite_capacity(verify.VerifyConfig(draws=1),
+                                   config.DEFAULT_TOLERANCES)
+    assert (result.checks, result.violations) == (1, 0)

@@ -48,8 +48,8 @@ def test_a_broken_curve_is_caught_and_named(monkeypatch):
     # halving the curve must break the saturation equality and the chain;
     # the curve takes a float or an array of divergences
     monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
-                        lambda x, config=bounds_module.DEFAULT_BOUND_CONFIG:
-                        0.5 * np.tanh(0.5 * bounds_module.gap_from_divergence(x, config)) ** 2)
+                        lambda x:
+                        0.5 * np.tanh(0.5 * bounds_module.gap_from_divergence(x)) ** 2)
     report = run_verify(VerifyConfig(draws=12))
     assert not report.ok
     failing = {s.name for s in report.suites if s.violations > 0}
@@ -64,8 +64,7 @@ def test_a_broken_floor_is_caught(monkeypatch):
     # the product identity
     original = bounds_module.variance_ratio_floor
     monkeypatch.setattr(bounds_module, "variance_ratio_floor",
-                        lambda x, config=bounds_module.DEFAULT_BOUND_CONFIG:
-                        2.0 * original(x, config))
+                        lambda x: 2.0 * original(x))
     report = run_verify(VerifyConfig(draws=12))
     assert not report.ok
     failing = {s.name for s in report.suites if s.violations > 0}
