@@ -26,9 +26,7 @@ from .linalg import (Spectrum, eigh, expectation, matrix_function,
                      partial_trace, schatten_norm, tensor_product,
                      unitary_from_generator)
 from .montecarlo import (DrawConfig, DrawRecord, MonteCarloSummary,
-                         POLICY_REDRAW, POLICY_REPORT_INFINITE,
-                         random_density, random_hermitian, random_observable,
-                         random_scenario, random_unitary, run_montecarlo,
+                         POLICY_REDRAW, POLICY_REPORT_INFINITE, run_montecarlo,
                          sample_qubit_triple, substream, triple_from_uniforms)
 from .states import (DensityMatrix, PinskerCheck, RelEntropyValue,
                      directed_entropy_pair, pinsker_check, relative_entropy,
@@ -42,7 +40,9 @@ from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, ChainCheck,
                      local_system_bound_check, make_scenario,
                      saturating_family, spin_hamiltonian, spin_pair_scenario,
                      spin_pair_timeseries, thermal_environment)
-from .verify import VerifyConfig, VerifyReport, run_verify
+from .verify import (VerifyConfig, VerifyReport, random_density,
+                     random_hermitian, random_observable, random_scenario,
+                     random_unitary, run_verify)
 
 __version__ = "0.1.0"
 

@@ -254,13 +254,17 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
 
 @dataclass(frozen=True)
 class Verdict:
-    """One inequality outcome: holds within slack, or holds trivially
-    (infinite right-hand side / degenerate input).  Arrays over the rows
-    in the report of a stack."""
+    """One inequality outcome: its slack (rhs minus lhs), and whether it
+    holds trivially (infinite right-hand side / degenerate input, with
+    slack +inf).  Arrays over the rows in the report of a stack."""
 
-    holds: bool
     slack: float
     trivial: bool = False
+
+    @property
+    def holds(self):
+        """Whether the slack clears -DEFAULT_TOLERANCES.slack."""
+        return self.slack >= -DEFAULT_TOLERANCES.slack
 
 
 @dataclass(frozen=True)
@@ -344,20 +348,15 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     s_value = np.where(both_finite, s_tilde.value, 0.0)
     cost = np.where(both_finite, cost, 0.0)
 
-    slack = DEFAULT_TOLERANCES.slack
+    # (slack, trivial) per inequality
     verdicts = {
-        "capacity": (np.abs(phi) <= capacity + slack, capacity - np.abs(phi), False),
-        "trace_norm": (ratio_sq <= quarter_tn_sq + slack,
-                       quarter_tn_sq - ratio_sq, False),
-        "pinsker_sym": (quarter_tn_sq <= pinsker_rhs + slack,
-                        pinsker_rhs - quarter_tn_sq, ~finite),
-        "pinsker_fwd": (quarter_tn_sq <= half_forward + slack,
-                        half_forward - quarter_tn_sq, ~forward.finite),
-        "main": (ratio_sq <= main_rhs + slack, main_rhs - ratio_sq, ~finite),
-        "strengthened": (quarter_tn_sq <= strengthened_rhs + slack,
-                         strengthened_rhs - quarter_tn_sq, ~finite),
-        "onsager": (np.where(both_finite, cost <= s_value + slack, ~finite),
-                    np.where(both_finite, s_value - cost,
+        "capacity": (capacity - np.abs(phi), False),
+        "trace_norm": (quarter_tn_sq - ratio_sq, False),
+        "pinsker_sym": (pinsker_rhs - quarter_tn_sq, ~finite),
+        "pinsker_fwd": (half_forward - quarter_tn_sq, ~forward.finite),
+        "main": (main_rhs - ratio_sq, ~finite),
+        "strengthened": (strengthened_rhs - quarter_tn_sq, ~finite),
+        "onsager": (np.where(both_finite, s_value - cost,
                              np.where(finite, -math.inf, math.inf)),
                     ~finite),
     }
@@ -373,10 +372,9 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
         pinsker_rhs=np.where(degenerate, 0.0, pinsker_rhs),
         main_rhs=np.where(trivial_rows, 0.0, main_rhs),
         strengthened_rhs=np.where(trivial_rows, 0.0, strengthened_rhs),
-        verdicts={name: Verdict(holds | trivial_rows,
-                                np.where(trivial_rows, math.inf, gap),
+        verdicts={name: Verdict(np.where(trivial_rows, math.inf, gap),
                                 trivial | trivial_rows)
-                  for name, (holds, gap, trivial) in verdicts.items()},
+                  for name, (gap, trivial) in verdicts.items()},
         degenerate_capacity=degenerate,
         states_equal=equal,
     )

@@ -48,10 +48,12 @@ class Spectrum(NamedTuple):
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a square complex128 ndarray."""
+    """Coerce input to a square complex128 ndarray with finite entries."""
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
     return a
 
 

@@ -18,10 +18,11 @@ variates u1..u7:
 All magnitudes are taken as square roots of uniformly drawn squared
 magnitudes; phases are uniform on the half-open interval [0, 2 pi).
 
-The sweep samples each draw from its own substream, in draw order, and
-validates and evaluates the draws in blocks of BLOCK_DRAWS as one stack.
-Every row of a stack is computed as it would be alone, so the records do
-not depend on the blocking.
+The sweep validates and evaluates the draws in blocks of BLOCK_DRAWS as
+one stack, and redraws a block's infinite draws after sampling the whole
+block.  Each draw reads only its own substream and every row of a stack
+is computed as it would be alone, so the records depend neither on the
+blocking nor on the order in which draws are sampled.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .flux import BoundReport, Observable, evaluate_bounds, make_observable
-from .linalg import as_array, unitary_from_generator
+from .linalg import as_array
 from .states import DensityMatrix, validate_state
-from .thermo import BipartiteScenario, make_scenario
 
 POLICY_REDRAW = "redraw"
 POLICY_REPORT_INFINITE = "report_infinite"
@@ -48,7 +48,7 @@ _STREAM_BITS = 16  # stream ids fill the key word above the draw index
 # memory at that of draw-by-draw evaluation
 BLOCK_DRAWS = 128
 # redraws of one draw under the redraw policy before its infinite
-# divergence is reported after all
+# divergence is reported after all (0 under report_infinite)
 MAX_REDRAWS = 64
 
 
@@ -106,36 +106,6 @@ def sample_qubit_triple(
     return triple_from_uniforms(rng.random(7))
 
 
-# generic random objects, used by the verification suites and tests
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (a + a.conj().T)
-
-
-def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Full-rank state from a square Ginibre factor, rho = G G^dag / tr."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return validate_state(m / float(np.trace(m).real))
-
-
-def random_observable(rng: np.random.Generator, dim: int) -> Observable:
-    return make_observable(random_hermitian(rng, dim))
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return unitary_from_generator(random_hermitian(rng, dim), 1.0)
-
-
-def random_scenario(rng: np.random.Generator, dim_system: int = 2,
-                    dim_environment: int = 2) -> BipartiteScenario:
-    rho_s = random_density(rng, dim_system)
-    rho_e = random_density(rng, dim_environment)
-    u = random_unitary(rng, dim_system * dim_environment)
-    return make_scenario(rho_s, rho_e, u)
-
-
 # ---------------------------------------------------------------------------
 # the sweep
 
@@ -163,7 +133,7 @@ class DrawConfig:
 @dataclass(frozen=True)
 class DrawRecord:
     """One draw of the sweep; s_tilde and pinsker_rhs are +inf for a
-    reported-infinite draw (only possible under report_infinite)."""
+    reported-infinite draw (under redraw, only after MAX_REDRAWS)."""
 
     draw: int
     flux_ratio_sq: float
@@ -197,10 +167,11 @@ def _evaluate_block(triples: list) -> BoundReport:
                            validate_state(sigma))
 
 
-def _record_block(first: int, report: BoundReport, redraws: int, tolerance: float,
+def _record_block(first: int, report: BoundReport, redraws: list, tolerance: float,
                   records: list, summary: MonteCarloSummary) -> None:
     """Append the block's records, as Python scalars, and fold the block
-    into the summary.  A verdict holds when its slack clears -tolerance."""
+    into the summary.  redraws holds each row's redraw count.  A verdict
+    holds when its slack clears -tolerance."""
     s_tilde = report.s_tilde.as_float()
     infinite = ~report.s_tilde.finite
     main = report.verdicts["main"]
@@ -209,11 +180,11 @@ def _record_block(first: int, report: BoundReport, redraws: int, tolerance: floa
     columns = zip(report.flux_ratio_sq.tolist(), s_tilde.tolist(),
                   report.pinsker_rhs.tolist(), report.main_rhs.tolist(),
                   report.strengthened_rhs.tolist(), report.epsilon.tolist(),
-                  holds_all.tolist(), holds["main"].tolist(),
+                  redraws, holds_all.tolist(), holds["main"].tolist(),
                   infinite.tolist())
     for offset, row in enumerate(columns):
-        records.append(DrawRecord(first + offset, *row[:6], redraws, *row[6:]))
-    summary.total_redraws += redraws * len(s_tilde)
+        records.append(DrawRecord(first + offset, *row))
+    summary.total_redraws += sum(redraws)
     summary.infinite_records += int(np.count_nonzero(infinite))
     far = s_tilde >= 2.0
     summary.draws_s_tilde_ge_2 += int(np.count_nonzero(far))
@@ -233,32 +204,31 @@ def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=sample_qubit_matri
                    ) -> tuple[list[DrawRecord], MonteCarloSummary]:
     """Run the sweep and evaluate every bound on every draw.
 
-    sampler(rng) returns one draw's (theta, rho, sigma), as matrices
-    or as records carrying one in .matrix; it is called once per draw, in
-    draw order, on the draw's own substream.  Under report_infinite a
-    draw with infinite symmetric relative entropy is emitted with its
-    markers, and the draws are evaluated BLOCK_DRAWS at a time.  Under
-    redraw such a draw is resampled from the same substream (the redraw
-    count is recorded); each draw is then its own block, so that its
-    redraws are sampled before the next draw.  Each verdict is scored
-    against config.slack_tolerance.
+    sampler(rng) returns one draw's (theta, rho, sigma), as matrices or
+    as records carrying one in .matrix.  Each block samples its draws in
+    draw order and is evaluated; then, while some draw has infinite
+    symmetric relative entropy and fewer redraws than the limit (MAX_REDRAWS
+    under redraw, 0 under report_infinite), each such draw is sampled again
+    from its own substream and the block is evaluated again.  A draw still
+    infinite is emitted with its markers.  Each verdict is scored against
+    config.slack_tolerance.
     """
-    redraw = config.rejection_policy == POLICY_REDRAW
-    block = 1 if redraw else BLOCK_DRAWS
+    limit = MAX_REDRAWS if config.rejection_policy == POLICY_REDRAW else 0
     records: list[DrawRecord] = []
     summary = MonteCarloSummary(n_draws=config.n_draws)
-    for first in range(0, config.n_draws, block):
-        triples = []
-        for index in range(first, min(first + block, config.n_draws)):
-            rng = substream(config.master_seed, index)
-            triples.append(sampler(rng))
+    for first in range(0, config.n_draws, BLOCK_DRAWS):
+        rngs, triples = [], []
+        for index in range(first, min(first + BLOCK_DRAWS, config.n_draws)):
+            rngs.append(substream(config.master_seed, index))
+            triples.append(sampler(rngs[-1]))
+        redraws = [0] * len(triples)
         report = _evaluate_block(triples)
-        # under redraw the block is one draw, and rng is its substream
-        redraws = 0
-        while (redraw and not report.s_tilde.finite[0]
-               and redraws < MAX_REDRAWS):
-            redraws += 1
-            report = _evaluate_block([sampler(rng)])
+        while pending := [k for k in np.flatnonzero(~report.s_tilde.finite).tolist()
+                          if redraws[k] < limit]:
+            for k in pending:
+                triples[k] = sampler(rngs[k])
+                redraws[k] += 1
+            report = _evaluate_block(triples)
         _record_block(first, report, redraws, config.slack_tolerance,
                       records, summary)
     return records, summary

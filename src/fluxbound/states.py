@@ -31,34 +31,32 @@ class DensityMatrix:
 
     matrix: the (possibly clamped and renormalized) density matrix,
         exactly Hermitian; (n, n), or (B, n, n) for a stack.
-    eigenvalues: ascending, clamped to [0, 1] and renormalized to unit sum.
+    eigenvalues: ascending, clamped to [0, 1] and renormalized to unit sum;
+        those <= DEFAULT_TOLERANCES.rank are treated as exact zeros.
     eigenvectors: columns matching eigenvalues.
     clamped: True when a small negative eigenvalue was rounded up to zero
         (a bool array over the rows of a stack).
-    rank_tolerance: eigenvalues <= this are treated as exact zeros.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clamped: bool
-    rank_tolerance: float
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
     def support_dim(self):
-        """Number of eigenvalues above rank_tolerance (per row of a stack)."""
-        count = np.sum(self.eigenvalues > self.rank_tolerance, axis=-1)
+        """Number of eigenvalues above the rank tolerance, per row of a stack."""
+        count = np.sum(self.eigenvalues > DEFAULT_TOLERANCES.rank, axis=-1)
         return int(count) if count.ndim == 0 else count
 
 
 def stack_of_one(state: DensityMatrix) -> DensityMatrix:
     """A single state as a stack of one."""
     return DensityMatrix(state.matrix[None], state.eigenvalues[None],
-                         state.eigenvectors[None], np.array([state.clamped]),
-                         state.rank_tolerance)
+                         state.eigenvectors[None], np.array([state.clamped]))
 
 
 def validate_state(matrix) -> DensityMatrix:
@@ -101,8 +99,8 @@ def validate_state(matrix) -> DensityMatrix:
         rebuilt = (v * values[rows][:, None, :]) @ v.conj().swapaxes(1, 2)
         a[rows] = 0.5 * (rebuilt + rebuilt.conj().swapaxes(1, 2))
     if single:
-        return DensityMatrix(a[0], values[0], vecs[0], bool(clamped[0]), tols.rank)
-    return DensityMatrix(a, values, vecs, clamped, tols.rank)
+        return DensityMatrix(a[0], values[0], vecs[0], bool(clamped[0]))
+    return DensityMatrix(a, values, vecs, clamped)
 
 
 @dataclass(frozen=True)
@@ -137,25 +135,26 @@ class RelEntropyValue:
         return self.value if self.finite else math.inf
 
 
-def _directed_entropies(p: np.ndarray, s: np.ndarray, overlap: np.ndarray,
-                        p_tol: np.ndarray, s_tol: np.ndarray) -> np.ndarray:
+def _directed_entropies(p: np.ndarray, s: np.ndarray,
+                        overlap: np.ndarray) -> np.ndarray:
     """S(p || s) for each row of a stack, before the rounding floor.
 
-    p, s: (R, n) spectra; overlap[r, i, j] = |<p_i | s_j>|^2; p_tol and
-    s_tol: (R, 1) rank tolerances.  Entries whose weight is treated as
-    zero are masked out of the sums (they add exact zeros), so each row
-    is computed as it would be alone.  inf where p puts more than s_tol
-    of its weight on the kernel of s.
+    p, s: (R, n) spectra; overlap[r, i, j] = |<p_i | s_j>|^2.  Entries at
+    or below the rank tolerance are treated as zero and masked out of the
+    sums (they add exact zeros), so each row is computed as it would be
+    alone.  inf where p puts more than the rank tolerance of its weight
+    on the kernel of s.
     """
-    p_live = p > p_tol
-    s_dead = s <= s_tol
+    rank = DEFAULT_TOLERANCES.rank
+    p_live = p > rank
+    s_dead = s <= rank
     weights = np.where(p_live, p, 0.0)
     value = (weights * np.log(np.where(p_live, p, 1.0))).sum(axis=1)
     cross = (overlap * np.log(np.where(s_dead, 1.0, s))[:, None, :]).sum(axis=2)
     value -= (weights * cross).sum(axis=1)
     if s_dead.any():
         kernel_mass = (weights * (overlap * s_dead[:, None, :]).sum(axis=2)).sum(axis=1)
-        value[kernel_mass > s_tol[:, 0]] = math.inf
+        value[kernel_mass > rank] = math.inf
     return value
 
 
@@ -182,13 +181,10 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
     if single:
         rho, sigma = stack_of_one(rho), stack_of_one(sigma)
     overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
-    b = len(overlap)
-    tolerances = np.repeat([rho.rank_tolerance, sigma.rank_tolerance], b)[:, None]
     values = _directed_entropies(
         np.concatenate([rho.eigenvalues, sigma.eigenvalues]),
         np.concatenate([sigma.eigenvalues, rho.eigenvalues]),
-        np.concatenate([overlap, overlap.swapaxes(1, 2)]),
-        tolerances, tolerances[::-1]).reshape(2, b)
+        np.concatenate([overlap, overlap.swapaxes(1, 2)])).reshape(2, -1)
     bad = values < -DEFAULT_TOLERANCES.entropy_floor
     if bad.any():
         rows = bad.any(axis=0)

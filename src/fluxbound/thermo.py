@@ -62,7 +62,8 @@ def make_scenario(rho_system: DensityMatrix, rho_environment: DensityMatrix,
     if u.shape != (d, d):
         raise ValidationError(f"unitary shape {u.shape} does not match joint dim {d}")
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if defect > DEFAULT_TOLERANCES.unitarity:
+    # written so that a NaN defect fails too
+    if not defect <= DEFAULT_TOLERANCES.unitarity:
         raise ValidationError(
             f"unitarity invariant violated: ||U^dag U - I||_max = {defect:.3e}"
         )
@@ -111,7 +112,7 @@ def entropy_flux(scenario: BipartiteScenario, outcome: ScenarioOutcome) -> Entro
     """
     env = scenario.rho_environment
     smallest = float(env.eigenvalues[0])
-    if smallest <= env.rank_tolerance:
+    if smallest <= DEFAULT_TOLERANCES.rank:
         raise DomainError(
             "environment is rank deficient; log rho_E is unbounded",
             offending_value=smallest,
@@ -131,8 +132,9 @@ def thermal_environment(hamiltonian, beta: float) -> DensityMatrix:
     inverse temperature, Phi = beta tr((rho_E' - rho_E) H), and the
     capacity to beta * (E_max - E_min).
     """
-    if beta <= 0.0:
-        raise ValidationError("inverse temperature must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValidationError(
+            f"inverse temperature must be positive and finite, got {beta!r}")
     spec = eigh(hamiltonian)
     # subtract the ground energy before exponentiating for stability
     weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))

@@ -71,6 +71,18 @@ def test_montecarlo_policy_flag(capsys):
     assert "infinite=0" in err
 
 
+def test_montecarlo_redraw_policy_matches_the_default_without_infinite_draws(
+        capsys):
+    # no protocol draw of this run has infinite divergence, so the two
+    # policies, which share one blocked loop, write the same rows
+    code, out, err = run_cli(["montecarlo", "--draws", "300"], capsys)
+    redraw_code, redraw_out, redraw_err = run_cli(
+        ["montecarlo", "--draws", "300", "--policy", "redraw"], capsys)
+    assert code == redraw_code == EXIT_OK
+    assert redraw_out == out
+    assert redraw_err == err
+
+
 def test_montecarlo_output_is_reproducible(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -1,18 +1,18 @@
 """Observables, fluxes, sign decomposition, and the bound chain."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_state_np, rng_for
-from fluxbound import (evaluate_bounds, flux, make_observable,
-                       optimal_shift_check, qtur_check, sign_decomposition,
-                       validate_state)
+from fluxbound import (DEFAULT_TOLERANCES, Verdict, evaluate_bounds, flux,
+                       make_observable, optimal_shift_check, qtur_check,
+                       random_observable, sign_decomposition, validate_state)
 from fluxbound.errors import (DegenerateInputError, NumericError,
                               ValidationError)
 from fluxbound.linalg import take_row
-from fluxbound.montecarlo import random_observable
 from fluxbound.thermo import saturating_family
 
 FLOOR_AT_GAP_2 = 0.7240616609663106  # 1 / sinh(1)^2
@@ -305,6 +305,30 @@ def test_evaluate_bounds_on_a_stack_matches_row_by_row():
     dec = sign_decomposition(validate_state(np.stack(rhos)),
                              validate_state(np.stack(sigmas)))
     assert dec.states_equal.tolist() == [False] * 4 + [True, False]
+
+
+def test_verdicts_read_holds_from_their_slack(monkeypatch):
+    # a verdict stores its slack and whether it is trivial; whether it holds
+    # is derived, per row of a stack, with trivial rows at slack +inf
+    import fluxbound.bounds as bounds_module
+
+    assert [f.name for f in dataclasses.fields(Verdict)] == ["slack", "trivial"]
+    monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
+                        lambda x: 0.0 * np.asarray(x))
+    thetas = [np.diag([1.0, -1.0]), 3.0 * np.eye(2), np.diag([1.0, -1.0])]
+    rhos = [np.diag([0.2, 0.8]), np.diag([0.2, 0.8]), 0.5 * np.eye(2)]
+    sigmas = [np.diag([0.6, 0.4]), np.diag([0.6, 0.4]), np.diag([1.0, 0.0])]
+    report = evaluate_bounds(make_observable(np.stack(thetas)),
+                             validate_state(np.stack(rhos)),
+                             validate_state(np.stack(sigmas)))
+    for verdict in report.verdicts.values():
+        assert np.array_equal(verdict.holds,
+                              verdict.slack >= -DEFAULT_TOLERANCES.slack)
+    main = report.verdicts["main"]
+    assert main.holds.tolist() == [False, True, True]
+    assert main.trivial.tolist() == [False, True, True]
+    assert main.slack[1] == math.inf
+    assert report.all_hold().tolist() == [False, True, True]
 
 
 def test_stacked_state_errors_name_the_first_bad_row():

@@ -187,6 +187,19 @@ def test_as_complex_matrix_rejects_non_square():
         as_complex_matrix(np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_partial_trace_and_tensor_product_reject_non_finite_entries(bad):
+    # the partial trace's own check, defect > tolerance, is False for NaN,
+    # so a NaN matrix used to come back as a NaN marginal
+    m = np.full((4, 4), bad)
+    with pytest.raises(ValidationError, match="non-finite"):
+        partial_trace(m, 2, 2)
+    with pytest.raises(ValidationError, match="non-finite"):
+        tensor_product(np.eye(2), m[:2, :2])
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_complex_matrix(m)
+
+
 def test_hermiticity_defect_counts_the_largest_entry():
     assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
     assert hermiticity_defect(np.eye(3)) == 0.0

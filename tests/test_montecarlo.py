@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import fluxbound.montecarlo as montecarlo_module
 from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
-                       evaluate_bounds, run_montecarlo, sample_qubit_triple,
-                       substream, triple_from_uniforms, validate_state)
+                       evaluate_bounds, make_observable, random_density,
+                       random_observable, random_scenario, random_unitary,
+                       run_montecarlo, sample_qubit_triple, substream,
+                       triple_from_uniforms, validate_state)
 from fluxbound.errors import ValidationError
-from fluxbound.montecarlo import (BLOCK_DRAWS, MAX_REDRAWS, random_density,
-                                  random_observable, random_scenario,
-                                  random_unitary)
+from fluxbound.montecarlo import BLOCK_DRAWS, MAX_REDRAWS, qubit_matrices
 from fluxbound.verify import VerifyConfig
 
 
@@ -135,8 +136,9 @@ def test_run_montecarlo_summary_is_consistent_with_the_records():
 
 
 def _alternating_sampler():
-    """First call per draw yields an infinite-divergence triple, the
-    second a finite one; used to pin down the two rejection policies."""
+    """The first call on each draw's generator yields an infinite-divergence
+    triple, the second a finite one; used to pin down the two rejection
+    policies."""
     from fluxbound import make_observable
 
     mixed = validate_state(0.5 * np.eye(2))
@@ -145,10 +147,12 @@ def _alternating_sampler():
     finite_rho = validate_state(np.diag([0.3, 0.7]))
     finite_sigma = validate_state(np.diag([0.6, 0.4]))
     calls = {"n": 0}
+    calls_on = {}  # keyed on the generator, which stays alive as the key
 
     def sampler(rng):
         calls["n"] += 1
-        if calls["n"] % 2 == 1:
+        calls_on[rng] = calls_on.get(rng, 0) + 1
+        if calls_on[rng] % 2 == 1:
             return z_like, mixed, pure
         return z_like, finite_rho, finite_sigma
 
@@ -165,6 +169,61 @@ def test_redraw_policy_resamples_infinite_draws():
     assert all(math.isfinite(r.s_tilde) for r in records)
     assert summary.total_redraws == 3
     assert summary.infinite_records == 0
+
+
+def _sometimes_infinite(rng):
+    """A stand-in sampler driven by the draw's own generator: each call is
+    an infinite-divergence triple with probability 0.4, otherwise a
+    protocol triple, so draws need zero, one or several redraws."""
+    u = rng.random(8)
+    if u[0] < 0.4:
+        return np.diag([1.0, -1.0]), np.eye(2) / 2, np.diag([1.0, 0.0])
+    return qubit_matrices(u[1:])
+
+
+def _evaluate_alone(triple):
+    theta, rho, sigma = triple
+    return evaluate_bounds(make_observable(theta), validate_state(rho),
+                           validate_state(sigma))
+
+
+@pytest.mark.parametrize("limit", [2, MAX_REDRAWS])
+def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, limit):
+    # the sweep redraws a block's infinite draws after sampling the whole
+    # block; each draw reads only its own substream, so a replay that
+    # redraws each draw before sampling the next gives the same records.
+    # 300 draws are two full blocks and a partial one; at a limit of 2
+    # some draws stay infinite
+    monkeypatch.setattr(montecarlo_module, "MAX_REDRAWS", limit)
+    config = DrawConfig(n_draws=300, master_seed=3,
+                        rejection_policy=POLICY_REDRAW)
+    records, summary = run_montecarlo(config, sampler=_sometimes_infinite)
+    assert [r.draw for r in records] == list(range(300))
+    for record in records:
+        rng = substream(3, record.draw)
+        report = _evaluate_alone(_sometimes_infinite(rng))
+        redraws = 0
+        while not report.s_tilde.finite and redraws < limit:
+            redraws += 1
+            report = _evaluate_alone(_sometimes_infinite(rng))
+        assert record.redraws == redraws
+        assert record.infinite is (not report.s_tilde.finite)
+        assert record.flux_ratio_sq == report.flux_ratio_sq
+        assert record.s_tilde == report.s_tilde.as_float()
+        assert record.pinsker_rhs == report.pinsker_rhs
+        assert record.main_rhs == report.main_rhs
+        assert record.strengthened_rhs == report.strengthened_rhs
+        assert record.epsilon == report.epsilon
+        assert record.holds_all is report.all_hold()
+        assert record.holds_main is report.verdicts["main"].holds
+    counts = [r.redraws for r in records]
+    # redraws of 0, 1 and more than 1 occur in every block
+    for first in range(0, 300, BLOCK_DRAWS):
+        block = counts[first:first + BLOCK_DRAWS]
+        assert {0, 1} <= set(block) and max(block) > 1
+    assert summary.total_redraws == sum(counts)
+    assert summary.infinite_records == sum(r.infinite for r in records)
+    assert (summary.infinite_records > 0) is (limit == 2)
 
 
 def test_redraw_policy_gives_up_after_max_redraws():

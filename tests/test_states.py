@@ -7,11 +7,11 @@ import pytest
 
 from conftest import (random_state_np, reference_relative_entropy, rng_for)
 from fluxbound import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                       partial_trace, pinsker_check, relative_entropy,
-                       symmetric_average, symmetric_relative_entropy,
-                       tensor_product, trace_distance_norm, validate_state)
+                       partial_trace, pinsker_check, random_unitary,
+                       relative_entropy, symmetric_average,
+                       symmetric_relative_entropy, tensor_product,
+                       trace_distance_norm, validate_state)
 from fluxbound.errors import NumericError, ValidationError
-from fluxbound.montecarlo import random_unitary
 
 # two-level pair with populations (e^{-a/2}, e^{a/2}) / (2 cosh(a/2)) and
 # its reverse; both directed entropies equal a tanh(a/2)
@@ -135,7 +135,7 @@ def test_stacked_entropy_error_names_the_callers_row():
     eigenvalues = good.eigenvalues.copy()
     eigenvalues[1] = [0.01, 0.01]
     sigma = DensityMatrix(good.matrix, eigenvalues, good.eigenvectors,
-                          good.clamped, good.rank_tolerance)
+                          good.clamped)
     with pytest.raises(NumericError, match=r"\(row 1 of the stack\)"):
         directed_entropy_pair(rho, sigma)
     with pytest.raises(NumericError, match=r"\(row 1 of the stack\)"):

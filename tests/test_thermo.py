@@ -12,12 +12,12 @@ from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
                        correlation_bound_report, entropy_flux,
                        entropy_flux_chain_check, evolve, exchange_generator,
                        expectation, local_system_bound_check, make_observable,
-                       make_scenario, relative_entropy, saturating_family,
+                       make_scenario, random_observable, random_scenario,
+                       relative_entropy, saturating_family,
                        spin_hamiltonian, spin_pair_scenario,
                        spin_pair_timeseries, tensor_product,
                        thermal_environment, validate_state)
 from fluxbound.errors import DomainError, ValidationError
-from fluxbound.montecarlo import random_observable, random_scenario
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -35,6 +35,14 @@ def test_make_scenario_rejects_non_unitaries_and_bad_shapes():
         make_scenario(rho, rho, np.eye(3))
     with pytest.raises(ValidationError):
         make_scenario(rho, rho, 0.5 * np.eye(4))
+
+
+def test_make_scenario_rejects_a_nan_unitary():
+    # a NaN defect compared false against the unitarity tolerance, and the
+    # scenario only failed later, inside evolve
+    rho = diag_state(0.5, 0.5)
+    with pytest.raises(ValidationError, match="unitarity"):
+        make_scenario(rho, rho, np.full((4, 4), np.nan))
 
 
 def test_evolve_under_the_identity_produces_nothing():
@@ -100,6 +108,14 @@ def test_thermal_environment_populations():
     assert np.allclose(np.sort(gibbs.eigenvalues), [0.25, 0.75], atol=1e-14)
     with pytest.raises(ValidationError):
         thermal_environment(np.diag([0.0, 1.0]), 0.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+def test_thermal_environment_rejects_a_bad_inverse_temperature_by_name(beta):
+    # NaN used to pass the positivity check, and inf warned in exp before
+    # an unnamed "non-finite entries" error
+    with pytest.raises(ValidationError, match="inverse temperature"):
+        thermal_environment(np.diag([0.0, 1.0]), beta)
 
 
 def test_thermal_environment_freezes_out_at_low_temperature():

@@ -57,6 +57,16 @@ def test_a_broken_curve_is_caught_and_named(monkeypatch):
     assert "bound_functions" in failing  # the product identity breaks too
     worst = next(s for s in report.suites if s.name == "saturation").worst
     assert "a=" in worst  # the violation names the offending input
+    assert "np.float64" not in worst
+
+
+def test_sign_identities_do_not_depend_on_the_scoring_tolerance():
+    # the identities hold to rounding, far inside their fixed 1e-9; scoring
+    # them against --tolerance 1e-16 used to flag half of them
+    report = run_verify(VerifyConfig(draws=12, slack_tolerance=1e-16))
+    suite = next(s for s in report.suites if s.name == "sign_identities")
+    assert suite.checks == 36
+    assert suite.violations == 0
 
 
 def test_a_broken_floor_is_caught(monkeypatch):
