@@ -1,15 +1,24 @@
-"""Centralized numerical tolerances.
+"""Centralized numerical tolerances and the stack block size.
 
 Every numerical threshold the library uses lives in one frozen record,
 DEFAULT_TOLERANCES, conservative for dense matrices of dimension <= 16.
 The thresholds are constants, not parameters: each module reads the
 record at call time through its own module-level name DEFAULT_TOLERANCES
 (which a test may monkeypatch).
+
+BLOCK_ROWS is the number of rows the Monte Carlo sweep and the grid
+evaluations (the exchange time series, the extremal family) stack at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# rows evaluated as one stack: the cost per row levels off from about a
+# hundred rows on, and a block of 128 keeps the peak memory at that of
+# row-by-row evaluation
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)

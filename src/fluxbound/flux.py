@@ -30,8 +30,8 @@ from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
 from .linalg import (Spectrum, eigh, expectation, first_row, require_hermitian,
                      row_label, take_row)
-from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                     stack_of_one, symmetric_average)
+from .states import (DensityMatrix, RelEntropyValue, as_stack,
+                     directed_entropy_pair, symmetric_average)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def flux(observable: Observable, rho: DensityMatrix, sigma: DensityMatrix):
     single = observable.matrix.ndim == 2
     if single:
         observable = _observable_stack_of_one(observable)
-        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
+        rho, sigma = as_stack(rho), as_stack(sigma)
     value = expectation(observable.matrix, rho.matrix - sigma.matrix)
     bad = np.abs(value) > observable.capacity + DEFAULT_TOLERANCES.slack
     if bad.any():
@@ -163,7 +163,7 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecompos
             f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
     single = rho.matrix.ndim == 2
     if single:
-        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
+        rho, sigma = as_stack(rho), as_stack(sigma)
     difference = rho.matrix - sigma.matrix
     w, vecs = eigh(difference, checked=True)
     magnitude = np.abs(w)
@@ -317,7 +317,7 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     single = observable.matrix.ndim == 2
     if single:
         observable = _observable_stack_of_one(observable)
-        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
+        rho, sigma = as_stack(rho), as_stack(sigma)
     phi = flux(observable, rho, sigma)
     capacity = observable.capacity
     theta_scale = np.maximum(1.0, np.maximum(np.abs(observable.theta_max),

@@ -5,9 +5,12 @@ handful of primitives in this module: a deterministic eigensolver for
 Hermitian matrices, spectral application of scalar functions, tensor
 products, partial traces, Schatten norms and expectation values.
 
-require_hermitian, eigh and expectation take either one matrix of shape
-(n, n) or a stack of shape (B, n, n) and return results of the same
-layout; a single matrix runs as a stack of one, through the same code.
+require_hermitian, eigh, partial_trace and expectation take either one
+matrix of shape (n, n) or a stack of shape (B, n, n) and return results
+of the same layout; a single matrix runs as a stack of one, through the
+same code.  unitary_from_generator takes one time or a 1-D grid of T
+times and returns exp(-i t G) as (n, n) or as a (T, n, n) stack; it is
+the package's only matrix exponential.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -23,7 +26,6 @@ in its stack.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Callable, NamedTuple
@@ -331,9 +333,26 @@ def matrix_function(matrix, fn: Callable[[float], complex]) -> np.ndarray:
     return (vecs * fvals) @ vecs.conj().T
 
 
-def unitary_from_generator(generator, t: float = 1.0) -> np.ndarray:
-    """exp(-i t G) for Hermitian G, through the spectrum of G."""
-    return matrix_function(generator, lambda w: cmath.exp(-1j * t * w))
+def unitary_from_generator(generator, t=1.0) -> np.ndarray:
+    """exp(-i t G) for Hermitian G, through the spectrum of G.
+
+    t is a time or a 1-D array of T times; the result is (n, n) or a
+    (T, n, n) stack, from one eigendecomposition of G.  generator may also
+    be G's Spectrum, so that a grid taken in blocks decomposes G once.
+    Each unitary is V diag(exp(-i t w)) V^dag, elementwise in t, so it
+    does not depend on the other times.
+    """
+    spec = generator if isinstance(generator, Spectrum) else eigh(generator)
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1:
+        raise ValidationError(f"times must be a scalar or 1-D, got shape {times.shape}")
+    with np.errstate(all="ignore"):
+        phases = np.exp(-1j * spec.eigenvalues * times[..., None])
+    # a time t with t * w not finite at an eigenvalue w gives a NaN phase
+    if not np.isfinite(phases).all():
+        raise DomainError("exp(-i t G) needs every t * eigenvalue of G finite")
+    vecs = spec.eigenvectors
+    return (vecs * phases[..., None, :]) @ vecs.conj().T
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -344,31 +363,39 @@ def tensor_product(a, b) -> np.ndarray:
 def partial_trace(matrix, dim_system: int, dim_environment: int,
                   keep: str = "system") -> np.ndarray:
     """Trace out one tensor factor of a (dim_system * dim_environment)
-    square matrix.
+    square matrix, or of each matrix of a (B, n, n) stack.
 
     keep selects the surviving factor, "system" (first) or "environment"
     (second).  The basis ordering is system-major: joint index
-    i = i_system * dim_environment + i_environment.
+    i = i_system * dim_environment + i_environment.  The result has the
+    input's layout, (d, d) or (B, d, d); errors name the first failing row
+    of a stack.
     """
-    a = as_complex_matrix(matrix)
+    a, single = as_complex_stack(matrix)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(
+            f"matrix has non-finite entries{row_label(~finite, single)}")
     if dim_system < 1 or dim_environment < 1:
         raise ValidationError("tensor factor dimensions must be positive")
-    if a.shape[0] != dim_system * dim_environment:
+    if a.shape[-1] != dim_system * dim_environment:
         raise ValidationError(
-            f"matrix of dim {a.shape[0]} is not compatible with factors "
+            f"matrix of dim {a.shape[-1]} is not compatible with factors "
             f"{dim_system} x {dim_environment}"
         )
-    blocks = a.reshape(dim_system, dim_environment, dim_system, dim_environment)
+    blocks = a.reshape(-1, dim_system, dim_environment, dim_system, dim_environment)
     if keep == "system":
-        reduced = np.einsum("ikjk->ij", blocks)
+        reduced = np.einsum("bikjk->bij", blocks)
     elif keep == "environment":
-        reduced = np.einsum("kikj->ij", blocks)
+        reduced = np.einsum("bkikj->bij", blocks)
     else:
         raise ValidationError(f"keep must be 'system' or 'environment', got {keep!r}")
-    defect = abs(complex(np.trace(reduced)) - complex(np.trace(a)))
-    if defect > DEFAULT_TOLERANCES.trace_preservation:
-        raise NumericError(f"partial trace changed the trace by {defect:.3e}")
-    return reduced
+    defect = np.abs(np.trace(reduced, axis1=1, axis2=2) - np.trace(a, axis1=1, axis2=2))
+    bad = defect > DEFAULT_TOLERANCES.trace_preservation
+    if bad.any():
+        raise NumericError(f"partial trace changed the trace by "
+                           f"{defect[first_row(bad)]:.3e}{row_label(bad, single)}")
+    return reduced[0] if single else reduced
 
 
 def schatten_norm(matrix, k) -> float:

@@ -18,7 +18,7 @@ variates u1..u7:
 All magnitudes are taken as square roots of uniformly drawn squared
 magnitudes; phases are uniform on the half-open interval [0, 2 pi).
 
-The sweep validates and evaluates the draws in blocks of BLOCK_DRAWS as
+The sweep validates and evaluates the draws in blocks of BLOCK_ROWS as
 one stack, and redraws a block's infinite draws after sampling the whole
 block.  Each draw reads only its own substream and every row of a stack
 is computed as it would be alone, so the records depend neither on the
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import BLOCK_ROWS
 from .errors import ValidationError
 from .flux import BoundReport, Observable, evaluate_bounds, make_observable
 from .linalg import as_array
@@ -43,10 +44,6 @@ POLICY_REPORT_INFINITE = "report_infinite"
 
 _STREAM_SHIFT = 48  # draw indices live below bit 48 of the Philox key
 _STREAM_BITS = 16  # stream ids fill the key word above the draw index
-# draws validated and evaluated as one stack: per-draw cost levels off
-# from about a hundred draws on, and a block of 128 keeps the sweep's peak
-# memory at that of draw-by-draw evaluation
-BLOCK_DRAWS = 128
 # redraws of one draw under the redraw policy before its infinite
 # divergence is reported after all (0 under report_infinite)
 MAX_REDRAWS = 64
@@ -216,9 +213,9 @@ def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=sample_qubit_matri
     limit = MAX_REDRAWS if config.rejection_policy == POLICY_REDRAW else 0
     records: list[DrawRecord] = []
     summary = MonteCarloSummary(n_draws=config.n_draws)
-    for first in range(0, config.n_draws, BLOCK_DRAWS):
+    for first in range(0, config.n_draws, BLOCK_ROWS):
         rngs, triples = [], []
-        for index in range(first, min(first + BLOCK_DRAWS, config.n_draws)):
+        for index in range(first, min(first + BLOCK_ROWS, config.n_draws)):
             rngs.append(substream(config.master_seed, index))
             triples.append(sampler(rngs[-1]))
         redraws = [0] * len(triples)

@@ -53,10 +53,12 @@ class DensityMatrix:
         return int(count) if count.ndim == 0 else count
 
 
-def stack_of_one(state: DensityMatrix) -> DensityMatrix:
-    """A single state as a stack of one."""
-    return DensityMatrix(state.matrix[None], state.eigenvalues[None],
-                         state.eigenvectors[None], np.array([state.clamped]))
+def as_stack(state: DensityMatrix, rows: int = 1) -> DensityMatrix:
+    """A single state as a stack of `rows` identical rows (one by default)."""
+    return DensityMatrix(state.matrix[None].repeat(rows, 0),
+                         state.eigenvalues[None].repeat(rows, 0),
+                         state.eigenvectors[None].repeat(rows, 0),
+                         np.array([state.clamped] * rows))
 
 
 def validate_state(matrix) -> DensityMatrix:
@@ -179,7 +181,7 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
             f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
     single = rho.matrix.ndim == 2
     if single:
-        rho, sigma = stack_of_one(rho), stack_of_one(sigma)
+        rho, sigma = as_stack(rho), as_stack(sigma)
     overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
     values = _directed_entropies(
         np.concatenate([rho.eigenvalues, sigma.eigenvalues]),
@@ -221,13 +223,16 @@ def symmetric_relative_entropy(rho: DensityMatrix,
     return symmetric_average(forward, backward)
 
 
-def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Trace norm ||rho - sigma||_1 (twice the trace distance)."""
-    if rho.dim != sigma.dim:
-        raise ValidationError(f"dimension mismatch {rho.dim} vs {sigma.dim}")
+def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix):
+    """Trace norm ||rho - sigma||_1 (twice the trace distance); an array
+    over the rows for two stacks of B states."""
+    if rho.matrix.shape != sigma.matrix.shape:
+        raise ValidationError(
+            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
     # the difference of two validated states is exactly Hermitian
     w = eigh(rho.matrix - sigma.matrix, checked=True).eigenvalues
-    return float(np.sum(np.abs(w)))
+    norm = np.abs(w).sum(axis=-1)
+    return norm.item() if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)

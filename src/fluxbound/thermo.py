@@ -25,25 +25,32 @@ function, so correlations are capped by the same entropy curve.
 The two-spin exchange model used throughout is two levels per side with
 splitting Omega, excitation exchange at strength g_coupling and phase
 phase0; basis order is |gg>, |ge>, |eg>, |ee> (system factor first).
+
+spin_pair_timeseries and saturating_family evaluate their grids as
+(B, n, n) stacks, BLOCK_ROWS points at a time, and every row equals its
+point evaluated alone.  The closed forms are taken point by point with
+the math module, whose sin, exp and tanh do not depend on the CPU's
+vector units.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import bounds as _bounds
-from .config import DEFAULT_TOLERANCES
+from .config import BLOCK_ROWS, DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import Observable, evaluate_bounds, make_observable
-from .linalg import (eigh, expectation, partial_trace, tensor_product,
+from .linalg import (eigh, expectation, partial_trace, take_row, tensor_product,
                      unitary_from_generator)
-from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                     symmetric_average, symmetric_relative_entropy,
-                     trace_distance_norm, validate_state)
+from .states import (DensityMatrix, RelEntropyValue, as_stack,
+                     directed_entropy_pair, symmetric_average,
+                     symmetric_relative_entropy, trace_distance_norm,
+                     validate_state)
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,11 @@ def thermal_environment(hamiltonian, beta: float) -> DensityMatrix:
         raise ValidationError(
             f"inverse temperature must be positive and finite, got {beta!r}")
     spec = eigh(hamiltonian)
+    spread = float(spec.eigenvalues[-1] - spec.eigenvalues[0])
+    if not math.isfinite(beta * spread):
+        raise ValidationError(
+            f"inverse temperature beta = {beta!r} times the energy spread "
+            f"{spread!r} overflows")
     # subtract the ground energy before exponentiating for stability
     weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
     weights = weights / float(np.sum(weights))
@@ -296,33 +308,33 @@ def _spin_pair_initial_states(
 
 
 def spin_pair_timeseries(params: SpinPairParams) -> list[SpinPairPoint]:
+    """The exchange model at every time of params.times, in blocks of
+    BLOCK_ROWS times; the closed form is taken time by time."""
     p = params.excited_population_system
     q = params.excited_population_environment
     omega = params.level_splitting
+    g = params.coupling_strength
     rho_s0, rho_e0 = _spin_pair_initial_states(params)
     h_s = spin_hamiltonian(omega)
     joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
-    gen_spec = eigh(exchange_generator(params.coupling_strength,
-                                       params.coupling_phase))
+    generator_spectrum = eigh(exchange_generator(g, params.coupling_phase))
+    times = np.asarray(params.times, dtype=np.float64)
     points = []
-    for t in params.times:
-        phases = np.exp(-1j * gen_spec.eigenvalues * t)
-        u = (gen_spec.eigenvectors * phases) @ gen_spec.eigenvectors.conj().T
-        joint = u @ joint0 @ u.conj().T
+    for first in range(0, len(times), BLOCK_ROWS):
+        block = times[first:first + BLOCK_ROWS]
+        u = unitary_from_generator(generator_spectrum, block)
+        joint = u @ joint0 @ u.conj().swapaxes(1, 2)
         rho_s = validate_state(partial_trace(joint, 2, 2, "system"))
-        signed = expectation(h_s, rho_s.matrix - rho_s0.matrix)
-        value = abs(signed)
-        ratio = min(value / omega, 1.0)
-        s_tilde = symmetric_relative_entropy(rho_s, rho_s0)
-        points.append(SpinPairPoint(
-            t=float(t),
-            flux=value,
-            flux_analytic=math.sin(params.coupling_strength * t) ** 2
-                          * abs(p - q) * omega,
-            two_phi_sq=2.0 * ratio * ratio,
-            onsager=_bounds.onsager_like(ratio),
-            s_tilde=s_tilde.as_float(),
-        ))
+        flux = np.abs(expectation(np.broadcast_to(h_s, rho_s.matrix.shape),
+                                  rho_s.matrix - rho_s0.matrix))
+        ratio = np.minimum(flux / omega, 1.0)
+        s_tilde = symmetric_relative_entropy(rho_s, as_stack(rho_s0, len(block)))
+        t = block.tolist()
+        flux_analytic = [math.sin(g * x) ** 2 * abs(p - q) * omega for x in t]
+        points += map(SpinPairPoint, t, flux.tolist(), flux_analytic,
+                      (2.0 * ratio * ratio).tolist(),
+                      _bounds.onsager_like(ratio).tolist(),
+                      s_tilde.as_float().tolist())
     return points
 
 
@@ -395,7 +407,8 @@ def correlation_bound_report(theta_system: Observable,
 @dataclass(frozen=True)
 class SaturatingFamily:
     """Closed forms for the extremal two-level pair at log-odds gap a,
-    alongside the numerically evaluated bound data."""
+    alongside the numerically evaluated bound data; every field is an
+    array over the gaps for a grid of them."""
 
     log_odds_gap: float
     trace_norm_closed: float
@@ -406,9 +419,14 @@ class SaturatingFamily:
     bound_value: float
     gap: float
 
+    def rows(self) -> Iterator["SaturatingFamily"]:
+        """The record at each gap, with float fields, made one at a time."""
+        columns = (np.atleast_1d(value).tolist() for value in vars(self).values())
+        return (SaturatingFamily(*row) for row in zip(*columns))
+
 
 def saturating_family(
-        log_odds_gap: float) -> tuple[DensityMatrix, DensityMatrix, SaturatingFamily]:
+        log_odds_gap) -> tuple[DensityMatrix, DensityMatrix, SaturatingFamily]:
     """The two-level pair saturating the flux bound at every gap a.
 
     rho has populations (1 / (1 + e^a), 1 / (1 + e^{-a})) on (|0>, |1>),
@@ -418,29 +436,65 @@ def saturating_family(
     2 tanh(|a| / 2), the symmetric relative entropy is a tanh(a / 2)
     = divergence_from_gap(|a|), the kernel weight vanishes, and
     ||rho - sigma||_1^2 / 4 equals flux_ratio_sq_bound(s_tilde) exactly.
-    The returned record carries both the closed forms and the values the
-    full numerical pipeline produces for the same pair.
+
+    Returns (rho, sigma, record): the record carries both the closed forms
+    and the values the full numerical pipeline produces for the same
+    pair.  log_odds_gap is a float, or a 1-D grid of B gaps, which gives
+    two stacks of B states and a record of arrays, evaluated in blocks of
+    BLOCK_ROWS gaps.
     """
-    a = float(log_odds_gap)
-    t = math.exp(-abs(a))
+    gaps = np.asarray(log_odds_gap, dtype=np.float64)
+    if gaps.ndim > 1 or gaps.size == 0:
+        raise ValidationError(f"log-odds gaps must be a scalar or a nonempty "
+                              f"1-D grid, got shape {gaps.shape}")
+    if np.isnan(gaps).any():
+        raise ValidationError("log-odds gap must not be NaN")
+    if gaps.ndim == 0:
+        rho, sigma, family = saturating_family(gaps[None])
+        return take_row(rho, 0), take_row(sigma, 0), take_row(family, 0)
+    stacks = None
+    for first in range(0, len(gaps), BLOCK_ROWS):
+        block = _saturating_block(gaps[first:first + BLOCK_ROWS])
+        if stacks is None:
+            stacks = tuple(_unset_rows(part, len(gaps)) for part in block)
+        for stack, part in zip(stacks, block):
+            for name, rows in vars(part).items():
+                getattr(stack, name)[first:first + len(rows)] = rows
+    return stacks
+
+
+def _unset_rows(record, count: int):
+    """A record of the same type as a stacked record, with `count` unset
+    rows in each field, for the blocks to be copied into."""
+    return type(record)(*(np.empty((count,) + rows.shape[1:], rows.dtype)
+                          for rows in vars(record).values()))
+
+
+def _saturating_block(gaps: np.ndarray):
+    """(rho, sigma, record) of a 1-D block of gaps, as stacks."""
+    magnitudes = np.abs(gaps).tolist()
+    t = np.array([math.exp(-m) for m in magnitudes])
     small, large = t / (1.0 + t), 1.0 / (1.0 + t)
-    low, high = (small, large) if a >= 0.0 else (large, small)
-    rho = validate_state(np.diag([low, high]))
-    sigma = validate_state(np.diag([high, low]))
-    tn_closed = 2.0 * math.tanh(0.5 * abs(a))
-    s_closed = _bounds.divergence_from_gap(abs(a))
+    positive = gaps >= 0.0
+    low, high = np.where(positive, small, large), np.where(positive, large, small)
+    populations = np.zeros((len(gaps), 2, 2))
+    populations[:, 0, 0], populations[:, 1, 1] = low, high
+    rho = validate_state(populations)
+    populations[:, 0, 0], populations[:, 1, 1] = high, low
+    sigma = validate_state(populations)
     tn = trace_distance_norm(rho, sigma)
     s_tilde = symmetric_relative_entropy(rho, sigma)
     s_value = s_tilde.as_float()
-    bound_value = _bounds.flux_ratio_sq_bound(s_value) if s_tilde.finite else 1.0
-    gap = abs(0.25 * tn * tn - bound_value)
+    finite = s_tilde.finite
+    bound_value = np.where(
+        finite, _bounds.flux_ratio_sq_bound(np.where(finite, s_value, 0.0)), 1.0)
     return rho, sigma, SaturatingFamily(
-        log_odds_gap=a,
-        trace_norm_closed=tn_closed,
-        s_tilde_closed=s_closed,
-        epsilon=0.0,
+        log_odds_gap=gaps,
+        trace_norm_closed=np.array([2.0 * math.tanh(0.5 * m) for m in magnitudes]),
+        s_tilde_closed=np.array([_bounds.divergence_from_gap(m) for m in magnitudes]),
+        epsilon=np.zeros(len(gaps)),
         trace_norm=tn,
         s_tilde=s_value,
         bound_value=bound_value,
-        gap=gap,
+        gap=np.abs(0.25 * tn * tn - bound_value),
     )

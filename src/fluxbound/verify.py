@@ -18,7 +18,7 @@ from . import bounds as _bounds
 from .errors import ValidationError
 from .flux import (Observable, evaluate_bounds, make_observable,
                    optimal_shift_check, qtur_check, sign_decomposition)
-from .linalg import expectation, unitary_from_generator
+from .linalg import expectation, take_row, unitary_from_generator
 from .montecarlo import check_master_seed, sample_qubit_triple, substream
 from .states import DensityMatrix, symmetric_relative_entropy, validate_state
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
@@ -235,8 +235,10 @@ def suite_uncertainty(config: VerifyConfig) -> SuiteResult:
         check = qtur_check(dec.sign_operator, rho, sigma)
         if not check.trivial:
             result.record(check.slack, f"draw {k} dim {dim}")
-    for a in np.linspace(0.2, 6.0, 30).tolist():
-        rho, sigma, _ = saturating_family(a)
+    grid = np.linspace(0.2, 6.0, 30)
+    rhos, sigmas, _ = saturating_family(grid)
+    for k, a in enumerate(grid.tolist()):
+        rho, sigma = take_row(rhos, k), take_row(sigmas, k)
         dec = sign_decomposition(rho, sigma)
         check = qtur_check(dec.sign_operator, rho, sigma)
         result.record(1e-8 - abs(check.slack), f"equality at a={a!r}")
@@ -337,12 +339,13 @@ def suite_correlation(config: VerifyConfig) -> SuiteResult:
 def suite_saturation(config: VerifyConfig) -> SuiteResult:
     """The extremal family meets the bound with equality at every gap."""
     result = SuiteResult("saturation", config.slack_tolerance)
-    for a in np.linspace(0.1, 10.0, 100).tolist():
-        _, _, family = saturating_family(a)
-        result.record(1e-8 - family.gap, f"gap at a={a!r}")
-        result.record(1e-8 - abs(family.trace_norm - family.trace_norm_closed),
+    _, _, family = saturating_family(np.linspace(0.1, 10.0, 100))
+    for row in family.rows():
+        a = row.log_odds_gap
+        result.record(1e-8 - row.gap, f"gap at a={a!r}")
+        result.record(1e-8 - abs(row.trace_norm - row.trace_norm_closed),
                       f"trace norm at a={a!r}")
-        result.record(1e-8 - abs(family.s_tilde - family.s_tilde_closed),
+        result.record(1e-8 - abs(row.s_tilde - row.s_tilde_closed),
                       f"divergence at a={a!r}")
     return result
 

@@ -9,8 +9,9 @@ import warnings
 import pytest
 
 import fluxbound.bounds as bounds_module
+import fluxbound.cli as cli_module
 from fluxbound.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
-                           build_parser, main)
+                           MAX_GRID_POINTS, build_parser, main)
 
 
 def run_cli(argv, capsys):
@@ -183,6 +184,26 @@ def test_non_finite_parameters_are_rejected_by_name(argv, name, capsys):
     assert err.startswith("fluxbound: ") and err.count("\n") == 1
     assert name in err
     assert caught == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spinpair", "--t-steps"], "--t-steps"),
+    (["saturation", "--a-steps"], "--a-steps"),
+])
+def test_oversized_grids_are_rejected_by_name_before_they_are_built(
+        argv, flag, monkeypatch, capsys):
+    # np.linspace used to end in a MemoryError traceback; the size is
+    # checked before the grid is built, which the stand-in makes sure of
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli_module.np, "linspace", no_grid)
+    for steps in ("1000000000000000", str(MAX_GRID_POINTS + 1)):
+        code, out, err = run_cli(argv + [steps], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("fluxbound: ") and err.count("\n") == 1
+        assert flag in err
 
 
 def test_spinpair_rejects_a_coupling_too_large_for_the_eigensolver(capsys):

@@ -381,3 +381,57 @@ def test_expectation_accepts_wrapped_operands():
     h = np.diag([1.0, -1.0])
     r = np.diag([0.75, 0.25])
     assert expectation(Carrier(h), Carrier(r)) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_unitary_from_generator_over_a_grid_of_times():
+    rng = rng_for(2, stream=103)
+    g = random_hermitian_np(rng, 4)
+    times = np.array([0.0, 0.3, 1.7, -2.5, 40.0])
+    stack = unitary_from_generator(g, times)
+    assert stack.shape == (5, 4, 4)
+    for t, u in zip(times, stack):
+        reference = scipy.linalg.expm(-1j * t * g)
+        assert np.max(np.abs(u - reference)) <= 1e-10
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+        # each row is the unitary at its time alone
+        assert np.array_equal(u, unitary_from_generator(g, t))
+    assert np.array_equal(unitary_from_generator(eigh(g), times), stack)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, np.array([0.0, 1e308])])
+def test_unitary_from_generator_rejects_times_without_finite_phases(t):
+    g = np.diag([1.0, -2.0])
+    with pytest.raises(DomainError):
+        unitary_from_generator(g, t)
+    with pytest.raises(ValidationError):
+        unitary_from_generator(g, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("ds,de", [(2, 3), (3, 2), (2, 2)])
+def test_stacked_partial_trace_against_index_sums(ds, de):
+    rng = rng_for(ds * 10 + de, stream=108)
+    n = ds * de
+    stack = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    for keep in ("system", "environment"):
+        ours = partial_trace(stack, ds, de, keep)
+        assert ours.shape == ((5, ds, ds) if keep == "system" else (5, de, de))
+        for m, row in zip(stack, ours):
+            reference = reference_partial_trace(m, ds, de, keep)
+            assert np.max(np.abs(row - reference)) <= 1e-12
+            assert np.array_equal(row, partial_trace(m, ds, de, keep))
+
+
+def test_stacked_partial_trace_errors_name_the_row(monkeypatch):
+    stack = np.stack([np.eye(4) / 4.0] * 3).astype(complex)
+    bad = stack.copy()
+    bad[2, 1, 3] = math.nan
+    with pytest.raises(ValidationError, match=r"non-finite entries \(row 2 of"):
+        partial_trace(bad, 2, 2)
+    # a negative tolerance fails the trace check of every row
+    monkeypatch.setattr(linalg_module, "DEFAULT_TOLERANCES",
+                        replace(linalg_module.DEFAULT_TOLERANCES,
+                                trace_preservation=-1.0))
+    with pytest.raises(NumericError, match=r"changed the trace .*\(row 0 of"):
+        partial_trace(stack, 2, 2)
+    with pytest.raises(NumericError, match=r"changed the trace by [^(]*$"):
+        partial_trace(stack[1], 2, 2)

@@ -11,8 +11,9 @@ from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
                        random_observable, random_scenario, random_unitary,
                        run_montecarlo, sample_qubit_triple, substream,
                        triple_from_uniforms, validate_state)
+from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import ValidationError
-from fluxbound.montecarlo import BLOCK_DRAWS, MAX_REDRAWS, qubit_matrices
+from fluxbound.montecarlo import MAX_REDRAWS, qubit_matrices
 from fluxbound.verify import VerifyConfig
 
 
@@ -83,7 +84,7 @@ def test_run_montecarlo_records_match_an_independent_replay():
     # the sweep evaluates blocks of draws as one stack; runs that end
     # inside the first block, at its edge and past two of them replay
     # draw by draw, bit for bit
-    for n_draws in (1, BLOCK_DRAWS - 1, BLOCK_DRAWS, 2 * BLOCK_DRAWS + 3):
+    for n_draws in (1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3):
         config = DrawConfig(n_draws=n_draws, master_seed=42)
         records, _ = run_montecarlo(config)
         assert [r.draw for r in records] == list(range(n_draws))
@@ -218,8 +219,8 @@ def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, limit):
         assert record.holds_main is report.verdicts["main"].holds
     counts = [r.redraws for r in records]
     # redraws of 0, 1 and more than 1 occur in every block
-    for first in range(0, 300, BLOCK_DRAWS):
-        block = counts[first:first + BLOCK_DRAWS]
+    for first in range(0, 300, BLOCK_ROWS):
+        block = counts[first:first + BLOCK_ROWS]
         assert {0, 1} <= set(block) and max(block) > 1
     assert summary.total_redraws == sum(counts)
     assert summary.infinite_records == sum(r.infinite for r in records)

@@ -8,16 +8,22 @@ import numpy as np
 import pytest
 
 from conftest import random_state_np, rng_for
-from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
-                       correlation_bound_report, entropy_flux,
-                       entropy_flux_chain_check, evolve, exchange_generator,
-                       expectation, local_system_bound_check, make_observable,
-                       make_scenario, random_observable, random_scenario,
-                       relative_entropy, saturating_family,
-                       spin_hamiltonian, spin_pair_scenario,
-                       spin_pair_timeseries, tensor_product,
-                       thermal_environment, validate_state)
+from fluxbound import (BATH_RESET, BOTH_RESET, SaturatingFamily,
+                       SpinPairParams, SpinPairPoint, correlation,
+                       correlation_bound_report, divergence_from_gap,
+                       entropy_flux, entropy_flux_chain_check, evolve,
+                       exchange_generator, expectation, flux_ratio_sq_bound,
+                       local_system_bound_check, make_observable,
+                       make_scenario, onsager_like, partial_trace,
+                       random_observable, random_scenario, relative_entropy,
+                       saturating_family, spin_hamiltonian,
+                       spin_pair_scenario, spin_pair_timeseries,
+                       symmetric_relative_entropy, tensor_product,
+                       thermal_environment, trace_distance_norm,
+                       unitary_from_generator, validate_state)
+from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import DomainError, ValidationError
+from fluxbound.linalg import take_row
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -354,3 +360,113 @@ def test_saturating_family_meets_the_bound_over_a_sweep():
     for a in np.linspace(0.1, 10.0, 34):
         _, _, family = saturating_family(float(a))
         assert family.gap <= 1e-8
+
+
+def test_thermal_environment_rejects_an_overflowing_inverse_temperature():
+    # beta times the energy spread used to overflow in np.exp's argument
+    # with a RuntimeWarning; the state came out right only because
+    # exp(-inf) is 0
+    with pytest.raises(ValidationError, match="beta"):
+        thermal_environment(np.diag([0.0, 3.0]), 1e308)
+
+
+# grid lengths inside the first block, at its edge and past two of them
+GRID_LENGTHS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
+
+
+def _spin_pair_point_by_point(params):
+    """The exchange series time by time, from the single-matrix primitives."""
+    p = params.excited_population_system
+    q = params.excited_population_environment
+    omega, g = params.level_splitting, params.coupling_strength
+    rho_s0 = validate_state(np.diag([1.0 - p, p]))
+    rho_e0 = validate_state(np.diag([1.0 - q, q]))
+    joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
+    h_s = spin_hamiltonian(omega)
+    generator = exchange_generator(g, params.coupling_phase)
+    points = []
+    for t in params.times:
+        u = unitary_from_generator(generator, t)
+        rho_s = validate_state(partial_trace(u @ joint0 @ u.conj().T, 2, 2, "system"))
+        flux = abs(expectation(h_s, rho_s.matrix - rho_s0.matrix))
+        ratio = min(flux / omega, 1.0)
+        points.append(SpinPairPoint(
+            float(t), flux, math.sin(g * t) ** 2 * abs(p - q) * omega,
+            2.0 * ratio * ratio, onsager_like(ratio),
+            symmetric_relative_entropy(rho_s, rho_s0).as_float()))
+    return points
+
+
+@pytest.mark.parametrize("length", GRID_LENGTHS)
+@pytest.mark.parametrize("p, q, omega, g, phase, t_max", [
+    (0.9, 0.1, 1.0, 2.0, 0.0, 1.5),
+    (0.7, 0.2, 1.3, 1.1, 2.4, 4.0),
+    # pure initial states: the marginal entropies are infinite away from t = 0
+    (1.0, 0.0, 0.8, 1.7, 5.0, 2.0),
+])
+def test_stacked_spin_pair_series_matches_a_point_by_point_reference(
+        length, p, q, omega, g, phase, t_max):
+    # the quarter period g t = pi / 2 completes the swap, where the ratio
+    # reaches 1 and the cost is infinite
+    times = np.sort(np.append(np.linspace(0.0, t_max, length)[:-1],
+                              math.pi / (2.0 * g)))
+    params = SpinPairParams(p, q, omega, g, phase, tuple(times))
+    assert spin_pair_timeseries(params) == _spin_pair_point_by_point(params)
+
+
+def _saturating_point(a: float):
+    """The extremal pair at one gap, from the single-state primitives."""
+    t = math.exp(-abs(a))
+    small, large = t / (1.0 + t), 1.0 / (1.0 + t)
+    low, high = (small, large) if a >= 0.0 else (large, small)
+    rho = validate_state(np.diag([low, high]))
+    sigma = validate_state(np.diag([high, low]))
+    tn = trace_distance_norm(rho, sigma)
+    s_tilde = symmetric_relative_entropy(rho, sigma)
+    bound = flux_ratio_sq_bound(s_tilde.value) if s_tilde.finite else 1.0
+    return rho, sigma, SaturatingFamily(
+        a, 2.0 * math.tanh(0.5 * abs(a)), divergence_from_gap(abs(a)), 0.0,
+        tn, s_tilde.as_float(), bound, abs(0.25 * tn * tn - bound))
+
+
+def _same_state(a, b) -> bool:
+    return (np.array_equal(a.matrix, b.matrix)
+            and np.array_equal(a.eigenvalues, b.eigenvalues)
+            and np.array_equal(a.eigenvectors, b.eigenvectors)
+            and a.clamped == b.clamped)
+
+
+@pytest.mark.parametrize("length", GRID_LENGTHS)
+def test_stacked_saturating_family_matches_a_point_by_point_reference(length):
+    # negative, zero and positive gaps, a gap of 800 (e^{-a} underflows,
+    # disjoint supports) and gaps past the rank tolerance (infinite s_tilde)
+    gaps = np.linspace(-35.0, 35.0, length)
+    gaps[length // 2] = 0.0
+    gaps[-1] = 800.0
+    rhos, sigmas, family = saturating_family(gaps)
+    assert family.gap.shape == (length,)
+    rows = list(family.rows())
+    assert len(rows) == length
+    for k, a in enumerate(gaps.tolist()):
+        rho, sigma, expected = _saturating_point(a)
+        assert take_row(family, k) == expected
+        assert rows[k] == expected and type(rows[k].gap) is float
+        assert _same_state(take_row(rhos, k), rho)
+        assert _same_state(take_row(sigmas, k), sigma)
+
+
+@pytest.mark.parametrize("a", [-1.3, 0.0, 3.0, 800.0])
+def test_saturating_family_at_one_gap_matches_the_reference(a):
+    rho, sigma, family = saturating_family(a)
+    expected_rho, expected_sigma, expected = _saturating_point(a)
+    assert family == expected
+    assert type(family.gap) is float
+    assert _same_state(rho, expected_rho) and _same_state(sigma, expected_sigma)
+
+
+def test_saturating_family_rejects_nan_and_grids_of_grids():
+    with pytest.raises(ValidationError, match="NaN"):
+        saturating_family(np.array([1.0, math.nan]))
+    for grid in (np.ones((2, 2)), np.array([])):
+        with pytest.raises(ValidationError, match="1-D"):
+            saturating_family(grid)
