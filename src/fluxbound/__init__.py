@@ -27,11 +27,11 @@ from .linalg import (Spectrum, eigh, expectation, matrix_function,
                      unitary_from_generator)
 from .montecarlo import (DrawConfig, DrawRecord, MonteCarloSummary,
                          POLICY_REDRAW, POLICY_REPORT_INFINITE, run_montecarlo,
-                         sample_qubit_triple, substream, triple_from_uniforms)
-from .states import (DensityMatrix, PinskerCheck, RelEntropyValue,
-                     directed_entropy_pair, pinsker_check, relative_entropy,
-                     symmetric_average, symmetric_relative_entropy,
-                     trace_distance_norm, validate_state)
+                         substream, triple_from_uniforms)
+from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
+                     relative_entropy, symmetric_average,
+                     symmetric_relative_entropy, trace_distance_norm,
+                     validate_state)
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, ChainCheck,
                      EntropyFlux, SaturatingFamily, ScenarioOutcome,
                      SpinPairParams, SpinPairPoint, correlation,

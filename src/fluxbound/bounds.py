@@ -48,7 +48,8 @@ BRACKET_GROWTH = 2.0
 def divergence_from_gap(gap: float) -> float:
     """x = gap * tanh(gap / 2), the divergence of the extremal two-level
     pair with log-odds gap `gap`.  Strictly increasing on [0, inf)."""
-    if gap < 0.0:
+    # written so that a NaN gap fails too
+    if not gap >= 0.0:
         raise DomainError("gap must be nonnegative", offending_value=gap)
     return gap * math.tanh(0.5 * gap)
 

@@ -16,6 +16,10 @@ where S is the symmetric relative entropy of the pair and epsilon the
 shared weight both states place on the kernel of rho - sigma, together
 with the entropy-cost form 2 r artanh(r) <= S and the variance
 uncertainty relation with floor variance_ratio_floor(S).
+
+make_observable, flux, sign_decomposition and evaluate_bounds take single
+inputs or stacks, a single input as a stack of one (linalg.batch_of_one);
+a degenerate row is flagged, and only a single coinciding pair raises.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import numpy as np
 from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
-from .linalg import (Spectrum, eigh, expectation, first_row, require_hermitian,
-                     row_label, take_row)
-from .states import (DensityMatrix, RelEntropyValue, as_stack,
+from .linalg import (Spectrum, batch_of_one, eigh, expectation, first_row,
+                     require_hermitian, row_label)
+from .states import (DensityMatrix, RelEntropyValue, check_same_shape,
                      directed_entropy_pair, symmetric_average)
 
 
@@ -60,39 +64,28 @@ class Observable:
         return 0.5 * (self.theta_max + self.theta_min)
 
 
+@batch_of_one
 def make_observable(matrix) -> Observable:
     """Validate a Hermitian matrix, or a (B, n, n) stack, and cache its
     spectrum."""
     a = require_hermitian(matrix)
     w, v = eigh(a, checked=True)
-    if a.ndim == 2:
-        return Observable(a, w, v, float(w[-1]), float(w[0]))
     return Observable(a, w, v, w[:, -1], w[:, 0])
 
 
-def _observable_stack_of_one(observable: Observable) -> Observable:
-    return Observable(observable.matrix[None], observable.eigenvalues[None],
-                      observable.eigenvectors[None],
-                      np.array([observable.theta_max]),
-                      np.array([observable.theta_min]))
-
-
+@batch_of_one
 def flux(observable: Observable, rho: DensityMatrix, sigma: DensityMatrix):
     """tr(theta (rho - sigma)); always within capacity up to slack.  An
     array over the rows for stacked arguments."""
-    single = observable.matrix.ndim == 2
-    if single:
-        observable = _observable_stack_of_one(observable)
-        rho, sigma = as_stack(rho), as_stack(sigma)
     value = expectation(observable.matrix, rho.matrix - sigma.matrix)
     bad = np.abs(value) > observable.capacity + DEFAULT_TOLERANCES.slack
     if bad.any():
         k = first_row(bad)
         raise NumericError(
             f"flux {value[k].item()!r} exceeds capacity "
-            f"{observable.capacity[k].item()!r}{row_label(bad, single)}"
+            f"{observable.capacity[k].item()!r}{row_label(bad)}"
         )
-    return value.item() if single else value
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,8 +106,10 @@ class ShiftCheck:
 
 def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
     shifts = np.asarray(grid, dtype=np.float64)
-    if shifts.ndim != 1 or shifts.size < 2:
-        raise ValidationError("shift grid must be a 1-d array with >= 2 points")
+    # a non-finite shift would leave the grid resolution meaningless
+    if shifts.ndim != 1 or shifts.size < 2 or not np.isfinite(shifts).all():
+        raise ValidationError(
+            "shift grid must be a finite 1-d array with >= 2 points")
     # ||theta - s I||_inf = max_k |w_k - s|, vectorized over the grid
     norms = np.max(np.abs(observable.eigenvalues[None, :] - shifts[:, None]), axis=1)
     k = int(np.argmin(norms))
@@ -158,23 +153,27 @@ class SignDecomposition:
 
 
 def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValidationError(
-            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
-    single = rho.matrix.ndim == 2
-    if single:
-        rho, sigma = as_stack(rho), as_stack(sigma)
+    """The sign structure of rho - sigma, for a pair of states or two
+    stacks; a single pair that coincides raises DegenerateInputError."""
+    decomposition = _sign_rows(rho, sigma)
+    # a single pair's states_equal is a bool, a stack's an array of flags
+    if decomposition.states_equal is True:
+        norm = np.abs(decomposition.difference_spectrum.eigenvalues).sum()
+        raise DegenerateInputError(
+            f"states coincide within tolerance (||rho - sigma||_1 = {norm.item()!r})")
+    return decomposition
+
+
+@batch_of_one
+def _sign_rows(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
+    """sign_decomposition of two stacks, with coinciding rows flagged."""
+    check_same_shape(rho, sigma)
     difference = rho.matrix - sigma.matrix
     w, vecs = eigh(difference, checked=True)
     magnitude = np.abs(w)
     tols = DEFAULT_TOLERANCES
     zero_tolerance = tols.sign_zero_scale * np.maximum(1.0, magnitude.max(axis=1))
     equal = magnitude.sum(axis=1) <= zero_tolerance
-    if single and equal[0]:
-        raise DegenerateInputError(
-            f"states coincide within tolerance "
-            f"(||rho - sigma||_1 = {magnitude.sum().item()!r})"
-        )
     in_kernel = magnitude <= zero_tolerance[:, None]
     signs = np.where(in_kernel, 0.0, np.sign(w))
     vecs_h = vecs.conj().swapaxes(1, 2)
@@ -186,7 +185,7 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecompos
     if bad.any():
         k = first_row(bad)
         raise NumericError(
-            f"kernel weights disagree{row_label(bad, single)}: "
+            f"kernel weights disagree{row_label(bad)}: "
             f"{eps_rho[k].item()!r} vs {eps_sigma[k].item()!r}"
         )
     # the sign operator recovers the trace norm as a flux
@@ -195,8 +194,8 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecompos
                     > tols.slack)
     if bad.any():
         raise NumericError(
-            f"sign operator does not recover the trace norm{row_label(bad, single)}")
-    decomposition = SignDecomposition(
+            f"sign operator does not recover the trace norm{row_label(bad)}")
+    return SignDecomposition(
         sign_operator=omega,
         kernel_projector=eps_op,
         epsilon=np.clip(0.5 * (eps_rho + eps_sigma), 0.0, 1.0),
@@ -204,7 +203,6 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecompos
         difference_spectrum=Spectrum(w, vecs),
         states_equal=equal,
     )
-    return take_row(decomposition, 0) if single else decomposition
 
 
 @dataclass(frozen=True)
@@ -223,8 +221,12 @@ class QturCheck:
     s_tilde: RelEntropyValue
     floor: float
     slack: float
-    holds: bool
     trivial: bool
+
+    @property
+    def holds(self) -> bool:
+        """Whether the slack clears -DEFAULT_TOLERANCES.slack."""
+        return self.slack >= -DEFAULT_TOLERANCES.slack
 
 
 def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
@@ -242,14 +244,12 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
     s_tilde = symmetric_average(forward, backward)
     lhs = (var_rho + var_sigma) / (0.5 * gap * gap)
     if not s_tilde.finite:
-        return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde,
-                         0.0, math.inf, True, True)
+        return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, 0.0, math.inf, True)
     if s_tilde.value == 0.0:
         raise DegenerateInputError("states coincide; the floor diverges")
     floor = _bounds.variance_ratio_floor(s_tilde.value)
-    slack = lhs - floor
     return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, floor,
-                     slack, slack >= -DEFAULT_TOLERANCES.slack, False)
+                     lhs - floor, False)
 
 
 @dataclass(frozen=True)
@@ -302,6 +302,7 @@ class BoundReport:
         return holds
 
 
+@batch_of_one
 def evaluate_bounds(observable: Observable, rho: DensityMatrix,
                     sigma: DensityMatrix) -> BoundReport:
     """Evaluate every flux bound for one triple, or for stacks of B
@@ -314,10 +315,6 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     """
     if not observable.matrix.shape == rho.matrix.shape == sigma.matrix.shape:
         raise ValidationError("observable and states must share one dimension")
-    single = observable.matrix.ndim == 2
-    if single:
-        observable = _observable_stack_of_one(observable)
-        rho, sigma = as_stack(rho), as_stack(sigma)
     phi = flux(observable, rho, sigma)
     capacity = observable.capacity
     theta_scale = np.maximum(1.0, np.maximum(np.abs(observable.theta_max),
@@ -360,7 +357,7 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
                              np.where(finite, -math.inf, math.inf)),
                     ~finite),
     }
-    report = BoundReport(
+    return BoundReport(
         flux=phi,
         capacity=capacity,
         flux_ratio_sq=np.where(degenerate, 0.0, ratio_sq),
@@ -378,7 +375,6 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
         degenerate_capacity=degenerate,
         states_equal=equal,
     )
-    return take_row(report, 0) if single else report
 
 
 def _zero_where(value: RelEntropyValue, rows: np.ndarray) -> RelEntropyValue:

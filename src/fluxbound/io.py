@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 
+from .errors import ValidationError
+
 FORMAT_CSV = "csv"
 FORMAT_JSONL = "jsonl"
 
@@ -45,7 +47,7 @@ def write_table(stream, headers, rows, fmt: str = FORMAT_CSV) -> None:
             record = {k: _jsonable(v) for k, v in zip(headers, row)}
             stream.write(json.dumps(record, separators=(",", ":")) + "\n")
     else:
-        raise ValueError(f"unknown output format {fmt!r}")
+        raise ValidationError(f"unknown output format {fmt!r}")
 
 
 MONTECARLO_HEADERS = ("draw", "flux_ratio_sq", "s_tilde", "pinsker_rhs",

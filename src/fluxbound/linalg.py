@@ -5,12 +5,13 @@ handful of primitives in this module: a deterministic eigensolver for
 Hermitian matrices, spectral application of scalar functions, tensor
 products, partial traces, Schatten norms and expectation values.
 
-require_hermitian, eigh, partial_trace and expectation take either one
-matrix of shape (n, n) or a stack of shape (B, n, n) and return results
-of the same layout; a single matrix runs as a stack of one, through the
-same code.  unitary_from_generator takes one time or a 1-D grid of T
-times and returns exp(-i t G) as (n, n) or as a (T, n, n) stack; it is
-the package's only matrix exponential.
+require_hermitian, eigh, partial_trace and expectation take one (n, n)
+matrix or a (B, n, n) stack.  Their bodies, like those of the stacked
+functions of states and flux, handle stacks only: batch_of_one runs a
+single input as a stack of one and returns its row 0, and errors name the
+failing row of a stack of two or more.  unitary_from_generator takes one
+time or a 1-D grid of T times and returns exp(-i t G) as (n, n) or
+(T, n, n); it is the package's only matrix exponential.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -59,14 +60,13 @@ def as_complex_matrix(matrix) -> np.ndarray:
     return a
 
 
-def as_complex_stack(matrix) -> tuple[np.ndarray, bool]:
-    """Coerce one square matrix or a stack of them to a (B, n, n) complex128
-    array; the flag tells whether the input was a single matrix."""
+def as_complex_stack(matrix) -> np.ndarray:
+    """Coerce a stack of square matrices to a (B, n, n) complex128 array."""
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(
-            f"expected a square matrix or a stack of them, got shape {a.shape}")
-    return (a[None], True) if a.ndim == 2 else (a, False)
+    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"expected a square matrix or a stack of them, "
+                              f"got shape {shape_label(a)}")
+    return a
 
 
 def first_row(flags: np.ndarray) -> int:
@@ -74,36 +74,94 @@ def first_row(flags: np.ndarray) -> int:
     return int(np.argmax(flags))
 
 
-def row_label(flags: np.ndarray, single: bool) -> str:
-    """' (row k of the stack)' for the first flagged row, '' for a single
-    input; appended to error messages."""
-    return "" if single else f" (row {first_row(flags)} of the stack)"
+def row_label(flags: np.ndarray) -> str:
+    """' (row k of the stack)' for the first flagged row, for error
+    messages; '' for a stack of one, which reads as a single input."""
+    return "" if len(flags) == 1 else f" (row {first_row(flags)} of the stack)"
+
+
+def shape_label(a: np.ndarray) -> tuple:
+    """The shape of a stack for error messages, read as in row_label."""
+    return a.shape[1:] if a.ndim == 3 and len(a) == 1 else a.shape
 
 
 def take_row(record, index: int):
-    """Row `index` of a stacked result: every array loses its leading
-    axis, a 0-d remainder becomes a Python scalar, and dataclasses, named
-    tuples and dicts are taken apart field by field.  Values that are not
-    arrays are shared by all rows and pass through."""
+    """Row `index` of a stacked result: arrays lose their leading axis (a
+    0-d remainder becomes a Python scalar), records are taken apart field
+    by field, and other values, shared by all rows, pass through."""
     if isinstance(record, np.ndarray):
-        return record[index].item() if record.ndim == 1 else record[index]
+        return record.item(index) if record.ndim == 1 else record[index]
+    return _map_fields(take_row, record, index)
+
+
+def as_stack(record, rows: int = 1):
+    """The inverse of take_row, `rows` identical rows: an array gains a
+    leading axis (a view for one row), a Python scalar becomes an array,
+    and records are lifted field by field."""
+    if isinstance(record, np.ndarray):
+        return record[None] if rows == 1 else np.repeat(record[None], rows, axis=0)
+    if isinstance(record, (int, float)):
+        return np.array([record] * rows)
+    return _map_fields(as_stack, record, rows)
+
+
+def _map_fields(function, record, argument):
+    """function(value, argument) on every field of a dataclass, tuple or
+    dict; other values pass through.  A dataclass is rebuilt without its
+    __init__: a row of a checked stack needs no new check, nor a stack of
+    a checked row."""
     if isinstance(record, dict):
-        return {key: take_row(value, index) for key, value in record.items()}
+        return {key: function(value, argument) for key, value in record.items()}
     if isinstance(record, tuple):
-        return type(record)(*(take_row(value, index) for value in record))
-    names = getattr(record, "__dataclass_fields__", None)
-    if names is not None:
-        return type(record)(**{name: take_row(getattr(record, name), index)
-                               for name in names})
+        values = [function(value, argument) for value in record]
+        return type(record)(*values) if hasattr(record, "_fields") else tuple(values)
+    if hasattr(record, "__dataclass_fields__"):
+        out = object.__new__(type(record))
+        out.__dict__.update({name: function(value, argument)
+                             for name, value in vars(record).items()})
+        return out
     return record
 
 
-def hermiticity_defect(matrix) -> float:
-    """Largest entry of |M - M^dag|."""
-    a = as_complex_matrix(matrix)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def as_array(operator) -> np.ndarray:
+    """The matrix of an ndarray, of a record carrying one in .matrix, or of
+    anything numpy can convert."""
+    if isinstance(operator, np.ndarray):
+        return operator
+    m = getattr(operator, "matrix", None)
+    if m is not None:
+        return m
+    return np.asarray(operator, dtype=np.complex128)
 
 
+def _lift_argument(argument):
+    """One argument of a single call as a stack of one: records field by
+    field, other carriers of a matrix as their matrix; dimensions and
+    names pass through."""
+    if isinstance(argument, np.ndarray):
+        return argument[None]
+    if hasattr(argument, "__dataclass_fields__"):
+        return as_stack(argument)
+    if isinstance(argument, (list, tuple)) or hasattr(argument, "matrix"):
+        return as_array(argument)[None]
+    return argument
+
+
+def batch_of_one(function):
+    """Run a function written for stacks on a single input: a call whose
+    first argument is one (n, n) matrix, or a record carrying one in
+    .matrix, runs on its arguments lifted to stacks of one and returns
+    row 0 of the result.  Any other call passes through."""
+    @functools.wraps(function)
+    def lifted(first, *args, **kwargs):
+        if np.ndim(getattr(first, "matrix", first)) != 2:
+            return function(first, *args, **kwargs)
+        return take_row(function(_lift_argument(first),
+                                 *map(_lift_argument, args), **kwargs), 0)
+    return lifted
+
+
+@batch_of_one
 def require_hermitian(matrix) -> np.ndarray:
     """Validate finiteness and hermiticity of a matrix or a stack, and
     return the symmetrized (M + M^dag)/2 in the input's layout.
@@ -111,11 +169,10 @@ def require_hermitian(matrix) -> np.ndarray:
     One check covers the whole stack; the error names the first failing
     row of a stack.
     """
-    a, single = as_complex_stack(matrix)
+    a = as_complex_stack(matrix)
     if not np.isfinite(a).all():
         bad = ~np.isfinite(a).all(axis=(1, 2))
-        raise ValidationError(
-            f"matrix has non-finite entries{row_label(bad, single)}")
+        raise ValidationError(f"matrix has non-finite entries{row_label(bad)}")
     ah = a.conj().swapaxes(1, 2)
     defect = np.abs(a - ah)
     tolerance = DEFAULT_TOLERANCES.hermiticity
@@ -123,13 +180,12 @@ def require_hermitian(matrix) -> np.ndarray:
         defect = defect.max(axis=(1, 2))
         bad = defect > tolerance
         raise ValidationError(
-            f"matrix is not Hermitian{row_label(bad, single)}: "
+            f"matrix is not Hermitian{row_label(bad)}: "
             f"max |M - M^dag| = {defect[first_row(bad)]:.3e} "
             f"exceeds {tolerance:.3e}"
         )
     # halves first: a + ah overflows for entries near the largest double
-    out = 0.5 * a + 0.5 * ah
-    return out[0] if single else out
+    return 0.5 * a + 0.5 * ah
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,6 +292,7 @@ def _sorted_spectrum(values: np.ndarray, vectors: np.ndarray) -> Spectrum:
                     vectors.swapaxes(1, 2)[rows, order].swapaxes(1, 2))
 
 
+@batch_of_one
 def eigh(matrix, *, checked: bool = False) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix or a (B, n, n) stack.
 
@@ -249,19 +306,14 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     (entries beyond about 1e154).  checked=True skips the input validation
     for a stack that already went through require_hermitian.
     """
-    if checked:
-        a, single = as_complex_stack(matrix)
-    else:
-        a = require_hermitian(matrix)
-        a, single = (a[None], True) if a.ndim == 2 else (a, False)
+    a = as_complex_stack(matrix) if checked else require_hermitian(matrix)
     b, n = a.shape[0], a.shape[-1]
     diagonal = a.diagonal(axis1=1, axis2=2)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
         # no off-diagonal entry anywhere: no work array, no rotation
         order = np.argsort(diagonal.real, axis=1, kind="stable")
-        spec = Spectrum(diagonal.real[np.arange(b)[:, None], order],
+        return Spectrum(diagonal.real[np.arange(b)[:, None], order],
                         _round_robin(n)[0][order].swapaxes(1, 2))
-        return Spectrum(spec.eigenvalues[0], spec.eigenvectors[0]) if single else spec
     identity, upper, rounds = _round_robin(n)
     diagonal = diagonal.real.copy()
     with np.errstate(over="ignore"):
@@ -271,7 +323,7 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     huge = ~np.isfinite(norm_sq)
     if huge.any():
         raise ValidationError(f"matrix entries too large for the eigensolver"
-                              f"{row_label(huge, single)}: ||H||_F^2 overflows")
+                              f"{row_label(huge)}: ||H||_F^2 overflows")
     # the criterion mass <= jacobi_offdiag * ||H||_F, squared and halved
     threshold = 0.5 * DEFAULT_TOLERANCES.jacobi_offdiag ** 2 * norm_sq
     w = np.empty((b, 2 * n, n), dtype=np.complex128)
@@ -299,10 +351,9 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
             raise NumericError(
                 f"Jacobi eigensolver did not converge in "
                 f"{DEFAULT_TOLERANCES.jacobi_max_sweeps} sweeps"
-                f"{row_label(failed, single)} (dim {n}, residual {residual:.3e})"
+                f"{row_label(failed)} (dim {n}, residual {residual:.3e})"
             )
-    spec = _sorted_spectrum(diagonal, w[:, n:])
-    return Spectrum(spec.eigenvalues[0], spec.eigenvectors[0]) if single else spec
+    return _sorted_spectrum(diagonal, w[:, n:])
 
 
 def matrix_function(matrix, fn: Callable[[float], complex]) -> np.ndarray:
@@ -360,6 +411,7 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
+@batch_of_one
 def partial_trace(matrix, dim_system: int, dim_environment: int,
                   keep: str = "system") -> np.ndarray:
     """Trace out one tensor factor of a (dim_system * dim_environment)
@@ -371,11 +423,10 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
     input's layout, (d, d) or (B, d, d); errors name the first failing row
     of a stack.
     """
-    a, single = as_complex_stack(matrix)
+    a = as_complex_stack(matrix)
     finite = np.isfinite(a).all(axis=(1, 2))
     if not finite.all():
-        raise ValidationError(
-            f"matrix has non-finite entries{row_label(~finite, single)}")
+        raise ValidationError(f"matrix has non-finite entries{row_label(~finite)}")
     if dim_system < 1 or dim_environment < 1:
         raise ValidationError("tensor factor dimensions must be positive")
     if a.shape[-1] != dim_system * dim_environment:
@@ -394,8 +445,8 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
     bad = defect > DEFAULT_TOLERANCES.trace_preservation
     if bad.any():
         raise NumericError(f"partial trace changed the trace by "
-                           f"{defect[first_row(bad)]:.3e}{row_label(bad, single)}")
-    return reduced[0] if single else reduced
+                           f"{defect[first_row(bad)]:.3e}{row_label(bad)}")
+    return reduced
 
 
 def schatten_norm(matrix, k) -> float:
@@ -414,24 +465,14 @@ def schatten_norm(matrix, k) -> float:
     raise ValidationError(f"Schatten order must be 1, 2 or inf, got {k!r}")
 
 
-def as_array(operator) -> np.ndarray:
-    """The matrix of an ndarray, of a record carrying one in .matrix, or of
-    anything numpy can convert."""
-    if isinstance(operator, np.ndarray):
-        return operator
-    m = getattr(operator, "matrix", None)
-    if m is not None:
-        return m
-    return np.asarray(operator, dtype=np.complex128)
-
-
+@batch_of_one
 def expectation(operator, state):
     """tr(H rho) for Hermitian H, or for each pair of two (B, n, n) stacks
     (an array over the rows); the imaginary part must be rounding noise.
     Each trace is one sum along its own matrix, so it does not depend on
     the stack."""
-    h, single = as_complex_stack(as_array(operator))
-    r, _ = as_complex_stack(as_array(state))
+    h = as_complex_stack(as_array(operator))
+    r = as_complex_stack(as_array(state))
     if h.shape != r.shape:
         raise ValidationError(f"shape mismatch {h.shape} vs {r.shape}")
     b, n = h.shape[0], h.shape[-1]
@@ -440,6 +481,6 @@ def expectation(operator, state):
     if bad.any():
         raise NumericError(
             f"expectation of a Hermitian operator has imaginary part "
-            f"{values.imag[first_row(bad)]:.3e}{row_label(bad, single)}"
+            f"{values.imag[first_row(bad)]:.3e}{row_label(bad)}"
         )
-    return values.real.item() if single else values.real
+    return values.real

@@ -56,6 +56,14 @@ def check_master_seed(master_seed: int) -> None:
             f"master seed {master_seed} out of range [0, 2^64)")
 
 
+def check_slack_tolerance(slack_tolerance: float) -> None:
+    """The scoring tolerance of a run must be positive and finite; a NaN
+    would score every check as violated."""
+    if not 0.0 < slack_tolerance < math.inf:
+        raise ValidationError(f"slack_tolerance must be positive and finite, "
+                              f"got {slack_tolerance!r}")
+
+
 def substream(master_seed: int, draw_index: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for one draw: key = (seed, stream | index)."""
     check_master_seed(master_seed)
@@ -98,11 +106,6 @@ def sample_qubit_matrices(
     return qubit_matrices(rng.random(7))
 
 
-def sample_qubit_triple(
-        rng: np.random.Generator) -> tuple[Observable, DensityMatrix, DensityMatrix]:
-    return triple_from_uniforms(rng.random(7))
-
-
 # ---------------------------------------------------------------------------
 # the sweep
 
@@ -121,10 +124,7 @@ class DrawConfig:
         if self.rejection_policy not in (POLICY_REDRAW, POLICY_REPORT_INFINITE):
             raise ValidationError(
                 f"unknown rejection policy {self.rejection_policy!r}")
-        # a NaN slack would score every check as violated
-        if not 0.0 < self.slack_tolerance < math.inf:
-            raise ValidationError(f"slack_tolerance must be positive and finite, "
-                                  f"got {self.slack_tolerance!r}")
+        check_slack_tolerance(self.slack_tolerance)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ evaluated in the eigenbasis of the second argument,
 restricted to the supports of rho and sigma.  When rho places weight on
 the kernel of sigma the divergence is infinite; that outcome is returned
 as a tagged value (RelEntropyValue with finite=False), never as a bare
-floating-point infinity fed into arithmetic.
+floating-point infinity fed into arithmetic.  Every function here takes
+single states or stacks; a single state runs as a stack of one
+(linalg.batch_of_one).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import NumericError, ValidationError
-from .linalg import eigh, first_row, require_hermitian, row_label
+from .linalg import (batch_of_one, eigh, first_row, require_hermitian,
+                     row_label, shape_label)
 
 
 @dataclass(frozen=True)
@@ -53,14 +56,7 @@ class DensityMatrix:
         return int(count) if count.ndim == 0 else count
 
 
-def as_stack(state: DensityMatrix, rows: int = 1) -> DensityMatrix:
-    """A single state as a stack of `rows` identical rows (one by default)."""
-    return DensityMatrix(state.matrix[None].repeat(rows, 0),
-                         state.eigenvalues[None].repeat(rows, 0),
-                         state.eigenvectors[None].repeat(rows, 0),
-                         np.array([state.clamped] * rows))
-
-
+@batch_of_one
 def validate_state(matrix) -> DensityMatrix:
     """Check finiteness, hermiticity, positivity and unit trace of a matrix
     or a (B, n, n) stack; clamp rounding noise.
@@ -72,14 +68,11 @@ def validate_state(matrix) -> DensityMatrix:
     """
     tols = DEFAULT_TOLERANCES
     a = require_hermitian(matrix)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
     trace = a.diagonal(axis1=1, axis2=2).real.sum(axis=1)
     bad = np.abs(trace - 1.0) > tols.state_trace
     if bad.any():
         raise ValidationError(
-            f"state trace invariant violated{row_label(bad, single)}: "
+            f"state trace invariant violated{row_label(bad)}: "
             f"tr = {trace[first_row(bad)].item()!r}, "
             f"|tr - 1| > {tols.state_trace:.1e}"
         )
@@ -88,7 +81,7 @@ def validate_state(matrix) -> DensityMatrix:
     bad = smallest < -tols.state_negativity
     if bad.any():
         raise ValidationError(
-            f"state positivity invariant violated{row_label(bad, single)}: "
+            f"state positivity invariant violated{row_label(bad)}: "
             f"eigenvalue {smallest[first_row(bad)].item()!r} "
             f"below -{tols.state_negativity:.1e}"
         )
@@ -100,8 +93,6 @@ def validate_state(matrix) -> DensityMatrix:
         v = vecs[rows]
         rebuilt = (v * values[rows][:, None, :]) @ v.conj().swapaxes(1, 2)
         a[rows] = 0.5 * (rebuilt + rebuilt.conj().swapaxes(1, 2))
-    if single:
-        return DensityMatrix(a[0], values[0], vecs[0], bool(clamped[0]))
     return DensityMatrix(a, values, vecs, clamped)
 
 
@@ -160,13 +151,14 @@ def _directed_entropies(p: np.ndarray, s: np.ndarray,
     return value
 
 
-def _entropy_value(values: np.ndarray, single: bool) -> RelEntropyValue:
-    if single:
-        v = values.item()
-        return RelEntropyValue(v, math.isfinite(v))
-    return RelEntropyValue(values, np.isfinite(values))
+def check_same_shape(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+    """Two states, or two stacks of them, must share one shape."""
+    if rho.matrix.shape != sigma.matrix.shape:
+        raise ValidationError(f"dimension mismatch {shape_label(rho.matrix)} "
+                              f"vs {shape_label(sigma.matrix)}")
 
 
+@batch_of_one
 def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
                           ) -> tuple[RelEntropyValue, RelEntropyValue]:
     """(S(rho || sigma), S(sigma || rho)), sharing one overlap matrix.
@@ -176,12 +168,7 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
     [-entropy_floor, 0) are rounded up to 0; anything lower raises,
     naming the first failing row of the caller's stack.
     """
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValidationError(
-            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
-    single = rho.matrix.ndim == 2
-    if single:
-        rho, sigma = as_stack(rho), as_stack(sigma)
+    check_same_shape(rho, sigma)
     overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
     values = _directed_entropies(
         np.concatenate([rho.eigenvalues, sigma.eigenvalues]),
@@ -193,9 +180,8 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
         k = first_row(rows)
         raise NumericError(
             f"relative entropy evaluated to "
-            f"{values[first_row(bad[:, k]), k].item()!r}{row_label(rows, single)}")
-    values = np.maximum(values, 0.0)
-    return _entropy_value(values[0], single), _entropy_value(values[1], single)
+            f"{values[first_row(bad[:, k]), k].item()!r}{row_label(rows)}")
+    return tuple(RelEntropyValue(v, np.isfinite(v)) for v in np.maximum(values, 0.0))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> RelEntropyValue:
@@ -223,37 +209,11 @@ def symmetric_relative_entropy(rho: DensityMatrix,
     return symmetric_average(forward, backward)
 
 
+@batch_of_one
 def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix):
     """Trace norm ||rho - sigma||_1 (twice the trace distance); an array
     over the rows for two stacks of B states."""
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValidationError(
-            f"dimension mismatch {rho.matrix.shape} vs {sigma.matrix.shape}")
+    check_same_shape(rho, sigma)
     # the difference of two validated states is exactly Hermitian
     w = eigh(rho.matrix - sigma.matrix, checked=True).eigenvalues
-    norm = np.abs(w).sum(axis=-1)
-    return norm.item() if norm.ndim == 0 else norm
-
-
-@dataclass(frozen=True)
-class PinskerCheck:
-    """S(rho||sigma) >= ||rho - sigma||_1^2 / 2, with slack."""
-
-    s_forward: RelEntropyValue
-    trace_norm: float
-    rhs: float
-    slack: float
-    holds: bool
-    trivial: bool
-
-
-def pinsker_check(rho: DensityMatrix, sigma: DensityMatrix) -> PinskerCheck:
-    """Evaluate the classical Pinsker inequality for a pair of states."""
-    s_forward = relative_entropy(rho, sigma)
-    tn = trace_distance_norm(rho, sigma)
-    rhs = 0.5 * tn * tn
-    if not s_forward.finite:
-        return PinskerCheck(s_forward, tn, rhs, math.inf, True, True)
-    slack = s_forward.value - rhs
-    return PinskerCheck(s_forward, tn, rhs, slack,
-                        slack >= -DEFAULT_TOLERANCES.slack, False)
+    return np.abs(w).sum(axis=1)

@@ -45,12 +45,11 @@ from . import bounds as _bounds
 from .config import BLOCK_ROWS, DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import Observable, evaluate_bounds, make_observable
-from .linalg import (eigh, expectation, partial_trace, take_row, tensor_product,
-                     unitary_from_generator)
-from .states import (DensityMatrix, RelEntropyValue, as_stack,
-                     directed_entropy_pair, symmetric_average,
-                     symmetric_relative_entropy, trace_distance_norm,
-                     validate_state)
+from .linalg import (as_stack, eigh, expectation, partial_trace, take_row,
+                     tensor_product, unitary_from_generator)
+from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
+                     symmetric_average, symmetric_relative_entropy,
+                     trace_distance_norm, validate_state)
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,8 @@ class ChainCheck:
     """Slack accounting for a three-step entropy chain.
 
     steps maps a name to its slack (rhs-to-lhs margin); holds requires
-    every step to clear -slack_tolerance.  trivial marks chains resolved
-    by an infinite entropy or a degenerate capacity.
+    every step to clear -DEFAULT_TOLERANCES.slack.  trivial marks chains
+    resolved by an infinite entropy or a degenerate capacity.
     """
 
     flux: float
@@ -170,16 +169,19 @@ class ChainCheck:
     s_tilde: RelEntropyValue
     production_mean: RelEntropyValue
     steps: dict
-    holds: bool
     trivial: bool
+
+    @property
+    def holds(self) -> bool:
+        """Whether every step clears -DEFAULT_TOLERANCES.slack."""
+        return all(step >= -DEFAULT_TOLERANCES.slack for step in self.steps.values())
 
 
 def _chain_from_parts(phi: float, capacity: float,
                       s_tilde: RelEntropyValue,
                       production_mean: RelEntropyValue | None) -> ChainCheck:
     if capacity <= 0.0:
-        return ChainCheck(phi, capacity, 0.0, s_tilde, production_mean,
-                          {}, True, True)
+        return ChainCheck(phi, capacity, 0.0, s_tilde, production_mean, {}, True)
     ratio = min(abs(phi) / capacity, 1.0)
     cost = _bounds.onsager_like(ratio)
     steps: dict = {}
@@ -200,9 +202,8 @@ def _chain_from_parts(phi: float, capacity: float,
         steps["s_tilde_dominates_cost"] = -math.inf
     if math.isfinite(cost):
         steps["cost_dominates_quadratic"] = cost - 2.0 * ratio * ratio
-    holds = all(s >= -DEFAULT_TOLERANCES.slack for s in steps.values())
     return ChainCheck(phi, capacity, ratio, s_tilde, production_mean,
-                      steps, holds, trivial)
+                      steps, trivial)
 
 
 def entropy_flux_chain_check(scenario: BipartiteScenario,

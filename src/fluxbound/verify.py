@@ -19,7 +19,8 @@ from .errors import ValidationError
 from .flux import (Observable, evaluate_bounds, make_observable,
                    optimal_shift_check, qtur_check, sign_decomposition)
 from .linalg import expectation, take_row, unitary_from_generator
-from .montecarlo import check_master_seed, sample_qubit_triple, substream
+from .montecarlo import (check_master_seed, check_slack_tolerance, substream,
+                         triple_from_uniforms)
 from .states import DensityMatrix, symmetric_relative_entropy, validate_state
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      correlation, correlation_bound_report, entropy_flux,
@@ -72,10 +73,7 @@ class VerifyConfig:
         if self.draws < 1:
             raise ValidationError("draws must be positive")
         check_master_seed(self.master_seed)
-        # a NaN slack would score every check as violated
-        if not 0.0 < self.slack_tolerance < math.inf:
-            raise ValidationError(f"slack_tolerance must be positive and finite, "
-                                  f"got {self.slack_tolerance!r}")
+        check_slack_tolerance(self.slack_tolerance)
 
 
 @dataclass
@@ -185,7 +183,7 @@ def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
     for k, dim in enumerate(dims):
         rng = substream(config.master_seed, k, _SUITE_STREAMS["bound_chain"])
         if k % 2 == 0:
-            theta, rho, sigma = sample_qubit_triple(rng)
+            theta, rho, sigma = triple_from_uniforms(rng.random(7))
         else:
             theta = random_observable(rng, dim)
             rho, sigma = _random_pair(rng, dim)

@@ -30,6 +30,13 @@ def test_divergence_from_gap_values():
     assert excinfo.value.offending_value == -0.5
 
 
+def test_divergence_from_gap_rejects_nan():
+    # used to return nan
+    with pytest.raises(DomainError) as excinfo:
+        divergence_from_gap(math.nan)
+    assert math.isnan(excinfo.value.offending_value)
+
+
 def test_divergence_from_gap_is_strictly_increasing():
     ys = np.linspace(0.0, 30.0, 301)
     xs = [divergence_from_gap(float(y)) for y in ys]

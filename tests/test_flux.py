@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_state_np, rng_for
-from fluxbound import (DEFAULT_TOLERANCES, Verdict, evaluate_bounds, flux,
+from fluxbound import (DEFAULT_TOLERANCES, QturCheck, Verdict,
+                       evaluate_bounds, flux,
                        make_observable, optimal_shift_check, qtur_check,
                        random_observable, sign_decomposition, validate_state)
 from fluxbound.errors import (DegenerateInputError, NumericError,
@@ -101,6 +102,24 @@ def test_optimal_shift_rejects_a_degenerate_grid():
     theta = make_observable(np.diag([0.0, 4.0]))
     with pytest.raises(ValidationError):
         optimal_shift_check(theta, [1.0])
+
+
+def test_optimal_shift_rejects_a_non_finite_grid():
+    # a NaN shift used to give NaN fields, and an infinite one an infinite
+    # grid step that passed the resolution check vacuously
+    theta = make_observable(np.diag([0.0, 4.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="shift grid"):
+            optimal_shift_check(theta, [0.0, bad])
+
+
+def test_qtur_check_reads_holds_from_its_slack():
+    assert "holds" not in {f.name for f in dataclasses.fields(QturCheck)}
+    rho, sigma = diag_state(0.2, 0.8), diag_state(0.6, 0.4)
+    check = qtur_check(np.diag([1.0, -1.0]), rho, sigma)
+    for slack, holds in ((check.slack, True), (-2e-9, False), (-5e-10, True),
+                         (math.inf, True)):
+        assert dataclasses.replace(check, slack=slack).holds is holds
 
 
 def test_sign_decomposition_two_level_closed_form():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fluxbound import saturating_family, spin_pair_timeseries, SpinPairParams
+from fluxbound.errors import FluxboundError
 from fluxbound.io import (FORMAT_CSV, FORMAT_JSONL, MONTECARLO_HEADERS,
                           SATURATION_HEADERS, SPINPAIR_HEADERS, VERIFY_HEADERS,
                           format_value, montecarlo_rows, saturation_rows,
@@ -59,8 +60,9 @@ def test_write_table_jsonl_layout():
 
 
 def test_write_table_rejects_unknown_formats():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         write_table(io.StringIO(), ("a",), [(1,)], "parquet")
+    assert isinstance(excinfo.value, FluxboundError)
 
 
 def test_montecarlo_rows_align_with_headers():

@@ -13,8 +13,7 @@ from conftest import random_hermitian_np, reference_partial_trace, rng_for
 from fluxbound import (eigh, expectation, matrix_function, partial_trace,
                        schatten_norm, tensor_product, unitary_from_generator)
 from fluxbound.errors import DomainError, NumericError, ValidationError
-from fluxbound.linalg import (as_complex_matrix, hermiticity_defect,
-                              require_hermitian)
+from fluxbound.linalg import as_complex_matrix, require_hermitian
 
 
 def test_eigh_sorts_a_diagonal_matrix():
@@ -200,15 +199,16 @@ def test_partial_trace_and_tensor_product_reject_non_finite_entries(bad):
         as_complex_matrix(m)
 
 
-def test_hermiticity_defect_counts_the_largest_entry():
-    assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
-    assert hermiticity_defect(np.eye(3)) == 0.0
+def test_require_hermitian_reports_the_largest_entry_of_the_defect():
+    with pytest.raises(ValidationError, match=r"max \|M - M\^dag\| = 1\.000e\+00 "):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert np.array_equal(require_hermitian(np.eye(3)), np.eye(3))
 
 
 def test_require_hermitian_symmetrizes_rounding_noise():
     h = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]])
     out = require_hermitian(h)
-    assert hermiticity_defect(out) == 0.0
+    assert np.max(np.abs(out - out.conj().T)) == 0.0
     assert np.max(np.abs(out - np.array([[1.0, 0.5], [0.5, 2.0]]))) < 1e-13
 
 

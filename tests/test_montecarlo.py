@@ -9,11 +9,12 @@ import fluxbound.montecarlo as montecarlo_module
 from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
                        evaluate_bounds, make_observable, random_density,
                        random_observable, random_scenario, random_unitary,
-                       run_montecarlo, sample_qubit_triple, substream,
-                       triple_from_uniforms, validate_state)
+                       run_montecarlo, substream, triple_from_uniforms,
+                       validate_state)
 from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import ValidationError
-from fluxbound.montecarlo import MAX_REDRAWS, qubit_matrices
+from fluxbound.montecarlo import (MAX_REDRAWS, qubit_matrices,
+                                  sample_qubit_matrices)
 from fluxbound.verify import VerifyConfig
 
 
@@ -63,12 +64,12 @@ def test_triple_from_uniforms_consumes_exactly_seven():
         triple_from_uniforms([0.5] * 8)
 
 
-def test_sample_qubit_triple_reads_the_stream_in_protocol_order():
-    theta_a, rho_a, sigma_a = sample_qubit_triple(substream(9, 3))
-    theta_b, rho_b, sigma_b = triple_from_uniforms(substream(9, 3).random(7))
-    assert np.array_equal(theta_a.matrix, theta_b.matrix)
-    assert np.array_equal(rho_a.matrix, rho_b.matrix)
-    assert np.array_equal(sigma_a.matrix, sigma_b.matrix)
+def test_sample_qubit_matrices_reads_the_stream_in_protocol_order():
+    theta_a, rho_a, sigma_a = sample_qubit_matrices(substream(9, 3))
+    theta_b, rho_b, sigma_b = qubit_matrices(substream(9, 3).random(7))
+    assert np.array_equal(theta_a, theta_b)
+    assert np.array_equal(rho_a, rho_b)
+    assert np.array_equal(sigma_a, sigma_b)
 
 
 def test_run_montecarlo_is_deterministic():
@@ -89,7 +90,8 @@ def test_run_montecarlo_records_match_an_independent_replay():
         records, _ = run_montecarlo(config)
         assert [r.draw for r in records] == list(range(n_draws))
         for record in records:
-            theta, rho, sigma = sample_qubit_triple(substream(42, record.draw))
+            uniforms = substream(42, record.draw).random(7)
+            theta, rho, sigma = triple_from_uniforms(uniforms)
             report = evaluate_bounds(theta, rho, sigma)
             assert record.flux_ratio_sq == report.flux_ratio_sq
             assert record.s_tilde == report.s_tilde.as_float()
@@ -316,7 +318,7 @@ def test_random_objects_are_well_formed():
 
 def test_qubit_protocol_positivity_over_many_draws():
     for k in range(300):
-        theta, rho, sigma = sample_qubit_triple(substream(13, k, stream=61))
+        theta, rho, sigma = triple_from_uniforms(substream(13, k, stream=61).random(7))
         assert float(min(rho.eigenvalues)) >= 0.0
         assert float(min(sigma.eigenvalues)) >= 0.0
         assert abs(float(np.sum(sigma.eigenvalues)) - 1.0) <= 1e-12

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import (random_state_np, reference_relative_entropy, rng_for)
 from fluxbound import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                       partial_trace, pinsker_check, random_unitary,
-                       relative_entropy, symmetric_average,
+                       evaluate_bounds, make_observable, partial_trace,
+                       random_unitary, relative_entropy, symmetric_average,
                        symmetric_relative_entropy, tensor_product,
                        trace_distance_norm, validate_state)
 from fluxbound.errors import NumericError, ValidationError
@@ -182,43 +182,54 @@ def test_trace_distance_norm_diagonal_case():
         trace_distance_norm(rho, validate_state(np.eye(3) / 3.0))
 
 
+def pinsker_check(rho, sigma):
+    """The report and its forward Pinsker verdict, S(rho||sigma) / 2 >=
+    ||rho - sigma||_1^2 / 4: half the slack of S >= ||rho - sigma||_1^2 / 2."""
+    theta = make_observable(np.diag(np.linspace(-1.0, 1.0, rho.dim)))
+    report = evaluate_bounds(theta, rho, sigma)
+    return report, report.verdicts["pinsker_fwd"]
+
+
 def test_pinsker_holds_on_random_pairs():
     for k in range(20):
         rng = rng_for(k, stream=204)
         dim = 2 + k % 3
         rho = validate_state(random_state_np(rng, dim))
         sigma = validate_state(random_state_np(rng, dim))
-        check = pinsker_check(rho, sigma)
+        report, check = pinsker_check(rho, sigma)
         assert check.holds
-        assert check.slack >= -1e-9
-        assert check.rhs == pytest.approx(0.5 * trace_distance_norm(rho, sigma) ** 2,
-                                          abs=1e-13)
+        assert 2.0 * check.slack >= -1e-9
+        rhs = report.s_forward.value - 2.0 * check.slack
+        assert rhs == pytest.approx(0.5 * trace_distance_norm(rho, sigma) ** 2,
+                                    abs=1e-13)
 
 
-def test_pinsker_on_equal_states_has_zero_slack():
+def test_pinsker_on_equal_states_is_trivial():
+    # a coinciding pair is flagged, and every verdict holds trivially
     rho = validate_state(np.diag([0.4, 0.6]))
-    check = pinsker_check(rho, rho)
-    assert check.holds and not check.trivial
-    assert check.slack == pytest.approx(0.0, abs=1e-12)
+    report, check = pinsker_check(rho, rho)
+    assert report.states_equal
+    assert check.holds and check.trivial
+    assert check.slack == math.inf
 
 
 def test_pinsker_small_gap_closed_form():
     # at a = 0.1 the slack is S - tn^2 / 2 with S = 0.1 tanh(0.05) and
     # tn = 2 tanh(0.05)
     rho, sigma = two_level_pair(0.1)
-    check = pinsker_check(rho, sigma)
+    report, check = pinsker_check(rho, sigma)
     s = 0.1 * math.tanh(0.05)
     tn = 2.0 * math.tanh(0.05)
-    assert check.s_forward.value == pytest.approx(s, rel=1e-12)
-    assert check.trace_norm == pytest.approx(tn, rel=1e-12)
-    assert check.slack == pytest.approx(s - 0.5 * tn * tn, rel=1e-9)
-    assert check.slack == pytest.approx(4.159038923739339e-06, rel=1e-9)
+    assert report.s_forward.value == pytest.approx(s, rel=1e-12)
+    assert report.trace_norm == pytest.approx(tn, rel=1e-12)
+    assert 2.0 * check.slack == pytest.approx(s - 0.5 * tn * tn, rel=1e-9)
+    assert 2.0 * check.slack == pytest.approx(4.159038923739339e-06, rel=1e-9)
 
 
 def test_pinsker_infinite_divergence_is_trivial():
     maximally_mixed = validate_state(0.5 * np.eye(2))
     pure = validate_state(np.diag([1.0, 0.0]))
-    check = pinsker_check(maximally_mixed, pure)
+    report, check = pinsker_check(maximally_mixed, pure)
     assert check.trivial and check.holds
     assert check.slack == math.inf
 

@@ -1,6 +1,7 @@
 """System-environment scenarios, entropy flux, the exchange model,
 correlations, and the extremal family."""
 
+import dataclasses
 import decimal
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state_np, rng_for
-from fluxbound import (BATH_RESET, BOTH_RESET, SaturatingFamily,
+from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SaturatingFamily,
                        SpinPairParams, SpinPairPoint, correlation,
                        correlation_bound_report, divergence_from_gap,
                        entropy_flux, entropy_flux_chain_check, evolve,
@@ -155,6 +156,18 @@ def test_entropy_flux_chain_holds_on_random_scenarios():
                                     "cost_dominates_quadratic"}
         for slack in chain.steps.values():
             assert slack >= -1e-9
+
+
+def test_chain_check_reads_holds_from_its_steps():
+    assert "holds" not in {f.name for f in dataclasses.fields(ChainCheck)}
+    scenario = make_scenario(diag_state(0.3, 0.7), diag_state(0.6, 0.4),
+                             SWAP)
+    chain = entropy_flux_chain_check(scenario, evolve(scenario))
+    assert chain.steps and chain.holds
+    failing = dict(chain.steps, s_tilde_dominates_cost=-2e-9)
+    assert not dataclasses.replace(chain, steps=failing).holds
+    # a chain without steps holds trivially
+    assert dataclasses.replace(chain, steps={}).holds
 
 
 def test_entropy_flux_chain_is_all_zero_without_dynamics():

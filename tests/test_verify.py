@@ -8,6 +8,7 @@ import pytest
 
 import fluxbound.bounds as bounds_module
 from fluxbound.errors import ValidationError
+from fluxbound.montecarlo import DrawConfig
 from fluxbound.verify import VerifyConfig, run_verify
 
 SUITE_NAMES = ("bound_functions", "capacity", "bound_chain", "sign_identities",
@@ -42,6 +43,17 @@ def test_verify_config_validation():
     for slack in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="slack_tolerance"):
             VerifyConfig(slack_tolerance=slack)
+
+
+def test_both_configs_check_the_slack_tolerance_alike():
+    for slack in (0.0, -1.0, math.nan, math.inf):
+        messages = set()
+        for config in (VerifyConfig, DrawConfig):
+            with pytest.raises(ValidationError) as excinfo:
+                config(slack_tolerance=slack)
+            messages.add(str(excinfo.value))
+        assert messages == {f"slack_tolerance must be positive and finite, "
+                            f"got {slack!r}"}
 
 
 def test_a_broken_curve_is_caught_and_named(monkeypatch):
