@@ -38,11 +38,10 @@ from .errors import DomainError, NumericError
 # gap_from_divergence stops once |divergence_from_gap(y) - x| <=
 # ROOT_TOLERANCE * x: a relative criterion keeps the product identity
 # accurate at small x and stays reachable at large x, where an absolute one
-# drowns in rounding.  It takes at most MAX_ITERATIONS Newton steps, after
-# at most as many growths of the bracket by BRACKET_GROWTH.
+# drowns in rounding.  It takes at most MAX_ITERATIONS Newton steps inside
+# a starting bracket that always contains the root.
 ROOT_TOLERANCE = 1e-12
 MAX_ITERATIONS = 200
-BRACKET_GROWTH = 2.0
 
 
 def divergence_from_gap(gap: float) -> float:
@@ -82,9 +81,8 @@ def gap_from_divergence(x):
     """Inverse of divergence_from_gap, by bracketed Newton iteration.
 
     Starts from the bracket [x, max(x + 2, sqrt(2 x) + 2)] (the inverse
-    lies above x because tanh < 1, and near sqrt(2 x) for small x), grows
-    the upper end geometrically if needed, and falls back to bisection
-    whenever a Newton step leaves the bracket.
+    lies above x because tanh < 1, and near sqrt(2 x) for small x), and
+    falls back to bisection whenever a Newton step leaves the bracket.
     """
     return _entrywise(_gap_from_divergence, x)
 
@@ -94,13 +92,10 @@ def _gap_from_divergence(x: float) -> float:
     if x == 0.0:
         return 0.0
     lo = x
+    # the bracket holds the root (h = divergence_from_gap, increasing):
+    # h(x + 2) - x = 2 - 2 (x + 2) / (e^(x+2) + 1) >= 2 / (x + 3) > 0, and
+    # once tanh((x + 2) / 2) rounds to 1 (x > 36.2), h(hi) = hi >= x exactly
     hi = max(x + 2.0, math.sqrt(2.0 * x) + 2.0)
-    growths = 0
-    while divergence_from_gap(hi) < x:
-        hi *= BRACKET_GROWTH
-        growths += 1
-        if growths > MAX_ITERATIONS:
-            raise NumericError(f"could not bracket the inverse at x = {x!r}")
     tol = ROOT_TOLERANCE * x
     y = 0.5 * (lo + hi)
     for _ in range(MAX_ITERATIONS):

@@ -9,9 +9,11 @@ Subcommands:
 Common flags: --seed (master seed, default 42), --out (file path, default
 stdout), --format (csv or jsonl, default csv), --tolerance (default 1e-9):
 montecarlo and verify only score inequalities with it (a slack below
--tolerance is a violation), spinpair and saturation ignore it, and the
-identity checks use the fixed thresholds in fluxbound.config.  Identical
-flags and seed give byte-identical primary output; summaries go to stderr.
+-tolerance, or NaN, is a violation), and spinpair and saturation ignore
+it.  The library's invariant checks use the fixed thresholds in
+fluxbound.config; verify's identity checks use fixed thresholds written
+in fluxbound.verify (1e-8, 1e-9, 1e-10 or 1e-12).  Identical flags and
+seed give byte-identical primary output; summaries go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """

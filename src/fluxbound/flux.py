@@ -20,6 +20,8 @@ uncertainty relation with floor variance_ratio_floor(S).
 make_observable, flux, sign_decomposition and evaluate_bounds take single
 inputs or stacks, a single input as a stack of one (linalg.batch_of_one);
 a degenerate row is flagged, and only a single coinciding pair raises.
+qtur_check and optimal_shift_check take single inputs only.  clears is
+the one pass/fail rule of every inequality; a NaN slack fails it.
 """
 
 from __future__ import annotations
@@ -32,10 +34,25 @@ import numpy as np
 from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
-from .linalg import (Spectrum, batch_of_one, eigh, expectation, first_row,
-                     require_hermitian, row_label)
+from .linalg import (Spectrum, as_array, batch_of_one, eigh, expectation,
+                     first_row, from_spectrum, require_hermitian, row_label)
 from .states import (DensityMatrix, RelEntropyValue, check_same_shape,
-                     directed_entropy_pair, symmetric_average)
+                     directed_entropy_pair, symmetric_average,
+                     symmetric_relative_entropy)
+
+
+def clears(slack, tolerance: float):
+    """Whether a slack clears -tolerance, elementwise: the one pass/fail
+    rule of every inequality.  Written so that a NaN slack fails."""
+    return slack >= -tolerance
+
+
+def _require_single(**arguments) -> None:
+    """Reject, by name, the first argument that is not one matrix."""
+    for name, value in arguments.items():
+        shape = np.shape(as_array(value))
+        if len(shape) != 2:
+            raise ValidationError(f"{name} must be a single matrix, got shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,7 @@ class ShiftCheck:
 
 
 def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
+    _require_single(observable=observable)
     shifts = np.asarray(grid, dtype=np.float64)
     # a non-finite shift would leave the grid resolution meaningless
     if shifts.ndim != 1 or shifts.size < 2 or not np.isfinite(shifts).all():
@@ -176,9 +194,8 @@ def _sign_rows(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
     equal = magnitude.sum(axis=1) <= zero_tolerance
     in_kernel = magnitude <= zero_tolerance[:, None]
     signs = np.where(in_kernel, 0.0, np.sign(w))
-    vecs_h = vecs.conj().swapaxes(1, 2)
-    omega = (vecs * signs[:, None, :]) @ vecs_h
-    eps_op = (vecs * in_kernel[:, None, :]) @ vecs_h
+    omega = from_spectrum(vecs, signs)
+    eps_op = from_spectrum(vecs, in_kernel)
     eps_rho = expectation(eps_op, rho.matrix)
     eps_sigma = expectation(eps_op, sigma.matrix)
     bad = ~equal & (np.abs(eps_rho - eps_sigma) > tols.slack)
@@ -226,10 +243,11 @@ class QturCheck:
     @property
     def holds(self) -> bool:
         """Whether the slack clears -DEFAULT_TOLERANCES.slack."""
-        return self.slack >= -DEFAULT_TOLERANCES.slack
+        return clears(self.slack, DEFAULT_TOLERANCES.slack)
 
 
 def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
+    _require_single(operator=operator, rho=rho, sigma=sigma)
     h = require_hermitian(operator)
     h2 = h @ h
     mean_rho = expectation(h, rho.matrix)
@@ -240,8 +258,7 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
     scale = 1.0 + abs(mean_rho) + abs(mean_sigma)
     if abs(gap) <= 1e-15 * scale:
         raise DegenerateInputError("observable means coincide; the ratio is undefined")
-    forward, backward = directed_entropy_pair(rho, sigma)
-    s_tilde = symmetric_average(forward, backward)
+    s_tilde = symmetric_relative_entropy(rho, sigma)
     lhs = (var_rho + var_sigma) / (0.5 * gap * gap)
     if not s_tilde.finite:
         return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, 0.0, math.inf, True)
@@ -264,7 +281,7 @@ class Verdict:
     @property
     def holds(self):
         """Whether the slack clears -DEFAULT_TOLERANCES.slack."""
-        return self.slack >= -DEFAULT_TOLERANCES.slack
+        return clears(self.slack, DEFAULT_TOLERANCES.slack)
 
 
 @dataclass(frozen=True)
@@ -378,4 +395,4 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
 
 
 def _zero_where(value: RelEntropyValue, rows: np.ndarray) -> RelEntropyValue:
-    return RelEntropyValue(np.where(rows, 0.0, value.value), value.finite | rows)
+    return RelEntropyValue(np.where(rows, 0.0, value.value))

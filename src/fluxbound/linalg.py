@@ -11,7 +11,8 @@ functions of states and flux, handle stacks only: batch_of_one runs a
 single input as a stack of one and returns its row 0, and errors name the
 failing row of a stack of two or more.  unitary_from_generator takes one
 time or a 1-D grid of T times and returns exp(-i t G) as (n, n) or
-(T, n, n); it is the package's only matrix exponential.
+(T, n, n); it is the package's only matrix exponential, and
+from_spectrum, V diag(x) V^dag for one matrix or a stack, its only rebuild.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -380,8 +381,13 @@ def matrix_function(matrix, fn: Callable[[float], complex]) -> np.ndarray:
                     offending_value=float(w),
                 )
             fvals[k] = y
-    vecs = spec.eigenvectors
-    return (vecs * fvals) @ vecs.conj().T
+    return from_spectrum(spec.eigenvectors, fvals)
+
+
+def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(x) V^dag from eigenvector columns V and values x, for one
+    matrix or a stack; leading axes broadcast."""
+    return (vectors * values[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 def unitary_from_generator(generator, t=1.0) -> np.ndarray:
@@ -402,8 +408,7 @@ def unitary_from_generator(generator, t=1.0) -> np.ndarray:
     # a time t with t * w not finite at an eigenvalue w gives a NaN phase
     if not np.isfinite(phases).all():
         raise DomainError("exp(-i t G) needs every t * eigenvalue of G finite")
-    vecs = spec.eigenvectors
-    return (vecs * phases[..., None, :]) @ vecs.conj().T
+    return from_spectrum(spec.eigenvectors, phases)
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import BLOCK_ROWS
 from .errors import ValidationError
-from .flux import BoundReport, Observable, evaluate_bounds, make_observable
+from .flux import BoundReport, Observable, clears, evaluate_bounds, make_observable
 from .linalg import as_array
 from .states import DensityMatrix, validate_state
 
@@ -168,11 +168,11 @@ def _record_block(first: int, report: BoundReport, redraws: list, tolerance: flo
                   records: list, summary: MonteCarloSummary) -> None:
     """Append the block's records, as Python scalars, and fold the block
     into the summary.  redraws holds each row's redraw count.  A verdict
-    holds when its slack clears -tolerance."""
+    holds when its slack clears -tolerance (flux.clears)."""
     s_tilde = report.s_tilde.as_float()
     infinite = ~report.s_tilde.finite
     main = report.verdicts["main"]
-    holds = {name: v.slack >= -tolerance for name, v in report.verdicts.items()}
+    holds = {name: clears(v.slack, tolerance) for name, v in report.verdicts.items()}
     holds_all = np.logical_and.reduce(list(holds.values()))
     columns = zip(report.flux_ratio_sq.tolist(), s_tilde.tolist(),
                   report.pinsker_rhs.tolist(), report.main_rhs.tolist(),

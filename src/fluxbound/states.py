@@ -8,11 +8,10 @@ evaluated in the eigenbasis of the second argument,
                       - sum_{i,j} p_i |<p_i|s_j>|^2 ln s_j,
 
 restricted to the supports of rho and sigma.  When rho places weight on
-the kernel of sigma the divergence is infinite; that outcome is returned
-as a tagged value (RelEntropyValue with finite=False), never as a bare
-floating-point infinity fed into arithmetic.  Every function here takes
-single states or stacks; a single state runs as a stack of one
-(linalg.batch_of_one).
+the kernel of sigma the divergence is infinite: a RelEntropyValue then
+carries value inf, which sums and averages propagate, and reads its
+finite flag from the value.  Every function here takes single states or
+stacks; a single state runs as a stack of one (linalg.batch_of_one).
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import NumericError, ValidationError
-from .linalg import (batch_of_one, eigh, first_row, require_hermitian,
-                     row_label, shape_label)
+from .linalg import (batch_of_one, eigh, first_row, from_spectrum,
+                     require_hermitian, row_label, shape_label)
 
 
 @dataclass(frozen=True)
@@ -90,42 +89,40 @@ def validate_state(matrix) -> DensityMatrix:
     values /= values.sum(axis=1, keepdims=True)
     if clamped.any():
         rows = np.flatnonzero(clamped)
-        v = vecs[rows]
-        rebuilt = (v * values[rows][:, None, :]) @ v.conj().swapaxes(1, 2)
+        rebuilt = from_spectrum(vecs[rows], values[rows])
         a[rows] = 0.5 * (rebuilt + rebuilt.conj().swapaxes(1, 2))
     return DensityMatrix(a, values, vecs, clamped)
 
 
 @dataclass(frozen=True)
 class RelEntropyValue:
-    """Nonnegative extended real: a finite value or a tagged infinity.
+    """Nonnegative extended real: a relative entropy, inf when infinite.
 
-    For a stack, value and finite are arrays over its rows.  An infinite
-    entry always carries value inf.
+    For a stack, value is an array over its rows, and so is finite.
     """
 
     value: float
-    finite: bool = True
 
     @classmethod
     def infinite(cls) -> "RelEntropyValue":
-        return cls(value=math.inf, finite=False)
+        return cls(math.inf)
 
     def __post_init__(self):
+        ok = np.asarray(self.value) >= 0.0  # False for NaN too
+        if not ok.all():
+            bad = self.value[first_row(~ok)] if ok.ndim else self.value
+            raise ValidationError(f"finite relative entropy must be >= 0, got {bad!r}")
+
+    @property
+    def finite(self):
+        """isfinite(value): a bool, or a bool array for a stack."""
         if isinstance(self.value, np.ndarray):
-            ok = ~self.finite | ((self.value >= 0.0) & np.isfinite(self.value))
-            if not ok.all():
-                raise ValidationError(
-                    f"finite relative entropy must be >= 0, got "
-                    f"{self.value[first_row(~ok)]!r}")
-        elif self.finite and not (self.value >= 0.0 and math.isfinite(self.value)):
-            raise ValidationError(f"finite relative entropy must be >= 0, got {self.value!r}")
+            return np.isfinite(self.value)
+        return math.isfinite(self.value)
 
     def as_float(self):
-        """Plain float for display and serialization (inf when infinite)."""
-        if isinstance(self.value, np.ndarray):
-            return np.where(self.finite, self.value, math.inf)
-        return self.value if self.finite else math.inf
+        """The value for display and serialization (inf when infinite)."""
+        return self.value
 
 
 def _directed_entropies(p: np.ndarray, s: np.ndarray,
@@ -181,7 +178,7 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
         raise NumericError(
             f"relative entropy evaluated to "
             f"{values[first_row(bad[:, k]), k].item()!r}{row_label(rows)}")
-    return tuple(RelEntropyValue(v, np.isfinite(v)) for v in np.maximum(values, 0.0))
+    return tuple(RelEntropyValue(v) for v in np.maximum(values, 0.0))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> RelEntropyValue:
@@ -192,10 +189,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> RelEntropyValu
 
 def symmetric_average(forward: RelEntropyValue,
                       backward: RelEntropyValue) -> RelEntropyValue:
-    """(S(rho||sigma) + S(sigma||rho)) / 2 as a tagged value (inf as soon
-    as either direction is)."""
-    return RelEntropyValue(0.5 * (forward.value + backward.value),
-                           forward.finite & backward.finite)
+    """(S(rho||sigma) + S(sigma||rho)) / 2 (inf as soon as either
+    direction is)."""
+    return RelEntropyValue(0.5 * (forward.value + backward.value))
 
 
 def symmetric_relative_entropy(rho: DensityMatrix,

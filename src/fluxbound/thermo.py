@@ -44,9 +44,9 @@ import numpy as np
 from . import bounds as _bounds
 from .config import BLOCK_ROWS, DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
-from .flux import Observable, evaluate_bounds, make_observable
-from .linalg import (as_stack, eigh, expectation, partial_trace, take_row,
-                     tensor_product, unitary_from_generator)
+from .flux import Observable, clears, evaluate_bounds, make_observable
+from .linalg import (as_stack, eigh, expectation, from_spectrum, partial_trace,
+                     take_row, tensor_product, unitary_from_generator)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      symmetric_average, symmetric_relative_entropy,
                      trace_distance_norm, validate_state)
@@ -124,8 +124,7 @@ def entropy_flux(scenario: BipartiteScenario, outcome: ScenarioOutcome) -> Entro
             offending_value=smallest,
         )
     log_eigs = np.log(env.eigenvalues)
-    vecs = env.eigenvectors
-    log_env = (vecs * log_eigs) @ vecs.conj().T
+    log_env = from_spectrum(env.eigenvectors, log_eigs)
     value = expectation(log_env, env.matrix - outcome.rho_environment.matrix)
     capacity = float(log_eigs[-1] - log_eigs[0])
     return EntropyFlux(value=value, capacity=capacity)
@@ -150,8 +149,7 @@ def thermal_environment(hamiltonian, beta: float) -> DensityMatrix:
     # subtract the ground energy before exponentiating for stability
     weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
     weights = weights / float(np.sum(weights))
-    vecs = spec.eigenvectors
-    return validate_state((vecs * weights) @ vecs.conj().T)
+    return validate_state(from_spectrum(spec.eigenvectors, weights))
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ class ChainCheck:
     @property
     def holds(self) -> bool:
         """Whether every step clears -DEFAULT_TOLERANCES.slack."""
-        return all(step >= -DEFAULT_TOLERANCES.slack for step in self.steps.values())
+        return all(clears(s, DEFAULT_TOLERANCES.slack) for s in self.steps.values())
 
 
 def _chain_from_parts(phi: float, capacity: float,

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fluxbound import (divergence_from_gap, flux_ratio_sq_bound,
@@ -35,6 +37,15 @@ def test_divergence_from_gap_rejects_nan():
     with pytest.raises(DomainError) as excinfo:
         divergence_from_gap(math.nan)
     assert math.isnan(excinfo.value.offending_value)
+
+
+@settings(derandomize=True, database=None)
+@given(st.floats(min_value=0.0, max_value=1e300))
+def test_the_starting_bracket_holds_the_root(x):
+    # gap_from_divergence searches [x, max(x + 2, sqrt(2 x) + 2)] and no
+    # longer grows the bracket: h(x + 2) - x = 2 - 2 (x + 2) / (e^(x+2) + 1)
+    # >= 2 / (x + 3) > 0, and past x = 36.2 tanh rounds to 1, so h(hi) = hi
+    assert divergence_from_gap(max(x + 2.0, math.sqrt(2.0 * x) + 2.0)) >= x
 
 
 def test_divergence_from_gap_is_strictly_increasing():

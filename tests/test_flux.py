@@ -11,8 +11,8 @@ from fluxbound import (DEFAULT_TOLERANCES, QturCheck, Verdict,
                        evaluate_bounds, flux,
                        make_observable, optimal_shift_check, qtur_check,
                        random_observable, sign_decomposition, validate_state)
-from fluxbound.errors import (DegenerateInputError, NumericError,
-                              ValidationError)
+from fluxbound.errors import (DegenerateInputError, FluxboundError,
+                              NumericError, ValidationError)
 from fluxbound.linalg import take_row
 from fluxbound.thermo import saturating_family
 
@@ -188,6 +188,20 @@ def test_qtur_holds_on_random_pairs():
         check = qtur_check(dec.sign_operator, rho, sigma)
         assert check.holds
         assert check.slack >= -1e-9
+
+
+def test_single_input_checks_reject_stacks_by_name():
+    # both used to fail inside numpy: "the truth value of an array ... is
+    # ambiguous" and "operands could not be broadcast together"
+    rho = validate_state(np.stack([np.diag([0.2, 0.8])] * 2))
+    sigma = validate_state(np.stack([np.diag([0.6, 0.4])] * 2))
+    with pytest.raises(FluxboundError, match=r"^operator .*\(2, 2, 2\)"):
+        qtur_check(np.stack([np.diag([1.0, -1.0])] * 2), rho, sigma)
+    with pytest.raises(FluxboundError, match=r"^rho .*\(2, 2, 2\)"):
+        qtur_check(np.diag([1.0, -1.0]), rho, take_row(sigma, 0))
+    thetas = make_observable(np.stack([np.diag([1.0, -1.0])] * 3))
+    with pytest.raises(FluxboundError, match=r"^observable .*\(3, 2, 2\)"):
+        optimal_shift_check(thetas, np.linspace(-2.0, 2.0, 3))
 
 
 def test_qtur_rejects_coinciding_means():

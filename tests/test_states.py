@@ -1,5 +1,6 @@
 """State validation, relative entropy, and the Pinsker inequality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,21 @@ def test_rel_entropy_value_rejects_negative_or_nan():
     with pytest.raises(ValidationError):
         RelEntropyValue(math.nan)
     assert RelEntropyValue.infinite().as_float() == math.inf
+
+
+def test_rel_entropy_value_reads_finite_from_its_value():
+    # value is the one field; finite used to be a second, separately set one
+    assert [f.name for f in dataclasses.fields(RelEntropyValue)] == ["value"]
+    for value in (0.0, 1.5, math.inf):
+        single = RelEntropyValue(value)
+        assert single.finite is math.isfinite(value)
+        assert single.as_float() == value
+    values = np.array([0.0, math.inf, 2.0])
+    stack = RelEntropyValue(values)
+    assert stack.finite.tolist() == np.isfinite(values).tolist()
+    assert stack.as_float() is values
+    with pytest.raises(ValidationError, match=r"got np\.float64\(nan\)"):
+        RelEntropyValue(np.array([1.0, math.nan]))
 
 
 def test_symmetric_relative_entropy_is_symmetric_and_zero_on_equal():

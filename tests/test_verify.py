@@ -9,7 +9,7 @@ import pytest
 import fluxbound.bounds as bounds_module
 from fluxbound.errors import ValidationError
 from fluxbound.montecarlo import DrawConfig
-from fluxbound.verify import VerifyConfig, run_verify
+from fluxbound.verify import SuiteResult, VerifyConfig, run_verify
 
 SUITE_NAMES = ("bound_functions", "capacity", "bound_chain", "sign_identities",
                "uncertainty", "optimal_shift", "thermo_chain", "local_bound",
@@ -70,6 +70,25 @@ def test_a_broken_curve_is_caught_and_named(monkeypatch):
     worst = next(s for s in report.suites if s.name == "saturation").worst
     assert "a=" in worst  # the violation names the offending input
     assert "np.float64" not in worst
+
+
+def test_a_nan_curve_is_a_violation(monkeypatch):
+    # verify used to score a NaN slack as a pass (slack < -tolerance is
+    # False for NaN) and reported ok with no violation in any suite
+    monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
+                        lambda x: math.nan * x)
+    report = run_verify(VerifyConfig(draws=12))
+    assert not report.ok
+    failing = {s.name for s in report.suites if s.violations > 0}
+    assert {"bound_functions", "bound_chain", "saturation"} <= failing
+
+
+def test_suite_result_counts_a_nan_slack_as_a_violation():
+    result = SuiteResult("probe", 1e-9)
+    for slack in (1.0, -5e-10, math.nan, -2e-9):
+        result.record(slack, f"slack {slack!r}")
+    assert (result.checks, result.violations) == (4, 2)
+    assert result.min_slack == -2e-9
 
 
 def test_sign_identities_do_not_depend_on_the_scoring_tolerance():
