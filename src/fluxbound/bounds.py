@@ -19,8 +19,9 @@ relation.  They satisfy flux_ratio_sq_bound * (1 + variance_ratio_floor)
 = 1 identically.  By continuity flux_ratio_sq_bound(0) = 0, and the
 curve increases to 1 as x -> inf.
 
-gap_from_divergence, flux_ratio_sq_bound and onsager_like take a float or
-an array (a stack of values) and answer in kind.  The iteration runs
+gap_from_divergence, flux_ratio_sq_bound, variance_ratio_floor and
+onsager_like take a float or an array (a stack of values) and answer in
+kind.  The iteration runs
 entry by entry in Python floats: at a stack of one, masked numpy
 arithmetic costs tens of times more than the scalar iteration, and the
 per-entry results do not depend on the stack.  An entry outside the
@@ -133,10 +134,14 @@ def flux_ratio_sq_bound(x):
     return ratio * ratio
 
 
-def variance_ratio_floor(x: float) -> float:
+def variance_ratio_floor(x):
     """Lower bound on the variance ratio of the uncertainty relation,
     1 / sinh(gap_from_divergence(x) / 2)^2.  Diverges as x -> 0+, so
     x = 0 is outside the domain; decreasing in x."""
+    return _entrywise(_variance_ratio_floor, x)
+
+
+def _variance_ratio_floor(x: float) -> float:
     if x <= 0.0:
         raise DomainError("variance_ratio_floor requires positive divergence",
                           offending_value=x)

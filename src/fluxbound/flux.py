@@ -17,11 +17,14 @@ shared weight both states place on the kernel of rho - sigma, together
 with the entropy-cost form 2 r artanh(r) <= S and the variance
 uncertainty relation with floor variance_ratio_floor(S).
 
-make_observable, flux, sign_decomposition and evaluate_bounds take single
-inputs or stacks, a single input as a stack of one (linalg.batch_of_one);
-a degenerate row is flagged, and only a single coinciding pair raises.
-qtur_check and optimal_shift_check take single inputs only.  clears is
-the one pass/fail rule of every inequality; a NaN slack fails it.
+make_observable, flux, sign_decomposition, qtur_check and evaluate_bounds
+take single inputs or stacks, a single input as a stack of one
+(linalg.batch_of_one).  evaluate_bounds and sign_decomposition flag a
+degenerate row, and only a single coinciding pair raises; qtur_check
+raises on a degenerate row, naming it.  optimal_shift_check takes a
+single observable only.  clears is the one pass/fail rule of every
+inequality; a NaN slack fails it, and lowers makes the first NaN a
+running minimum.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import numpy as np
 from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
-from .linalg import (Spectrum, as_array, batch_of_one, eigh, expectation,
-                     first_row, from_spectrum, require_hermitian, row_label)
+from .linalg import (Spectrum, batch_of_one, eigh, expectation, first_row,
+                     from_spectrum, require_hermitian, require_single,
+                     row_label, shape_label)
 from .states import (DensityMatrix, RelEntropyValue, check_same_shape,
                      directed_entropy_pair, symmetric_average,
                      symmetric_relative_entropy)
@@ -47,12 +51,10 @@ def clears(slack, tolerance: float):
     return slack >= -tolerance
 
 
-def _require_single(**arguments) -> None:
-    """Reject, by name, the first argument that is not one matrix."""
-    for name, value in arguments.items():
-        shape = np.shape(as_array(value))
-        if len(shape) != 2:
-            raise ValidationError(f"{name} must be a single matrix, got shape {shape}")
+def lowers(slack: float, minimum: float) -> bool:
+    """Whether a slack replaces a running minimum slack: it is lower, or
+    the first NaN, which then stays the minimum."""
+    return not (math.isnan(minimum) or slack >= minimum)
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class ShiftCheck:
 
 
 def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
-    _require_single(observable=observable)
+    require_single(observable=observable)
     shifts = np.asarray(grid, dtype=np.float64)
     # a non-finite shift would leave the grid resolution meaningless
     if shifts.ndim != 1 or shifts.size < 2 or not np.isfinite(shifts).all():
@@ -246,27 +248,40 @@ class QturCheck:
         return clears(self.slack, DEFAULT_TOLERANCES.slack)
 
 
+@batch_of_one
 def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
-    _require_single(operator=operator, rho=rho, sigma=sigma)
+    """The uncertainty relation for one observable and pair of states, or
+    row by row for stacks (every field is then an array over the rows).
+    Raises DegenerateInputError, naming the first such row of a stack,
+    where the means coincide or the states do (the floor diverges)."""
     h = require_hermitian(operator)
+    for name, state in (("rho", rho), ("sigma", sigma)):
+        if state.matrix.shape != h.shape:
+            raise ValidationError(f"{name} has shape {shape_label(state.matrix)}, "
+                                  f"operator {shape_label(h)}")
     h2 = h @ h
     mean_rho = expectation(h, rho.matrix)
     mean_sigma = expectation(h, sigma.matrix)
     var_rho = expectation(h2, rho.matrix) - mean_rho * mean_rho
     var_sigma = expectation(h2, sigma.matrix) - mean_sigma * mean_sigma
     gap = mean_rho - mean_sigma
-    scale = 1.0 + abs(mean_rho) + abs(mean_sigma)
-    if abs(gap) <= 1e-15 * scale:
-        raise DegenerateInputError("observable means coincide; the ratio is undefined")
+    scale = 1.0 + np.abs(mean_rho) + np.abs(mean_sigma)
+    bad = np.abs(gap) <= 1e-15 * scale
+    if bad.any():
+        raise DegenerateInputError(f"observable means coincide{row_label(bad)}; "
+                                   f"the ratio is undefined")
     s_tilde = symmetric_relative_entropy(rho, sigma)
     lhs = (var_rho + var_sigma) / (0.5 * gap * gap)
-    if not s_tilde.finite:
-        return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, 0.0, math.inf, True)
-    if s_tilde.value == 0.0:
-        raise DegenerateInputError("states coincide; the floor diverges")
-    floor = _bounds.variance_ratio_floor(s_tilde.value)
+    finite = s_tilde.finite
+    bad = finite & (s_tilde.value == 0.0)
+    if bad.any():
+        raise DegenerateInputError(f"states coincide{row_label(bad)}; "
+                                   f"the floor diverges")
+    floor = np.zeros(len(lhs))
+    if finite.any():
+        floor[finite] = _bounds.variance_ratio_floor(s_tilde.value[finite])
     return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, floor,
-                     lhs - floor, False)
+                     np.where(finite, lhs - floor, math.inf), ~finite)
 
 
 @dataclass(frozen=True)

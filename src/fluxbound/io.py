@@ -31,8 +31,9 @@ def format_value(value) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    # strict JSON has no infinities or NaN: they become string markers
+    if isinstance(value, float) and not math.isfinite(value):
+        return format_value(value)
     return value
 
 

@@ -7,12 +7,16 @@ products, partial traces, Schatten norms and expectation values.
 
 require_hermitian, eigh, partial_trace and expectation take one (n, n)
 matrix or a (B, n, n) stack.  Their bodies, like those of the stacked
-functions of states and flux, handle stacks only: batch_of_one runs a
-single input as a stack of one and returns its row 0, and errors name the
-failing row of a stack of two or more.  unitary_from_generator takes one
-time or a 1-D grid of T times and returns exp(-i t G) as (n, n) or
-(T, n, n); it is the package's only matrix exponential, and
-from_spectrum, V diag(x) V^dag for one matrix or a stack, its only rebuild.
+functions of states, flux and thermo, handle stacks only: batch_of_one
+runs a single input as a stack of one and returns its row 0, and errors
+name the failing row of a stack of two or more.  tensor_product takes
+two matrices or two stacks, and a single factor broadcasts against a
+stack.  unitary_from_generator takes one generator with one time or a 1-D
+grid of T times, or a (B, n, n) stack of generators with one time, and
+returns exp(-i t G) as (n, n), (T, n, n) or (B, n, n); it is the
+package's only matrix exponential, and from_spectrum, V diag(x) V^dag for
+one matrix or a stack, its only rebuild.  matrix_function and
+schatten_norm take one matrix only, and reject a stack by name.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -52,12 +56,14 @@ class Spectrum(NamedTuple):
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a square complex128 ndarray with finite entries."""
+    """Coerce input to a square complex128 ndarray with finite entries:
+    one matrix, or a (B, n, n) stack whose error names the failing row."""
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix has non-finite entries")
+    finite = np.atleast_1d(np.isfinite(a).all(axis=(-2, -1)))
+    if not finite.all():
+        raise ValidationError(f"matrix has non-finite entries{row_label(~finite)}")
     return a
 
 
@@ -135,27 +141,43 @@ def as_array(operator) -> np.ndarray:
     return np.asarray(operator, dtype=np.complex128)
 
 
+def require_single(**arguments) -> None:
+    """Reject, by name, the first argument that is not one matrix."""
+    for name, value in arguments.items():
+        shape = np.shape(as_array(value))
+        if len(shape) != 2:
+            raise ValidationError(f"{name} must be a single matrix, got shape {shape}")
+
+
+def _is_single(argument) -> bool:
+    """Whether an argument is one (n, n) matrix, a record carrying one in
+    .matrix, or a record of such records whose first field is single."""
+    matrix = getattr(argument, "matrix", None)
+    if matrix is None and hasattr(argument, "__dataclass_fields__"):
+        return _is_single(next(iter(vars(argument).values()), None))
+    return np.ndim(argument if matrix is None else matrix) == 2
+
+
 def _lift_argument(argument):
-    """One argument of a single call as a stack of one: records field by
-    field, other carriers of a matrix as their matrix; dimensions and
-    names pass through."""
-    if isinstance(argument, np.ndarray):
-        return argument[None]
+    """One argument of a single call as a stack of one: a single matrix
+    (_is_single) gains a leading axis, a record field by field; stacks,
+    dimensions and names pass through."""
+    if not _is_single(argument):
+        return argument
     if hasattr(argument, "__dataclass_fields__"):
         return as_stack(argument)
-    if isinstance(argument, (list, tuple)) or hasattr(argument, "matrix"):
-        return as_array(argument)[None]
-    return argument
+    return as_array(argument)[None]
 
 
 def batch_of_one(function):
     """Run a function written for stacks on a single input: a call whose
-    first argument is one (n, n) matrix, or a record carrying one in
-    .matrix, runs on its arguments lifted to stacks of one and returns
-    row 0 of the result.  Any other call passes through."""
+    first argument is single (_is_single: one (n, n) matrix, a record
+    carrying one in .matrix, or a scenario of such records) runs on its
+    arguments lifted to stacks of one and returns row 0 of the result.
+    Any other call passes through."""
     @functools.wraps(function)
     def lifted(first, *args, **kwargs):
-        if np.ndim(getattr(first, "matrix", first)) != 2:
+        if not _is_single(first):
             return function(first, *args, **kwargs)
         return take_row(function(_lift_argument(first),
                                  *map(_lift_argument, args), **kwargs), 0)
@@ -364,6 +386,7 @@ def matrix_function(matrix, fn: Callable[[float], complex]) -> np.ndarray:
     offending eigenvalue, if fn raises or returns a non-finite value at
     any eigenvalue (for example log at a zero eigenvalue).
     """
+    require_single(matrix=matrix)
     spec = eigh(matrix)
     fvals = np.empty(spec.eigenvalues.shape, dtype=np.complex128)
     with np.errstate(all="ignore"):
@@ -395,14 +418,17 @@ def unitary_from_generator(generator, t=1.0) -> np.ndarray:
 
     t is a time or a 1-D array of T times; the result is (n, n) or a
     (T, n, n) stack, from one eigendecomposition of G.  generator may also
-    be G's Spectrum, so that a grid taken in blocks decomposes G once.
-    Each unitary is V diag(exp(-i t w)) V^dag, elementwise in t, so it
-    does not depend on the other times.
+    be G's Spectrum, so that a grid taken in blocks decomposes G once, or
+    a (B, n, n) stack of generators, all taken at the one time t, which
+    gives a (B, n, n) stack.  Each unitary is V diag(exp(-i t w)) V^dag,
+    elementwise in t, so it does not depend on the other times or rows.
     """
     spec = generator if isinstance(generator, Spectrum) else eigh(generator)
     times = np.asarray(t, dtype=np.float64)
     if times.ndim > 1:
         raise ValidationError(f"times must be a scalar or 1-D, got shape {times.shape}")
+    if times.ndim == 1 and spec.eigenvalues.ndim > 1:
+        raise ValidationError("a stack of generators takes a single time")
     with np.errstate(all="ignore"):
         phases = np.exp(-1j * spec.eigenvalues * times[..., None])
     # a time t with t * w not finite at an eigenvalue w gives a NaN phase
@@ -412,8 +438,14 @@ def unitary_from_generator(generator, t=1.0) -> np.ndarray:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product (first factor varies slowest)."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product (first factor varies slowest) of two matrices, or
+    row by row of a (B, m, m) and a (B, n, n) stack; a single factor
+    broadcasts against a stack.  Each entry is the one product
+    a[i, j] * b[k, l], as in np.kron."""
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    m, n = a.shape[-1], b.shape[-1]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (m * n, m * n))
 
 
 @batch_of_one
@@ -460,6 +492,7 @@ def schatten_norm(matrix, k) -> float:
     Computed from the eigenvalues: sum |w| for k = 1, sqrt(sum w^2) for
     k = 2, max |w| for k = inf.
     """
+    require_single(matrix=matrix)
     w = eigh(matrix).eigenvalues
     if k == 1:
         return float(np.sum(np.abs(w)))

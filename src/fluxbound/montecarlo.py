@@ -35,7 +35,8 @@ import numpy as np
 
 from .config import BLOCK_ROWS
 from .errors import ValidationError
-from .flux import BoundReport, Observable, clears, evaluate_bounds, make_observable
+from .flux import (BoundReport, Observable, clears, evaluate_bounds, lowers,
+                   make_observable)
 from .linalg import as_array
 from .states import DensityMatrix, validate_state
 
@@ -168,7 +169,8 @@ def _record_block(first: int, report: BoundReport, redraws: list, tolerance: flo
                   records: list, summary: MonteCarloSummary) -> None:
     """Append the block's records, as Python scalars, and fold the block
     into the summary.  redraws holds each row's redraw count.  A verdict
-    holds when its slack clears -tolerance (flux.clears)."""
+    holds when its slack clears -tolerance (flux.clears), and a NaN main
+    slack becomes min_slack_main."""
     s_tilde = report.s_tilde.as_float()
     infinite = ~report.s_tilde.finite
     main = report.verdicts["main"]
@@ -191,10 +193,12 @@ def _record_block(first: int, report: BoundReport, redraws: list, tolerance: flo
         failed = int(np.count_nonzero(~held))
         if failed:
             summary.violations[name] = summary.violations.get(name, 0) + failed
-    counted = ~main.trivial & np.isfinite(main.slack)
+    counted = ~main.trivial
     if counted.any():
-        summary.min_slack_main = min(summary.min_slack_main,
-                                     float(main.slack[counted].min()))
+        # a NaN slack is the block's minimum (numpy's min propagates it)
+        lowest = float(main.slack[counted].min())
+        if lowers(lowest, summary.min_slack_main):
+            summary.min_slack_main = lowest
 
 
 def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=sample_qubit_matrices,

@@ -26,6 +26,13 @@ The two-spin exchange model used throughout is two levels per side with
 splitting Omega, excitation exchange at strength g_coupling and phase
 phase0; basis order is |gg>, |ge>, |eg>, |ee> (system factor first).
 
+The scenario layer (make_scenario, evolve, entropy_flux,
+thermal_environment, the two chain checks and the correlations) takes
+one scenario or a stack of B of them, whose records then hold B rows; a
+single scenario runs as a stack of one (linalg.batch_of_one), and errors
+name the failing row of a stack.  A stacked ChainCheck gives a step that
+does not apply to a row the slack +inf.
+
 spin_pair_timeseries and saturating_family evaluate their grids as
 (B, n, n) stacks, BLOCK_ROWS points at a time, and every row equals its
 point evaluated alone.  The closed forms are taken point by point with
@@ -45,7 +52,8 @@ from . import bounds as _bounds
 from .config import BLOCK_ROWS, DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import Observable, clears, evaluate_bounds, make_observable
-from .linalg import (as_stack, eigh, expectation, from_spectrum, partial_trace,
+from .linalg import (as_stack, batch_of_one, eigh, expectation, first_row,
+                     from_spectrum, partial_trace, row_label, shape_label,
                      take_row, tensor_product, unitary_from_generator)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      symmetric_average, symmetric_relative_entropy,
@@ -54,33 +62,49 @@ from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
 
 @dataclass(frozen=True)
 class BipartiteScenario:
-    dim_system: int
-    dim_environment: int
+    """Initial states and joint unitary of one scenario, or of a stack of
+    B of them (each field then holds B rows)."""
+
     rho_system: DensityMatrix
     rho_environment: DensityMatrix
     unitary: np.ndarray
 
+    @property
+    def dim_system(self) -> int:
+        return self.rho_system.dim
 
+    @property
+    def dim_environment(self) -> int:
+        return self.rho_environment.dim
+
+
+@batch_of_one
 def make_scenario(rho_system: DensityMatrix, rho_environment: DensityMatrix,
                   unitary) -> BipartiteScenario:
+    """Check the unitary of a scenario, or of each row of stacks of B
+    states and unitaries; errors name the first failing row."""
     u = np.asarray(unitary, dtype=np.complex128)
-    d = rho_system.dim * rho_environment.dim
-    if u.shape != (d, d):
-        raise ValidationError(f"unitary shape {u.shape} does not match joint dim {d}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    # written so that a NaN defect fails too
-    if not defect <= DEFAULT_TOLERANCES.unitarity:
+    rows, d = len(rho_system.matrix), rho_system.dim * rho_environment.dim
+    if u.shape != (rows, d, d) or len(rho_environment.matrix) != rows:
         raise ValidationError(
-            f"unitarity invariant violated: ||U^dag U - I||_max = {defect:.3e}"
+            f"unitary shape {shape_label(u)} does not match joint dim {d}"
+            + (f" and {rows} rows" if rows > 1 else ""))
+    defect = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(d)).max(axis=(1, 2))
+    # written so that a NaN defect fails too
+    bad = ~(defect <= DEFAULT_TOLERANCES.unitarity)
+    if bad.any():
+        raise ValidationError(
+            f"unitarity invariant violated{row_label(bad)}: "
+            f"||U^dag U - I||_max = {defect[first_row(bad)]:.3e}"
         )
-    return BipartiteScenario(rho_system.dim, rho_environment.dim,
-                             rho_system, rho_environment, u)
+    return BipartiteScenario(rho_system, rho_environment, u)
 
 
 @dataclass(frozen=True)
 class ScenarioOutcome:
     """Evolved joint state, its marginals, and the two directed
-    entropy productions against the uncorrelated reference."""
+    entropy productions against the uncorrelated reference (stacks of B
+    rows for a stack of scenarios)."""
 
     rho_joint: DensityMatrix
     rho_system: DensityMatrix
@@ -90,11 +114,13 @@ class ScenarioOutcome:
     entropy_production_dual: RelEntropyValue
 
 
+@batch_of_one
 def evolve(scenario: BipartiteScenario) -> ScenarioOutcome:
+    """Evolve a scenario, or each row of a stack of them."""
     u = scenario.unitary
     joint0 = tensor_product(scenario.rho_system.matrix,
                             scenario.rho_environment.matrix)
-    joint = validate_state(u @ joint0 @ u.conj().T)
+    joint = validate_state(u @ joint0 @ u.conj().swapaxes(1, 2))
     ds, de = scenario.dim_system, scenario.dim_environment
     marg_s = validate_state(partial_trace(joint.matrix, ds, de, "system"))
     marg_e = validate_state(partial_trace(joint.matrix, ds, de, "environment"))
@@ -110,55 +136,70 @@ class EntropyFlux:
     capacity: float
 
 
+@batch_of_one
 def entropy_flux(scenario: BipartiteScenario, outcome: ScenarioOutcome) -> EntropyFlux:
-    """Phi = tr((rho_E - rho_E') log rho_E) and its capacity.
+    """Phi = tr((rho_E - rho_E') log rho_E) and its capacity, for a
+    scenario or each row of a stack (arrays over the rows).
 
     The environment must be full rank, otherwise log rho_E is unbounded
     and the capacity is infinite.
     """
     env = scenario.rho_environment
-    smallest = float(env.eigenvalues[0])
-    if smallest <= DEFAULT_TOLERANCES.rank:
+    smallest = env.eigenvalues[:, 0]
+    bad = smallest <= DEFAULT_TOLERANCES.rank
+    if bad.any():
         raise DomainError(
-            "environment is rank deficient; log rho_E is unbounded",
-            offending_value=smallest,
+            f"environment is rank deficient{row_label(bad)}; "
+            f"log rho_E is unbounded",
+            offending_value=smallest[first_row(bad)].item(),
         )
     log_eigs = np.log(env.eigenvalues)
     log_env = from_spectrum(env.eigenvectors, log_eigs)
     value = expectation(log_env, env.matrix - outcome.rho_environment.matrix)
-    capacity = float(log_eigs[-1] - log_eigs[0])
+    capacity = log_eigs[:, -1] - log_eigs[:, 0]
     return EntropyFlux(value=value, capacity=capacity)
 
 
-def thermal_environment(hamiltonian, beta: float) -> DensityMatrix:
-    """Gibbs state exp(-beta H) / Z.
+@batch_of_one
+def thermal_environment(hamiltonian, beta) -> DensityMatrix:
+    """Gibbs state exp(-beta H) / Z, for one Hamiltonian or for a stack of
+    B of them with one beta or an array of B.
 
     For a thermal environment the entropy flux reduces to heat times
     inverse temperature, Phi = beta tr((rho_E' - rho_E) H), and the
     capacity to beta * (E_max - E_min).
     """
-    if not 0.0 < beta < math.inf:
+    betas = np.broadcast_to(np.asarray(beta, dtype=np.float64),
+                            np.shape(hamiltonian)[:1])
+    bad = ~((0.0 < betas) & (betas < math.inf))
+    if bad.any():
         raise ValidationError(
-            f"inverse temperature must be positive and finite, got {beta!r}")
+            f"inverse temperature must be positive and finite{row_label(bad)}, "
+            f"got {betas[first_row(bad)].item()!r}")
     spec = eigh(hamiltonian)
-    spread = float(spec.eigenvalues[-1] - spec.eigenvalues[0])
-    if not math.isfinite(beta * spread):
+    spread = spec.eigenvalues[:, -1] - spec.eigenvalues[:, 0]
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(betas * spread)
+    if bad.any():
+        k = first_row(bad)
         raise ValidationError(
-            f"inverse temperature beta = {beta!r} times the energy spread "
-            f"{spread!r} overflows")
+            f"inverse temperature beta = {betas[k].item()!r} times the energy "
+            f"spread {spread[k].item()!r} overflows{row_label(bad)}")
     # subtract the ground energy before exponentiating for stability
-    weights = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues[0]))
-    weights = weights / float(np.sum(weights))
+    weights = np.exp(-betas[:, None] * (spec.eigenvalues - spec.eigenvalues[:, :1]))
+    weights = weights / weights.sum(axis=1, keepdims=True)
     return validate_state(from_spectrum(spec.eigenvectors, weights))
 
 
 @dataclass(frozen=True)
 class ChainCheck:
-    """Slack accounting for a three-step entropy chain.
+    """Slack accounting for a three-step entropy chain, or for a stack of
+    B chains (every field then an array over the rows).
 
-    steps maps a name to its slack (rhs-to-lhs margin); holds requires
-    every step to clear -DEFAULT_TOLERANCES.slack.  trivial marks chains
-    resolved by an infinite entropy or a degenerate capacity.
+    steps maps a name to its slack (rhs-to-lhs margin), +inf where the
+    step does not apply: an infinite entropy or a degenerate capacity
+    resolves the chain (trivial), and an infinite cost has no quadratic
+    step.  holds requires every step to clear -DEFAULT_TOLERANCES.slack.
     """
 
     flux: float
@@ -170,40 +211,52 @@ class ChainCheck:
     trivial: bool
 
     @property
-    def holds(self) -> bool:
-        """Whether every step clears -DEFAULT_TOLERANCES.slack."""
-        return all(clears(s, DEFAULT_TOLERANCES.slack) for s in self.steps.values())
+    def holds(self):
+        """Whether every step clears -DEFAULT_TOLERANCES.slack (per row
+        for a stack)."""
+        holds = True
+        for slack in self.steps.values():
+            holds = holds & clears(slack, DEFAULT_TOLERANCES.slack)
+        return holds
 
 
-def _chain_from_parts(phi: float, capacity: float,
-                      s_tilde: RelEntropyValue,
+def _finite_part(entropy: RelEntropyValue) -> np.ndarray:
+    """An entropy's values, 0 where infinite, for masked arithmetic."""
+    return np.where(entropy.finite, entropy.value, 0.0)
+
+
+def _chain_from_parts(phi, capacity, s_tilde: RelEntropyValue,
                       production_mean: RelEntropyValue | None) -> ChainCheck:
-    if capacity <= 0.0:
-        return ChainCheck(phi, capacity, 0.0, s_tilde, production_mean, {}, True)
-    ratio = min(abs(phi) / capacity, 1.0)
+    """The chain's steps from stacked fluxes, capacities and entropies;
+    production_mean is None for the local chain, which starts at S_tilde."""
+    live = capacity > 0.0
+    ratio = np.where(live, np.minimum(np.abs(phi) / np.where(live, capacity, 1.0),
+                                      1.0), 0.0)
     cost = _bounds.onsager_like(ratio)
+    cost_finite = np.isfinite(cost)
+    cost = np.where(cost_finite, cost, 0.0)
+    s_finite = s_tilde.finite
+    s_value = _finite_part(s_tilde)
+    trivial = ~live | ~s_finite
     steps: dict = {}
-    trivial = False
     if production_mean is not None:
-        if production_mean.finite and s_tilde.finite:
-            steps["production_dominates_s_tilde"] = production_mean.value - s_tilde.value
-        elif not production_mean.finite:
-            trivial = True
-        else:
-            # finite production but infinite marginal entropy cannot occur
-            steps["production_dominates_s_tilde"] = -math.inf
-    if s_tilde.finite and math.isfinite(cost):
-        steps["s_tilde_dominates_cost"] = s_tilde.value - cost
-    elif not s_tilde.finite:
-        trivial = True
-    else:
-        steps["s_tilde_dominates_cost"] = -math.inf
-    if math.isfinite(cost):
-        steps["cost_dominates_quadratic"] = cost - 2.0 * ratio * ratio
+        p_finite = production_mean.finite
+        trivial |= ~p_finite
+        # finite production but infinite marginal entropy cannot occur
+        steps["production_dominates_s_tilde"] = np.where(
+            p_finite & s_finite, _finite_part(production_mean) - s_value,
+            np.where(p_finite, -math.inf, math.inf))
+    steps["s_tilde_dominates_cost"] = np.where(
+        s_finite & cost_finite, s_value - cost,
+        np.where(s_finite, -math.inf, math.inf))
+    steps["cost_dominates_quadratic"] = np.where(
+        cost_finite, cost - 2.0 * ratio * ratio, math.inf)
+    steps = {name: np.where(live, slack, math.inf) for name, slack in steps.items()}
     return ChainCheck(phi, capacity, ratio, s_tilde, production_mean,
                       steps, trivial)
 
 
+@batch_of_one
 def entropy_flux_chain_check(scenario: BipartiteScenario,
                              outcome: ScenarioOutcome) -> ChainCheck:
     """(Sigma + Sigma_dual)/2 >= S_sym(rho_E, rho_E') >= 2 r artanh r >= 2 r^2."""
@@ -215,6 +268,7 @@ def entropy_flux_chain_check(scenario: BipartiteScenario,
     return _chain_from_parts(ef.value, ef.capacity, s_env, production_mean)
 
 
+@batch_of_one
 def local_system_bound_check(observable: Observable, rho_later: DensityMatrix,
                              rho_earlier: DensityMatrix) -> ChainCheck:
     """S_sym(rho_later, rho_earlier) >= 2 r artanh r >= 2 r^2 for the flux
@@ -366,6 +420,7 @@ def _reset_states(scenario: BipartiteScenario, outcome: ScenarioOutcome,
     raise ValidationError(f"unknown protocol {protocol!r}")
 
 
+@batch_of_one
 def correlation(theta_system: Observable, theta_environment: Observable,
                 scenario: BipartiteScenario, outcome: ScenarioOutcome,
                 protocol: str = BATH_RESET) -> float:
@@ -374,7 +429,8 @@ def correlation(theta_system: Observable, theta_environment: Observable,
     bath_reset subtracts <theta_S>_{rho_S'} <theta_E>_{rho_E}: the flux of
     theta_S x theta_E from the evolved state to rho_S' x rho_E.  both_reset
     subtracts <theta_S>_{rho_S0} <theta_E>_{rho_E0}, the flux to the
-    initial product state.
+    initial product state.  An array over the rows for stacked
+    arguments.
     """
     system, environment, _ = _reset_states(scenario, outcome, protocol)
     joint_obs = tensor_product(theta_system.matrix, theta_environment.matrix)
@@ -384,12 +440,14 @@ def correlation(theta_system: Observable, theta_environment: Observable,
     return joint_mean - mean_s * mean_e
 
 
+@batch_of_one
 def correlation_bound_report(theta_system: Observable,
                              theta_environment: Observable,
                              scenario: BipartiteScenario, outcome: ScenarioOutcome,
                              protocol: str = BATH_RESET):
     """BoundReport for the product observable against the reference state
-    matching the protocol; its flux equals correlation()."""
+    matching the protocol, for one scenario or a stack; its flux equals
+    correlation()."""
     system, environment, reference = _reset_states(scenario, outcome, protocol)
     joint_obs = make_observable(
         tensor_product(theta_system.matrix, theta_environment.matrix))

@@ -5,6 +5,15 @@ one stream id per suite), checks one family of claims, and reports the
 number of checks, the number of violations and the smallest slack seen.
 A violation pinpoints the suite, the draw index and the offending
 quantity, so a broken bound is named rather than silently averaged away.
+
+A random suite works in three steps (_check_draws): it samples each
+draw's raw inputs (Ginibre states, Hermitian matrices, uniforms) from the
+draw's own substream, in draw order; it validates and evaluates the
+draws whose inputs share their shapes, one stack per dimension, through
+the stacked core; and it records the checks in draw order.  Every row of
+a stack is computed as it would be alone, so the tallies are those of a
+draw-by-draw run, bit for bit, and draw i of a suite stays a pure
+function of (seed, suite stream, i).
 """
 
 from __future__ import annotations
@@ -16,11 +25,12 @@ import numpy as np
 
 from . import bounds as _bounds
 from .errors import ValidationError
-from .flux import (Observable, clears, evaluate_bounds, make_observable,
-                   optimal_shift_check, qtur_check, sign_decomposition)
+from .flux import (Observable, clears, evaluate_bounds, lowers,
+                   make_observable, optimal_shift_check, qtur_check,
+                   sign_decomposition)
 from .linalg import expectation, take_row, unitary_from_generator
-from .montecarlo import (check_master_seed, check_slack_tolerance, substream,
-                         triple_from_uniforms)
+from .montecarlo import (check_master_seed, check_slack_tolerance,
+                         qubit_matrices, substream)
 from .states import DensityMatrix, validate_state
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      correlation, correlation_bound_report, entropy_flux,
@@ -45,7 +55,8 @@ _SUITE_STREAMS = {
 @dataclass
 class SuiteResult:
     """A suite's tally; a check is violated when its slack does not clear
-    -tolerance (the run's slack_tolerance), a NaN slack included."""
+    -tolerance (the run's slack_tolerance), a NaN slack included.  The
+    first NaN slack becomes min_slack, and stays it, so worst names it."""
 
     name: str
     tolerance: float
@@ -56,7 +67,7 @@ class SuiteResult:
 
     def record(self, slack: float, detail: str) -> None:
         self.checks += 1
-        if slack < self.min_slack:
+        if lowers(slack, self.min_slack):
             self.min_slack = slack
             self.worst = detail
         if not clears(slack, self.tolerance):
@@ -93,11 +104,16 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Full-rank state from a square Ginibre factor, rho = G G^dag / tr."""
+def _state_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The matrix of random_density's state, not yet validated."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return validate_state(m / float(np.trace(m).real))
+    return m / float(np.trace(m).real)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Full-rank state from a square Ginibre factor, rho = G G^dag / tr."""
+    return validate_state(_state_matrix(rng, dim))
 
 
 def random_observable(rng: np.random.Generator, dim: int) -> Observable:
@@ -108,12 +124,24 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return unitary_from_generator(random_hermitian(rng, dim), 1.0)
 
 
+def _scenario_inputs(rng: np.random.Generator, dim_system: int,
+                     dim_environment: int) -> tuple:
+    """A scenario's raw inputs (rho_S, rho_E, generator of U), in the
+    order random_scenario draws them."""
+    return (_state_matrix(rng, dim_system),
+            _state_matrix(rng, dim_environment),
+            random_hermitian(rng, dim_system * dim_environment))
+
+
+def _scenario(rho_system, rho_environment, generator) -> BipartiteScenario:
+    """The scenario of raw inputs, or the stack of scenarios of stacks."""
+    return make_scenario(validate_state(rho_system), validate_state(rho_environment),
+                         unitary_from_generator(generator, 1.0))
+
+
 def random_scenario(rng: np.random.Generator, dim_system: int = 2,
                     dim_environment: int = 2) -> BipartiteScenario:
-    rho_s = random_density(rng, dim_system)
-    rho_e = random_density(rng, dim_environment)
-    u = random_unitary(rng, dim_system * dim_environment)
-    return make_scenario(rho_s, rho_e, u)
+    return _scenario(*_scenario_inputs(rng, dim_system, dim_environment))
 
 
 def _draws(config: VerifyConfig, suite: str, halved: bool = False):
@@ -125,10 +153,45 @@ def _draws(config: VerifyConfig, suite: str, halved: bool = False):
         yield k, 2 + k % 3, substream(config.master_seed, k, _SUITE_STREAMS[suite])
 
 
-def _random_pair(rng, dim):
+def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
+                 halved: bool = False) -> SuiteResult:
+    """Sample each draw's raw inputs from its own substream, in draw
+    order, with sample(k, dim, rng) (a tuple of arrays and floats); evaluate
+    the draws whose inputs share their shapes as one stack, with
+    evaluate(*stacked inputs), which returns one list of (slack, detail)
+    checks per draw; and record the checks in draw order, each detail
+    prefixed with "draw k".  Every row of a stack is computed as it would
+    be alone, so the grouping changes no check."""
+    groups: dict = {}
+    for k, dim, rng in _draws(config, result.name, halved):
+        inputs = sample(k, dim, rng)
+        groups.setdefault(tuple(map(np.shape, inputs)), []).append((k, inputs))
+    checks = {}
+    for members in groups.values():
+        draws, inputs = zip(*members)
+        checks.update(zip(draws, evaluate(*map(np.stack, zip(*inputs)))))
+    for k in sorted(checks):
+        for slack, detail in checks[k]:
+            result.record(slack, f"draw {k} {detail}")
+    return result
+
+
+def _pair_inputs(k, dim, rng):
     # full-rank Ginibre states: an infinite divergence has measure zero,
     # and the suites skip the checks it would make trivial
-    return random_density(rng, dim), random_density(rng, dim)
+    return _state_matrix(rng, dim), _state_matrix(rng, dim)
+
+
+def _triple_inputs(k, dim, rng):
+    return (random_hermitian(rng, dim), *_pair_inputs(k, dim, rng))
+
+
+def _chain_checks(chain) -> list:
+    """Each row's steps of a stacked ChainCheck, as (slack, name) checks;
+    a step whose slack is +inf does not apply to the row."""
+    columns = [(name, slacks.tolist()) for name, slacks in chain.steps.items()]
+    return [[(slacks[row], name) for name, slacks in columns
+             if slacks[row] != math.inf] for row in range(len(chain.trivial))]
 
 
 def suite_bound_functions(config: VerifyConfig) -> SuiteResult:
@@ -162,115 +225,135 @@ def suite_bound_functions(config: VerifyConfig) -> SuiteResult:
 def suite_capacity(config: VerifyConfig, tols=None) -> SuiteResult:
     """|flux| <= capacity for random triples.  tols is ignored; the
     benchmark's set-up still passes config.DEFAULT_TOLERANCES."""
-    result = SuiteResult("capacity", config.slack_tolerance)
-    for k, dim, rng in _draws(config, result.name):
-        theta = random_observable(rng, dim)
-        rho, sigma = _random_pair(rng, dim)
-        phi = expectation(theta.matrix, rho.matrix - sigma.matrix)
-        result.record(theta.capacity - abs(phi), f"draw {k} dim {dim}")
-    return result
+    def evaluate(thetas, rhos, sigmas):
+        theta = make_observable(thetas)
+        phi = expectation(theta.matrix, validate_state(rhos).matrix
+                          - validate_state(sigmas).matrix)
+        return [[(slack, f"dim {theta.dim}")]
+                for slack in (theta.capacity - np.abs(phi)).tolist()]
+    return _check_draws(SuiteResult("capacity", config.slack_tolerance), config,
+                        _triple_inputs, evaluate)
 
 
 def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
     """The full ordered chain on random triples and on protocol draws:
     ratio^2 <= tn^2/4 <= (1 - eps) B <= B <= 1, the entropy-cost form,
     and both Pinsker variants."""
-    result = SuiteResult("bound_chain", config.slack_tolerance)
-    for k, dim, rng in _draws(config, result.name):
+    def sample(k, dim, rng):
+        # even draws follow the Monte Carlo protocol, odd ones are Ginibre
         if k % 2 == 0:
-            theta, rho, sigma = triple_from_uniforms(rng.random(7))
-        else:
-            theta = random_observable(rng, dim)
-            rho, sigma = _random_pair(rng, dim)
-        report = evaluate_bounds(theta, rho, sigma)
-        for name, verdict in report.verdicts.items():
-            if verdict.trivial:
-                continue
-            result.record(verdict.slack, f"draw {k} {name}")
-        if report.s_tilde.finite and not report.degenerate_capacity:
-            result.record(1.0 - report.main_rhs, f"draw {k} curve <= 1")
-            result.record(report.main_rhs - report.strengthened_rhs,
-                          f"draw {k} strengthened <= main")
-    return result
+            return qubit_matrices(rng.random(7))
+        return _triple_inputs(k, dim, rng)
+
+    def evaluate(thetas, rhos, sigmas):
+        report = evaluate_bounds(make_observable(thetas), validate_state(rhos),
+                                 validate_state(sigmas))
+        verdicts = [(name, v.slack.tolist(), v.trivial.tolist())
+                    for name, v in report.verdicts.items()]
+        ends = report.s_tilde.finite & ~report.degenerate_capacity
+        draws = []
+        for row, (end, main, strengthened) in enumerate(zip(
+                ends.tolist(), report.main_rhs.tolist(),
+                report.strengthened_rhs.tolist())):
+            checks = [(slack[row], name) for name, slack, trivial in verdicts
+                      if not trivial[row]]
+            if end:
+                checks += [(1.0 - main, "curve <= 1"),
+                           (main - strengthened, "strengthened <= main")]
+            draws.append(checks)
+        return draws
+    return _check_draws(SuiteResult("bound_chain", config.slack_tolerance), config,
+                        sample, evaluate)
 
 
 def suite_sign_identities(config: VerifyConfig) -> SuiteResult:
     """Sign-operator identities: flux of the sign operator recovers the
     trace norm, both states share the kernel weight, squares add to I."""
-    result = SuiteResult("sign_identities", config.slack_tolerance)
     tol = 1e-9  # a fixed identity threshold, as in the other suites
-    for k, dim, rng in _draws(config, result.name):
-        rho, sigma = _random_pair(rng, dim)
+
+    def evaluate(rhos, sigmas):
+        rho, sigma = validate_state(rhos), validate_state(sigmas)
         dec = sign_decomposition(rho, sigma)
-        tn = float(np.sum(np.abs(dec.difference_spectrum.eigenvalues)))
+        tn = np.abs(dec.difference_spectrum.eigenvalues).sum(axis=1)
         gap = expectation(dec.sign_operator, rho.matrix - sigma.matrix)
-        result.record(tol - abs(gap - tn), f"draw {k} trace-norm recovery")
         eps_rho = expectation(dec.kernel_projector, rho.matrix)
         eps_sigma = expectation(dec.kernel_projector, sigma.matrix)
-        result.record(tol - abs(eps_rho - eps_sigma), f"draw {k} kernel weight")
         unit = dec.sign_operator @ dec.sign_operator + dec.kernel_projector
-        result.record(tol - float(np.max(np.abs(unit - np.eye(dim)))),
-                      f"draw {k} squares to identity")
-    return result
+        unit_error = np.abs(unit - np.eye(rho.dim)).max(axis=(1, 2))
+        slacks = zip((tol - np.abs(gap - tn)).tolist(),
+                     (tol - np.abs(eps_rho - eps_sigma)).tolist(),
+                     (tol - unit_error).tolist())
+        return [list(zip(row, ("trace-norm recovery", "kernel weight",
+                               "squares to identity"))) for row in slacks]
+    return _check_draws(SuiteResult("sign_identities", config.slack_tolerance),
+                        config, _pair_inputs, evaluate)
 
 
 def suite_uncertainty(config: VerifyConfig) -> SuiteResult:
     """Variance uncertainty relation for the sign operator, plus its
     equality on the extremal two-level family."""
-    result = SuiteResult("uncertainty", config.slack_tolerance)
-    for k, dim, rng in _draws(config, result.name):
-        rho, sigma = _random_pair(rng, dim)
-        dec = sign_decomposition(rho, sigma)
-        check = qtur_check(dec.sign_operator, rho, sigma)
-        if not check.trivial:
-            result.record(check.slack, f"draw {k} dim {dim}")
+    def evaluate(rhos, sigmas):
+        rho, sigma = validate_state(rhos), validate_state(sigmas)
+        check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
+        return [[] if trivial else [(slack, f"dim {rho.dim}")]
+                for slack, trivial in zip(check.slack.tolist(), check.trivial.tolist())]
+    result = _check_draws(SuiteResult("uncertainty", config.slack_tolerance),
+                          config, _pair_inputs, evaluate)
     grid = np.linspace(0.2, 6.0, 30)
     rhos, sigmas, _ = saturating_family(grid)
-    for k, a in enumerate(grid.tolist()):
-        rho, sigma = take_row(rhos, k), take_row(sigmas, k)
-        dec = sign_decomposition(rho, sigma)
-        check = qtur_check(dec.sign_operator, rho, sigma)
-        result.record(1e-8 - abs(check.slack), f"equality at a={a!r}")
+    check = qtur_check(sign_decomposition(rhos, sigmas).sign_operator, rhos, sigmas)
+    for a, slack in zip(grid.tolist(), check.slack.tolist()):
+        result.record(1e-8 - abs(slack), f"equality at a={a!r}")
     return result
 
 
 def suite_optimal_shift(config: VerifyConfig) -> SuiteResult:
-    """min over shifts of ||theta - s I||_inf equals capacity / 2."""
-    result = SuiteResult("optimal_shift", config.slack_tolerance)
-    for k, dim, rng in _draws(config, result.name, halved=True):
-        theta = random_observable(rng, dim)
-        span = theta.capacity if theta.capacity > 0 else 1.0
-        grid = np.linspace(theta.theta_min - span, theta.theta_max + span, 10000)
-        check = optimal_shift_check(theta, grid)
-        result.record(check.grid_min - check.half_capacity, f"draw {k} grid minimum")
-        result.record(check.half_capacity + check.grid_step - check.grid_min,
-                      f"draw {k} grid resolution")
-        result.record(1e-12 - abs(check.value_at_lambda_star - check.half_capacity),
-                      f"draw {k} value at the optimal shift")
-    return result
+    """min over shifts of ||theta - s I||_inf equals capacity / 2.  The
+    observables are made as one stack; each scans its own grid of 10,000
+    shifts, one row at a time."""
+    def evaluate(hermitians):
+        thetas = make_observable(hermitians)
+        draws = []
+        for row in range(len(hermitians)):
+            theta = take_row(thetas, row)
+            span = theta.capacity if theta.capacity > 0 else 1.0
+            grid = np.linspace(theta.theta_min - span, theta.theta_max + span, 10000)
+            check = optimal_shift_check(theta, grid)
+            draws.append([
+                (check.grid_min - check.half_capacity, "grid minimum"),
+                (check.half_capacity + check.grid_step - check.grid_min,
+                 "grid resolution"),
+                (1e-12 - abs(check.value_at_lambda_star - check.half_capacity),
+                 "value at the optimal shift")])
+        return draws
+    return _check_draws(SuiteResult("optimal_shift", config.slack_tolerance), config,
+                        lambda k, dim, rng: (random_hermitian(rng, dim),),
+                        evaluate, halved=True)
 
 
 def suite_thermo_chain(config: VerifyConfig) -> SuiteResult:
     """Entropy-production chain on random 2x2 scenarios, and the thermal
     identity Phi = beta * heat for Gibbs environments."""
-    result = SuiteResult("thermo_chain", config.slack_tolerance)
-    for k, _, rng in _draws(config, result.name, halved=True):
-        scenario = random_scenario(rng, 2, 2)
-        outcome = evolve(scenario)
-        chain = entropy_flux_chain_check(scenario, outcome)
-        for name, slack in chain.steps.items():
-            result.record(slack, f"draw {k} {name}")
-        # thermal identity on an independent Gibbs environment
+    def sample(k, dim, rng):
+        scenario = _scenario_inputs(rng, 2, 2)
+        # the thermal identity runs on an independent Gibbs environment
         h_env = np.diag(np.sort(rng.random(2) * 3.0)).astype(np.complex128)
-        beta = 0.1 + 4.9 * rng.random()
+        return (*scenario, h_env, 0.1 + 4.9 * rng.random())
+
+    def evaluate(rho_s, rho_e, generators, h_env, beta):
+        scenario = _scenario(rho_s, rho_e, generators)
+        chain = entropy_flux_chain_check(scenario, evolve(scenario))
         gibbs = thermal_environment(h_env, beta)
         thermal = make_scenario(scenario.rho_system, gibbs, scenario.unitary)
         thermal_outcome = evolve(thermal)
         ef = entropy_flux(thermal, thermal_outcome)
         heat = expectation(h_env, thermal_outcome.rho_environment.matrix
                            - gibbs.matrix)
-        result.record(1e-10 - abs(ef.value - beta * heat), f"draw {k} thermal identity")
-    return result
+        identity = 1e-10 - np.abs(ef.value - beta * heat)
+        return [steps + [(slack, "thermal identity")]
+                for steps, slack in zip(_chain_checks(chain), identity.tolist())]
+    return _check_draws(SuiteResult("thermo_chain", config.slack_tolerance), config,
+                        sample, evaluate, halved=True)
 
 
 def suite_local_bound(config: VerifyConfig) -> SuiteResult:
@@ -284,36 +367,44 @@ def suite_local_bound(config: VerifyConfig) -> SuiteResult:
         result.record(point.s_tilde - point.onsager, f"exchange model at t={point.t!r}")
         result.record(point.onsager - point.two_phi_sq,
                       f"exchange cost at t={point.t!r}")
-    for k, _, rng in _draws(config, result.name, halved=True):
-        scenario = random_scenario(rng, 2, 2)
+
+    def evaluate(rho_s, rho_e, generators, thetas):
+        scenario = _scenario(rho_s, rho_e, generators)
         outcome = evolve(scenario)
-        theta = random_observable(rng, 2)
-        chain = local_system_bound_check(theta, outcome.rho_system,
-                                         scenario.rho_system)
-        for name, slack in chain.steps.items():
-            result.record(slack, f"draw {k} {name}")
-    return result
+        return _chain_checks(local_system_bound_check(
+            make_observable(thetas), outcome.rho_system, scenario.rho_system))
+    return _check_draws(result, config,
+                        lambda k, dim, rng: (*_scenario_inputs(rng, 2, 2),
+                                             random_hermitian(rng, 2)),
+                        evaluate, halved=True)
 
 
 def suite_correlation(config: VerifyConfig) -> SuiteResult:
     """Correlation of local product observables: definitional agreement
     with the flux route and the entropy cap, under both reset protocols."""
-    result = SuiteResult("correlation", config.slack_tolerance)
-    for k, _, rng in _draws(config, result.name, halved=True):
-        scenario = random_scenario(rng, 2, 2)
+    def evaluate(rho_s, rho_e, generators, h_system, h_environment):
+        scenario = _scenario(rho_s, rho_e, generators)
         outcome = evolve(scenario)
-        theta_s = random_observable(rng, 2)
-        theta_e = random_observable(rng, 2)
+        theta_s, theta_e = make_observable(h_system), make_observable(h_environment)
+        draws = [[] for _ in range(len(generators))]
         for protocol in (BATH_RESET, BOTH_RESET):
-            value = correlation(theta_s, theta_e, scenario, outcome, protocol)
+            values = correlation(theta_s, theta_e, scenario, outcome, protocol)
             report = correlation_bound_report(theta_s, theta_e, scenario,
                                               outcome, protocol)
-            result.record(1e-9 - abs(value - report.flux),
-                          f"draw {k} {protocol} definitional")
-            if report.capacity > 0 and report.s_tilde.finite:
-                cap = report.main_rhs - (value / report.capacity) ** 2
-                result.record(cap, f"draw {k} {protocol} entropy cap")
-    return result
+            for checks, value, flux, capacity, finite, main in zip(
+                    draws, values.tolist(), report.flux.tolist(),
+                    report.capacity.tolist(), report.s_tilde.finite.tolist(),
+                    report.main_rhs.tolist()):
+                checks.append((1e-9 - abs(value - flux), f"{protocol} definitional"))
+                if capacity > 0 and finite:
+                    checks.append((main - (value / capacity) ** 2,
+                                   f"{protocol} entropy cap"))
+        return draws
+    return _check_draws(SuiteResult("correlation", config.slack_tolerance), config,
+                        lambda k, dim, rng: (*_scenario_inputs(rng, 2, 2),
+                                             random_hermitian(rng, 2),
+                                             random_hermitian(rng, 2)),
+                        evaluate, halved=True)
 
 
 def suite_saturation(config: VerifyConfig) -> SuiteResult:

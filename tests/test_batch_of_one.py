@@ -1,5 +1,6 @@
 """The single-input path: every function written for stacks takes one input
-as a stack of one, through linalg.batch_of_one."""
+as a stack of one, through linalg.batch_of_one, and every row of a stack
+is the single call on that row."""
 
 import dataclasses
 
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_state_np, rng_for
-from fluxbound import (directed_entropy_pair, eigh, evaluate_bounds,
-                       expectation, flux, make_observable, partial_trace,
-                       random_observable, sign_decomposition,
-                       trace_distance_norm, validate_state)
+from fluxbound import (BOTH_RESET, correlation, correlation_bound_report,
+                       directed_entropy_pair, eigh, entropy_flux,
+                       entropy_flux_chain_check, evaluate_bounds, evolve,
+                       expectation, flux, make_observable, make_scenario,
+                       partial_trace, qtur_check, random_observable,
+                       sign_decomposition, thermal_environment,
+                       trace_distance_norm, unitary_from_generator,
+                       validate_state)
 from fluxbound.errors import FluxboundError
 from fluxbound.linalg import as_stack, require_hermitian, take_row
 
@@ -95,6 +100,68 @@ def _args_triple(bad):
     return (theta, *_states())
 
 
+def _args_qtur_check(bad):
+    thetas, _, _ = _matrices(2, 5)
+    if bad:
+        # the identity has the same mean in both states
+        thetas[BAD_ROW] = np.eye(2)
+    return (thetas, *_states())
+
+
+def _args_make_scenario(bad):
+    generators, _, _ = _matrices(4, 6)
+    unitaries = unitary_from_generator(generators, 1.0)
+    if bad:
+        unitaries[BAD_ROW] *= 0.5
+    return (*_states(), unitaries)
+
+
+def _scenario(bad=False):
+    scenario = make_scenario(*_args_make_scenario(bad=False))
+    if bad:
+        # a scaled unitary, past make_scenario, scales the joint trace
+        unitaries = scenario.unitary.copy()
+        unitaries[BAD_ROW] *= 1.2
+        scenario = dataclasses.replace(scenario, unitary=unitaries)
+    return scenario
+
+
+def _args_evolve(bad):
+    return (_scenario(bad),)
+
+
+def _args_scenario_outcome(bad):
+    scenario = _scenario()
+    outcome = evolve(scenario)
+    if bad:
+        scenario = dataclasses.replace(scenario, rho_environment=_with_bad_row(
+            scenario.rho_environment, eigenvalues=[0.0, 1.0]))
+    return scenario, outcome
+
+
+def _args_thermal_environment(bad):
+    thetas, _, _ = _matrices(2, 7)
+    betas = np.array([0.5, 1.0, 2.0])
+    if bad:
+        betas[BAD_ROW] = np.nan
+    return thetas, betas
+
+
+def _observable_pair(bad):
+    thetas, others, _ = _matrices(2, 8)
+    theta_s, theta_e = make_observable(thetas), make_observable(others)
+    if bad:
+        # an anti-Hermitian part in one row of the system observable
+        theta_s = _with_bad_row(theta_s,
+                                matrix=theta_s.matrix[BAD_ROW] + 1j * np.eye(2))
+    return theta_s, theta_e
+
+
+def _args_correlation(bad):
+    scenario = _scenario()
+    return (*_observable_pair(bad), scenario, evolve(scenario), BOTH_RESET)
+
+
 CASES = {
     "require_hermitian": (require_hermitian, _args_require_hermitian,
                           "not Hermitian"),
@@ -113,6 +180,18 @@ CASES = {
                            "too large for the eigensolver"),
     "flux": (flux, _args_triple, "exceeds capacity"),
     "evaluate_bounds": (evaluate_bounds, _args_triple, "exceeds capacity"),
+    "qtur_check": (qtur_check, _args_qtur_check, "observable means coincide"),
+    "make_scenario": (make_scenario, _args_make_scenario,
+                      "unitarity invariant violated"),
+    "evolve": (evolve, _args_evolve, "state trace invariant"),
+    "entropy_flux": (entropy_flux, _args_scenario_outcome, "rank deficient"),
+    "entropy_flux_chain_check": (entropy_flux_chain_check,
+                                 _args_scenario_outcome, "rank deficient"),
+    "thermal_environment": (thermal_environment, _args_thermal_environment,
+                            "inverse temperature"),
+    "correlation": (correlation, _args_correlation, "imaginary part"),
+    "correlation_bound_report": (correlation_bound_report, _args_correlation,
+                                 "not Hermitian"),
 }
 
 
@@ -174,6 +253,15 @@ def test_a_single_input_is_row_zero_of_a_stack_of_one(name):
             assert leaf.ndim >= 1
         else:
             assert type(leaf) in (float, bool), (name, type(leaf))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_row_of_a_stack_is_its_single_call(name):
+    function, make_args, _ = CASES[name]
+    stacked = make_args(bad=False)
+    result = function(*stacked)
+    for k in range(ROWS):
+        assert _identical(function(*take_row(stacked, k)), take_row(result, k))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -192,11 +192,13 @@ def test_qtur_holds_on_random_pairs():
 
 def test_single_input_checks_reject_stacks_by_name():
     # both used to fail inside numpy: "the truth value of an array ... is
-    # ambiguous" and "operands could not be broadcast together"
+    # ambiguous" and "operands could not be broadcast together"; qtur_check
+    # now takes stacks, but its three arguments must share one shape
     rho = validate_state(np.stack([np.diag([0.2, 0.8])] * 2))
     sigma = validate_state(np.stack([np.diag([0.6, 0.4])] * 2))
-    with pytest.raises(FluxboundError, match=r"^operator .*\(2, 2, 2\)"):
-        qtur_check(np.stack([np.diag([1.0, -1.0])] * 2), rho, sigma)
+    with pytest.raises(FluxboundError,
+                       match=r"^sigma has shape \(2, 2\), operator \(2, 2, 2\)"):
+        qtur_check(np.stack([np.diag([1.0, -1.0])] * 2), rho, take_row(sigma, 0))
     with pytest.raises(FluxboundError, match=r"^rho .*\(2, 2, 2\)"):
         qtur_check(np.diag([1.0, -1.0]), rho, take_row(sigma, 0))
     thetas = make_observable(np.stack([np.diag([1.0, -1.0])] * 3))

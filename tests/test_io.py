@@ -59,6 +59,18 @@ def test_write_table_jsonl_layout():
     assert json.loads(lines[1]) == {"a": 2, "b": "inf"}
 
 
+def test_write_table_jsonl_writes_nan_as_a_marker():
+    # a NaN slack, which verify reports as a suite's min_slack, used to be
+    # written as the bare token NaN, which strict JSON parsers reject
+    out = io.StringIO()
+    write_table(out, ("suite", "min_slack"), [("probe", math.nan)], FORMAT_JSONL)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    assert json.loads(out.getvalue(), parse_constant=reject) == {
+        "suite": "probe", "min_slack": "nan"}
+
+
 def test_write_table_rejects_unknown_formats():
     with pytest.raises(ValueError) as excinfo:
         write_table(io.StringIO(), ("a",), [(1,)], "parquet")

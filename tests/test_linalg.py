@@ -276,6 +276,56 @@ def test_tensor_product_identity_and_diagonal_cases():
     assert np.array_equal(out, np.diag([10.0, 14.0, 15.0, 21.0]).astype(complex))
 
 
+def test_tensor_product_of_stacks_equals_kron_row_by_row():
+    rng = rng_for(4, stream=107)
+    a = np.stack([random_hermitian_np(rng, 2) for _ in range(5)])
+    b = np.stack([random_hermitian_np(rng, 3) for _ in range(5)])
+    out = tensor_product(a, b)
+    assert out.shape == (5, 6, 6)
+    for k in range(5):
+        assert np.array_equal(out[k], np.kron(a[k], b[k]))
+    # a single factor broadcasts against a stack
+    broadcast = tensor_product(a[0], b)
+    for k in range(5):
+        assert np.array_equal(broadcast[k], np.kron(a[0], b[k]))
+
+
+def test_tensor_product_names_a_non_finite_row_of_a_stack():
+    a = np.stack([np.eye(2)] * 3)
+    a[1, 0, 1] = np.nan
+    with pytest.raises(ValidationError,
+                       match=r"non-finite entries \(row 1 of the stack\)"):
+        tensor_product(a, a)
+    with pytest.raises(ValidationError, match=r"^matrix has non-finite entries$"):
+        tensor_product(a[1], np.eye(2))
+
+
+def test_unitary_from_a_stack_of_generators_equals_each_alone():
+    rng = rng_for(6, stream=107)
+    generators = np.stack([random_hermitian_np(rng, 3) for _ in range(4)])
+    stacked = unitary_from_generator(generators, 0.7)
+    for k in range(4):
+        assert np.array_equal(stacked[k], unitary_from_generator(generators[k], 0.7))
+    with pytest.raises(ValidationError, match="single time"):
+        unitary_from_generator(generators, [0.1, 0.2])
+
+
+def test_schatten_norm_rejects_a_stack_by_name():
+    # the norm of a stack used to be the sum over the whole stack
+    stack = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
+    with pytest.raises(ValidationError,
+                       match=r"^matrix must be a single matrix, got shape \(2, 2, 2\)"):
+        schatten_norm(stack, 1)
+
+
+def test_matrix_function_rejects_a_stack_by_name():
+    # numpy used to raise a bare TypeError from float() of a row
+    stack = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
+    with pytest.raises(ValidationError,
+                       match=r"^matrix must be a single matrix, got shape \(2, 2, 2\)"):
+        matrix_function(stack, math.exp)
+
+
 def test_tensor_product_trace_factorizes():
     rng = rng_for(9, stream=107)
     a = random_hermitian_np(rng, 3)

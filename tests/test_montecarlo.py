@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fluxbound.bounds as bounds_module
 import fluxbound.montecarlo as montecarlo_module
 from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
                        evaluate_bounds, make_observable, random_density,
@@ -124,6 +125,16 @@ def test_run_montecarlo_finds_no_violations():
     assert all(r.holds_all for r in records)
     assert summary.min_slack_main > -1e-9
     assert math.isfinite(summary.min_slack_main)
+
+
+def test_a_nan_main_slack_becomes_the_minimum(monkeypatch):
+    # min_slack_main used to keep finite slacks only, and reported inf
+    # beside 50 main violations
+    monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
+                        lambda x: math.nan * x)
+    records, summary = run_montecarlo(DrawConfig(n_draws=50))
+    assert summary.violations["main"] == sum(not r.infinite for r in records)
+    assert math.isnan(summary.min_slack_main)
 
 
 def test_run_montecarlo_summary_is_consistent_with_the_records():

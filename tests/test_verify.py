@@ -7,9 +7,21 @@ import numpy as np
 import pytest
 
 import fluxbound.bounds as bounds_module
+import fluxbound.linalg as linalg_module
+from fluxbound import (BATH_RESET, BOTH_RESET, correlation,
+                       correlation_bound_report, entropy_flux,
+                       entropy_flux_chain_check, evaluate_bounds, evolve,
+                       expectation, make_scenario, qtur_check, random_density,
+                       random_observable, random_scenario, saturating_family,
+                       sign_decomposition, substream, thermal_environment,
+                       triple_from_uniforms)
 from fluxbound.errors import ValidationError
+from fluxbound.linalg import take_row
 from fluxbound.montecarlo import DrawConfig
-from fluxbound.verify import SuiteResult, VerifyConfig, run_verify
+from fluxbound.verify import (SuiteResult, VerifyConfig, run_verify,
+                              suite_bound_chain, suite_capacity,
+                              suite_correlation, suite_thermo_chain,
+                              suite_uncertainty)
 
 SUITE_NAMES = ("bound_functions", "capacity", "bound_chain", "sign_identities",
                "uncertainty", "optimal_shift", "thermo_chain", "local_bound",
@@ -88,7 +100,10 @@ def test_suite_result_counts_a_nan_slack_as_a_violation():
     for slack in (1.0, -5e-10, math.nan, -2e-9):
         result.record(slack, f"slack {slack!r}")
     assert (result.checks, result.violations) == (4, 2)
-    assert result.min_slack == -2e-9
+    # the first NaN is the minimum, and a lower slack after it does not
+    # displace it
+    assert math.isnan(result.min_slack)
+    assert result.worst == "slack nan"
 
 
 def test_sign_identities_do_not_depend_on_the_scoring_tolerance():
@@ -111,3 +126,150 @@ def test_a_broken_floor_is_caught(monkeypatch):
     failing = {s.name for s in report.suites if s.violations > 0}
     assert "bound_functions" in failing
     assert "uncertainty" in failing
+
+
+# ---------------------------------------------------------------------------
+# the batched suites against a draw-by-draw run of the single-input API
+
+
+def _reference_draws(config, stream, halved=False):
+    count = max(config.draws // 2, 20) if halved else config.draws
+    for k in range(count):
+        yield k, 2 + k % 3, substream(config.master_seed, k, stream)
+
+
+def _record_chain(result, chain, k):
+    # a step whose slack is +inf does not apply to the draw
+    for name, slack in chain.steps.items():
+        if slack != math.inf:
+            result.record(slack, f"draw {k} {name}")
+
+
+def _reference_capacity(config):
+    result = SuiteResult("capacity", config.slack_tolerance)
+    for k, dim, rng in _reference_draws(config, 2):
+        theta = random_observable(rng, dim)
+        rho, sigma = random_density(rng, dim), random_density(rng, dim)
+        phi = expectation(theta.matrix, rho.matrix - sigma.matrix)
+        result.record(theta.capacity - abs(phi), f"draw {k} dim {dim}")
+    return result
+
+
+def _reference_bound_chain(config):
+    result = SuiteResult("bound_chain", config.slack_tolerance)
+    for k, dim, rng in _reference_draws(config, 3):
+        if k % 2 == 0:
+            theta, rho, sigma = triple_from_uniforms(rng.random(7))
+        else:
+            theta = random_observable(rng, dim)
+            rho, sigma = random_density(rng, dim), random_density(rng, dim)
+        report = evaluate_bounds(theta, rho, sigma)
+        for name, verdict in report.verdicts.items():
+            if not verdict.trivial:
+                result.record(verdict.slack, f"draw {k} {name}")
+        if report.s_tilde.finite and not report.degenerate_capacity:
+            result.record(1.0 - report.main_rhs, f"draw {k} curve <= 1")
+            result.record(report.main_rhs - report.strengthened_rhs,
+                          f"draw {k} strengthened <= main")
+    return result
+
+
+def _reference_uncertainty(config):
+    result = SuiteResult("uncertainty", config.slack_tolerance)
+    for k, dim, rng in _reference_draws(config, 5):
+        rho, sigma = random_density(rng, dim), random_density(rng, dim)
+        check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
+        if not check.trivial:
+            result.record(check.slack, f"draw {k} dim {dim}")
+    grid = np.linspace(0.2, 6.0, 30)
+    rhos, sigmas, _ = saturating_family(grid)
+    for k, a in enumerate(grid.tolist()):
+        rho, sigma = take_row(rhos, k), take_row(sigmas, k)
+        check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
+        result.record(1e-8 - abs(check.slack), f"equality at a={a!r}")
+    return result
+
+
+def _reference_thermo_chain(config):
+    result = SuiteResult("thermo_chain", config.slack_tolerance)
+    for k, _, rng in _reference_draws(config, 7, halved=True):
+        scenario = random_scenario(rng, 2, 2)
+        _record_chain(result, entropy_flux_chain_check(scenario, evolve(scenario)), k)
+        h_env = np.diag(np.sort(rng.random(2) * 3.0)).astype(np.complex128)
+        beta = 0.1 + 4.9 * rng.random()
+        gibbs = thermal_environment(h_env, beta)
+        thermal = make_scenario(scenario.rho_system, gibbs, scenario.unitary)
+        thermal_outcome = evolve(thermal)
+        ef = entropy_flux(thermal, thermal_outcome)
+        heat = expectation(h_env, thermal_outcome.rho_environment.matrix
+                           - gibbs.matrix)
+        result.record(1e-10 - abs(ef.value - beta * heat), f"draw {k} thermal identity")
+    return result
+
+
+def _reference_correlation(config):
+    result = SuiteResult("correlation", config.slack_tolerance)
+    for k, _, rng in _reference_draws(config, 9, halved=True):
+        scenario = random_scenario(rng, 2, 2)
+        outcome = evolve(scenario)
+        theta_s, theta_e = random_observable(rng, 2), random_observable(rng, 2)
+        for protocol in (BATH_RESET, BOTH_RESET):
+            value = correlation(theta_s, theta_e, scenario, outcome, protocol)
+            report = correlation_bound_report(theta_s, theta_e, scenario,
+                                              outcome, protocol)
+            result.record(1e-9 - abs(value - report.flux),
+                          f"draw {k} {protocol} definitional")
+            if report.capacity > 0 and report.s_tilde.finite:
+                cap = report.main_rhs - (value / report.capacity) ** 2
+                result.record(cap, f"draw {k} {protocol} entropy cap")
+    return result
+
+
+REFERENCES = {
+    "capacity": (suite_capacity, _reference_capacity),
+    "bound_chain": (suite_bound_chain, _reference_bound_chain),
+    "uncertainty": (suite_uncertainty, _reference_uncertainty),
+    "thermo_chain": (suite_thermo_chain, _reference_thermo_chain),
+    "correlation": (suite_correlation, _reference_correlation),
+}
+
+
+def _run_logged(monkeypatch, suite, config):
+    """A suite's result and every check it records, in order, with the
+    exact bits of each slack."""
+    checks = []
+    record = SuiteResult.record
+
+    def logged(self, slack, detail):
+        checks.append((detail, float(slack).hex()))
+        record(self, slack, detail)
+    monkeypatch.setattr(SuiteResult, "record", logged)
+    result = suite(config)
+    monkeypatch.setattr(SuiteResult, "record", record)
+    return result, checks
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+@pytest.mark.parametrize("seed,draws", [(42, 24), (7, 13), (42, 1)])
+def test_batched_suites_equal_a_draw_by_draw_run(monkeypatch, name, seed, draws):
+    # at 13 draws the dimension groups are unequal (5, 4 and 4 draws)
+    config = VerifyConfig(master_seed=seed, draws=draws)
+    suite, reference = REFERENCES[name]
+    batched, batched_checks = _run_logged(monkeypatch, suite, config)
+    expected, expected_checks = _run_logged(monkeypatch, reference, config)
+    assert batched == expected
+    assert batched.min_slack.hex() == expected.min_slack.hex()
+    assert batched_checks == expected_checks
+
+
+def test_verify_solves_each_dimension_as_one_stack(monkeypatch):
+    # one eigensolve per stack, not per draw: the draw-by-draw run made 981
+    calls = []
+    original = linalg_module._sorted_spectrum
+
+    def counted(values, vectors):
+        calls.append(len(values))
+        return original(values, vectors)
+    monkeypatch.setattr(linalg_module, "_sorted_spectrum", counted)
+    assert run_verify(VerifyConfig(draws=24)).ok
+    assert len(calls) < 200
