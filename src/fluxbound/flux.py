@@ -120,7 +120,15 @@ class ShiftCheck:
     value_at_lambda_star: float
     half_capacity: float
     grid_step: float
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        """Whether half - slack <= grid_min <= half + grid_step, and the
+        value at lambda_star is half within shift_norm."""
+        half, tols = self.half_capacity, DEFAULT_TOLERANCES
+        return (clears(self.grid_min - half, tols.slack)
+                and clears(half + self.grid_step - self.grid_min, 0.0)
+                and clears(-abs(self.value_at_lambda_star - half), tols.shift_norm))
 
 
 def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
@@ -133,19 +141,13 @@ def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
     # ||theta - s I||_inf = max_k |w_k - s|, vectorized over the grid
     norms = np.max(np.abs(observable.eigenvalues[None, :] - shifts[:, None]), axis=1)
     k = int(np.argmin(norms))
-    half = 0.5 * observable.capacity
-    at_star = float(np.max(np.abs(observable.eigenvalues - observable.lambda_star)))
-    step = float(np.max(np.diff(np.sort(shifts))))
-    holds = (norms[k] >= half - DEFAULT_TOLERANCES.slack
-             and norms[k] <= half + step
-             and abs(at_star - half) <= DEFAULT_TOLERANCES.shift_norm)
     return ShiftCheck(
         grid_min=float(norms[k]),
         grid_argmin=float(shifts[k]),
-        value_at_lambda_star=at_star,
-        half_capacity=half,
-        grid_step=step,
-        holds=bool(holds),
+        value_at_lambda_star=float(np.max(np.abs(observable.eigenvalues
+                                                 - observable.lambda_star))),
+        half_capacity=0.5 * observable.capacity,
+        grid_step=float(np.max(np.diff(np.sort(shifts)))),
     )
 
 

@@ -61,9 +61,16 @@ def as_complex_matrix(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    finite = np.atleast_1d(np.isfinite(a).all(axis=(-2, -1)))
+    return _require_finite(a)
+
+
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    """One matrix or a (B, n, n) stack, checked for non-finite entries;
+    the error names the first failing row of a stack."""
+    finite = np.isfinite(a)
     if not finite.all():
-        raise ValidationError(f"matrix has non-finite entries{row_label(~finite)}")
+        bad = np.atleast_1d(~finite.all(axis=(-2, -1)))
+        raise ValidationError(f"matrix has non-finite entries{row_label(bad)}")
     return a
 
 
@@ -192,10 +199,7 @@ def require_hermitian(matrix) -> np.ndarray:
     One check covers the whole stack; the error names the first failing
     row of a stack.
     """
-    a = as_complex_stack(matrix)
-    if not np.isfinite(a).all():
-        bad = ~np.isfinite(a).all(axis=(1, 2))
-        raise ValidationError(f"matrix has non-finite entries{row_label(bad)}")
+    a = _require_finite(as_complex_stack(matrix))
     ah = a.conj().swapaxes(1, 2)
     defect = np.abs(a - ah)
     tolerance = DEFAULT_TOLERANCES.hermiticity
@@ -443,6 +447,9 @@ def tensor_product(a, b) -> np.ndarray:
     broadcasts against a stack.  Each entry is the one product
     a[i, j] * b[k, l], as in np.kron."""
     a, b = as_complex_matrix(a), as_complex_matrix(b)
+    if a.ndim == b.ndim == 3 and len(a) != len(b):
+        raise ValidationError(f"tensor factors are stacks of {len(a)} and "
+                              f"{len(b)} matrices")
     m, n = a.shape[-1], b.shape[-1]
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
     return product.reshape(product.shape[:-4] + (m * n, m * n))
@@ -460,10 +467,7 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
     input's layout, (d, d) or (B, d, d); errors name the first failing row
     of a stack.
     """
-    a = as_complex_stack(matrix)
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(f"matrix has non-finite entries{row_label(~finite)}")
+    a = _require_finite(as_complex_stack(matrix))
     if dim_system < 1 or dim_environment < 1:
         raise ValidationError("tensor factor dimensions must be positive")
     if a.shape[-1] != dim_system * dim_environment:

@@ -30,8 +30,8 @@ The scenario layer (make_scenario, evolve, entropy_flux,
 thermal_environment, the two chain checks and the correlations) takes
 one scenario or a stack of B of them, whose records then hold B rows; a
 single scenario runs as a stack of one (linalg.batch_of_one), and errors
-name the failing row of a stack.  A stacked ChainCheck gives a step that
-does not apply to a row the slack +inf.
+name the failing row of a stack.  The two chain checks are read from
+flux.evaluate_bounds, so its rule resolves a row (see ChainCheck).
 
 spin_pair_timeseries and saturating_family evaluate their grids as
 (B, n, n) stacks, BLOCK_ROWS points at a time, and every row equals its
@@ -51,7 +51,8 @@ import numpy as np
 from . import bounds as _bounds
 from .config import BLOCK_ROWS, DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
-from .flux import Observable, clears, evaluate_bounds, make_observable
+from .flux import (BoundReport, Observable, clears, evaluate_bounds,
+                   make_observable)
 from .linalg import (as_stack, batch_of_one, eigh, expectation, first_row,
                      from_spectrum, partial_trace, row_label, shape_label,
                      take_row, tensor_product, unitary_from_generator)
@@ -136,28 +137,28 @@ class EntropyFlux:
     capacity: float
 
 
+def _log_environment(environment: DensityMatrix) -> Observable:
+    """log rho_E of a stack of environments as an Observable, from their
+    own spectra; it is unbounded unless each environment is full rank."""
+    smallest = environment.eigenvalues[:, 0]
+    bad = smallest <= DEFAULT_TOLERANCES.rank
+    if bad.any():
+        raise DomainError(f"environment is rank deficient{row_label(bad)}; "
+                          f"log rho_E is unbounded",
+                          offending_value=smallest[first_row(bad)].item())
+    log_eigs = np.log(environment.eigenvalues)
+    return Observable(from_spectrum(environment.eigenvectors, log_eigs), log_eigs,
+                      environment.eigenvectors, log_eigs[:, -1], log_eigs[:, 0])
+
+
 @batch_of_one
 def entropy_flux(scenario: BipartiteScenario, outcome: ScenarioOutcome) -> EntropyFlux:
     """Phi = tr((rho_E - rho_E') log rho_E) and its capacity, for a
-    scenario or each row of a stack (arrays over the rows).
-
-    The environment must be full rank, otherwise log rho_E is unbounded
-    and the capacity is infinite.
-    """
+    scenario or each row of a stack (arrays over the rows)."""
     env = scenario.rho_environment
-    smallest = env.eigenvalues[:, 0]
-    bad = smallest <= DEFAULT_TOLERANCES.rank
-    if bad.any():
-        raise DomainError(
-            f"environment is rank deficient{row_label(bad)}; "
-            f"log rho_E is unbounded",
-            offending_value=smallest[first_row(bad)].item(),
-        )
-    log_eigs = np.log(env.eigenvalues)
-    log_env = from_spectrum(env.eigenvectors, log_eigs)
-    value = expectation(log_env, env.matrix - outcome.rho_environment.matrix)
-    capacity = log_eigs[:, -1] - log_eigs[:, 0]
-    return EntropyFlux(value=value, capacity=capacity)
+    log_env = _log_environment(env)
+    value = expectation(log_env.matrix, env.matrix - outcome.rho_environment.matrix)
+    return EntropyFlux(value=value, capacity=log_env.capacity)
 
 
 @batch_of_one
@@ -169,8 +170,11 @@ def thermal_environment(hamiltonian, beta) -> DensityMatrix:
     inverse temperature, Phi = beta tr((rho_E' - rho_E) H), and the
     capacity to beta * (E_max - E_min).
     """
-    betas = np.broadcast_to(np.asarray(beta, dtype=np.float64),
-                            np.shape(hamiltonian)[:1])
+    betas, rows = np.asarray(beta, dtype=np.float64), len(hamiltonian)
+    if betas.ndim > 1 or betas.size not in (1, rows):
+        raise ValidationError(f"beta of shape {betas.shape} is neither one value "
+                              f"nor one per Hamiltonian ({rows})")
+    betas = np.broadcast_to(betas, (rows,))
     bad = ~((0.0 < betas) & (betas < math.inf))
     if bad.any():
         raise ValidationError(
@@ -194,12 +198,15 @@ def thermal_environment(hamiltonian, beta) -> DensityMatrix:
 @dataclass(frozen=True)
 class ChainCheck:
     """Slack accounting for a three-step entropy chain, or for a stack of
-    B chains (every field then an array over the rows).
+    B chains (every field then an array over the rows), read from
+    evaluate_bounds' report of the flux.
 
     steps maps a name to its slack (rhs-to-lhs margin), +inf where the
-    step does not apply: an infinite entropy or a degenerate capacity
-    resolves the chain (trivial), and an infinite cost has no quadratic
-    step.  holds requires every step to clear -DEFAULT_TOLERANCES.slack.
+    step does not apply; s_tilde_dominates_cost is the report's onsager
+    slack.  A row the report resolves (degenerate capacity or equal
+    states) is trivial with +inf on every step, and so is an infinite
+    entropy; s_tilde reads 0 on a row of degenerate capacity, as the
+    report's does.  holds requires every step to clear the slack tolerance.
     """
 
     flux: float
@@ -220,62 +227,48 @@ class ChainCheck:
         return holds
 
 
-def _finite_part(entropy: RelEntropyValue) -> np.ndarray:
-    """An entropy's values, 0 where infinite, for masked arithmetic."""
-    return np.where(entropy.finite, entropy.value, 0.0)
-
-
-def _chain_from_parts(phi, capacity, s_tilde: RelEntropyValue,
-                      production_mean: RelEntropyValue | None) -> ChainCheck:
-    """The chain's steps from stacked fluxes, capacities and entropies;
-    production_mean is None for the local chain, which starts at S_tilde."""
-    live = capacity > 0.0
-    ratio = np.where(live, np.minimum(np.abs(phi) / np.where(live, capacity, 1.0),
-                                      1.0), 0.0)
-    cost = _bounds.onsager_like(ratio)
-    cost_finite = np.isfinite(cost)
-    cost = np.where(cost_finite, cost, 0.0)
-    s_finite = s_tilde.finite
-    s_value = _finite_part(s_tilde)
-    trivial = ~live | ~s_finite
-    steps: dict = {}
+def _chain_from_report(report: BoundReport,
+                       production_mean: RelEntropyValue | None = None) -> ChainCheck:
+    """The chain of a stacked report; production_mean is None for the
+    local chain, which starts at S_tilde."""
+    degenerate, onsager = report.degenerate_capacity, report.verdicts["onsager"]
+    ratio = np.where(degenerate, 0.0, np.minimum(
+        np.abs(report.flux) / np.where(degenerate, 1.0, report.capacity), 1.0))
+    trivial, steps = onsager.trivial, {}
     if production_mean is not None:
-        p_finite = production_mean.finite
-        trivial |= ~p_finite
+        trivial = trivial | ~production_mean.finite
         # finite production but infinite marginal entropy cannot occur
-        steps["production_dominates_s_tilde"] = np.where(
-            p_finite & s_finite, _finite_part(production_mean) - s_value,
-            np.where(p_finite, -math.inf, math.inf))
-    steps["s_tilde_dominates_cost"] = np.where(
-        s_finite & cost_finite, s_value - cost,
-        np.where(s_finite, -math.inf, math.inf))
-    steps["cost_dominates_quadratic"] = np.where(
-        cost_finite, cost - 2.0 * ratio * ratio, math.inf)
-    steps = {name: np.where(live, slack, math.inf) for name, slack in steps.items()}
-    return ChainCheck(phi, capacity, ratio, s_tilde, production_mean,
-                      steps, trivial)
+        steps["production_dominates_s_tilde"] = np.subtract(
+            production_mean.value, report.s_tilde.value,
+            out=np.full(len(ratio), math.inf), where=production_mean.finite)
+    steps["s_tilde_dominates_cost"] = onsager.slack
+    # an infinite cost (ratio 1) has no quadratic step: inf - 2 is inf
+    steps["cost_dominates_quadratic"] = _bounds.onsager_like(ratio) - 2.0 * ratio * ratio
+    resolved = degenerate | report.states_equal
+    steps = {name: np.where(resolved, math.inf, slack) for name, slack in steps.items()}
+    return ChainCheck(report.flux, report.capacity, ratio, report.s_tilde,
+                      production_mean, steps, trivial)
 
 
 @batch_of_one
 def entropy_flux_chain_check(scenario: BipartiteScenario,
                              outcome: ScenarioOutcome) -> ChainCheck:
-    """(Sigma + Sigma_dual)/2 >= S_sym(rho_E, rho_E') >= 2 r artanh r >= 2 r^2."""
-    ef = entropy_flux(scenario, outcome)
-    s_env = symmetric_relative_entropy(scenario.rho_environment,
-                                       outcome.rho_environment)
+    """(Sigma + Sigma_dual)/2 >= S_sym(rho_E, rho_E') >= 2 r artanh r >= 2 r^2,
+    read from evaluate_bounds(log rho_E, rho_E, rho_E')."""
+    env = scenario.rho_environment
+    report = evaluate_bounds(_log_environment(env), env, outcome.rho_environment)
     production_mean = symmetric_average(outcome.entropy_production,
                                         outcome.entropy_production_dual)
-    return _chain_from_parts(ef.value, ef.capacity, s_env, production_mean)
+    return _chain_from_report(report, production_mean)
 
 
 @batch_of_one
 def local_system_bound_check(observable: Observable, rho_later: DensityMatrix,
                              rho_earlier: DensityMatrix) -> ChainCheck:
     """S_sym(rho_later, rho_earlier) >= 2 r artanh r >= 2 r^2 for the flux
-    of any bounded observable between two marginals of one evolution."""
-    phi = expectation(observable.matrix, rho_later.matrix - rho_earlier.matrix)
-    s_tilde = symmetric_relative_entropy(rho_later, rho_earlier)
-    return _chain_from_parts(phi, observable.capacity, s_tilde, None)
+    of any bounded observable between two marginals of one evolution,
+    read from evaluate_bounds(observable, rho_later, rho_earlier)."""
+    return _chain_from_report(evaluate_bounds(observable, rho_later, rho_earlier))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state_np, rng_for
-from fluxbound import (DEFAULT_TOLERANCES, QturCheck, Verdict,
+from fluxbound import (DEFAULT_TOLERANCES, QturCheck, ShiftCheck, Verdict,
                        evaluate_bounds, flux,
                        make_observable, optimal_shift_check, qtur_check,
                        random_observable, sign_decomposition, validate_state)
@@ -111,6 +111,26 @@ def test_optimal_shift_rejects_a_non_finite_grid():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="shift grid"):
             optimal_shift_check(theta, [0.0, bad])
+
+
+def test_shift_check_reads_holds_from_its_margins():
+    assert "holds" not in {f.name for f in dataclasses.fields(ShiftCheck)}
+    theta = make_observable(np.diag([0.0, 4.0]))
+    check = optimal_shift_check(theta, np.linspace(-2.0, 6.0, 1601))
+    assert check.holds is True
+    slack, step = DEFAULT_TOLERANCES.slack, check.grid_step
+    shift_norm = DEFAULT_TOLERANCES.shift_norm
+    # the grid minimum must lie in [half - slack, half + step], and the
+    # value at lambda_star equal half within shift_norm
+    for changes, holds in (({"grid_min": 2.0 - 0.5 * slack}, True),
+                           ({"grid_min": 2.0 - 2.0 * slack}, False),
+                           ({"grid_min": 2.0 + step}, True),
+                           ({"grid_min": 2.0 + 2.0 * step}, False),
+                           ({"grid_min": math.nan}, False),
+                           ({"value_at_lambda_star": 2.0 + 0.5 * shift_norm}, True),
+                           ({"value_at_lambda_star": 2.0 - 2.0 * shift_norm}, False),
+                           ({"value_at_lambda_star": math.nan}, False)):
+        assert dataclasses.replace(check, **changes).holds is holds
 
 
 def test_qtur_check_reads_holds_from_its_slack():

@@ -290,6 +290,15 @@ def test_tensor_product_of_stacks_equals_kron_row_by_row():
         assert np.array_equal(broadcast[k], np.kron(a[0], b[k]))
 
 
+def test_tensor_product_rejects_stacks_of_different_lengths():
+    # a bare numpy broadcasting ValueError before
+    with pytest.raises(ValidationError, match="stacks of 2 and 3 matrices"):
+        tensor_product(np.stack([np.eye(2)] * 2), np.stack([np.eye(2)] * 3))
+    # a single factor still broadcasts against either side
+    assert tensor_product(np.eye(2), np.stack([np.eye(3)] * 3)).shape == (3, 6, 6)
+    assert tensor_product(np.stack([np.eye(3)] * 2), np.eye(2)).shape == (2, 6, 6)
+
+
 def test_tensor_product_names_a_non_finite_row_of_a_stack():
     a = np.stack([np.eye(2)] * 3)
     a[1, 0, 1] = np.nan

@@ -12,7 +12,7 @@ from conftest import random_state_np, rng_for
 from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SaturatingFamily,
                        SpinPairParams, SpinPairPoint, correlation,
                        correlation_bound_report, divergence_from_gap,
-                       entropy_flux, entropy_flux_chain_check, evolve,
+                       entropy_flux, evaluate_bounds, entropy_flux_chain_check, evolve,
                        exchange_generator, expectation, flux_ratio_sq_bound,
                        local_system_bound_check, make_observable,
                        make_scenario, onsager_like, partial_trace,
@@ -25,6 +25,7 @@ from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SaturatingFamily,
 from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import DomainError, ValidationError
 from fluxbound.linalg import take_row
+from fluxbound.thermo import _log_environment
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -171,16 +172,113 @@ def test_chain_check_reads_holds_from_its_steps():
 
 
 def test_entropy_flux_chain_is_all_zero_without_dynamics():
+    # the environment does not move, so evaluate_bounds flags equal states
+    # and the chain is resolved: trivial, with +inf on every step
     scenario = make_scenario(diag_state(0.3, 0.7), diag_state(0.6, 0.4),
                              np.eye(4))
     chain = entropy_flux_chain_check(scenario, evolve(scenario))
     assert chain.holds
-    assert not chain.trivial
+    assert chain.trivial
     assert chain.flux == pytest.approx(0.0, abs=1e-12)
     assert chain.ratio == pytest.approx(0.0, abs=1e-12)
     assert chain.s_tilde.value == pytest.approx(0.0, abs=1e-10)
+    assert len(chain.steps) == 3
+    assert all(slack == math.inf for slack in chain.steps.values())
+
+
+def _assert_resolved(chain):
+    assert chain.trivial and chain.holds
+    assert chain.steps and all(slack == math.inf for slack in chain.steps.values())
+
+
+def test_local_chain_on_a_degenerate_observable_is_resolved():
+    # a capacity of 1e-15 is rounding noise: evaluate_bounds resolves the
+    # row, and the chain used to score it as broken (cost slack -0.122)
+    theta = make_observable(np.diag([1.0, 1.0 + 1e-15]))
+    rho, sigma = diag_state(0.2, 0.8), diag_state(0.7, 0.3)
+    assert evaluate_bounds(theta, rho, sigma).degenerate_capacity
+    chain = local_system_bound_check(theta, rho, sigma)
+    _assert_resolved(chain)
+    assert chain.ratio == 0.0
+    # s_tilde reads 0 on a degenerate row, as the report's does
+    assert chain.s_tilde.value == 0.0
+
+
+def test_entropy_chain_on_a_near_maximally_mixed_environment_is_resolved():
+    # log rho_E has a capacity of 4e-15: the chain used to fail on it
+    environment = diag_state(0.5 + 1e-15, 0.5 - 1e-15)
+    u = unitary_from_generator(exchange_generator(1.0, 0.0), 1.0)
+    scenario = make_scenario(diag_state(0.9, 0.1), environment, u)
+    chain = entropy_flux_chain_check(scenario, evolve(scenario))
+    assert 0.0 < chain.capacity < 1e-14
+    _assert_resolved(chain)
+
+
+def test_chain_cost_step_is_the_onsager_verdict_of_evaluate_bounds():
+    rng = rng_for(0, stream=404)
+    rows = 12
+    thetas = np.stack([random_observable(rng, 2).matrix for _ in range(rows)])
+    rhos = np.stack([random_state_np(rng, 2) for _ in range(rows)])
+    sigmas = np.stack([random_state_np(rng, 2) for _ in range(rows)])
+    thetas[1] = np.diag([2.0, 2.0 + 1e-14])  # degenerate capacity
+    thetas[2] = 3.0 * np.eye(2)  # zero capacity
+    sigmas[3] = rhos[3]  # equal states
+    rhos[4] = np.diag([1.0, 0.0])  # pure: infinite S_tilde
+    theta = make_observable(thetas)
+    rho, sigma = validate_state(rhos), validate_state(sigmas)
+    report = evaluate_bounds(theta, rho, sigma)
+    chain = local_system_bound_check(theta, rho, sigma)
+    onsager = report.verdicts["onsager"]
+    assert np.array_equal(chain.steps["s_tilde_dominates_cost"], onsager.slack)
+    assert np.array_equal(chain.trivial, onsager.trivial)
+    resolved = report.degenerate_capacity | report.states_equal
+    assert resolved.tolist() == [False, True, True, True] + [False] * (rows - 4)
     for slack in chain.steps.values():
-        assert abs(slack) <= 1e-9
+        assert (slack[resolved] == math.inf).all()
+    assert np.array_equal(chain.s_tilde.value, report.s_tilde.value)
+    assert chain.holds.all()
+    # each row is its single call
+    for k in range(rows):
+        single = local_system_bound_check(take_row(theta, k), take_row(rho, k),
+                                          take_row(sigma, k))
+        assert single.steps == {name: slack[k] for name, slack in chain.steps.items()}
+
+
+def test_entropy_chain_cost_step_is_the_onsager_verdict_of_evaluate_bounds():
+    scenarios = [random_scenario(rng_for(k, stream=405), 2, 2) for k in range(6)]
+    stack = make_scenario(*(validate_state(np.stack([getattr(s, name).matrix
+                                                     for s in scenarios]))
+                            for name in ("rho_system", "rho_environment")),
+                          np.stack([s.unitary for s in scenarios]))
+    outcome = evolve(stack)
+    env = stack.rho_environment
+    report = evaluate_bounds(_log_environment(env), env, outcome.rho_environment)
+    chain = entropy_flux_chain_check(stack, outcome)
+    assert np.array_equal(chain.steps["s_tilde_dominates_cost"],
+                          report.verdicts["onsager"].slack)
+    assert np.array_equal(chain.flux, entropy_flux(stack, outcome).value)
+
+
+def test_local_chain_rejects_stacks_of_different_lengths():
+    theta = make_observable(np.stack([np.diag([1.0, -1.0])] * 2))
+    rho = validate_state(np.stack([np.diag([0.3, 0.7])] * 2))
+    sigma = validate_state(np.stack([np.diag([0.4, 0.6])] * 3))
+    for observable in (theta, take_row(theta, 0)):
+        with pytest.raises(ValidationError):
+            local_system_bound_check(observable, rho, sigma)
+
+
+def test_thermal_environment_rejects_betas_that_do_not_match_the_stack():
+    # a bare numpy broadcasting ValueError before
+    with pytest.raises(ValidationError, match=r"beta of shape \(2,\)"):
+        thermal_environment(np.diag([0.0, 1.0]), np.array([1.0, 2.0]))
+    hamiltonians = np.stack([np.diag([0.0, 1.0]), np.diag([0.0, 2.0])])
+    for betas in (np.ones((2, 2)), np.ones((2, 1)), np.ones(3)):
+        with pytest.raises(ValidationError, match="one per Hamiltonian"):
+            thermal_environment(hamiltonians, betas)
+    # one beta, or one per row, still works
+    for betas in (1.0, np.ones(1), np.array([1.0, 2.0])):
+        assert thermal_environment(hamiltonians, betas).matrix.shape == (2, 2, 2)
 
 
 def test_local_system_bound_matches_the_exchange_series():

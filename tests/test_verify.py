@@ -8,20 +8,21 @@ import pytest
 
 import fluxbound.bounds as bounds_module
 import fluxbound.linalg as linalg_module
-from fluxbound import (BATH_RESET, BOTH_RESET, correlation,
+from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
                        correlation_bound_report, entropy_flux,
                        entropy_flux_chain_check, evaluate_bounds, evolve,
-                       expectation, make_scenario, qtur_check, random_density,
-                       random_observable, random_scenario, saturating_family,
-                       sign_decomposition, substream, thermal_environment,
+                       expectation, local_system_bound_check, make_scenario,
+                       qtur_check, random_density, random_observable,
+                       random_scenario, saturating_family, sign_decomposition,
+                       spin_pair_timeseries, substream, thermal_environment,
                        triple_from_uniforms)
 from fluxbound.errors import ValidationError
 from fluxbound.linalg import take_row
 from fluxbound.montecarlo import DrawConfig
 from fluxbound.verify import (SuiteResult, VerifyConfig, run_verify,
                               suite_bound_chain, suite_capacity,
-                              suite_correlation, suite_thermo_chain,
-                              suite_uncertainty)
+                              suite_correlation, suite_local_bound,
+                              suite_thermo_chain, suite_uncertainty)
 
 SUITE_NAMES = ("bound_functions", "capacity", "bound_chain", "sign_identities",
                "uncertainty", "optimal_shift", "thermo_chain", "local_bound",
@@ -207,6 +208,24 @@ def _reference_thermo_chain(config):
     return result
 
 
+def _reference_local_bound(config):
+    result = SuiteResult("local_bound", config.slack_tolerance)
+    params = SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 61)))
+    for point in spin_pair_timeseries(params):
+        if math.isinf(point.onsager):
+            continue
+        result.record(point.s_tilde - point.onsager, f"exchange model at t={point.t!r}")
+        result.record(point.onsager - point.two_phi_sq,
+                      f"exchange cost at t={point.t!r}")
+    for k, _, rng in _reference_draws(config, 8, halved=True):
+        scenario = random_scenario(rng, 2, 2)
+        theta = random_observable(rng, 2)
+        outcome = evolve(scenario)
+        _record_chain(result, local_system_bound_check(
+            theta, outcome.rho_system, scenario.rho_system), k)
+    return result
+
+
 def _reference_correlation(config):
     result = SuiteResult("correlation", config.slack_tolerance)
     for k, _, rng in _reference_draws(config, 9, halved=True):
@@ -230,6 +249,7 @@ REFERENCES = {
     "bound_chain": (suite_bound_chain, _reference_bound_chain),
     "uncertainty": (suite_uncertainty, _reference_uncertainty),
     "thermo_chain": (suite_thermo_chain, _reference_thermo_chain),
+    "local_bound": (suite_local_bound, _reference_local_bound),
     "correlation": (suite_correlation, _reference_correlation),
 }
 
