@@ -22,9 +22,8 @@ from .flux import (BoundReport, Observable, QturCheck, ShiftCheck,
                    SignDecomposition, Verdict, evaluate_bounds, flux,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
-from .linalg import (Spectrum, eigh, expectation, matrix_function,
-                     partial_trace, schatten_norm, tensor_product,
-                     unitary_from_generator)
+from .linalg import (Spectrum, eigh, expectation, partial_trace,
+                     tensor_product, unitary_from_generator)
 from .montecarlo import (DrawConfig, DrawRecord, MonteCarloSummary,
                          POLICY_REDRAW, POLICY_REPORT_INFINITE, run_montecarlo,
                          substream, triple_from_uniforms)

@@ -19,13 +19,13 @@ relation.  They satisfy flux_ratio_sq_bound * (1 + variance_ratio_floor)
 = 1 identically.  By continuity flux_ratio_sq_bound(0) = 0, and the
 curve increases to 1 as x -> inf.
 
-gap_from_divergence, flux_ratio_sq_bound, variance_ratio_floor and
-onsager_like take a float or an array (a stack of values) and answer in
-kind.  The iteration runs
-entry by entry in Python floats: at a stack of one, masked numpy
-arithmetic costs tens of times more than the scalar iteration, and the
-per-entry results do not depend on the stack.  An entry outside the
-domain, NaN and infinity included, raises DomainError carrying it.
+divergence_from_gap, gap_from_divergence, flux_ratio_sq_bound,
+variance_ratio_floor and onsager_like take a float or an array (a stack
+of values) and answer in kind.  They run entry by entry in Python
+floats: at a stack of one, masked numpy arithmetic costs tens of times
+more than the scalar iteration, and the per-entry results do not depend
+on the stack.  An entry outside the domain, NaN included, raises
+DomainError carrying it; only divergence_from_gap takes an infinite one.
 """
 
 from __future__ import annotations
@@ -45,9 +45,13 @@ ROOT_TOLERANCE = 1e-12
 MAX_ITERATIONS = 200
 
 
-def divergence_from_gap(gap: float) -> float:
+def divergence_from_gap(gap):
     """x = gap * tanh(gap / 2), the divergence of the extremal two-level
     pair with log-odds gap `gap`.  Strictly increasing on [0, inf)."""
+    return _entrywise(_divergence_from_gap, gap)
+
+
+def _divergence_from_gap(gap: float) -> float:
     # written so that a NaN gap fails too
     if not gap >= 0.0:
         raise DomainError("gap must be nonnegative", offending_value=gap)

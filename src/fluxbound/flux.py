@@ -17,14 +17,13 @@ shared weight both states place on the kernel of rho - sigma, together
 with the entropy-cost form 2 r artanh(r) <= S and the variance
 uncertainty relation with floor variance_ratio_floor(S).
 
-make_observable, flux, sign_decomposition, qtur_check and evaluate_bounds
-take single inputs or stacks, a single input as a stack of one
-(linalg.batch_of_one).  evaluate_bounds and sign_decomposition flag a
-degenerate row, and only a single coinciding pair raises; qtur_check
-raises on a degenerate row, naming it.  optimal_shift_check takes a
-single observable only.  clears is the one pass/fail rule of every
-inequality; a NaN slack fails it, and lowers makes the first NaN a
-running minimum.
+make_observable, flux, sign_decomposition, qtur_check, evaluate_bounds
+and optimal_shift_check take single inputs or stacks, a single input as
+a stack of one (linalg.batch_of_one).  evaluate_bounds and
+sign_decomposition flag a degenerate row, and only a single coinciding
+pair raises; qtur_check raises on a degenerate row, naming it.  clears is
+the one pass/fail rule of every inequality; a NaN slack fails it, and
+lowers makes the first NaN a running minimum.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
 from .linalg import (Spectrum, batch_of_one, eigh, expectation, first_row,
-                     from_spectrum, require_hermitian, require_single,
-                     row_label, shape_label)
+                     from_spectrum, require_hermitian, row_label, shape_label)
 from .states import (DensityMatrix, RelEntropyValue, check_same_shape,
                      directed_entropy_pair, symmetric_average,
                      symmetric_relative_entropy)
@@ -109,7 +107,8 @@ def flux(observable: Observable, rho: DensityMatrix, sigma: DensityMatrix):
 
 @dataclass(frozen=True)
 class ShiftCheck:
-    """Grid scan of lambda -> ||theta - lambda I||_inf.
+    """Grid scan of lambda -> ||theta - lambda I||_inf; arrays over the
+    rows for a stack.
 
     The minimum over all shifts is capacity / 2, attained at lambda_star;
     a finite grid can only get within its own resolution of that value.
@@ -122,32 +121,38 @@ class ShiftCheck:
     grid_step: float
 
     @property
-    def holds(self) -> bool:
+    def holds(self):
         """Whether half - slack <= grid_min <= half + grid_step, and the
-        value at lambda_star is half within shift_norm."""
+        value at lambda_star is half within shift_norm, row by row."""
         half, tols = self.half_capacity, DEFAULT_TOLERANCES
         return (clears(self.grid_min - half, tols.slack)
-                and clears(half + self.grid_step - self.grid_min, 0.0)
-                and clears(-abs(self.value_at_lambda_star - half), tols.shift_norm))
+                & clears(half + self.grid_step - self.grid_min, 0.0)
+                & clears(-abs(self.value_at_lambda_star - half), tols.shift_norm))
 
 
+@batch_of_one
 def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
-    require_single(observable=observable)
+    """Scan ||theta - s I||_inf over a grid of shifts s, for one observable
+    or a stack of B: grid is one 1-D grid shared by all rows, or a (B, G)
+    grid, one per row, of >= 2 finite shifts (an error names its row)."""
+    w = observable.eigenvalues
     shifts = np.asarray(grid, dtype=np.float64)
+    if shifts.shape[:-1] not in ((), w.shape[:1]) or shifts.shape[-1:] < (2,):
+        raise ValidationError(f"shift grid must be 1-D or one row per observable, "
+                              f"of >= 2 points, got shape {shifts.shape}")
     # a non-finite shift would leave the grid resolution meaningless
-    if shifts.ndim != 1 or shifts.size < 2 or not np.isfinite(shifts).all():
-        raise ValidationError(
-            "shift grid must be a finite 1-d array with >= 2 points")
-    # ||theta - s I||_inf = max_k |w_k - s|, vectorized over the grid
-    norms = np.max(np.abs(observable.eigenvalues[None, :] - shifts[:, None]), axis=1)
-    k = int(np.argmin(norms))
+    bad = ~np.isfinite(np.atleast_2d(shifts)).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"shift grid has non-finite entries{row_label(bad)}")
+    shifts = np.broadcast_to(shifts, (len(w), shifts.shape[-1]))
+    # ||theta - s I||_inf = max_k |w_k - s|, vectorized over the grids
+    norms = np.max(np.abs(w[:, None, :] - shifts[:, :, None]), axis=2)
     return ShiftCheck(
-        grid_min=float(norms[k]),
-        grid_argmin=float(shifts[k]),
-        value_at_lambda_star=float(np.max(np.abs(observable.eigenvalues
-                                                 - observable.lambda_star))),
+        grid_min=norms.min(axis=1),
+        grid_argmin=shifts[np.arange(len(w)), norms.argmin(axis=1)],
+        value_at_lambda_star=np.abs(w - observable.lambda_star[:, None]).max(axis=1),
         half_capacity=0.5 * observable.capacity,
-        grid_step=float(np.max(np.diff(np.sort(shifts)))),
+        grid_step=np.max(np.diff(np.sort(shifts, axis=1), axis=1), axis=1),
     )
 
 
@@ -226,6 +231,15 @@ def _sign_rows(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
     )
 
 
+def _require_shape_of(name: str, matrix: np.ndarray, rho, sigma) -> None:
+    """Reject the first of rho and sigma without the shape of `matrix`,
+    naming it, the argument `name` and both shapes."""
+    for label, state in (("rho", rho), ("sigma", sigma)):
+        if state.matrix.shape != matrix.shape:
+            raise ValidationError(f"{label} has shape {shape_label(state.matrix)}, "
+                                  f"{name} {shape_label(matrix)}")
+
+
 @dataclass(frozen=True)
 class QturCheck:
     """Variance uncertainty relation for a bounded observable.
@@ -257,10 +271,7 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
     Raises DegenerateInputError, naming the first such row of a stack,
     where the means coincide or the states do (the floor diverges)."""
     h = require_hermitian(operator)
-    for name, state in (("rho", rho), ("sigma", sigma)):
-        if state.matrix.shape != h.shape:
-            raise ValidationError(f"{name} has shape {shape_label(state.matrix)}, "
-                                  f"operator {shape_label(h)}")
+    _require_shape_of("operator", h, rho, sigma)
     h2 = h @ h
     mean_rho = expectation(h, rho.matrix)
     mean_sigma = expectation(h, sigma.matrix)
@@ -347,8 +358,7 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     report, for a stack) flagged accordingly, with all verdicts trivially
     satisfied.
     """
-    if not observable.matrix.shape == rho.matrix.shape == sigma.matrix.shape:
-        raise ValidationError("observable and states must share one dimension")
+    _require_shape_of("observable", observable.matrix, rho, sigma)
     phi = flux(observable, rho, sigma)
     capacity = observable.capacity
     theta_scale = np.maximum(1.0, np.maximum(np.abs(observable.theta_max),

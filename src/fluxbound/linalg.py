@@ -2,8 +2,8 @@
 
 Everything downstream (states, fluxes, scenario runners) is built on the
 handful of primitives in this module: a deterministic eigensolver for
-Hermitian matrices, spectral application of scalar functions, tensor
-products, partial traces, Schatten norms and expectation values.
+Hermitian matrices, spectral rebuilds and exponentials, tensor
+products, partial traces and expectation values.
 
 require_hermitian, eigh, partial_trace and expectation take one (n, n)
 matrix or a (B, n, n) stack.  Their bodies, like those of the stacked
@@ -15,8 +15,7 @@ stack.  unitary_from_generator takes one generator with one time or a 1-D
 grid of T times, or a (B, n, n) stack of generators with one time, and
 returns exp(-i t G) as (n, n), (T, n, n) or (B, n, n); it is the
 package's only matrix exponential, and from_spectrum, V diag(x) V^dag for
-one matrix or a stack, its only rebuild.  matrix_function and
-schatten_norm take one matrix only, and reject a stack by name.
+one matrix or a stack, its only rebuild.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,14 +145,6 @@ def as_array(operator) -> np.ndarray:
     if m is not None:
         return m
     return np.asarray(operator, dtype=np.complex128)
-
-
-def require_single(**arguments) -> None:
-    """Reject, by name, the first argument that is not one matrix."""
-    for name, value in arguments.items():
-        shape = np.shape(as_array(value))
-        if len(shape) != 2:
-            raise ValidationError(f"{name} must be a single matrix, got shape {shape}")
 
 
 def _is_single(argument) -> bool:
@@ -383,34 +374,6 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     return _sorted_spectrum(diagonal, w[:, n:])
 
 
-def matrix_function(matrix, fn: Callable[[float], complex]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Returns V diag(fn(w)) V^dag.  Raises DomainError, carrying the
-    offending eigenvalue, if fn raises or returns a non-finite value at
-    any eigenvalue (for example log at a zero eigenvalue).
-    """
-    require_single(matrix=matrix)
-    spec = eigh(matrix)
-    fvals = np.empty(spec.eigenvalues.shape, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        for k, w in enumerate(spec.eigenvalues):
-            try:
-                y = complex(fn(float(w)))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise DomainError(
-                    f"scalar function undefined at eigenvalue {w!r}: {exc}",
-                    offending_value=float(w),
-                ) from exc
-            if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-                raise DomainError(
-                    f"scalar function non-finite at eigenvalue {w!r}",
-                    offending_value=float(w),
-                )
-            fvals[k] = y
-    return from_spectrum(spec.eigenvectors, fvals)
-
-
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(x) V^dag from eigenvector columns V and values x, for one
     matrix or a stack; leading axes broadcast."""
@@ -488,23 +451,6 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
         raise NumericError(f"partial trace changed the trace by "
                            f"{defect[first_row(bad)]:.3e}{row_label(bad)}")
     return reduced
-
-
-def schatten_norm(matrix, k) -> float:
-    """Schatten k-norm of a Hermitian matrix, k in {1, 2, inf}.
-
-    Computed from the eigenvalues: sum |w| for k = 1, sqrt(sum w^2) for
-    k = 2, max |w| for k = inf.
-    """
-    require_single(matrix=matrix)
-    w = eigh(matrix).eigenvalues
-    if k == 1:
-        return float(np.sum(np.abs(w)))
-    if k == 2:
-        return float(math.sqrt(np.sum(w * w)))
-    if k == math.inf:
-        return float(np.max(np.abs(w))) if w.size else 0.0
-    raise ValidationError(f"Schatten order must be 1, 2 or inf, got {k!r}")
 
 
 @batch_of_one

@@ -500,8 +500,7 @@ def saturating_family(
     if np.isnan(gaps).any():
         raise ValidationError("log-odds gap must not be NaN")
     if gaps.ndim == 0:
-        rho, sigma, family = saturating_family(gaps[None])
-        return take_row(rho, 0), take_row(sigma, 0), take_row(family, 0)
+        return take_row(saturating_family(gaps[None]), 0)
     stacks = None
     for first in range(0, len(gaps), BLOCK_ROWS):
         block = _saturating_block(gaps[first:first + BLOCK_ROWS])
@@ -541,7 +540,7 @@ def _saturating_block(gaps: np.ndarray):
     return rho, sigma, SaturatingFamily(
         log_odds_gap=gaps,
         trace_norm_closed=np.array([2.0 * math.tanh(0.5 * m) for m in magnitudes]),
-        s_tilde_closed=np.array([_bounds.divergence_from_gap(m) for m in magnitudes]),
+        s_tilde_closed=_bounds.divergence_from_gap(np.abs(gaps)),
         epsilon=np.zeros(len(gaps)),
         trace_norm=tn,
         s_tilde=s_value,

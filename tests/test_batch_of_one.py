@@ -12,10 +12,10 @@ from fluxbound import (BOTH_RESET, correlation, correlation_bound_report,
                        directed_entropy_pair, eigh, entropy_flux,
                        entropy_flux_chain_check, evaluate_bounds, evolve,
                        expectation, flux, make_observable, make_scenario,
-                       partial_trace, qtur_check, random_observable,
-                       sign_decomposition, thermal_environment,
-                       trace_distance_norm, unitary_from_generator,
-                       validate_state)
+                       optimal_shift_check, partial_trace, qtur_check,
+                       random_observable, sign_decomposition,
+                       thermal_environment, trace_distance_norm,
+                       unitary_from_generator, validate_state)
 from fluxbound.errors import FluxboundError
 from fluxbound.linalg import as_stack, require_hermitian, take_row
 
@@ -108,6 +108,16 @@ def _args_qtur_check(bad):
     return (thetas, *_states())
 
 
+def _args_optimal_shift_check(bad):
+    thetas, _, _ = _matrices(3, 9)
+    theta = make_observable(thetas)
+    # one grid per row, around that row's spectrum
+    grids = np.linspace(theta.theta_min - 1.0, theta.theta_max + 1.0, 50, axis=1)
+    if bad:
+        grids[BAD_ROW, 7] = np.inf
+    return theta, grids
+
+
 def _args_make_scenario(bad):
     generators, _, _ = _matrices(4, 6)
     unitaries = unitary_from_generator(generators, 1.0)
@@ -181,6 +191,8 @@ CASES = {
     "flux": (flux, _args_triple, "exceeds capacity"),
     "evaluate_bounds": (evaluate_bounds, _args_triple, "exceeds capacity"),
     "qtur_check": (qtur_check, _args_qtur_check, "observable means coincide"),
+    "optimal_shift_check": (optimal_shift_check, _args_optimal_shift_check,
+                            "shift grid"),
     "make_scenario": (make_scenario, _args_make_scenario,
                       "unitarity invariant violated"),
     "evolve": (evolve, _args_evolve, "state trace invariant"),

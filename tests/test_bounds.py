@@ -37,6 +37,10 @@ def test_divergence_from_gap_rejects_nan():
     with pytest.raises(DomainError) as excinfo:
         divergence_from_gap(math.nan)
     assert math.isnan(excinfo.value.offending_value)
+    # an array used to fail inside numpy ("truth value ... is ambiguous")
+    with pytest.raises(DomainError) as excinfo:
+        divergence_from_gap(np.array([1.0, math.nan]))
+    assert math.isnan(excinfo.value.offending_value)
 
 
 @settings(derandomize=True, database=None)
@@ -196,7 +200,7 @@ def test_onsager_like_rejects_nan():
 
 def test_bound_functions_take_arrays_entry_by_entry():
     xs = np.concatenate([[0.0], np.geomspace(1e-6, 200.0, 50)])
-    for fn in (gap_from_divergence, flux_ratio_sq_bound):
+    for fn in (divergence_from_gap, gap_from_divergence, flux_ratio_sq_bound):
         values = fn(xs)
         assert isinstance(values, np.ndarray) and values.shape == xs.shape
         assert values.tolist() == [fn(float(x)) for x in xs]

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_state_np, rng_for
 from fluxbound import (DEFAULT_TOLERANCES, QturCheck, ShiftCheck, Verdict,
-                       evaluate_bounds, flux,
+                       evaluate_bounds, flux, local_system_bound_check,
                        make_observable, optimal_shift_check, qtur_check,
                        random_observable, sign_decomposition, validate_state)
 from fluxbound.errors import (DegenerateInputError, FluxboundError,
@@ -221,9 +221,21 @@ def test_single_input_checks_reject_stacks_by_name():
         qtur_check(np.stack([np.diag([1.0, -1.0])] * 2), rho, take_row(sigma, 0))
     with pytest.raises(FluxboundError, match=r"^rho .*\(2, 2, 2\)"):
         qtur_check(np.diag([1.0, -1.0]), rho, take_row(sigma, 0))
-    thetas = make_observable(np.stack([np.diag([1.0, -1.0])] * 3))
-    with pytest.raises(FluxboundError, match=r"^observable .*\(3, 2, 2\)"):
-        optimal_shift_check(thetas, np.linspace(-2.0, 2.0, 3))
+
+
+@pytest.mark.parametrize("check", [evaluate_bounds, local_system_bound_check])
+def test_bound_checks_name_the_state_of_another_shape(check):
+    # used to say only "observable and states must share one dimension"
+    thetas = make_observable(np.stack([np.diag([1.0, -1.0])] * 2))
+    rhos = validate_state(np.stack([np.diag([0.2, 0.8])] * 2))
+    sigmas = validate_state(np.stack([np.diag([0.6, 0.4])] * 3))
+    with pytest.raises(ValidationError,
+                       match=r"^sigma has shape \(3, 2, 2\), observable \(2, 2, 2\)$"):
+        check(thetas, rhos, sigmas)
+    theta = make_observable(np.diag([1.0, 0.0, -1.0]))
+    with pytest.raises(ValidationError,
+                       match=r"^rho has shape \(2, 2\), observable \(3, 3\)$"):
+        check(theta, take_row(rhos, 0), take_row(rhos, 1))
 
 
 def test_qtur_rejects_coinciding_means():

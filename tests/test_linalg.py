@@ -10,8 +10,8 @@ import scipy.linalg
 
 import fluxbound.linalg as linalg_module
 from conftest import random_hermitian_np, reference_partial_trace, rng_for
-from fluxbound import (eigh, expectation, matrix_function, partial_trace,
-                       schatten_norm, tensor_product, unitary_from_generator)
+from fluxbound import (eigh, expectation, partial_trace, tensor_product,
+                       unitary_from_generator)
 from fluxbound.errors import DomainError, NumericError, ValidationError
 from fluxbound.linalg import as_complex_matrix, require_hermitian
 
@@ -96,12 +96,6 @@ def test_eigh_reconstruction_invariant_sweep():
             assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
             count += 1
     assert count >= 1000
-
-
-def test_matrix_function_identity_returns_the_input():
-    rng = rng_for(7, stream=107)
-    h = random_hermitian_np(rng, 5)
-    assert np.max(np.abs(matrix_function(h, lambda w: w) - h)) <= 1e-12
 
 
 def test_eigh_degenerate_spectrum():
@@ -212,44 +206,6 @@ def test_require_hermitian_symmetrizes_rounding_noise():
     assert np.max(np.abs(out - np.array([[1.0, 0.5], [0.5, 2.0]]))) < 1e-13
 
 
-def test_matrix_function_exponential_matches_scipy():
-    for k in range(5):
-        rng = rng_for(k, stream=102)
-        h = random_hermitian_np(rng, 4)
-        ours = matrix_function(h, math.exp)
-        reference = scipy.linalg.expm(h)
-        assert np.max(np.abs(ours - reference)) <= 1e-10 * float(np.max(np.abs(reference)))
-
-
-def test_matrix_function_log_of_singular_matrix_raises():
-    projector = np.diag([1.0, 0.0])
-    with pytest.raises(DomainError) as excinfo:
-        matrix_function(projector, math.log)
-    assert abs(excinfo.value.offending_value) < 1e-12
-
-
-def test_matrix_function_exponential_of_a_diagonal():
-    out = matrix_function(np.diag([0.0, math.log(2.0)]), math.exp)
-    assert np.max(np.abs(out - np.diag([1.0, 2.0]))) <= 1e-14
-
-
-def test_matrix_function_log_exp_round_trip():
-    rng = rng_for(8, stream=107)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    rho = g @ g.conj().T
-    rho = rho / float(np.trace(rho).real)
-    back = matrix_function(matrix_function(rho, math.log), math.exp)
-    assert np.max(np.abs(back - rho)) <= 1e-10
-
-
-def test_matrix_function_square_root_squares_back():
-    rng = rng_for(0, stream=103)
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    psd = g @ g.conj().T
-    root = matrix_function(psd, math.sqrt)
-    assert np.max(np.abs(root @ root - psd)) <= 1e-10 * float(np.max(np.abs(psd)))
-
-
 def test_unitary_from_generator_matches_scipy_and_is_unitary():
     rng = rng_for(1, stream=103)
     g = random_hermitian_np(rng, 4)
@@ -319,22 +275,6 @@ def test_unitary_from_a_stack_of_generators_equals_each_alone():
         unitary_from_generator(generators, [0.1, 0.2])
 
 
-def test_schatten_norm_rejects_a_stack_by_name():
-    # the norm of a stack used to be the sum over the whole stack
-    stack = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
-    with pytest.raises(ValidationError,
-                       match=r"^matrix must be a single matrix, got shape \(2, 2, 2\)"):
-        schatten_norm(stack, 1)
-
-
-def test_matrix_function_rejects_a_stack_by_name():
-    # numpy used to raise a bare TypeError from float() of a row
-    stack = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
-    with pytest.raises(ValidationError,
-                       match=r"^matrix must be a single matrix, got shape \(2, 2, 2\)"):
-        matrix_function(stack, math.exp)
-
-
 def test_tensor_product_trace_factorizes():
     rng = rng_for(9, stream=107)
     a = random_hermitian_np(rng, 3)
@@ -377,33 +317,6 @@ def test_partial_trace_validates_shapes_and_keep():
         partial_trace(np.eye(6), 2, 3, "both")
     with pytest.raises(ValidationError):
         partial_trace(np.eye(6), 0, 6, "system")
-
-
-def test_schatten_norms_on_a_known_spectrum():
-    m = np.diag([3.0, -4.0])
-    assert schatten_norm(m, 1) == 7.0
-    assert schatten_norm(m, 2) == 5.0
-    assert schatten_norm(m, math.inf) == 4.0
-    with pytest.raises(ValidationError):
-        schatten_norm(m, 3)
-
-
-def test_schatten_norm_sign_diagonal_and_zero():
-    assert schatten_norm(np.diag([1.0, -1.0]), 1) == 2.0
-    assert schatten_norm(np.diag([1.0, -1.0]), math.inf) == 1.0
-    assert schatten_norm(np.zeros((2, 2)), 1) == 0.0
-
-
-def test_schatten_norm_ordering_and_hoelder():
-    for k in range(5):
-        rng = rng_for(k, stream=105)
-        a = random_hermitian_np(rng, 4)
-        b = random_hermitian_np(rng, 4)
-        n1, n2, ninf = (schatten_norm(a, 1), schatten_norm(a, 2),
-                        schatten_norm(a, math.inf))
-        assert ninf <= n2 + 1e-12 <= n1 + 1e-12
-        inner = float(np.trace(a @ b).real)
-        assert abs(inner) <= schatten_norm(a, math.inf) * schatten_norm(b, 1) + 1e-10
 
 
 def test_expectation_matches_the_double_sum():
