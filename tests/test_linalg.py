@@ -13,7 +13,8 @@ from conftest import random_hermitian_np, reference_partial_trace, rng_for
 from fluxbound import (eigh, expectation, partial_trace, tensor_product,
                        unitary_from_generator)
 from fluxbound.errors import DomainError, NumericError, ValidationError
-from fluxbound.linalg import as_complex_matrix, require_hermitian
+from fluxbound.linalg import (as_complex_matrix, from_spectrum,
+                              require_hermitian)
 
 
 def test_eigh_sorts_a_diagonal_matrix():
@@ -204,6 +205,61 @@ def test_require_hermitian_symmetrizes_rounding_noise():
     out = require_hermitian(h)
     assert np.max(np.abs(out - out.conj().T)) == 0.0
     assert np.max(np.abs(out - np.array([[1.0, 0.5], [0.5, 2.0]]))) < 1e-13
+
+
+def rebuild(matrix, function):
+    """f(H) = V diag(f(w)) V^dag through eigh and from_spectrum."""
+    spec = eigh(matrix)
+    return from_spectrum(spec.eigenvectors, function(spec.eigenvalues))
+
+
+def test_from_spectrum_of_the_identity_function_returns_the_input():
+    rng = rng_for(7, stream=107)
+    h = random_hermitian_np(rng, 5)
+    assert np.max(np.abs(rebuild(h, lambda w: w) - h)) <= 1e-12
+
+
+def test_from_spectrum_exponential_matches_scipy():
+    for k in range(5):
+        rng = rng_for(k, stream=102)
+        h = random_hermitian_np(rng, 4)
+        reference = scipy.linalg.expm(h)
+        ours = rebuild(h, np.exp)
+        assert np.max(np.abs(ours - reference)) <= 1e-10 * float(np.max(np.abs(reference)))
+
+
+def test_from_spectrum_exponential_of_a_diagonal():
+    out = rebuild(np.diag([0.0, math.log(2.0)]), np.exp)
+    assert np.max(np.abs(out - np.diag([1.0, 2.0]))) <= 1e-14
+
+
+def test_from_spectrum_log_exp_round_trip():
+    rng = rng_for(8, stream=107)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rho = g @ g.conj().T
+    rho = rho / float(np.trace(rho).real)
+    back = rebuild(rebuild(rho, np.log), np.exp)
+    assert np.max(np.abs(back - rho)) <= 1e-10
+
+
+def test_from_spectrum_square_root_squares_back():
+    rng = rng_for(0, stream=103)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    psd = g @ g.conj().T
+    root = rebuild(psd, lambda w: np.sqrt(np.maximum(w, 0.0)))
+    assert np.max(np.abs(root @ root - psd)) <= 1e-10 * float(np.max(np.abs(psd)))
+
+
+def test_from_spectrum_of_a_stack_equals_each_alone():
+    rng = rng_for(9, stream=102)
+    stack = np.stack([random_hermitian_np(rng, 3) for _ in range(4)])
+    spec = eigh(stack)
+    values = np.exp(spec.eigenvalues)
+    rows = from_spectrum(spec.eigenvectors, values)
+    assert rows.shape == (4, 3, 3)
+    for k in range(4):
+        assert np.array_equal(rows[k],
+                              from_spectrum(spec.eigenvectors[k], values[k]))
 
 
 def test_unitary_from_generator_matches_scipy_and_is_unitary():

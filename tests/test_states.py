@@ -198,6 +198,37 @@ def test_trace_distance_norm_diagonal_case():
         trace_distance_norm(rho, validate_state(np.eye(3) / 3.0))
 
 
+def test_trace_norm_dominates_the_other_schatten_norms_and_bounds_fluxes():
+    # ||d||_inf <= ||d||_2 <= ||d||_1 for d = rho - sigma, and Hoelder:
+    # |tr(a d)| <= ||a||_inf ||d||_1
+    for k in range(5):
+        rng = rng_for(k, stream=105)
+        rho = validate_state(random_state_np(rng, 4))
+        sigma = validate_state(random_state_np(rng, 4))
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = 0.5 * (a + a.conj().T)
+        d = rho.matrix - sigma.matrix
+        w = np.linalg.eigvalsh(d)
+        n1 = trace_distance_norm(rho, sigma)
+        assert n1 == pytest.approx(float(np.abs(w).sum()), abs=1e-12)
+        ninf, n2 = float(np.abs(w).max()), float(np.linalg.norm(d))
+        assert ninf <= n2 + 1e-12 <= n1 + 1e-12
+        inner = float(np.trace(a @ d).real)
+        assert abs(inner) <= float(np.abs(np.linalg.eigvalsh(a)).max()) * n1 + 1e-10
+
+
+def test_trace_norm_of_a_stack_equals_each_pair_alone():
+    rng = rng_for(3, stream=105)
+    rhos = [random_state_np(rng, 3) for _ in range(3)]
+    sigmas = [random_state_np(rng, 3) for _ in range(3)]
+    stacked = trace_distance_norm(validate_state(np.stack(rhos)),
+                                  validate_state(np.stack(sigmas)))
+    assert stacked.shape == (3,)
+    for k in range(3):
+        alone = trace_distance_norm(validate_state(rhos[k]), validate_state(sigmas[k]))
+        assert stacked[k] == alone
+
+
 def pinsker_check(rho, sigma):
     """The report and its forward Pinsker verdict, S(rho||sigma) / 2 >=
     ||rho - sigma||_1^2 / 4: half the slack of S >= ||rho - sigma||_1^2 / 2."""
