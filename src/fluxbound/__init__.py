@@ -25,8 +25,8 @@ from .flux import (BoundReport, Observable, QturCheck, ShiftCheck,
 from .linalg import (Spectrum, eigh, expectation, partial_trace,
                      tensor_product, unitary_from_generator)
 from .montecarlo import (DrawConfig, DrawRecord, MonteCarloSummary,
-                         POLICY_REDRAW, POLICY_REPORT_INFINITE, run_montecarlo,
-                         substream, triple_from_uniforms)
+                         POLICY_REDRAW, POLICY_REPORT_INFINITE, philox_uniforms,
+                         run_montecarlo, substream, triple_from_uniforms)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      relative_entropy, symmetric_average,
                      symmetric_relative_entropy, trace_distance_norm,

@@ -1,9 +1,13 @@
 """Reproducible random sampling and the qubit Monte Carlo sweep.
 
 Randomness is counter-based: draw i of stream k under master seed m uses
-a Philox generator keyed by (m, k * 2^48 + i), so every record is a pure
-function of (seed, stream, index).  Reordering or parallelizing draws
-cannot change any of them, and a redraw continues the same substream.
+the Philox4x64-10 stream keyed by (m, k * 2^48 + i), so every record is a
+pure function of (seed, stream, index).  Reordering or parallelizing draws
+cannot change any of them, and a redraw continues the same stream.
+substream(m, i, k) is that stream as a numpy Generator; philox_uniforms
+computes the same words with numpy array arithmetic for a whole block of
+draws at once (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11), bit for bit as the Generator's random() gives them.
 
 The qubit protocol samples, per draw and in this fixed order of uniform
 variates u1..u7:
@@ -17,18 +21,21 @@ variates u1..u7:
 
 All magnitudes are taken as square roots of uniformly drawn squared
 magnitudes; phases are uniform on the half-open interval [0, 2 pi).
+Redraw r of a draw reads words 7r to 7r + 6 of the draw's stream.
 
-The sweep validates and evaluates the draws in blocks of BLOCK_ROWS as
-one stack, and redraws a block's infinite draws after sampling the whole
-block.  Each draw reads only its own substream and every row of a stack
-is computed as it would be alone, so the records depend neither on the
-blocking nor on the order in which draws are sampled.
+The sweep samples a block of BLOCK_ROWS draws with one philox_uniforms
+call and one protocol call, and validates and evaluates it as one stack;
+then it redraws the block's infinite draws with one call each over the
+pending rows.  Each draw reads only its own stream and every row of a
+stack is computed as it would be alone, so the records depend neither on
+the blocking nor on the order in which draws are sampled.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +44,6 @@ from .config import BLOCK_ROWS
 from .errors import ValidationError
 from .flux import (BoundReport, Observable, clears, evaluate_bounds, lowers,
                    make_observable)
-from .linalg import as_array
 from .states import DensityMatrix, validate_state
 
 POLICY_REDRAW = "redraw"
@@ -48,13 +54,38 @@ _STREAM_BITS = 16  # stream ids fill the key word above the draw index
 # redraws of one draw under the redraw policy before its infinite
 # divergence is reported after all (0 under report_infinite)
 MAX_REDRAWS = 64
+UNIFORMS_PER_DRAW = 7  # the qubit protocol's u1..u7
+
+# Philox4x64-10: round multipliers and key increments (Random123), one
+# row per multiplied word, shaped to broadcast over (2, rows, counters)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64).reshape(2, 1, 1)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_M_HIGH, _M_LOW = _PHILOX_M >> np.uint64(32), _PHILOX_M & _LOW32
+
+
+def check_integer(name: str, value) -> int:
+    """value as a Python int; a float or any other non-integer is an error
+    that names the input."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 def check_master_seed(master_seed: int) -> None:
     """Master seeds are the first 64-bit word of the Philox key."""
-    if not 0 <= master_seed < (1 << 64):
+    if not 0 <= check_integer("master seed", master_seed) < (1 << 64):
         raise ValidationError(
             f"master seed {master_seed} out of range [0, 2^64)")
+
+
+def _check_stream(stream: int) -> None:
+    if not 0 <= stream < (1 << _STREAM_BITS):
+        raise ValidationError(f"stream {stream} out of range [0, 2^16)")
 
 
 def check_slack_tolerance(slack_tolerance: float) -> None:
@@ -68,8 +99,7 @@ def check_slack_tolerance(slack_tolerance: float) -> None:
 def substream(master_seed: int, draw_index: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for one draw: key = (seed, stream | index)."""
     check_master_seed(master_seed)
-    if not 0 <= stream < (1 << _STREAM_BITS):
-        raise ValidationError(f"stream {stream} out of range [0, 2^16)")
+    _check_stream(stream)
     if draw_index < 0 or draw_index >= (1 << _STREAM_SHIFT):
         raise ValidationError(f"draw index {draw_index} out of range")
     key = np.array([np.uint64(master_seed),
@@ -78,33 +108,100 @@ def substream(master_seed: int, draw_index: int, stream: int = 0) -> np.random.G
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _PHILOX_M * x, the high
+    one assembled from 32-bit halves (uint64 arrays wrap silently)."""
+    x_high, x_low = x >> np.uint64(32), x & _LOW32
+    low_low = x_low * _M_LOW
+    low_high = x_low * _M_HIGH
+    high_low = x_high * _M_LOW
+    middle = (low_low >> np.uint64(32)) + (low_high & _LOW32) + (high_low & _LOW32)
+    high = (x_high * _M_HIGH + (low_high >> np.uint64(32))
+            + (high_low >> np.uint64(32)) + (middle >> np.uint64(32)))
+    return high, x * _PHILOX_M
+
+
+def _key_words(name: str, values, bits: int) -> np.ndarray:
+    """values as a uint64 array, each an integer in [0, 2^bits)."""
+    values = np.asarray(values)
+    if values.size and (values.dtype.kind not in "iu" or values.min() < 0
+                        or values.max() >= 1 << bits):
+        raise ValidationError(f"{name} must be integers in [0, 2^{bits})")
+    return values.astype(np.uint64)
+
+
+def philox_uniforms(master_seed: int, draws, first_words, stream: int = 0) -> np.ndarray:
+    """(B, 7) uniforms: row b holds words first_words[b] to
+    first_words[b] + 6 of draw draws[b]'s stream, as
+    substream(master_seed, draws[b], stream) would return them after
+    skipping first_words[b] words.
+
+    numpy's Philox increments its 256-bit counter before each block of
+    four words, so word w comes from the counter (w // 4 + 1, 0, 0, 0).
+    Every row's counters run through the ten rounds together, and a
+    uniform is the word's top 53 bits times 2^-53, as Generator.random
+    takes it."""
+    check_master_seed(master_seed)
+    _check_stream(stream)
+    draws = _key_words("draw indices", draws, _STREAM_SHIFT)
+    first_words = _key_words("word offsets", first_words, 63)
+    lanes = (first_words % np.uint64(4)).astype(np.intp)
+    counters = (int(lanes.max(initial=0)) + UNIFORMS_PER_DRAW - 1) // 4 + 1
+    rows = len(draws)
+    # the multiplied words (x0, x2) and the xored ones (x1, x3)
+    multiplied = np.zeros((2, rows, counters), dtype=np.uint64)
+    multiplied[0] = (first_words // np.uint64(4) + np.uint64(1))[:, None] + np.arange(
+        counters, dtype=np.uint64)
+    xored = np.zeros_like(multiplied)
+    key = np.empty((2, rows, 1), dtype=np.uint64)
+    key[0] = master_seed
+    key[1, :, 0] = draws + np.uint64(stream << _STREAM_SHIFT)
+    for round_ in range(10):
+        if round_:
+            key = key + _PHILOX_W
+        high, low = _mulhilo(multiplied)
+        multiplied, xored = high[::-1] ^ xored ^ key, low[::-1]
+    words = np.stack([multiplied[0], xored[0], multiplied[1], xored[1]],
+                     axis=-1).reshape(rows, 4 * counters)
+    picked = np.take_along_axis(
+        words, lanes[:, None] + np.arange(UNIFORMS_PER_DRAW), axis=1)
+    return (picked >> np.uint64(11)) * 2.0 ** -53
+
+
+def _phases(u: np.ndarray) -> np.ndarray:
+    """exp(2 pi i u), row by row through cmath.exp, so that the phases are
+    libm's cos and sin on every machine, whatever SIMD numpy dispatches."""
+    return np.array([cmath.exp(2j * math.pi * v) for v in np.ravel(u).tolist()],
+                    dtype=np.complex128).reshape(np.shape(u))
+
+
 def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The protocol's raw (theta, rho, sigma) matrices from seven uniforms
-    in [0, 1), not yet validated."""
+    in [0, 1), not yet validated: a (7,) array gives one triple and a
+    (B, 7) array a stack of B.  Each row is bit for bit what the
+    protocol's formulas give it alone in Python floats."""
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (7,):
-        raise ValidationError("the qubit protocol consumes exactly 7 uniforms")
-    p1, q1, u3, u4, u5, u6, u7 = u.tolist()
-    rho = np.array([[1.0 - p1, 0.0], [0.0, p1]], dtype=np.complex128)
-    coherence = math.sqrt(u3 * q1 * (1.0 - q1)) * cmath.exp(2j * math.pi * u4)
-    sigma = np.array([[1.0 - q1, coherence], [coherence.conjugate(), q1]])
+    if u.ndim not in (1, 2) or u.shape[-1] != UNIFORMS_PER_DRAW:
+        raise ValidationError("the qubit protocol consumes exactly 7 uniforms "
+                              f"per draw, got an array of shape {u.shape}")
+    p1, q1, u3, u4, u5, u6, u7 = u.T  # columns of a stack, or seven floats
+    coherence = np.sqrt(u3 * q1 * (1.0 - q1)) * _phases(u4)
     w = 4.0 * u5
-    offdiag = math.sqrt(u6) * cmath.exp(2j * math.pi * u7)
-    theta = np.array([[-w, offdiag], [offdiag.conjugate(), w]])
+    offdiag = np.sqrt(u6) * _phases(u7)
+    theta, rho, sigma = np.zeros((3, *u.shape[:-1], 2, 2), dtype=np.complex128)
+    rho[..., 0, 0], rho[..., 1, 1] = 1.0 - p1, p1
+    sigma[..., 0, 0], sigma[..., 0, 1] = 1.0 - q1, coherence
+    sigma[..., 1, 0], sigma[..., 1, 1] = coherence.conj(), q1
+    theta[..., 0, 0], theta[..., 0, 1] = -w, offdiag
+    theta[..., 1, 0], theta[..., 1, 1] = offdiag.conj(), w
     return theta, rho, sigma
 
 
 def triple_from_uniforms(u) -> tuple[Observable, DensityMatrix, DensityMatrix]:
-    """Deterministic (theta, rho, sigma) from seven uniforms in [0, 1)."""
+    """Deterministic (theta, rho, sigma) from seven uniforms in [0, 1), or
+    stacks of them from a (B, 7) array."""
     theta, rho, sigma = qubit_matrices(u)
     return make_observable(theta), validate_state(rho), validate_state(sigma)
-
-
-def sample_qubit_matrices(
-        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sweep's default sampler: one draw's raw matrices, which the
-    sweep validates a block at a time."""
-    return qubit_matrices(rng.random(7))
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +216,12 @@ class DrawConfig:
     slack_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.n_draws < 1:
+        n_draws = check_integer("n_draws", self.n_draws)
+        if n_draws < 1:
             raise ValidationError("n_draws must be positive")
+        if n_draws > 1 << _STREAM_SHIFT:
+            # the draw index fills the low 48 bits of the Philox key
+            raise ValidationError(f"n_draws must be at most 2^48, got {n_draws}")
         check_master_seed(self.master_seed)
         if self.rejection_policy not in (POLICY_REDRAW, POLICY_REPORT_INFINITE):
             raise ValidationError(
@@ -157,10 +258,9 @@ class MonteCarloSummary:
     total_redraws: int = 0
 
 
-def _evaluate_block(triples: list) -> BoundReport:
-    """Stack the samplers' triples (matrices, or records carrying one in
-    .matrix), validate each stack once and evaluate it."""
-    theta, rho, sigma = (np.stack([as_array(m) for m in ms]) for ms in zip(*triples))
+def _evaluate_block(theta: np.ndarray, rho: np.ndarray,
+                    sigma: np.ndarray) -> BoundReport:
+    """Validate the block's stacks once each and evaluate them."""
     return evaluate_bounds(make_observable(theta), validate_state(rho),
                            validate_state(sigma))
 
@@ -201,35 +301,38 @@ def _record_block(first: int, report: BoundReport, redraws: list, tolerance: flo
             summary.min_slack_main = lowest
 
 
-def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=sample_qubit_matrices,
+def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=qubit_matrices,
                    ) -> tuple[list[DrawRecord], MonteCarloSummary]:
     """Run the sweep and evaluate every bound on every draw.
 
-    sampler(rng) returns one draw's (theta, rho, sigma), as matrices or
-    as records carrying one in .matrix.  Each block samples its draws in
-    draw order and is evaluated; then, while some draw has infinite
-    symmetric relative entropy and fewer redraws than the limit (MAX_REDRAWS
-    under redraw, 0 under report_infinite), each such draw is sampled again
-    from its own substream and the block is evaluated again.  A draw still
-    infinite is emitted with its markers.  Each verdict is scored against
+    sampler(u) maps a (B, 7) array of uniforms, one row per draw, to the
+    stacked raw (theta, rho, sigma) matrices of those draws.  Each block
+    samples its draws with one philox_uniforms call and one sampler call
+    and is evaluated; then, while some draw has infinite symmetric
+    relative entropy and fewer redraws than the limit (MAX_REDRAWS under
+    redraw, 0 under report_infinite), those draws are sampled again, with
+    one call over the pending rows that reads each draw's next seven
+    words, and the block is evaluated again.  A draw still infinite is
+    emitted with its markers.  Each verdict is scored against
     config.slack_tolerance.
     """
     limit = MAX_REDRAWS if config.rejection_policy == POLICY_REDRAW else 0
     records: list[DrawRecord] = []
     summary = MonteCarloSummary(n_draws=config.n_draws)
     for first in range(0, config.n_draws, BLOCK_ROWS):
-        rngs, triples = [], []
-        for index in range(first, min(first + BLOCK_ROWS, config.n_draws)):
-            rngs.append(substream(config.master_seed, index))
-            triples.append(sampler(rngs[-1]))
-        redraws = [0] * len(triples)
-        report = _evaluate_block(triples)
-        while pending := [k for k in np.flatnonzero(~report.s_tilde.finite).tolist()
-                          if redraws[k] < limit]:
-            for k in pending:
-                triples[k] = sampler(rngs[k])
-                redraws[k] += 1
-            report = _evaluate_block(triples)
-        _record_block(first, report, redraws, config.slack_tolerance,
+        draws = np.arange(first, min(first + BLOCK_ROWS, config.n_draws))
+        redraws = np.zeros(len(draws), dtype=np.int64)
+        uniforms = philox_uniforms(config.master_seed, draws, redraws)
+        block = [np.array(m, dtype=np.complex128) for m in sampler(uniforms)]
+        report = _evaluate_block(*block)
+        while (pending := np.flatnonzero(~report.s_tilde.finite
+                                         & (redraws < limit))).size:
+            redraws[pending] += 1
+            uniforms = philox_uniforms(config.master_seed, draws[pending],
+                                       UNIFORMS_PER_DRAW * redraws[pending])
+            for stack, fresh in zip(block, sampler(uniforms)):
+                stack[pending] = fresh
+            report = _evaluate_block(*block)
+        _record_block(first, report, redraws.tolist(), config.slack_tolerance,
                       records, summary)
     return records, summary

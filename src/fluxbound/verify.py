@@ -29,8 +29,8 @@ from .flux import (Observable, clears, evaluate_bounds, lowers,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
 from .linalg import expectation, take_row, unitary_from_generator
-from .montecarlo import (check_master_seed, check_slack_tolerance,
-                         qubit_matrices, substream)
+from .montecarlo import (check_integer, check_master_seed,
+                         check_slack_tolerance, qubit_matrices, substream)
 from .states import DensityMatrix, validate_state
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      correlation, correlation_bound_report, entropy_flux,
@@ -81,7 +81,7 @@ class VerifyConfig:
     slack_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.draws < 1:
+        if check_integer("draws", self.draws) < 1:
             raise ValidationError("draws must be positive")
         check_master_seed(self.master_seed)
         check_slack_tolerance(self.slack_tolerance)

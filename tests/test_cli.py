@@ -278,6 +278,15 @@ def test_out_of_range_seeds_are_usage_errors(capsys):
             assert f"master seed {seed} out of range" in err
 
 
+def test_montecarlo_draw_counts_beyond_the_key_are_usage_errors(capsys):
+    # the draw index has 48 bits of the Philox key; a larger run used to
+    # be accepted and is now refused before any draw is made
+    code, out, err = run_cli(["montecarlo", "--draws", str((1 << 48) + 1)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "n_draws must be at most 2^48" in err
+
+
 def test_unwritable_output_path_is_an_io_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(

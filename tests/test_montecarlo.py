@@ -1,5 +1,7 @@
 """Counter-based sampling, the qubit protocol, and the sweep driver."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +16,8 @@ from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
                        validate_state)
 from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import ValidationError
-from fluxbound.montecarlo import (MAX_REDRAWS, qubit_matrices,
-                                  sample_qubit_matrices)
+from fluxbound.montecarlo import (MAX_REDRAWS, check_master_seed,
+                                  philox_uniforms, qubit_matrices)
 from fluxbound.verify import VerifyConfig
 
 
@@ -59,18 +61,91 @@ def test_triple_from_uniforms_edge_values_stay_valid():
 
 
 def test_triple_from_uniforms_consumes_exactly_seven():
-    with pytest.raises(ValidationError):
-        triple_from_uniforms([0.5] * 6)
-    with pytest.raises(ValidationError):
-        triple_from_uniforms([0.5] * 8)
+    for shape in ((6,), (8,), (3, 6), (2, 3, 7)):
+        with pytest.raises(ValidationError, match="7 uniforms"):
+            triple_from_uniforms(np.full(shape, 0.5))
 
 
-def test_sample_qubit_matrices_reads_the_stream_in_protocol_order():
-    theta_a, rho_a, sigma_a = sample_qubit_matrices(substream(9, 3))
-    theta_b, rho_b, sigma_b = qubit_matrices(substream(9, 3).random(7))
-    assert np.array_equal(theta_a, theta_b)
-    assert np.array_equal(rho_a, rho_b)
-    assert np.array_equal(sigma_a, sigma_b)
+def _substream_words(seed, draw, first_word, stream=0):
+    """Seven uniforms of draw's substream after skipping first_word words,
+    each read through Generator.random as the stream continues."""
+    rng = substream(seed, draw, stream)
+    return rng.random(first_word + 7)[first_word:]
+
+
+def test_philox_uniforms_match_the_substreams_bit_for_bit():
+    top = 1 << 48
+    cases = [  # (seed, stream, draw indices)
+        (0, 0, range(40)),
+        ((1 << 64) - 1, 0, range(40)),
+        (42, 1, range(100, 140)),
+        (1101, (1 << 16) - 1, range(top - 40, top)),
+        ((1 << 64) - 1, 3, [0, 1, top // 2, top - 2, top - 1]),
+    ]
+    for seed, stream, draws in cases:
+        draws = list(draws)
+        # redraw r reads words 7r to 7r + 6, which for r = 1, 2, 3 start
+        # inside a four-word counter block and cross into the next
+        for r in range(4):
+            u = philox_uniforms(seed, draws, [7 * r] * len(draws), stream)
+            expected = [_substream_words(seed, d, 7 * r, stream) for d in draws]
+            assert u.shape == (len(draws), 7)
+            assert u.tobytes() == np.array(expected).tobytes(), (seed, stream, r)
+        # rows at different offsets in one call
+        offsets = [(k % 6) * 7 + k % 3 for k in range(len(draws))]
+        u = philox_uniforms(seed, draws, offsets, stream)
+        expected = [_substream_words(seed, d, w, stream)
+                    for d, w in zip(draws, offsets)]
+        assert u.tobytes() == np.array(expected).tobytes(), (seed, stream)
+
+
+def test_philox_uniforms_reject_out_of_range_keys():
+    with pytest.raises(ValidationError, match="master seed"):
+        philox_uniforms(1 << 64, [0], [0])
+    with pytest.raises(ValidationError, match="stream"):
+        philox_uniforms(42, [0], [0], stream=1 << 16)
+    for draws in ([-1], [1 << 48], [1.5]):
+        with pytest.raises(ValidationError, match="draw indices"):
+            philox_uniforms(42, draws, [0])
+    for offsets in ([-7], [7.0]):
+        with pytest.raises(ValidationError, match="word offsets"):
+            philox_uniforms(42, [0], offsets)
+
+
+def _per_row_matrices(u):
+    """The protocol for one draw in Python floats, as the sweep computed
+    it draw by draw: math.sqrt magnitudes and cmath.exp phases."""
+    p1, q1, u3, u4, u5, u6, u7 = u
+    rho = np.array([[1.0 - p1, 0.0], [0.0, p1]], dtype=np.complex128)
+    coherence = math.sqrt(u3 * q1 * (1.0 - q1)) * cmath.exp(2j * math.pi * u4)
+    sigma = np.array([[1.0 - q1, coherence], [coherence.conjugate(), q1]])
+    w = 4.0 * u5
+    offdiag = math.sqrt(u6) * cmath.exp(2j * math.pi * u7)
+    theta = np.array([[-w, offdiag], [offdiag.conjugate(), w]])
+    return theta, rho, sigma
+
+
+def test_stacked_protocol_matches_the_per_row_form_bit_for_bit():
+    # tobytes compares every bit, the signs of zeros included
+    top = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
+    edges = np.array(list(itertools.product((0.0, top), repeat=7)))
+    drawn = philox_uniforms(1101, np.arange(10_000), np.zeros(10_000, dtype=int))
+    u = np.concatenate([edges, drawn])
+    stacks = qubit_matrices(u)
+    rows = [_per_row_matrices(row) for row in u.tolist()]
+    for stack, per_row in zip(stacks, zip(*rows)):
+        assert stack.shape == (len(u), 2, 2)
+        assert stack.tobytes() == np.array(per_row).tobytes()
+    # a single (7,) row gives single matrices, bit for bit the same
+    for single, expected in zip(qubit_matrices(u[5]), rows[5]):
+        assert single.tobytes() == expected.tobytes()
+
+
+def test_the_sweep_samples_each_draw_from_its_substream():
+    draws = np.arange(BLOCK_ROWS)
+    uniforms = philox_uniforms(9, draws, np.zeros(BLOCK_ROWS, dtype=int))
+    for k in (0, 3, BLOCK_ROWS - 1):
+        assert uniforms[k].tobytes() == substream(9, k).random(7).tobytes()
 
 
 def test_run_montecarlo_is_deterministic():
@@ -149,26 +224,29 @@ def test_run_montecarlo_summary_is_consistent_with_the_records():
     assert summary.total_redraws == sum(r.redraws for r in records)
 
 
+def _stacked(u, theta, rho, sigma):
+    """One fixed triple for every row of the uniforms u, as stacks."""
+    return tuple(np.broadcast_to(m, (len(u), 2, 2)) for m in (theta, rho, sigma))
+
+
 def _alternating_sampler():
-    """The first call on each draw's generator yields an infinite-divergence
-    triple, the second a finite one; used to pin down the two rejection
-    policies."""
-    from fluxbound import make_observable
+    """Odd calls yield infinite-divergence triples and even calls finite
+    ones, so that in a single block every draw's first sample is infinite
+    and its first redraw finite; used to pin down the two rejection
+    policies.  calls["n"] counts the sampled rows."""
+    mixed = 0.5 * np.eye(2)
+    pure = np.diag([1.0, 0.0])
+    z_like = np.diag([1.0, -1.0])
+    finite_rho = np.diag([0.3, 0.7])
+    finite_sigma = np.diag([0.6, 0.4])
+    calls = {"n": 0, "calls": 0}
 
-    mixed = validate_state(0.5 * np.eye(2))
-    pure = validate_state(np.diag([1.0, 0.0]))
-    z_like = make_observable(np.diag([1.0, -1.0]))
-    finite_rho = validate_state(np.diag([0.3, 0.7]))
-    finite_sigma = validate_state(np.diag([0.6, 0.4]))
-    calls = {"n": 0}
-    calls_on = {}  # keyed on the generator, which stays alive as the key
-
-    def sampler(rng):
-        calls["n"] += 1
-        calls_on[rng] = calls_on.get(rng, 0) + 1
-        if calls_on[rng] % 2 == 1:
-            return z_like, mixed, pure
-        return z_like, finite_rho, finite_sigma
+    def sampler(u):
+        calls["n"] += len(u)
+        calls["calls"] += 1
+        if calls["calls"] % 2 == 1:
+            return _stacked(u, z_like, mixed, pure)
+        return _stacked(u, z_like, finite_rho, finite_sigma)
 
     return sampler, calls
 
@@ -178,6 +256,7 @@ def test_redraw_policy_resamples_infinite_draws():
     config = DrawConfig(n_draws=3, rejection_policy=POLICY_REDRAW)
     records, summary = run_montecarlo(config, sampler=sampler)
     assert calls["n"] == 6
+    assert calls["calls"] == 2  # one call per block, one per redraw round
     assert all(r.redraws == 1 for r in records)
     assert all(not r.infinite for r in records)
     assert all(math.isfinite(r.s_tilde) for r in records)
@@ -185,18 +264,21 @@ def test_redraw_policy_resamples_infinite_draws():
     assert summary.infinite_records == 0
 
 
-def _sometimes_infinite(rng):
-    """A stand-in sampler driven by the draw's own generator: each call is
-    an infinite-divergence triple with probability 0.4, otherwise a
-    protocol triple, so draws need zero, one or several redraws."""
-    u = rng.random(8)
-    if u[0] < 0.4:
-        return np.diag([1.0, -1.0]), np.eye(2) / 2, np.diag([1.0, 0.0])
-    return qubit_matrices(u[1:])
+def _sometimes_infinite(u):
+    """A stand-in stacked sampler: a row whose last uniform is below 0.4
+    is an infinite-divergence triple, any other row the protocol triple of
+    its uniforms, so draws need zero, one or several redraws."""
+    theta, rho, sigma = qubit_matrices(u)
+    infinite = u[:, 6] < 0.4
+    theta[infinite] = np.diag([1.0, -1.0])
+    rho[infinite] = np.eye(2) / 2
+    sigma[infinite] = np.diag([1.0, 0.0])
+    return theta, rho, sigma
 
 
-def _evaluate_alone(triple):
-    theta, rho, sigma = triple
+def _evaluate_alone(uniforms):
+    """The bound report of one draw, sampled alone from its 7 uniforms."""
+    theta, rho, sigma = (m[0] for m in _sometimes_infinite(uniforms[None]))
     return evaluate_bounds(make_observable(theta), validate_state(rho),
                            validate_state(sigma))
 
@@ -204,22 +286,31 @@ def _evaluate_alone(triple):
 @pytest.mark.parametrize("limit", [2, MAX_REDRAWS])
 def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, limit):
     # the sweep redraws a block's infinite draws after sampling the whole
-    # block; each draw reads only its own substream, so a replay that
-    # redraws each draw before sampling the next gives the same records.
+    # block, over the pending rows only; each draw reads only its own
+    # substream, so a replay that redraws each draw from its substream
+    # before sampling the next gives the same records.
     # 300 draws are two full blocks and a partial one; at a limit of 2
     # some draws stay infinite
     monkeypatch.setattr(montecarlo_module, "MAX_REDRAWS", limit)
     config = DrawConfig(n_draws=300, master_seed=3,
                         rejection_policy=POLICY_REDRAW)
-    records, summary = run_montecarlo(config, sampler=_sometimes_infinite)
+    sampled = []
+
+    def sampler(u):
+        sampled.append(len(u))
+        return _sometimes_infinite(u)
+
+    records, summary = run_montecarlo(config, sampler=sampler)
     assert [r.draw for r in records] == list(range(300))
+    # each call samples a whole block or the pending rows of one only
+    assert sum(sampled) == 300 + sum(r.redraws for r in records)
     for record in records:
         rng = substream(3, record.draw)
-        report = _evaluate_alone(_sometimes_infinite(rng))
+        report = _evaluate_alone(rng.random(7))
         redraws = 0
         while not report.s_tilde.finite and redraws < limit:
             redraws += 1
-            report = _evaluate_alone(_sometimes_infinite(rng))
+            report = _evaluate_alone(rng.random(7))
         assert record.redraws == redraws
         assert record.infinite is (not report.s_tilde.finite)
         assert record.flux_ratio_sq == report.flux_ratio_sq
@@ -245,9 +336,9 @@ def test_redraw_policy_gives_up_after_max_redraws():
     pure = np.diag([1.0, 0.0])
     calls = {"n": 0}
 
-    def sampler(rng):
-        calls["n"] += 1
-        return np.diag([1.0, -1.0]), mixed, pure
+    def sampler(u):
+        calls["n"] += len(u)
+        return _stacked(u, np.diag([1.0, -1.0]), mixed, pure)
 
     config = DrawConfig(n_draws=1, rejection_policy=POLICY_REDRAW)
     records, summary = run_montecarlo(config, sampler=sampler)
@@ -261,16 +352,14 @@ def test_redraw_policy_gives_up_after_max_redraws():
 
 
 def test_report_infinite_policy_keeps_the_markers():
-    from fluxbound import make_observable
-
-    mixed = validate_state(0.5 * np.eye(2))
-    pure = validate_state(np.diag([1.0, 0.0]))
-    z_like = make_observable(np.diag([1.0, -1.0]))
+    mixed = 0.5 * np.eye(2)
+    pure = np.diag([1.0, 0.0])
+    z_like = np.diag([1.0, -1.0])
     calls = {"n": 0}
 
-    def sampler(rng):
-        calls["n"] += 1
-        return z_like, mixed, pure
+    def sampler(u):
+        calls["n"] += len(u)
+        return _stacked(u, z_like, mixed, pure)
 
     config = DrawConfig(n_draws=3, rejection_policy=POLICY_REPORT_INFINITE)
     records, summary = run_montecarlo(config, sampler=sampler)
@@ -311,6 +400,27 @@ def test_seed_and_stream_ranges_are_checked():
             substream(42, 0, stream=stream)
     edge = substream((1 << 64) - 1, (1 << 48) - 1, stream=(1 << 16) - 1)
     assert 0.0 <= edge.random() < 1.0
+
+
+def test_seeds_and_draw_counts_must_be_integers_in_range():
+    # a float seed used to run as its integer part: substream(1.5, 0)
+    # gave seed 1's stream, and DrawConfig(master_seed=1.5) ran
+    for seed in (1.5, 42.0, "42", None, np.float64(3.0)):
+        for make in (check_master_seed, lambda s: substream(s, 0),
+                     lambda s: DrawConfig(master_seed=s),
+                     lambda s: VerifyConfig(master_seed=s)):
+            with pytest.raises(ValidationError, match="master seed"):
+                make(seed)
+    # integer types other than int are accepted as their value
+    assert substream(np.uint64(42), 7).random() == substream(42, 7).random()
+    # n_draws = 2.5 used to escape as a bare TypeError from range()
+    for n_draws in (2.5, 10.0, "10"):
+        with pytest.raises(ValidationError, match="n_draws must be an integer"):
+            DrawConfig(n_draws=n_draws)
+    # the draw index fills 48 bits of the key: 2^48 draws fit, one more not
+    assert DrawConfig(n_draws=1 << 48).n_draws == 1 << 48
+    with pytest.raises(ValidationError, match="n_draws must be at most 2\\^48"):
+        DrawConfig(n_draws=(1 << 48) + 1)
 
 
 def test_random_objects_are_well_formed():

@@ -51,6 +51,9 @@ def test_verify_is_deterministic():
 def test_verify_config_validation():
     with pytest.raises(ValidationError):
         VerifyConfig(draws=0)
+    # a float draw count used to escape as a bare TypeError from range()
+    with pytest.raises(ValidationError, match="draws must be an integer"):
+        VerifyConfig(draws=2.5)
     with pytest.raises(ValidationError):
         VerifyConfig(slack_tolerance=-1.0)
     for slack in (math.nan, math.inf):
