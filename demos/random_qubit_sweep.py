@@ -8,7 +8,7 @@ S_tilde / 2.  Rerunning with the same seed reproduces every record.
 
 import numpy as np
 
-from fluxbound import DrawConfig, run_montecarlo
+from fluxbound import DrawConfig, run_montecarlo, take_row
 
 draws = 2000
 seed = 42
@@ -21,15 +21,18 @@ print(f"draws with S_tilde >= 2:     {summary.draws_s_tilde_ge_2}")
 print(f"  ... where the quadratic line is vacuous (rhs >= 1) but the curve"
       f" still binds: {summary.draws_far_from_equilibrium}")
 
-# a few records, far-from-equilibrium ones first
-far = [r for r in records if not r.infinite and r.s_tilde >= 2.0]
-near = [r for r in records if not r.infinite and r.s_tilde < 0.2]
+# a few records, far-from-equilibrium ones first; the records are one
+# DrawRecord of arrays over the draws, and take_row gives draw k's record
+finite = ~records.infinite
+far = np.flatnonzero(finite & (records.s_tilde >= 2.0))
+near = np.flatnonzero(finite & (records.s_tilde < 0.2))
 print(f"\n{'draw':>6} {'ratio^2':>10} {'S_tilde':>10} {'S/2':>8} {'B(S)':>8}")
-for rec in far[:4] + near[:4]:
+for k in far[:4].tolist() + near[:4].tolist():
+    rec = take_row(records, k)
     print(f"{rec.draw:>6} {rec.flux_ratio_sq:>10.6f} {rec.s_tilde:>10.4f}"
           f" {rec.pinsker_rhs:>8.4f} {rec.main_rhs:>8.4f}")
 
 # the gap between the two bounds is what the curve buys: at S_tilde = 2
 # the quadratic line hits 1 and stops saying anything
-capped = sum(1 for r in records if not r.infinite and r.pinsker_rhs >= 1.0)
+capped = np.count_nonzero(finite & (records.pinsker_rhs >= 1.0))
 print(f"\ndraws where S_tilde/2 >= 1: {capped} of {draws}")

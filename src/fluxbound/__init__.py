@@ -22,7 +22,7 @@ from .flux import (BoundReport, Observable, QturCheck, ShiftCheck,
                    SignDecomposition, Verdict, evaluate_bounds, flux,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
-from .linalg import (Spectrum, eigh, expectation, partial_trace,
+from .linalg import (Spectrum, eigh, expectation, partial_trace, take_row,
                      tensor_product, unitary_from_generator)
 from .montecarlo import (DrawConfig, DrawRecord, MonteCarloSummary,
                          POLICY_REDRAW, POLICY_REPORT_INFINITE, philox_uniforms,

@@ -39,10 +39,10 @@ from .errors import DomainError, NumericError
 # gap_from_divergence stops once |divergence_from_gap(y) - x| <=
 # ROOT_TOLERANCE * x: a relative criterion keeps the product identity
 # accurate at small x and stays reachable at large x, where an absolute one
-# drowns in rounding.  It takes at most MAX_ITERATIONS Newton steps inside
-# a starting bracket that always contains the root.
+# drowns in rounding.  Inside a bracket that always holds the root, it takes
+# at most MAX_ITERATIONS Newton steps: 538 at x = 5e-324, halving y to sqrt(2 x).
 ROOT_TOLERANCE = 1e-12
-MAX_ITERATIONS = 200
+MAX_ITERATIONS = 600
 
 
 def divergence_from_gap(gap):
@@ -99,10 +99,11 @@ def _gap_from_divergence(x: float) -> float:
     lo = x
     # the bracket holds the root (h = divergence_from_gap, increasing):
     # h(x + 2) - x = 2 - 2 (x + 2) / (e^(x+2) + 1) >= 2 / (x + 3) > 0, and
-    # once tanh((x + 2) / 2) rounds to 1 (x > 36.2), h(hi) = hi >= x exactly
-    hi = max(x + 2.0, math.sqrt(2.0 * x) + 2.0)
+    # once tanh((x + 2) / 2) rounds to 1 (x > 36.2), h(hi) = hi >= x exactly;
+    # hi is max(x, sqrt(2 x)) + 2, without an overflow of 2 x or lo + hi
+    hi = (x if x > 2.0 else math.sqrt(2.0 * x)) + 2.0
     tol = ROOT_TOLERANCE * x
-    y = 0.5 * (lo + hi)
+    y = 0.5 * lo + 0.5 * hi
     for _ in range(MAX_ITERATIONS):
         residual = divergence_from_gap(y) - x
         if abs(residual) <= tol:

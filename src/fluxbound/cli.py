@@ -175,7 +175,7 @@ def _cmd_saturation(args) -> int:
     if args.a_steps < 1 or args.a_max < args.a_min or args.a_min < 0.0:
         raise ValidationError("invalid gap grid")
     family = saturating_family(np.linspace(args.a_min, args.a_max, args.a_steps))[2]
-    status = _emit(args, _io.SATURATION_HEADERS, _io.saturation_rows(family.rows()))
+    status = _emit(args, _io.SATURATION_HEADERS, _io.saturation_rows(family))
     if status != EXIT_OK:
         return status
     print(f"points={args.a_steps} max_abs_diff={np.max(family.gap):.3e}",

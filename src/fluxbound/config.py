@@ -6,9 +6,9 @@ The thresholds are constants, not parameters: each module reads the
 record at call time through its own module-level name DEFAULT_TOLERANCES
 (which a test may monkeypatch).
 
-BLOCK_ROWS is the number of rows the Monte Carlo sweep and the grid
-evaluations (the exchange time series, the extremal family) stack at a
-time.
+BLOCK_ROWS is the number of rows linalg.in_blocks stacks at a time, for
+the Monte Carlo sweep and the grids of the exchange time series and the
+extremal family, each returned as one record of arrays.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Deterministic CSV and JSON-lines serialization.
 
-Floats are written with 17 significant digits (full round-trip),
-infinities as the marker string "inf", integers as plain integers.  No
-field produced here ever needs RFC-4180 quoting, so rows are plain
-comma joins and the byte stream depends only on the values.
+Floats are written with 17 significant digits (full round-trip), which
+spells infinities and NaN "inf", "-inf" and "nan", and integers as plain
+integers.  No field needs RFC-4180 quoting, so rows are plain comma joins
+of the columns of a record of arrays, and the byte stream depends only
+on the values.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ def format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(value), ".17g")
 
 
 def _jsonable(value):
@@ -59,21 +57,23 @@ SATURATION_HEADERS = ("a", "tn_sq_over_4", "B_of_s_tilde", "abs_diff")
 VERIFY_HEADERS = ("suite", "checks", "violations", "min_slack")
 
 
+def _columns(*columns):
+    """The rows of equal-length arrays, with Python scalars."""
+    return zip(*(column.tolist() for column in columns))
+
+
 def montecarlo_rows(records):
-    for r in records:
-        yield (r.draw, r.flux_ratio_sq, r.s_tilde, r.pinsker_rhs,
-               r.main_rhs, r.strengthened_rhs, r.epsilon, r.redraws)
+    return _columns(*(getattr(records, name) for name in MONTECARLO_HEADERS))
 
 
 def spinpair_rows(points):
-    for p in points:
-        yield (p.t, p.flux, p.flux_analytic, p.two_phi_sq, p.onsager, p.s_tilde)
+    return _columns(*(getattr(points, name) for name in SPINPAIR_HEADERS))
 
 
-def saturation_rows(samples):
-    for s in samples:
-        yield (s.log_odds_gap, 0.25 * s.trace_norm * s.trace_norm,
-               s.bound_value, s.gap)
+def saturation_rows(family):
+    tn = family.trace_norm
+    return _columns(family.log_odds_gap, 0.25 * tn * tn, family.bound_value,
+                    family.gap)
 
 
 def verify_rows(suites):

@@ -15,7 +15,8 @@ stack.  unitary_from_generator takes one generator with one time or a 1-D
 grid of T times, or a (B, n, n) stack of generators with one time, and
 returns exp(-i t G) as (n, n), (T, n, n) or (B, n, n); it is the
 package's only matrix exponential, and from_spectrum, V diag(x) V^dag for
-one matrix or a stack, its only rebuild.
+one matrix or a stack, its only rebuild.  take_row is row k of a stacked
+result, and in_blocks fills one from blocks of config.BLOCK_ROWS rows.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import BLOCK_ROWS, DEFAULT_TOLERANCES
 from .errors import DomainError, NumericError, ValidationError
 
 
@@ -116,6 +117,23 @@ def as_stack(record, rows: int = 1):
     if isinstance(record, (int, float)):
         return np.array([record] * rows)
     return _map_fields(as_stack, record, rows)
+
+
+def in_blocks(evaluate, count: int) -> tuple:
+    """Records of `count` rows, BLOCK_ROWS rows at a time: evaluate(first,
+    stop), called for each block in order, returns a tuple of dataclasses
+    whose fields are arrays over rows first to stop - 1, and each block is
+    copied into records allocated from the first block's."""
+    for first in range(0, count, BLOCK_ROWS):
+        stop = min(first + BLOCK_ROWS, count)
+        block = evaluate(first, stop)
+        if first == 0:
+            stacks = tuple(_map_fields(lambda rows, n: np.empty(
+                (n, *rows.shape[1:]), rows.dtype), part, count) for part in block)
+        for stack, part in zip(stacks, block):
+            for name, rows in vars(part).items():
+                getattr(stack, name)[first:stop] = rows
+    return stacks
 
 
 def _map_fields(function, record, argument):

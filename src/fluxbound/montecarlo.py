@@ -27,8 +27,9 @@ The sweep samples a block of BLOCK_ROWS draws with one philox_uniforms
 call and one protocol call, and validates and evaluates it as one stack;
 then it redraws the block's infinite draws with one call each over the
 pending rows.  Each draw reads only its own stream and every row of a
-stack is computed as it would be alone, so the records depend neither on
-the blocking nor on the order in which draws are sampled.
+stack is computed as it would be alone, so the records, one DrawRecord of
+arrays over the draws (linalg.in_blocks), depend neither on the blocking
+nor on the order in which draws are sampled.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import BLOCK_ROWS
 from .errors import ValidationError
 from .flux import (BoundReport, Observable, clears, evaluate_bounds, lowers,
                    make_observable)
+from .linalg import in_blocks
 from .states import DensityMatrix, validate_state
 
 POLICY_REDRAW = "redraw"
@@ -231,20 +232,20 @@ class DrawConfig:
 
 @dataclass(frozen=True)
 class DrawRecord:
-    """One draw of the sweep; s_tilde and pinsker_rhs are +inf for a
-    reported-infinite draw (under redraw, only after MAX_REDRAWS)."""
+    """The sweep's draws, each field an array over them; s_tilde and
+    pinsker_rhs are +inf where a draw is reported infinite."""
 
-    draw: int
-    flux_ratio_sq: float
-    s_tilde: float
-    pinsker_rhs: float
-    main_rhs: float
-    strengthened_rhs: float
-    epsilon: float
-    redraws: int
-    holds_all: bool
-    holds_main: bool
-    infinite: bool
+    draw: np.ndarray
+    flux_ratio_sq: np.ndarray
+    s_tilde: np.ndarray
+    pinsker_rhs: np.ndarray
+    main_rhs: np.ndarray
+    strengthened_rhs: np.ndarray
+    epsilon: np.ndarray
+    redraws: np.ndarray
+    holds_all: np.ndarray
+    holds_main: np.ndarray
+    infinite: np.ndarray
 
 
 @dataclass
@@ -265,25 +266,17 @@ def _evaluate_block(theta: np.ndarray, rho: np.ndarray,
                            validate_state(sigma))
 
 
-def _record_block(first: int, report: BoundReport, redraws: list, tolerance: float,
-                  records: list, summary: MonteCarloSummary) -> None:
-    """Append the block's records, as Python scalars, and fold the block
-    into the summary.  redraws holds each row's redraw count.  A verdict
-    holds when its slack clears -tolerance (flux.clears), and a NaN main
-    slack becomes min_slack_main."""
+def _record_block(draws: np.ndarray, report: BoundReport, redraws: np.ndarray,
+                  tolerance: float, summary: MonteCarloSummary) -> DrawRecord:
+    """The block's records, and the block folded into the summary.
+    redraws holds each row's redraw count.  A verdict holds when its slack
+    clears -tolerance (flux.clears), and a NaN main slack becomes
+    min_slack_main."""
     s_tilde = report.s_tilde.as_float()
     infinite = ~report.s_tilde.finite
     main = report.verdicts["main"]
     holds = {name: clears(v.slack, tolerance) for name, v in report.verdicts.items()}
-    holds_all = np.logical_and.reduce(list(holds.values()))
-    columns = zip(report.flux_ratio_sq.tolist(), s_tilde.tolist(),
-                  report.pinsker_rhs.tolist(), report.main_rhs.tolist(),
-                  report.strengthened_rhs.tolist(), report.epsilon.tolist(),
-                  redraws, holds_all.tolist(), holds["main"].tolist(),
-                  infinite.tolist())
-    for offset, row in enumerate(columns):
-        records.append(DrawRecord(first + offset, *row))
-    summary.total_redraws += sum(redraws)
+    summary.total_redraws += int(redraws.sum())
     summary.infinite_records += int(np.count_nonzero(infinite))
     far = s_tilde >= 2.0
     summary.draws_s_tilde_ge_2 += int(np.count_nonzero(far))
@@ -299,11 +292,16 @@ def _record_block(first: int, report: BoundReport, redraws: list, tolerance: flo
         lowest = float(main.slack[counted].min())
         if lowers(lowest, summary.min_slack_main):
             summary.min_slack_main = lowest
+    return DrawRecord(draws, report.flux_ratio_sq, s_tilde, report.pinsker_rhs,
+                      report.main_rhs, report.strengthened_rhs, report.epsilon,
+                      redraws, np.logical_and.reduce(list(holds.values())),
+                      holds["main"], infinite)
 
 
 def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=qubit_matrices,
-                   ) -> tuple[list[DrawRecord], MonteCarloSummary]:
-    """Run the sweep and evaluate every bound on every draw.
+                   ) -> tuple[DrawRecord, MonteCarloSummary]:
+    """Run the sweep and evaluate every bound on every draw, into one
+    DrawRecord of arrays over the draws.
 
     sampler(u) maps a (B, 7) array of uniforms, one row per draw, to the
     stacked raw (theta, rho, sigma) matrices of those draws.  Each block
@@ -317,22 +315,24 @@ def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=qubit_matrices,
     config.slack_tolerance.
     """
     limit = MAX_REDRAWS if config.rejection_policy == POLICY_REDRAW else 0
-    records: list[DrawRecord] = []
     summary = MonteCarloSummary(n_draws=config.n_draws)
-    for first in range(0, config.n_draws, BLOCK_ROWS):
-        draws = np.arange(first, min(first + BLOCK_ROWS, config.n_draws))
+
+    def block(first: int, stop: int) -> tuple[DrawRecord]:
+        draws = np.arange(first, stop)
         redraws = np.zeros(len(draws), dtype=np.int64)
         uniforms = philox_uniforms(config.master_seed, draws, redraws)
-        block = [np.array(m, dtype=np.complex128) for m in sampler(uniforms)]
-        report = _evaluate_block(*block)
+        stacks = [np.array(m, dtype=np.complex128) for m in sampler(uniforms)]
+        report = _evaluate_block(*stacks)
         while (pending := np.flatnonzero(~report.s_tilde.finite
                                          & (redraws < limit))).size:
             redraws[pending] += 1
             uniforms = philox_uniforms(config.master_seed, draws[pending],
                                        UNIFORMS_PER_DRAW * redraws[pending])
-            for stack, fresh in zip(block, sampler(uniforms)):
+            for stack, fresh in zip(stacks, sampler(uniforms)):
                 stack[pending] = fresh
-            report = _evaluate_block(*block)
-        _record_block(first, report, redraws.tolist(), config.slack_tolerance,
-                      records, summary)
+            report = _evaluate_block(*stacks)
+        return (_record_block(draws, report, redraws, config.slack_tolerance,
+                              summary),)
+
+    (records,) = in_blocks(block, config.n_draws)
     return records, summary

@@ -34,28 +34,28 @@ name the failing row of a stack.  The two chain checks are read from
 flux.evaluate_bounds, so its rule resolves a row (see ChainCheck).
 
 spin_pair_timeseries and saturating_family evaluate their grids as
-(B, n, n) stacks, BLOCK_ROWS points at a time, and every row equals its
-point evaluated alone.  The closed forms are taken point by point with
-the math module, whose sin, exp and tanh do not depend on the CPU's
-vector units.
+(B, n, n) stacks, BLOCK_ROWS points at a time (linalg.in_blocks), into
+records of arrays whose row k equals point k evaluated alone.  The closed
+forms are taken point by point with the math module, whose sin, exp and
+tanh do not depend on the CPU's vector units.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bounds as _bounds
-from .config import BLOCK_ROWS, DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import (BoundReport, Observable, clears, evaluate_bounds,
                    make_observable)
 from .linalg import (as_stack, batch_of_one, eigh, expectation, first_row,
-                     from_spectrum, partial_trace, row_label, shape_label,
-                     take_row, tensor_product, unitary_from_generator)
+                     from_spectrum, in_blocks, partial_trace, row_label,
+                     shape_label, take_row, tensor_product, unitary_from_generator)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      symmetric_average, symmetric_relative_entropy,
                      trace_distance_norm, validate_state)
@@ -329,7 +329,7 @@ def exchange_generator(coupling_strength: float, coupling_phase: float) -> np.nd
 
 @dataclass(frozen=True)
 class SpinPairPoint:
-    """One time sample of the exchange model.
+    """The exchange model over a time grid, one array over the times per field.
 
     flux is |tr(H_S (rho_S(t) - rho_S(0)))|; flux_analytic the closed form
     sin(g t)^2 |p - q| Omega; two_phi_sq and onsager are 2 r^2 and
@@ -353,7 +353,7 @@ def _spin_pair_initial_states(
                            params.excited_population_environment))
 
 
-def spin_pair_timeseries(params: SpinPairParams) -> list[SpinPairPoint]:
+def spin_pair_timeseries(params: SpinPairParams) -> SpinPairPoint:
     """The exchange model at every time of params.times, in blocks of
     BLOCK_ROWS times; the closed form is taken time by time."""
     p = params.excited_population_system
@@ -365,23 +365,21 @@ def spin_pair_timeseries(params: SpinPairParams) -> list[SpinPairPoint]:
     joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
     generator_spectrum = eigh(exchange_generator(g, params.coupling_phase))
     times = np.asarray(params.times, dtype=np.float64)
-    points = []
-    for first in range(0, len(times), BLOCK_ROWS):
-        block = times[first:first + BLOCK_ROWS]
-        u = unitary_from_generator(generator_spectrum, block)
+
+    def block(first: int, stop: int) -> tuple[SpinPairPoint]:
+        t = times[first:stop]
+        u = unitary_from_generator(generator_spectrum, t)
         joint = u @ joint0 @ u.conj().swapaxes(1, 2)
         rho_s = validate_state(partial_trace(joint, 2, 2, "system"))
         flux = np.abs(expectation(np.broadcast_to(h_s, rho_s.matrix.shape),
                                   rho_s.matrix - rho_s0.matrix))
         ratio = np.minimum(flux / omega, 1.0)
-        s_tilde = symmetric_relative_entropy(rho_s, as_stack(rho_s0, len(block)))
-        t = block.tolist()
-        flux_analytic = [math.sin(g * x) ** 2 * abs(p - q) * omega for x in t]
-        points += map(SpinPairPoint, t, flux.tolist(), flux_analytic,
-                      (2.0 * ratio * ratio).tolist(),
-                      _bounds.onsager_like(ratio).tolist(),
-                      s_tilde.as_float().tolist())
-    return points
+        s_tilde = symmetric_relative_entropy(rho_s, as_stack(rho_s0, len(t)))
+        flux_analytic = [math.sin(g * x) ** 2 * abs(p - q) * omega for x in t.tolist()]
+        return (SpinPairPoint(t, flux, np.array(flux_analytic), 2.0 * ratio * ratio,
+                              _bounds.onsager_like(ratio), s_tilde.as_float()),)
+
+    return in_blocks(block, len(times))[0]
 
 
 def spin_pair_scenario(params: SpinPairParams, t: float) -> BipartiteScenario:
@@ -469,11 +467,6 @@ class SaturatingFamily:
     bound_value: float
     gap: float
 
-    def rows(self) -> Iterator["SaturatingFamily"]:
-        """The record at each gap, with float fields, made one at a time."""
-        columns = (np.atleast_1d(value).tolist() for value in vars(self).values())
-        return (SaturatingFamily(*row) for row in zip(*columns))
-
 
 def saturating_family(
         log_odds_gap) -> tuple[DensityMatrix, DensityMatrix, SaturatingFamily]:
@@ -501,22 +494,8 @@ def saturating_family(
         raise ValidationError("log-odds gap must not be NaN")
     if gaps.ndim == 0:
         return take_row(saturating_family(gaps[None]), 0)
-    stacks = None
-    for first in range(0, len(gaps), BLOCK_ROWS):
-        block = _saturating_block(gaps[first:first + BLOCK_ROWS])
-        if stacks is None:
-            stacks = tuple(_unset_rows(part, len(gaps)) for part in block)
-        for stack, part in zip(stacks, block):
-            for name, rows in vars(part).items():
-                getattr(stack, name)[first:first + len(rows)] = rows
-    return stacks
-
-
-def _unset_rows(record, count: int):
-    """A record of the same type as a stacked record, with `count` unset
-    rows in each field, for the blocks to be copied into."""
-    return type(record)(*(np.empty((count,) + rows.shape[1:], rows.dtype)
-                          for rows in vars(record).values()))
+    return in_blocks(lambda first, stop: _saturating_block(gaps[first:stop]),
+                     len(gaps))
 
 
 def _saturating_block(gaps: np.ndarray):

@@ -240,12 +240,14 @@ def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
     ratio^2 <= tn^2/4 <= (1 - eps) B <= B <= 1, the entropy-cost form,
     and both Pinsker variants."""
     def sample(k, dim, rng):
-        # even draws follow the Monte Carlo protocol, odd ones are Ginibre
+        # even draws follow the Monte Carlo protocol, whose uniforms are
+        # made into matrices as one (B, 7) stack; odd ones are Ginibre
         if k % 2 == 0:
-            return qubit_matrices(rng.random(7))
+            return (rng.random(7),)
         return _triple_inputs(k, dim, rng)
 
-    def evaluate(thetas, rhos, sigmas):
+    def evaluate(*inputs):
+        thetas, rhos, sigmas = qubit_matrices(*inputs) if len(inputs) == 1 else inputs
         report = evaluate_bounds(make_observable(thetas), validate_state(rhos),
                                  validate_state(sigmas))
         verdicts = [(name, v.slack.tolist(), v.trivial.tolist())
@@ -360,8 +362,8 @@ def suite_local_bound(config: VerifyConfig) -> SuiteResult:
     """Marginal-flux chain for local observables: the exchange model over
     a time grid and random scenarios with random local observables."""
     result = SuiteResult("local_bound", config.slack_tolerance)
-    params = SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 61)))
-    for point in spin_pair_timeseries(params):
+    points = spin_pair_timeseries(SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 61))))
+    for point in (take_row(points, k) for k in range(len(points.t))):
         if math.isinf(point.onsager):
             continue
         result.record(point.s_tilde - point.onsager, f"exchange model at t={point.t!r}")
@@ -411,7 +413,7 @@ def suite_saturation(config: VerifyConfig) -> SuiteResult:
     """The extremal family meets the bound with equality at every gap."""
     result = SuiteResult("saturation", config.slack_tolerance)
     _, _, family = saturating_family(np.linspace(0.1, 10.0, 100))
-    for row in family.rows():
+    for row in (take_row(family, k) for k in range(len(family.gap))):
         a = row.log_odds_gap
         result.record(1e-8 - row.gap, f"gap at a={a!r}")
         result.record(1e-8 - abs(row.trace_norm - row.trace_norm_closed),

@@ -9,10 +9,18 @@ and partial traces against explicit index sums.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from fluxbound import substream
+from fluxbound import (DrawRecord, SaturatingFamily, SpinPairPoint,
+                       divergence_from_gap, evaluate_bounds, exchange_generator,
+                       expectation, flux_ratio_sq_bound, onsager_like,
+                       partial_trace, spin_hamiltonian, substream,
+                       symmetric_relative_entropy, take_row, tensor_product,
+                       trace_distance_norm, triple_from_uniforms,
+                       unitary_from_generator, validate_state)
 
 
 @pytest.fixture
@@ -65,3 +73,57 @@ def random_state_np(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian_np(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def rows_of(record) -> list:
+    """Every row of a record of arrays, through take_row."""
+    return [take_row(record, k) for k in range(len(next(iter(vars(record).values()))))]
+
+
+def replay_draw(seed: int, draw: int) -> DrawRecord:
+    """Draw `draw` of the Monte Carlo sweep under report_infinite, sampled
+    from its own substream and evaluated alone."""
+    theta, rho, sigma = triple_from_uniforms(substream(seed, draw).random(7))
+    report = evaluate_bounds(theta, rho, sigma)
+    return DrawRecord(draw, report.flux_ratio_sq, report.s_tilde.as_float(),
+                      report.pinsker_rhs, report.main_rhs, report.strengthened_rhs,
+                      report.epsilon, 0, report.all_hold(),
+                      report.verdicts["main"].holds, not report.s_tilde.finite)
+
+
+def spin_pair_point_by_point(params) -> list:
+    """The exchange series time by time, from the single-matrix primitives."""
+    p = params.excited_population_system
+    q = params.excited_population_environment
+    omega, g = params.level_splitting, params.coupling_strength
+    rho_s0 = validate_state(np.diag([1.0 - p, p]))
+    rho_e0 = validate_state(np.diag([1.0 - q, q]))
+    joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
+    h_s = spin_hamiltonian(omega)
+    generator = exchange_generator(g, params.coupling_phase)
+    points = []
+    for t in params.times:
+        u = unitary_from_generator(generator, t)
+        rho_s = validate_state(partial_trace(u @ joint0 @ u.conj().T, 2, 2, "system"))
+        flux = abs(expectation(h_s, rho_s.matrix - rho_s0.matrix))
+        ratio = min(flux / omega, 1.0)
+        points.append(SpinPairPoint(
+            float(t), flux, math.sin(g * t) ** 2 * abs(p - q) * omega,
+            2.0 * ratio * ratio, onsager_like(ratio),
+            symmetric_relative_entropy(rho_s, rho_s0).as_float()))
+    return points
+
+
+def saturating_point(a: float):
+    """The extremal pair at one gap, from the single-state primitives."""
+    t = math.exp(-abs(a))
+    small, large = t / (1.0 + t), 1.0 / (1.0 + t)
+    low, high = (small, large) if a >= 0.0 else (large, small)
+    rho = validate_state(np.diag([low, high]))
+    sigma = validate_state(np.diag([high, low]))
+    tn = trace_distance_norm(rho, sigma)
+    s_tilde = symmetric_relative_entropy(rho, sigma)
+    bound = flux_ratio_sq_bound(s_tilde.value) if s_tilde.finite else 1.0
+    return rho, sigma, SaturatingFamily(
+        a, 2.0 * math.tanh(0.5 * abs(a)), divergence_from_gap(abs(a)), 0.0,
+        tn, s_tilde.as_float(), bound, abs(0.25 * tn * tn - bound))

@@ -26,7 +26,7 @@ from fluxbound import (DrawConfig, SpinPairParams, divergence_from_gap,
                        qtur_check, random_density, random_observable,
                        random_scenario, run_montecarlo, saturating_family,
                        sign_decomposition, spin_hamiltonian, spin_pair_scenario,
-                       spin_pair_timeseries, substream, tensor_product,
+                       spin_pair_timeseries, substream, take_row, tensor_product,
                        thermal_environment, trace_distance_norm,
                        variance_ratio_floor)
 from fluxbound.cli import main as cli_main
@@ -47,7 +47,7 @@ def test_montecarlo_at_full_scale():
     elapsed = time.perf_counter() - start
     main_violations = summary.violations.get("main", 0)
     ok = (elapsed < 30.0
-          and len(records) == 10_000
+          and len(records.draw) == 10_000
           and main_violations == 0
           and summary.min_slack_main > -1e-9
           and summary.draws_far_from_equilibrium >= 1)
@@ -70,11 +70,12 @@ def test_extremal_family_saturates_numerically():
 
 def test_two_spin_exchange_series():
     params = SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 301)))
-    points = spin_pair_timeseries(params)
+    series = spin_pair_timeseries(params)
+    points = [take_row(series, k) for k in range(len(series.t))]
     flux_err = max(abs(pt.flux - math.sin(2.0 * pt.t) ** 2 * 0.8) for pt in points)
     chain_slack = min(min(pt.s_tilde - pt.onsager, pt.onsager - pt.two_phi_sq)
                       for pt in points)
-    quarter = spin_pair_timeseries(SpinPairParams(times=(math.pi / 4.0,)))[0]
+    quarter = take_row(spin_pair_timeseries(SpinPairParams(times=(math.pi / 4.0,))), 0)
     saturation_gap = quarter.s_tilde - quarter.onsager
     # the exchange conserves the total excitation energy along the grid
     h_total = (tensor_product(spin_hamiltonian(1.0), np.eye(2))

@@ -7,6 +7,7 @@ for x = 2 tanh(1), where the curve values are tanh(1)^2 and
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from scipy.optimize import brentq
 
 from fluxbound import (divergence_from_gap, flux_ratio_sq_bound,
                        gap_from_divergence, onsager_like, variance_ratio_floor)
+from fluxbound.bounds import ROOT_TOLERANCE
 from fluxbound.errors import DomainError
 
 X_AT_GAP_2 = 1.5231883119115297      # 2 tanh(1)
@@ -207,3 +209,74 @@ def test_bound_functions_take_arrays_entry_by_entry():
     ratios = np.linspace(-1.0, 1.0, 21)
     assert onsager_like(ratios).tolist() == [onsager_like(float(r)) for r in ratios]
     assert isinstance(flux_ratio_sq_bound(0.5), float)
+
+
+# property tests: derandomized and without an example database, so that
+# every run tries the same inputs
+PROPERTY = settings(derandomize=True, database=None, max_examples=300)
+DIVERGENCES = st.floats(min_value=0.0, max_value=sys.float_info.max)
+
+
+@PROPERTY
+@given(DIVERGENCES)
+def test_the_gap_inverts_the_divergence(x):
+    # down to the smallest subnormal x: below x ~ 1e-118, where Newton takes
+    # more than 200 halving steps down to sqrt(2 x), it used to stop with
+    # NumericError
+    y = gap_from_divergence(x)
+    assert y >= x
+    assert abs(divergence_from_gap(y) - x) <= 1e-12 * x + math.ulp(0.0)
+
+
+@PROPERTY
+@given(st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max))
+def test_the_bound_lies_under_its_envelope(x):
+    # min(1, x / 2), up to the curve's own error: B = (x / g)^2 carries
+    # twice the root's relative tolerance.  Below the smallest normal
+    # float B is subnormal and has no relative accuracy to check
+    b = flux_ratio_sq_bound(x)
+    assert 0.0 < b <= min(1.0, 0.5 * x) * (1.0 + 2.0 * ROOT_TOLERANCE)
+    assert b <= 1.0
+
+
+@PROPERTY
+@given(st.floats(min_value=1e-300, max_value=sys.float_info.max))
+def test_the_product_identity_holds(x):
+    # B (1 + f) = 1; f ~ 2 / x overflows below x ~ 1e-308
+    b, f = flux_ratio_sq_bound(x), variance_ratio_floor(x)
+    assert abs(b * (1.0 + f) - 1.0) <= 1e-10
+
+
+@PROPERTY
+@given(st.floats(max_value=0.0, exclude_max=True, allow_nan=False))
+def test_negative_arguments_raise_with_their_value(x):
+    for fn in (divergence_from_gap, gap_from_divergence, flux_ratio_sq_bound,
+               variance_ratio_floor):
+        with pytest.raises(DomainError) as excinfo:
+            fn(x)
+        assert excinfo.value.offending_value == x
+
+
+@PROPERTY
+@given(st.floats(allow_nan=False))
+def test_the_cost_is_defined_on_the_closed_unit_interval(r):
+    if abs(r) > 1.0:
+        with pytest.raises(DomainError):
+            onsager_like(r)
+    elif abs(r) == 1.0:
+        assert onsager_like(r) == math.inf
+    else:
+        assert 0.0 <= onsager_like(r) < math.inf
+
+
+def test_the_bound_functions_at_the_ends_of_their_domain():
+    assert gap_from_divergence(0.0) == flux_ratio_sq_bound(0.0) == 0.0
+    with pytest.raises(DomainError):
+        variance_ratio_floor(0.0)
+    assert divergence_from_gap(math.inf) == math.inf
+    # the bracket's 2 x and lo + hi used to overflow: from x ~ 9e307 on the
+    # gap came back infinite and B as 0
+    for x in (9e307, sys.float_info.max):
+        assert gap_from_divergence(x) == x
+        assert flux_ratio_sq_bound(x) == 1.0
+        assert variance_ratio_floor(x) == 0.0

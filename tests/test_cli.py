@@ -1,17 +1,23 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import io
 import json
 import math
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import fluxbound.bounds as bounds_module
 import fluxbound.cli as cli_module
+from conftest import replay_draw, saturating_point, spin_pair_point_by_point
+from fluxbound import SpinPairParams
 from fluxbound.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                            MAX_GRID_POINTS, build_parser, main)
+from fluxbound.io import (MONTECARLO_HEADERS, SATURATION_HEADERS,
+                          SPINPAIR_HEADERS, write_table)
 
 
 def run_cli(argv, capsys):
@@ -91,6 +97,38 @@ def test_montecarlo_output_is_reproducible(tmp_path, capsys):
     assert main(["montecarlo", "--draws", "15", "--out", str(second)]) == EXIT_OK
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def _table(headers, rows, fmt="csv") -> str:
+    stream = io.StringIO()
+    write_table(stream, headers, rows, fmt)
+    return stream.getvalue()
+
+
+def test_blocked_tables_equal_a_row_by_row_rendering(capsys):
+    # 259 rows are two full blocks and a partial one; each reference
+    # evaluates its rows one at a time
+    draws = [replay_draw(42, k) for k in range(259)]
+    code, out, _ = run_cli(["montecarlo", "--draws", "259"], capsys)
+    assert code == EXIT_OK
+    assert out == _table(MONTECARLO_HEADERS, [
+        (r.draw, r.flux_ratio_sq, r.s_tilde, r.pinsker_rhs, r.main_rhs,
+         r.strengthened_rhs, r.epsilon, r.redraws) for r in draws])
+
+    params = SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 259)))
+    code, out, _ = run_cli(["spinpair", "--t-steps", "259", "--format", "jsonl"],
+                           capsys)
+    assert code == EXIT_OK
+    assert out == _table(SPINPAIR_HEADERS, [
+        (p.t, p.flux, p.flux_analytic, p.two_phi_sq, p.onsager, p.s_tilde)
+        for p in spin_pair_point_by_point(params)], "jsonl")
+
+    families = [saturating_point(a)[2] for a in np.linspace(0.0, 10.0, 259).tolist()]
+    code, out, _ = run_cli(["saturation", "--a-steps", "259"], capsys)
+    assert code == EXIT_OK
+    assert out == _table(SATURATION_HEADERS, [
+        (f.log_odds_gap, 0.25 * f.trace_norm * f.trace_norm, f.bound_value, f.gap)
+        for f in families])
 
 
 def test_spinpair_closed_form_column(capsys):

@@ -37,6 +37,7 @@ def test_format_value_round_trips_floats():
 def test_format_value_special_cases():
     assert format_value(math.inf) == "inf"
     assert format_value(-math.inf) == "-inf"
+    assert format_value(math.nan) == "nan"
     assert format_value(True) == "true"
     assert format_value(False) == "false"
     assert format_value(7) == "7"
@@ -83,7 +84,7 @@ def test_montecarlo_rows_align_with_headers():
     assert len(rows) == 3
     assert all(len(row) == len(MONTECARLO_HEADERS) for row in rows)
     assert [row[0] for row in rows] == [0, 1, 2]
-    assert rows[0][1] == records[0].flux_ratio_sq
+    assert rows[0][1] == records.flux_ratio_sq[0]
 
 
 def test_spinpair_rows_align_with_headers():
@@ -91,17 +92,17 @@ def test_spinpair_rows_align_with_headers():
     rows = list(spinpair_rows(points))
     assert all(len(row) == len(SPINPAIR_HEADERS) for row in rows)
     assert rows[0][0] == 0.0
-    assert rows[1][1] == points[1].flux
+    assert rows[1][1] == points.flux[1]
 
 
 def test_saturation_rows_align_with_headers():
-    families = [saturating_family(a)[2] for a in (0.5, 1.0)]
-    rows = list(saturation_rows(families))
+    family = saturating_family(np.array([0.5, 1.0]))[2]
+    rows = list(saturation_rows(family))
     assert all(len(row) == len(SATURATION_HEADERS) for row in rows)
     a, quarter_tn_sq, bound, diff = rows[0]
     assert a == 0.5
     assert quarter_tn_sq == pytest.approx(math.tanh(0.25) ** 2, rel=1e-10)
-    assert diff == families[0].gap
+    assert diff == family.gap[0]
 
 
 def test_verify_rows_align_with_headers():

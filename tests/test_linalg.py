@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ import fluxbound.linalg as linalg_module
 from conftest import random_hermitian_np, reference_partial_trace, rng_for
 from fluxbound import (eigh, expectation, partial_trace, tensor_product,
                        unitary_from_generator)
+from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import DomainError, NumericError, ValidationError
-from fluxbound.linalg import (as_complex_matrix, from_spectrum,
+from fluxbound.linalg import (as_complex_matrix, from_spectrum, in_blocks,
                               require_hermitian)
 
 
@@ -463,3 +464,43 @@ def test_stacked_partial_trace_errors_name_the_row(monkeypatch):
         partial_trace(stack, 2, 2)
     with pytest.raises(NumericError, match=r"changed the trace by [^(]*$"):
         partial_trace(stack[1], 2, 2)
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A flat record for in_blocks: int64, bool and complex (n, n) fields."""
+
+    index: np.ndarray
+    even: np.ndarray
+    matrix: np.ndarray
+
+
+def _rows(first: int, stop: int, n: int) -> _Rows:
+    index = np.arange(first, stop, dtype=np.int64)
+    return _Rows(index, index % 2 == 0,
+                 (index + 1j * index)[:, None, None] * np.ones((n, n)))
+
+
+@pytest.mark.parametrize("count", [1, 127, 128, 129, 259])
+def test_in_blocks_copies_each_block_into_records_of_count_rows(count):
+    calls = []
+
+    def evaluate(first, stop):
+        calls.append((first, stop))
+        return _rows(first, stop, 2), _rows(count - stop, count - first, 3)
+
+    stacks = in_blocks(evaluate, count)
+    assert calls == [(first, min(first + BLOCK_ROWS, count))
+                     for first in range(0, count, BLOCK_ROWS)]
+    blocks = [(_rows(first, stop, 2), _rows(count - stop, count - first, 3))
+              for first, stop in calls]
+    assert len(stacks) == 2
+    for stack, parts in zip(stacks, zip(*blocks)):
+        assert type(stack) is _Rows
+        for name, rows in vars(stack).items():
+            pieces = [getattr(part, name) for part in parts]
+            assert rows.dtype == pieces[0].dtype
+            assert rows.shape == (count, *pieces[0].shape[1:])
+            assert np.array_equal(rows, np.concatenate(pieces))
+    assert stacks[1].matrix.shape[1:] == (3, 3)
+    assert stacks[0].even.dtype == bool and stacks[0].index.dtype == np.int64

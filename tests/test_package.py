@@ -84,3 +84,36 @@ def test_benchmark_setup_call_of_suite_capacity_still_works():
     result = verify.suite_capacity(verify.VerifyConfig(draws=1),
                                    config.DEFAULT_TOLERANCES)
     assert (result.checks, result.violations) == (1, 0)
+
+
+def _lapack_uses(tree) -> list:
+    """Imports of numpy.linalg or scipy in a module's syntax tree, and
+    attribute reads of np.linalg or numpy.linalg, as (line, name)."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and isinstance(node.value, ast.Name)):
+            names = [f"{node.value.id}.linalg"]
+        else:
+            continue
+        uses += [(node.lineno, name) for name in names
+                 if name.split(".")[0] == "scipy"
+                 or name.startswith(("numpy.linalg", "np.linalg"))]
+    return uses
+
+
+def test_the_core_does_not_call_lapack():
+    # the Jacobi eigensolver is what lets numpy.linalg and scipy act as
+    # independent oracles in the tests
+    sources = sorted((ROOT / "src" / "fluxbound").glob("*.py"))
+    assert len(sources) == len(MODULES) + 1  # and __init__.py
+    found = {path.name: _lapack_uses(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sources}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    probe = ast.parse("import scipy.linalg\nfrom numpy import linalg\n"
+                      "from numpy.linalg import eigh\nw = np.linalg.eigh(a)\n")
+    assert [line for line, _ in _lapack_uses(probe)] == [1, 2, 3, 4]

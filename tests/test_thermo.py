@@ -8,19 +8,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state_np, rng_for
-from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SaturatingFamily,
-                       SpinPairParams, SpinPairPoint, correlation,
-                       correlation_bound_report, divergence_from_gap,
-                       entropy_flux, evaluate_bounds, entropy_flux_chain_check, evolve,
-                       exchange_generator, expectation, flux_ratio_sq_bound,
+from conftest import (random_state_np, rng_for, rows_of, saturating_point,
+                      spin_pair_point_by_point)
+from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SpinPairParams,
+                       correlation, correlation_bound_report, entropy_flux,
+                       evaluate_bounds, entropy_flux_chain_check, evolve,
+                       exchange_generator, expectation,
                        local_system_bound_check, make_observable,
-                       make_scenario, onsager_like, partial_trace,
-                       random_observable, random_scenario, relative_entropy,
-                       saturating_family, spin_hamiltonian,
+                       make_scenario, random_observable, random_scenario,
+                       relative_entropy, saturating_family, spin_hamiltonian,
                        spin_pair_scenario, spin_pair_timeseries,
-                       symmetric_relative_entropy, tensor_product,
-                       thermal_environment, trace_distance_norm,
+                       tensor_product, thermal_environment,
                        unitary_from_generator, validate_state)
 from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import DomainError, ValidationError
@@ -283,7 +281,7 @@ def test_thermal_environment_rejects_betas_that_do_not_match_the_stack():
 
 def test_local_system_bound_matches_the_exchange_series():
     params = SpinPairParams(times=(0.3,))
-    point = spin_pair_timeseries(params)[0]
+    point = take_row(spin_pair_timeseries(params), 0)
     scenario = spin_pair_scenario(params, 0.3)
     outcome = evolve(scenario)
     theta = make_observable(spin_hamiltonian(params.level_splitting))
@@ -298,7 +296,7 @@ def test_local_system_bound_matches_the_exchange_series():
 
 def test_spin_pair_flux_matches_the_closed_form_over_the_grid():
     params = SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 301)))
-    points = spin_pair_timeseries(params)
+    points = rows_of(spin_pair_timeseries(params))
     assert len(points) == 301
     worst = max(abs(pt.flux - pt.flux_analytic) for pt in points)
     assert worst <= 1e-9
@@ -310,7 +308,7 @@ def test_spin_pair_flux_matches_the_closed_form_over_the_grid():
 
 
 def test_spin_pair_series_starts_at_zero():
-    point = spin_pair_timeseries(SpinPairParams(times=(0.0,)))[0]
+    point = take_row(spin_pair_timeseries(SpinPairParams(times=(0.0,))), 0)
     assert point.flux_analytic == 0.0
     assert abs(point.flux) <= 1e-14
     assert abs(point.two_phi_sq) <= 1e-28
@@ -320,7 +318,7 @@ def test_spin_pair_series_starts_at_zero():
 
 def test_spin_pair_slack_is_strict_away_from_the_quarter_period():
     # at g t = 1/2 the swap is partial and the first chain step stays open
-    point = spin_pair_timeseries(SpinPairParams(times=(0.25,)))[0]
+    point = take_row(spin_pair_timeseries(SpinPairParams(times=(0.25,))), 0)
     assert point.s_tilde - point.onsager > 1e-3
 
 
@@ -328,7 +326,7 @@ def test_spin_pair_saturates_at_a_quarter_period():
     # g t = pi / 2 completes the swap: flux |p - q| Omega and the chain's
     # first step closes to a tangency
     params = SpinPairParams(times=(math.pi / 4.0,))
-    point = spin_pair_timeseries(params)[0]
+    point = take_row(spin_pair_timeseries(params), 0)
     assert point.flux == pytest.approx(0.8, abs=1e-12)
     assert abs(point.s_tilde - point.onsager) <= 1e-6
 
@@ -485,29 +483,6 @@ def test_thermal_environment_rejects_an_overflowing_inverse_temperature():
 GRID_LENGTHS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
 
 
-def _spin_pair_point_by_point(params):
-    """The exchange series time by time, from the single-matrix primitives."""
-    p = params.excited_population_system
-    q = params.excited_population_environment
-    omega, g = params.level_splitting, params.coupling_strength
-    rho_s0 = validate_state(np.diag([1.0 - p, p]))
-    rho_e0 = validate_state(np.diag([1.0 - q, q]))
-    joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
-    h_s = spin_hamiltonian(omega)
-    generator = exchange_generator(g, params.coupling_phase)
-    points = []
-    for t in params.times:
-        u = unitary_from_generator(generator, t)
-        rho_s = validate_state(partial_trace(u @ joint0 @ u.conj().T, 2, 2, "system"))
-        flux = abs(expectation(h_s, rho_s.matrix - rho_s0.matrix))
-        ratio = min(flux / omega, 1.0)
-        points.append(SpinPairPoint(
-            float(t), flux, math.sin(g * t) ** 2 * abs(p - q) * omega,
-            2.0 * ratio * ratio, onsager_like(ratio),
-            symmetric_relative_entropy(rho_s, rho_s0).as_float()))
-    return points
-
-
 @pytest.mark.parametrize("length", GRID_LENGTHS)
 @pytest.mark.parametrize("p, q, omega, g, phase, t_max", [
     (0.9, 0.1, 1.0, 2.0, 0.0, 1.5),
@@ -522,22 +497,7 @@ def test_stacked_spin_pair_series_matches_a_point_by_point_reference(
     times = np.sort(np.append(np.linspace(0.0, t_max, length)[:-1],
                               math.pi / (2.0 * g)))
     params = SpinPairParams(p, q, omega, g, phase, tuple(times))
-    assert spin_pair_timeseries(params) == _spin_pair_point_by_point(params)
-
-
-def _saturating_point(a: float):
-    """The extremal pair at one gap, from the single-state primitives."""
-    t = math.exp(-abs(a))
-    small, large = t / (1.0 + t), 1.0 / (1.0 + t)
-    low, high = (small, large) if a >= 0.0 else (large, small)
-    rho = validate_state(np.diag([low, high]))
-    sigma = validate_state(np.diag([high, low]))
-    tn = trace_distance_norm(rho, sigma)
-    s_tilde = symmetric_relative_entropy(rho, sigma)
-    bound = flux_ratio_sq_bound(s_tilde.value) if s_tilde.finite else 1.0
-    return rho, sigma, SaturatingFamily(
-        a, 2.0 * math.tanh(0.5 * abs(a)), divergence_from_gap(abs(a)), 0.0,
-        tn, s_tilde.as_float(), bound, abs(0.25 * tn * tn - bound))
+    assert rows_of(spin_pair_timeseries(params)) == spin_pair_point_by_point(params)
 
 
 def _same_state(a, b) -> bool:
@@ -556,11 +516,10 @@ def test_stacked_saturating_family_matches_a_point_by_point_reference(length):
     gaps[-1] = 800.0
     rhos, sigmas, family = saturating_family(gaps)
     assert family.gap.shape == (length,)
-    rows = list(family.rows())
+    rows = rows_of(family)
     assert len(rows) == length
     for k, a in enumerate(gaps.tolist()):
-        rho, sigma, expected = _saturating_point(a)
-        assert take_row(family, k) == expected
+        rho, sigma, expected = saturating_point(a)
         assert rows[k] == expected and type(rows[k].gap) is float
         assert _same_state(take_row(rhos, k), rho)
         assert _same_state(take_row(sigmas, k), sigma)
@@ -569,7 +528,7 @@ def test_stacked_saturating_family_matches_a_point_by_point_reference(length):
 @pytest.mark.parametrize("a", [-1.3, 0.0, 3.0, 800.0])
 def test_saturating_family_at_one_gap_matches_the_reference(a):
     rho, sigma, family = saturating_family(a)
-    expected_rho, expected_sigma, expected = _saturating_point(a)
+    expected_rho, expected_sigma, expected = saturating_point(a)
     assert family == expected
     assert type(family.gap) is float
     assert _same_state(rho, expected_rho) and _same_state(sigma, expected_sigma)

@@ -8,6 +8,7 @@ import pytest
 
 import fluxbound.bounds as bounds_module
 import fluxbound.linalg as linalg_module
+from conftest import rows_of
 from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
                        correlation_bound_report, entropy_flux,
                        entropy_flux_chain_check, evaluate_bounds, evolve,
@@ -214,7 +215,7 @@ def _reference_thermo_chain(config):
 def _reference_local_bound(config):
     result = SuiteResult("local_bound", config.slack_tolerance)
     params = SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 61)))
-    for point in spin_pair_timeseries(params):
+    for point in rows_of(spin_pair_timeseries(params)):
         if math.isinf(point.onsager):
             continue
         result.record(point.s_tilde - point.onsager, f"exchange model at t={point.t!r}")
