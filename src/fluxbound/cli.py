@@ -9,13 +9,16 @@ Subcommands:
 Common flags: --seed (master seed, default 42), --out (file path, default
 stdout), --format (csv or jsonl, default csv), --tolerance (default 1e-9):
 montecarlo and verify only score inequalities with it (a slack below
--tolerance, or NaN, is a violation), and spinpair and saturation ignore
-it.  The library's invariant checks use the fixed thresholds in
+-tolerance, or NaN, is a violation).  spinpair and saturation draw nothing
+at random and score nothing: they ignore --seed, whatever its value, and
+use --tolerance for nothing (a non-positive or non-finite one is still a
+usage error).  The library's invariant checks use the fixed thresholds in
 fluxbound.config; verify's identity checks use fixed thresholds written
 in fluxbound.verify (1e-8, 1e-9, 1e-10 or 1e-12).  Identical flags and
 seed give byte-identical primary output; summaries go to stderr.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error (or not enough memory for the run),
+2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -218,6 +221,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except FluxboundError as exc:
         print(f"fluxbound: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"fluxbound: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -77,6 +77,16 @@ def check_integer(name: str, value) -> int:
             f"{name} must be an integer, got {value!r}") from None
 
 
+def check_draw_count(name: str, value) -> None:
+    """A run's draw count is a positive integer, at most 2^48: the draw
+    index fills the low 48 bits of the Philox key."""
+    count = check_integer(name, value)
+    if count < 1:
+        raise ValidationError(f"{name} must be positive")
+    if count > 1 << _STREAM_SHIFT:
+        raise ValidationError(f"{name} must be at most 2^48, got {count}")
+
+
 def check_master_seed(master_seed: int) -> None:
     """Master seeds are the first 64-bit word of the Philox key."""
     if not 0 <= check_integer("master seed", master_seed) < (1 << 64):
@@ -217,12 +227,7 @@ class DrawConfig:
     slack_tolerance: float = 1e-9
 
     def __post_init__(self):
-        n_draws = check_integer("n_draws", self.n_draws)
-        if n_draws < 1:
-            raise ValidationError("n_draws must be positive")
-        if n_draws > 1 << _STREAM_SHIFT:
-            # the draw index fills the low 48 bits of the Philox key
-            raise ValidationError(f"n_draws must be at most 2^48, got {n_draws}")
+        check_draw_count("n_draws", self.n_draws)
         check_master_seed(self.master_seed)
         if self.rejection_policy not in (POLICY_REDRAW, POLICY_REPORT_INFINITE):
             raise ValidationError(

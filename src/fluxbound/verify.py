@@ -14,22 +14,27 @@ the stacked core; and it records the checks in draw order.  Every row of
 a stack is computed as it would be alone, so the tallies are those of a
 draw-by-draw run, bit for bit, and draw i of a suite stays a pure
 function of (seed, suite stream, i).
+
+Every suite, random or on a fixed grid, hands back its checks as columns
+(name, slacks, applies), arrays over the stack's rows; one helper (_rows)
+turns them into each row's checks, recorded as "draw k name" or as
+"name at x=..." for a grid point.  A check that does not apply to a row
+(an infinite chain step, a trivial verdict) is left out of that row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import bounds as _bounds
-from .errors import ValidationError
-from .flux import (Observable, clears, evaluate_bounds, lowers,
+from .flux import (Observable, ShiftCheck, clears, evaluate_bounds, lowers,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
 from .linalg import expectation, take_row, unitary_from_generator
-from .montecarlo import (check_integer, check_master_seed,
+from .montecarlo import (check_draw_count, check_master_seed,
                          check_slack_tolerance, qubit_matrices, substream)
 from .states import DensityMatrix, validate_state
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
@@ -38,18 +43,10 @@ from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      local_system_bound_check, make_scenario, saturating_family,
                      spin_pair_timeseries, thermal_environment)
 
-_SUITE_STREAMS = {
-    "bound_functions": 1,
-    "capacity": 2,
-    "bound_chain": 3,
-    "sign_identities": 4,
-    "uncertainty": 5,
-    "optimal_shift": 6,
-    "thermo_chain": 7,
-    "local_bound": 8,
-    "correlation": 9,
-    "saturation": 10,
-}
+# the Philox stream of each suite's draws: 1 to 10, in this order
+_SUITE_STREAMS = {name: stream for stream, name in enumerate((
+    "bound_functions", "capacity", "bound_chain", "sign_identities", "uncertainty",
+    "optimal_shift", "thermo_chain", "local_bound", "correlation", "saturation"), 1)}
 
 
 @dataclass
@@ -81,8 +78,7 @@ class VerifyConfig:
     slack_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if check_integer("draws", self.draws) < 1:
-            raise ValidationError("draws must be positive")
+        check_draw_count("draws", self.draws)
         check_master_seed(self.master_seed)
         check_slack_tolerance(self.slack_tolerance)
 
@@ -144,36 +140,49 @@ def random_scenario(rng: np.random.Generator, dim_system: int = 2,
     return _scenario(*_scenario_inputs(rng, dim_system, dim_environment))
 
 
-def _draws(config: VerifyConfig, suite: str, halved: bool = False):
-    """(k, dim, rng) per draw of a suite: rng is draw k's substream of the
-    suite's stream, and dim cycles 2, 3, 4.  A halved suite, whose draws
-    cost more, takes max(draws // 2, 20) draws."""
-    count = max(config.draws // 2, 20) if halved else config.draws
-    for k in range(count):
-        yield k, 2 + k % 3, substream(config.master_seed, k, _SUITE_STREAMS[suite])
+def _rows(columns) -> list:
+    """Each row's checks, as (slack, name) pairs in column order.  A column
+    is (name, slacks, applies): slacks an array over the rows, applies a
+    bool array over them, or True where the check applies to every row."""
+    columns = [(name, slacks.tolist(),
+                np.broadcast_to(applies, slacks.shape).tolist())
+               for name, slacks, applies in columns]
+    return [[(slacks[row], name) for name, slacks, applies in columns
+             if applies[row]] for row in range(len(columns[0][1]))]
 
 
 def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
                  halved: bool = False) -> SuiteResult:
-    """Sample each draw's raw inputs from its own substream, in draw
-    order, with sample(k, dim, rng) (a tuple of arrays and floats); evaluate
-    the draws whose inputs share their shapes as one stack, with
-    evaluate(*stacked inputs), which returns one list of (slack, detail)
-    checks per draw; and record the checks in draw order, each detail
-    prefixed with "draw k".  Every row of a stack is computed as it would
-    be alone, so the grouping changes no check."""
+    """Sample each draw's raw inputs, in draw order, with sample(k, dim, rng)
+    (a tuple of arrays and floats), where rng is draw k's substream of the
+    suite's stream and dim cycles 2, 3, 4; evaluate the draws whose inputs
+    share their shapes as one stack, with evaluate(*stacked inputs), which
+    returns the stack's check columns (_rows); and record the checks in
+    draw order, as "draw k name".  Every row of a stack is computed as it
+    would be alone, so the grouping changes no check.  A halved suite,
+    whose draws cost more, takes max(draws // 2, 20) draws."""
     groups: dict = {}
-    for k, dim, rng in _draws(config, result.name, halved):
-        inputs = sample(k, dim, rng)
+    stream = _SUITE_STREAMS[result.name]
+    for k in range(max(config.draws // 2, 20) if halved else config.draws):
+        inputs = sample(k, 2 + k % 3, substream(config.master_seed, k, stream))
         groups.setdefault(tuple(map(np.shape, inputs)), []).append((k, inputs))
     checks = {}
     for members in groups.values():
         draws, inputs = zip(*members)
-        checks.update(zip(draws, evaluate(*map(np.stack, zip(*inputs)))))
+        checks.update(zip(draws, _rows(evaluate(*map(np.stack, zip(*inputs))))))
     for k in sorted(checks):
-        for slack, detail in checks[k]:
-            result.record(slack, f"draw {k} {detail}")
+        for slack, name in checks[k]:
+            result.record(slack, f"draw {k} {name}")
     return result
+
+
+def _record_grid(result: SuiteResult, axis: str, grid: np.ndarray, columns) -> None:
+    """Record the check columns (_rows) of a grid evaluated as arrays, in
+    grid order, as "name at {axis}{point!r}"; the points are read as Python
+    floats, so the details print without numpy reprs."""
+    for point, checks in zip(grid.tolist(), _rows(columns)):
+        for slack, name in checks:
+            result.record(slack, f"{name} at {axis}{point!r}")
 
 
 def _pair_inputs(k, dim, rng):
@@ -187,38 +196,33 @@ def _triple_inputs(k, dim, rng):
 
 
 def _chain_checks(chain) -> list:
-    """Each row's steps of a stacked ChainCheck, as (slack, name) checks;
-    a step whose slack is +inf does not apply to the row."""
-    columns = [(name, slacks.tolist()) for name, slacks in chain.steps.items()]
-    return [[(slacks[row], name) for name, slacks in columns
-             if slacks[row] != math.inf] for row in range(len(chain.trivial))]
+    """The steps of a stacked ChainCheck as check columns; a step whose
+    slack is +inf does not apply to the row."""
+    return [(name, slacks, slacks != math.inf) for name, slacks in chain.steps.items()]
 
 
 def suite_bound_functions(config: VerifyConfig) -> SuiteResult:
     """Round trip, product identity, envelope and small-x behaviour of the
     scalar bound machinery (no randomness)."""
     result = SuiteResult("bound_functions", config.slack_tolerance)
-    # grid values as Python floats, so the details print without numpy reprs
-    for x in np.geomspace(1e-6, 50.0, 121).tolist():
-        gap = _bounds.gap_from_divergence(x)
-        result.record(1e-10 - abs(_bounds.divergence_from_gap(gap) - x),
-                      f"roundtrip at x={x!r}")
-    for x in np.geomspace(1e-4, 50.0, 121).tolist():
-        b = _bounds.flux_ratio_sq_bound(x)
-        f = _bounds.variance_ratio_floor(x)
-        result.record(1e-10 - abs(b * (1.0 + f) - 1.0), f"product identity at x={x!r}")
-    for x in np.geomspace(1e-6, 200.0, 121).tolist():
-        b = _bounds.flux_ratio_sq_bound(x)
-        result.record(min(1.0, 0.5 * x) - b, f"envelope at x={x!r}")
-    small = _bounds.flux_ratio_sq_bound(1e-8)
-    result.record(1e-3 - abs(small / 0.5e-8 - 1.0), "small-x limit")
+    bound, floor = _bounds.flux_ratio_sq_bound, _bounds.variance_ratio_floor
+    x = np.geomspace(1e-6, 50.0, 121)
+    roundtrip = _bounds.divergence_from_gap(_bounds.gap_from_divergence(x))
+    _record_grid(result, "x=", x,
+                 [("roundtrip", 1e-10 - np.abs(roundtrip - x), True)])
+    x = np.geomspace(1e-4, 50.0, 121)
+    product = bound(x) * (1.0 + floor(x))
+    _record_grid(result, "x=", x,
+                 [("product identity", 1e-10 - np.abs(product - 1.0), True)])
+    x = np.geomspace(1e-6, 200.0, 121)
+    _record_grid(result, "x=", x,
+                 [("envelope", np.minimum(1.0, 0.5 * x) - bound(x), True)])
+    result.record(1e-3 - abs(bound(1e-8) / 0.5e-8 - 1.0), "small-x limit")
     # monotonicity on a coarse grid
-    xs = np.geomspace(1e-4, 60.0, 61).tolist()
-    bs = [_bounds.flux_ratio_sq_bound(x) for x in xs]
-    fs = [_bounds.variance_ratio_floor(x) for x in xs]
-    for k in range(len(xs) - 1):
-        result.record(bs[k + 1] - bs[k], f"bound monotone at {xs[k]!r}")
-        result.record(fs[k] - fs[k + 1], f"floor monotone at {xs[k]!r}")
+    x = np.geomspace(1e-4, 60.0, 61)
+    bs, fs = bound(x), floor(x)
+    _record_grid(result, "", x[:-1], [("bound monotone", bs[1:] - bs[:-1], True),
+                                      ("floor monotone", fs[:-1] - fs[1:], True)])
     return result
 
 
@@ -229,8 +233,7 @@ def suite_capacity(config: VerifyConfig, tols=None) -> SuiteResult:
         theta = make_observable(thetas)
         phi = expectation(theta.matrix, validate_state(rhos).matrix
                           - validate_state(sigmas).matrix)
-        return [[(slack, f"dim {theta.dim}")]
-                for slack in (theta.capacity - np.abs(phi)).tolist()]
+        return [(f"dim {theta.dim}", theta.capacity - np.abs(phi), True)]
     return _check_draws(SuiteResult("capacity", config.slack_tolerance), config,
                         _triple_inputs, evaluate)
 
@@ -250,20 +253,10 @@ def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
         thetas, rhos, sigmas = qubit_matrices(*inputs) if len(inputs) == 1 else inputs
         report = evaluate_bounds(make_observable(thetas), validate_state(rhos),
                                  validate_state(sigmas))
-        verdicts = [(name, v.slack.tolist(), v.trivial.tolist())
-                    for name, v in report.verdicts.items()]
-        ends = report.s_tilde.finite & ~report.degenerate_capacity
-        draws = []
-        for row, (end, main, strengthened) in enumerate(zip(
-                ends.tolist(), report.main_rhs.tolist(),
-                report.strengthened_rhs.tolist())):
-            checks = [(slack[row], name) for name, slack, trivial in verdicts
-                      if not trivial[row]]
-            if end:
-                checks += [(1.0 - main, "curve <= 1"),
-                           (main - strengthened, "strengthened <= main")]
-            draws.append(checks)
-        return draws
+        main, ends = report.main_rhs, report.s_tilde.finite & ~report.degenerate_capacity
+        return [*((name, v.slack, ~v.trivial) for name, v in report.verdicts.items()),
+                ("curve <= 1", 1.0 - main, ends),
+                ("strengthened <= main", main - report.strengthened_rhs, ends)]
     return _check_draws(SuiteResult("bound_chain", config.slack_tolerance), config,
                         sample, evaluate)
 
@@ -282,11 +275,9 @@ def suite_sign_identities(config: VerifyConfig) -> SuiteResult:
         eps_sigma = expectation(dec.kernel_projector, sigma.matrix)
         unit = dec.sign_operator @ dec.sign_operator + dec.kernel_projector
         unit_error = np.abs(unit - np.eye(rho.dim)).max(axis=(1, 2))
-        slacks = zip((tol - np.abs(gap - tn)).tolist(),
-                     (tol - np.abs(eps_rho - eps_sigma)).tolist(),
-                     (tol - unit_error).tolist())
-        return [list(zip(row, ("trace-norm recovery", "kernel weight",
-                               "squares to identity"))) for row in slacks]
+        return [("trace-norm recovery", tol - np.abs(gap - tn), True),
+                ("kernel weight", tol - np.abs(eps_rho - eps_sigma), True),
+                ("squares to identity", tol - unit_error, True)]
     return _check_draws(SuiteResult("sign_identities", config.slack_tolerance),
                         config, _pair_inputs, evaluate)
 
@@ -297,15 +288,13 @@ def suite_uncertainty(config: VerifyConfig) -> SuiteResult:
     def evaluate(rhos, sigmas):
         rho, sigma = validate_state(rhos), validate_state(sigmas)
         check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
-        return [[] if trivial else [(slack, f"dim {rho.dim}")]
-                for slack, trivial in zip(check.slack.tolist(), check.trivial.tolist())]
+        return [(f"dim {rho.dim}", check.slack, ~check.trivial)]
     result = _check_draws(SuiteResult("uncertainty", config.slack_tolerance),
                           config, _pair_inputs, evaluate)
     grid = np.linspace(0.2, 6.0, 30)
     rhos, sigmas, _ = saturating_family(grid)
     check = qtur_check(sign_decomposition(rhos, sigmas).sign_operator, rhos, sigmas)
-    for a, slack in zip(grid.tolist(), check.slack.tolist()):
-        result.record(1e-8 - abs(slack), f"equality at a={a!r}")
+    _record_grid(result, "a=", grid, [("equality", 1e-8 - np.abs(check.slack), True)])
     return result
 
 
@@ -315,19 +304,18 @@ def suite_optimal_shift(config: VerifyConfig) -> SuiteResult:
     shifts, one row at a time."""
     def evaluate(hermitians):
         thetas = make_observable(hermitians)
-        draws = []
+        scans = []
         for row in range(len(hermitians)):
             theta = take_row(thetas, row)
             span = theta.capacity if theta.capacity > 0 else 1.0
             grid = np.linspace(theta.theta_min - span, theta.theta_max + span, 10000)
-            check = optimal_shift_check(theta, grid)
-            draws.append([
-                (check.grid_min - check.half_capacity, "grid minimum"),
-                (check.half_capacity + check.grid_step - check.grid_min,
-                 "grid resolution"),
-                (1e-12 - abs(check.value_at_lambda_star - check.half_capacity),
-                 "value at the optimal shift")])
-        return draws
+            scans.append(astuple(optimal_shift_check(theta, grid)))
+        check = ShiftCheck(*np.array(scans).T)
+        half = check.half_capacity
+        return [("grid minimum", check.grid_min - half, True),
+                ("grid resolution", half + check.grid_step - check.grid_min, True),
+                ("value at the optimal shift",
+                 1e-12 - np.abs(check.value_at_lambda_star - half), True)]
     return _check_draws(SuiteResult("optimal_shift", config.slack_tolerance), config,
                         lambda k, dim, rng: (random_hermitian(rng, dim),),
                         evaluate, halved=True)
@@ -351,9 +339,8 @@ def suite_thermo_chain(config: VerifyConfig) -> SuiteResult:
         ef = entropy_flux(thermal, thermal_outcome)
         heat = expectation(h_env, thermal_outcome.rho_environment.matrix
                            - gibbs.matrix)
-        identity = 1e-10 - np.abs(ef.value - beta * heat)
-        return [steps + [(slack, "thermal identity")]
-                for steps, slack in zip(_chain_checks(chain), identity.tolist())]
+        return [*_chain_checks(chain),
+                ("thermal identity", 1e-10 - np.abs(ef.value - beta * heat), True)]
     return _check_draws(SuiteResult("thermo_chain", config.slack_tolerance), config,
                         sample, evaluate, halved=True)
 
@@ -363,12 +350,10 @@ def suite_local_bound(config: VerifyConfig) -> SuiteResult:
     a time grid and random scenarios with random local observables."""
     result = SuiteResult("local_bound", config.slack_tolerance)
     points = spin_pair_timeseries(SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 61))))
-    for point in (take_row(points, k) for k in range(len(points.t))):
-        if math.isinf(point.onsager):
-            continue
-        result.record(point.s_tilde - point.onsager, f"exchange model at t={point.t!r}")
-        result.record(point.onsager - point.two_phi_sq,
-                      f"exchange cost at t={point.t!r}")
+    finite = ~np.isinf(points.onsager)
+    _record_grid(result, "t=", points.t,
+                 [("exchange model", points.s_tilde - points.onsager, finite),
+                  ("exchange cost", points.onsager - points.two_phi_sq, finite)])
 
     def evaluate(rho_s, rho_e, generators, thetas):
         scenario = _scenario(rho_s, rho_e, generators)
@@ -388,20 +373,17 @@ def suite_correlation(config: VerifyConfig) -> SuiteResult:
         scenario = _scenario(rho_s, rho_e, generators)
         outcome = evolve(scenario)
         theta_s, theta_e = make_observable(h_system), make_observable(h_environment)
-        draws = [[] for _ in range(len(generators))]
+        columns = []
         for protocol in (BATH_RESET, BOTH_RESET):
-            values = correlation(theta_s, theta_e, scenario, outcome, protocol)
+            value = correlation(theta_s, theta_e, scenario, outcome, protocol)
             report = correlation_bound_report(theta_s, theta_e, scenario,
                                               outcome, protocol)
-            for checks, value, flux, capacity, finite, main in zip(
-                    draws, values.tolist(), report.flux.tolist(),
-                    report.capacity.tolist(), report.s_tilde.finite.tolist(),
-                    report.main_rhs.tolist()):
-                checks.append((1e-9 - abs(value - flux), f"{protocol} definitional"))
-                if capacity > 0 and finite:
-                    checks.append((main - (value / capacity) ** 2,
-                                   f"{protocol} entropy cap"))
-        return draws
+            capped = (report.capacity > 0) & report.s_tilde.finite
+            ratio_sq = (value / np.where(capped, report.capacity, 1.0)) ** 2
+            columns += [(f"{protocol} definitional",
+                         1e-9 - np.abs(value - report.flux), True),
+                        (f"{protocol} entropy cap", report.main_rhs - ratio_sq, capped)]
+        return columns
     return _check_draws(SuiteResult("correlation", config.slack_tolerance), config,
                         lambda k, dim, rng: (*_scenario_inputs(rng, 2, 2),
                                              random_hermitian(rng, 2),
@@ -413,13 +395,11 @@ def suite_saturation(config: VerifyConfig) -> SuiteResult:
     """The extremal family meets the bound with equality at every gap."""
     result = SuiteResult("saturation", config.slack_tolerance)
     _, _, family = saturating_family(np.linspace(0.1, 10.0, 100))
-    for row in (take_row(family, k) for k in range(len(family.gap))):
-        a = row.log_odds_gap
-        result.record(1e-8 - row.gap, f"gap at a={a!r}")
-        result.record(1e-8 - abs(row.trace_norm - row.trace_norm_closed),
-                      f"trace norm at a={a!r}")
-        result.record(1e-8 - abs(row.s_tilde - row.s_tilde_closed),
-                      f"divergence at a={a!r}")
+    trace_norm_error = np.abs(family.trace_norm - family.trace_norm_closed)
+    _record_grid(result, "a=", family.log_odds_gap, [
+        ("gap", 1e-8 - family.gap, True),
+        ("trace norm", 1e-8 - trace_norm_error, True),
+        ("divergence", 1e-8 - np.abs(family.s_tilde - family.s_tilde_closed), True)])
     return result
 
 

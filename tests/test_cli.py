@@ -281,7 +281,7 @@ def test_verify_reports_every_suite(capsys):
 
 def test_verify_fails_loudly_when_a_bound_is_broken(monkeypatch, capsys):
     monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
-                        lambda x, config=None: 0.0)
+                        lambda x: 0.0 * x)
     code, out, err = run_cli(["verify", "--draws", "8"], capsys)
     assert code == EXIT_VERIFICATION
     assert "FAIL" in err
@@ -289,7 +289,7 @@ def test_verify_fails_loudly_when_a_bound_is_broken(monkeypatch, capsys):
 
 def test_montecarlo_exits_nonzero_on_violations(monkeypatch, capsys):
     monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
-                        lambda x, config=None: 0.0)
+                        lambda x: 0.0 * x)
     code, out, err = run_cli(["montecarlo", "--draws", "10"], capsys)
     assert code == EXIT_VERIFICATION
 
@@ -323,6 +323,17 @@ def test_montecarlo_draw_counts_beyond_the_key_are_usage_errors(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "n_draws must be at most 2^48" in err
+
+
+def test_a_run_too_large_for_memory_is_one_line(capsys):
+    # 2^48 draws fit the key, but their records (2 PiB a column) exceed the
+    # address space: numpy refuses the allocation, which used to escape as
+    # a traceback
+    code, out, err = run_cli(["montecarlo", "--draws", str(1 << 48)], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("fluxbound: not enough memory: ")
+    assert err.count("\n") == 1
 
 
 def test_unwritable_output_path_is_an_io_error(tmp_path, capsys):

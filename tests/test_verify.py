@@ -10,19 +10,23 @@ import fluxbound.bounds as bounds_module
 import fluxbound.linalg as linalg_module
 from conftest import rows_of
 from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
-                       correlation_bound_report, entropy_flux,
-                       entropy_flux_chain_check, evaluate_bounds, evolve,
-                       expectation, local_system_bound_check, make_scenario,
-                       qtur_check, random_density, random_observable,
-                       random_scenario, saturating_family, sign_decomposition,
+                       correlation_bound_report, divergence_from_gap,
+                       entropy_flux, entropy_flux_chain_check, evaluate_bounds,
+                       evolve, expectation, flux_ratio_sq_bound,
+                       gap_from_divergence, local_system_bound_check,
+                       make_scenario, optimal_shift_check, qtur_check,
+                       random_density, random_observable, random_scenario,
+                       saturating_family, sign_decomposition,
                        spin_pair_timeseries, substream, thermal_environment,
-                       triple_from_uniforms)
+                       triple_from_uniforms, variance_ratio_floor)
 from fluxbound.errors import ValidationError
 from fluxbound.linalg import take_row
 from fluxbound.montecarlo import DrawConfig
 from fluxbound.verify import (SuiteResult, VerifyConfig, run_verify,
-                              suite_bound_chain, suite_capacity,
-                              suite_correlation, suite_local_bound,
+                              suite_bound_chain, suite_bound_functions,
+                              suite_capacity, suite_correlation,
+                              suite_local_bound, suite_optimal_shift,
+                              suite_saturation, suite_sign_identities,
                               suite_thermo_chain, suite_uncertainty)
 
 SUITE_NAMES = ("bound_functions", "capacity", "bound_chain", "sign_identities",
@@ -60,6 +64,15 @@ def test_verify_config_validation():
     for slack in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="slack_tolerance"):
             VerifyConfig(slack_tolerance=slack)
+
+
+def test_verify_refuses_draw_counts_beyond_the_key():
+    # substream refuses a draw index past 2^48 only once a run reaches it;
+    # the config refuses the count up front, as DrawConfig does (no such
+    # run is made here)
+    assert VerifyConfig(draws=1 << 48).draws == 1 << 48
+    with pytest.raises(ValidationError, match="^draws must be at most 2\\^48"):
+        VerifyConfig(draws=(1 << 48) + 1)
 
 
 def test_both_configs_check_the_slack_tolerance_alike():
@@ -150,6 +163,28 @@ def _record_chain(result, chain, k):
             result.record(slack, f"draw {k} {name}")
 
 
+def _reference_bound_functions(config):
+    result = SuiteResult("bound_functions", config.slack_tolerance)
+    for x in np.geomspace(1e-6, 50.0, 121).tolist():
+        roundtrip = divergence_from_gap(gap_from_divergence(x))
+        result.record(1e-10 - abs(roundtrip - x), f"roundtrip at x={x!r}")
+    for x in np.geomspace(1e-4, 50.0, 121).tolist():
+        product = flux_ratio_sq_bound(x) * (1.0 + variance_ratio_floor(x))
+        result.record(1e-10 - abs(product - 1.0), f"product identity at x={x!r}")
+    for x in np.geomspace(1e-6, 200.0, 121).tolist():
+        result.record(min(1.0, 0.5 * x) - flux_ratio_sq_bound(x),
+                      f"envelope at x={x!r}")
+    result.record(1e-3 - abs(flux_ratio_sq_bound(1e-8) / 0.5e-8 - 1.0),
+                  "small-x limit")
+    xs = np.geomspace(1e-4, 60.0, 61).tolist()
+    for x, later in zip(xs, xs[1:]):
+        result.record(flux_ratio_sq_bound(later) - flux_ratio_sq_bound(x),
+                      f"bound monotone at {x!r}")
+        result.record(variance_ratio_floor(x) - variance_ratio_floor(later),
+                      f"floor monotone at {x!r}")
+    return result
+
+
 def _reference_capacity(config):
     result = SuiteResult("capacity", config.slack_tolerance)
     for k, dim, rng in _reference_draws(config, 2):
@@ -179,6 +214,23 @@ def _reference_bound_chain(config):
     return result
 
 
+def _reference_sign_identities(config):
+    result = SuiteResult("sign_identities", config.slack_tolerance)
+    for k, dim, rng in _reference_draws(config, 4):
+        rho, sigma = random_density(rng, dim), random_density(rng, dim)
+        dec = sign_decomposition(rho, sigma)
+        tn = float(np.abs(dec.difference_spectrum.eigenvalues).sum())
+        gap = expectation(dec.sign_operator, rho.matrix - sigma.matrix)
+        weights = (expectation(dec.kernel_projector, rho.matrix)
+                   - expectation(dec.kernel_projector, sigma.matrix))
+        unit = dec.sign_operator @ dec.sign_operator + dec.kernel_projector
+        result.record(1e-9 - abs(gap - tn), f"draw {k} trace-norm recovery")
+        result.record(1e-9 - abs(weights), f"draw {k} kernel weight")
+        result.record(1e-9 - float(np.abs(unit - np.eye(dim)).max()),
+                      f"draw {k} squares to identity")
+    return result
+
+
 def _reference_uncertainty(config):
     result = SuiteResult("uncertainty", config.slack_tolerance)
     for k, dim, rng in _reference_draws(config, 5):
@@ -192,6 +244,22 @@ def _reference_uncertainty(config):
         rho, sigma = take_row(rhos, k), take_row(sigmas, k)
         check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
         result.record(1e-8 - abs(check.slack), f"equality at a={a!r}")
+    return result
+
+
+def _reference_optimal_shift(config):
+    result = SuiteResult("optimal_shift", config.slack_tolerance)
+    for k, dim, rng in _reference_draws(config, 6, halved=True):
+        theta = random_observable(rng, dim)
+        span = theta.capacity if theta.capacity > 0 else 1.0
+        check = optimal_shift_check(theta, np.linspace(
+            theta.theta_min - span, theta.theta_max + span, 10000))
+        half = check.half_capacity
+        result.record(check.grid_min - half, f"draw {k} grid minimum")
+        result.record(half + check.grid_step - check.grid_min,
+                      f"draw {k} grid resolution")
+        result.record(1e-12 - abs(check.value_at_lambda_star - half),
+                      f"draw {k} value at the optimal shift")
     return result
 
 
@@ -248,13 +316,29 @@ def _reference_correlation(config):
     return result
 
 
+def _reference_saturation(config):
+    result = SuiteResult("saturation", config.slack_tolerance)
+    for row in rows_of(saturating_family(np.linspace(0.1, 10.0, 100))[2]):
+        a = row.log_odds_gap
+        result.record(1e-8 - row.gap, f"gap at a={a!r}")
+        result.record(1e-8 - abs(row.trace_norm - row.trace_norm_closed),
+                      f"trace norm at a={a!r}")
+        result.record(1e-8 - abs(row.s_tilde - row.s_tilde_closed),
+                      f"divergence at a={a!r}")
+    return result
+
+
 REFERENCES = {
+    "bound_functions": (suite_bound_functions, _reference_bound_functions),
     "capacity": (suite_capacity, _reference_capacity),
     "bound_chain": (suite_bound_chain, _reference_bound_chain),
+    "sign_identities": (suite_sign_identities, _reference_sign_identities),
     "uncertainty": (suite_uncertainty, _reference_uncertainty),
+    "optimal_shift": (suite_optimal_shift, _reference_optimal_shift),
     "thermo_chain": (suite_thermo_chain, _reference_thermo_chain),
     "local_bound": (suite_local_bound, _reference_local_bound),
     "correlation": (suite_correlation, _reference_correlation),
+    "saturation": (suite_saturation, _reference_saturation),
 }
 
 
