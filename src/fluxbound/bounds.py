@@ -58,9 +58,8 @@ def _divergence_from_gap(gap: float) -> float:
     return gap * math.tanh(0.5 * gap)
 
 
-def _divergence_slope(gap: float) -> float:
-    # d/dy [y tanh(y/2)] = tanh(y/2) + (y/2) sech(y/2)^2
-    t = math.tanh(0.5 * gap)
+def _divergence_slope(gap: float, t: float) -> float:
+    # d/dy [y tanh(y/2)] = tanh(y/2) + (y/2) sech(y/2)^2, given t = tanh(y/2)
     if gap > 100.0:
         # sech(y/2)^2 underflows; the slope is tanh to machine precision
         return t
@@ -105,14 +104,17 @@ def _gap_from_divergence(x: float) -> float:
     tol = ROOT_TOLERANCE * x
     y = 0.5 * lo + 0.5 * hi
     for _ in range(MAX_ITERATIONS):
-        residual = divergence_from_gap(y) - x
+        # one tanh per step serves h(y) = y tanh(y / 2) and its slope; y
+        # never leaves the bracket, whose lower end x is positive
+        t = math.tanh(0.5 * y)
+        residual = y * t - x
         if abs(residual) <= tol:
             return y
         if residual > 0.0:
             hi = y
         else:
             lo = y
-        step = residual / _divergence_slope(y)
+        step = residual / _divergence_slope(y, t)
         candidate = y - step
         if not (lo < candidate < hi):
             candidate = 0.5 * (lo + hi)

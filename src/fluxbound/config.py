@@ -8,7 +8,8 @@ record at call time through its own module-level name DEFAULT_TOLERANCES
 
 BLOCK_ROWS is the number of rows linalg.in_blocks stacks at a time, for
 the Monte Carlo sweep and the grids of the exchange time series and the
-extremal family, each returned as one record of arrays.
+extremal family, each returned as one record of arrays; a verify suite
+checks its draws in runs of as many.
 """
 
 from __future__ import annotations

@@ -145,8 +145,12 @@ def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
     if bad.any():
         raise ValidationError(f"shift grid has non-finite entries{row_label(bad)}")
     shifts = np.broadcast_to(shifts, (len(w), shifts.shape[-1]))
-    # ||theta - s I||_inf = max_k |w_k - s|, vectorized over the grids
-    norms = np.max(np.abs(w[:, None, :] - shifts[:, :, None]), axis=2)
+    # ||theta - s I||_inf = max_k |w_k - s|, attained at an end of the
+    # sorted spectrum: rounding is monotone, so fl(w_k - s) lies between
+    # fl(theta_min - s) and fl(theta_max - s), and the two ends give the
+    # full scan's value bit for bit
+    norms = np.maximum(np.abs(observable.theta_min[:, None] - shifts),
+                       np.abs(observable.theta_max[:, None] - shifts))
     return ShiftCheck(
         grid_min=norms.min(axis=1),
         grid_argmin=shifts[np.arange(len(w)), norms.argmin(axis=1)],

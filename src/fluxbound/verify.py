@@ -6,14 +6,15 @@ number of checks, the number of violations and the smallest slack seen.
 A violation pinpoints the suite, the draw index and the offending
 quantity, so a broken bound is named rather than silently averaged away.
 
-A random suite works in three steps (_check_draws): it samples each
-draw's raw inputs (Ginibre states, Hermitian matrices, uniforms) from the
-draw's own substream, in draw order; it validates and evaluates the
-draws whose inputs share their shapes, one stack per dimension, through
-the stacked core; and it records the checks in draw order.  Every row of
-a stack is computed as it would be alone, so the tallies are those of a
-draw-by-draw run, bit for bit, and draw i of a suite stays a pure
-function of (seed, suite stream, i).
+A random suite works through its draws in runs of BLOCK_ROWS, in three
+steps per run (_check_draws): it samples each draw's raw inputs (Ginibre
+states, Hermitian matrices, uniforms) from the draw's own substream, in
+draw order; it validates and evaluates the draws whose inputs share
+their shapes, one stack per dimension, through the stacked core; and it
+records the checks in draw order.  Every row of a stack is computed as
+it would be alone, so the tallies are those of a draw-by-draw run, bit
+for bit, draw i of a suite stays a pure function of (seed, suite stream,
+i), and memory stays flat as the draw count grows.
 
 Every suite, random or on a fixed grid, hands back its checks as columns
 (name, slacks, applies), arrays over the stack's rows; one helper (_rows)
@@ -30,6 +31,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import bounds as _bounds
+from .config import BLOCK_ROWS
 from .flux import (Observable, ShiftCheck, clears, evaluate_bounds, lowers,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
@@ -153,26 +155,30 @@ def _rows(columns) -> list:
 
 def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
                  halved: bool = False) -> SuiteResult:
-    """Sample each draw's raw inputs, in draw order, with sample(k, dim, rng)
-    (a tuple of arrays and floats), where rng is draw k's substream of the
-    suite's stream and dim cycles 2, 3, 4; evaluate the draws whose inputs
-    share their shapes as one stack, with evaluate(*stacked inputs), which
-    returns the stack's check columns (_rows); and record the checks in
-    draw order, as "draw k name".  Every row of a stack is computed as it
-    would be alone, so the grouping changes no check.  A halved suite,
-    whose draws cost more, takes max(draws // 2, 20) draws."""
-    groups: dict = {}
+    """Check the draws in runs of BLOCK_ROWS, in draw order, so memory
+    stays flat as the draw count grows.  In each run, sample each draw's
+    raw inputs with sample(k, dim, rng) (a tuple of arrays and floats),
+    where rng is draw k's substream of the suite's stream and dim cycles
+    2, 3, 4; evaluate the draws whose inputs share their shapes as one
+    stack, with evaluate(*stacked inputs), which returns the stack's check
+    columns (_rows); and record the checks in draw order, as "draw k
+    name".  Every row of a stack is computed as it would be alone, so the
+    grouping changes no check.  A halved suite, whose draws cost more,
+    takes max(draws // 2, 20) draws."""
     stream = _SUITE_STREAMS[result.name]
-    for k in range(max(config.draws // 2, 20) if halved else config.draws):
-        inputs = sample(k, 2 + k % 3, substream(config.master_seed, k, stream))
-        groups.setdefault(tuple(map(np.shape, inputs)), []).append((k, inputs))
-    checks = {}
-    for members in groups.values():
-        draws, inputs = zip(*members)
-        checks.update(zip(draws, _rows(evaluate(*map(np.stack, zip(*inputs))))))
-    for k in sorted(checks):
-        for slack, name in checks[k]:
-            result.record(slack, f"draw {k} {name}")
+    count = max(config.draws // 2, 20) if halved else config.draws
+    for first in range(0, count, BLOCK_ROWS):
+        groups: dict = {}
+        for k in range(first, min(first + BLOCK_ROWS, count)):
+            inputs = sample(k, 2 + k % 3, substream(config.master_seed, k, stream))
+            groups.setdefault(tuple(map(np.shape, inputs)), []).append((k, inputs))
+        checks = {}
+        for members in groups.values():
+            draws, inputs = zip(*members)
+            checks.update(zip(draws, _rows(evaluate(*map(np.stack, zip(*inputs))))))
+        for k in sorted(checks):
+            for slack, name in checks[k]:
+                result.record(slack, f"draw {k} {name}")
     return result
 
 
@@ -301,7 +307,9 @@ def suite_uncertainty(config: VerifyConfig) -> SuiteResult:
 def suite_optimal_shift(config: VerifyConfig) -> SuiteResult:
     """min over shifts of ||theta - s I||_inf equals capacity / 2.  The
     observables are made as one stack; each scans its own grid of 10,000
-    shifts, one row at a time."""
+    shifts against the two ends of its spectrum, one row at a time: a
+    row's scan holds 80 KB arrays, and a stacked scan's larger
+    temporaries cost more time than its fewer calls save."""
     def evaluate(hermitians):
         thetas = make_observable(hermitians)
         scans = []

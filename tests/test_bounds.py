@@ -9,6 +9,7 @@ for x = 2 tanh(1), where the curve values are tanh(1)^2 and
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from scipy.optimize import brentq
 
 from fluxbound import (divergence_from_gap, flux_ratio_sq_bound,
                        gap_from_divergence, onsager_like, variance_ratio_floor)
-from fluxbound.bounds import ROOT_TOLERANCE
+from fluxbound.bounds import MAX_ITERATIONS, ROOT_TOLERANCE
 from fluxbound.errors import DomainError
 
 X_AT_GAP_2 = 1.5231883119115297      # 2 tanh(1)
@@ -280,3 +281,92 @@ def test_the_bound_functions_at_the_ends_of_their_domain():
         assert gap_from_divergence(x) == x
         assert flux_ratio_sq_bound(x) == 1.0
         assert variance_ratio_floor(x) == 0.0
+
+
+def _newton_reference(x: float) -> float:
+    """gap_from_divergence as it was when each Newton step evaluated h(y)
+    = y tanh(y / 2) and its slope with a tanh each."""
+    if x == 0.0:
+        return 0.0
+    lo = x
+    hi = (x if x > 2.0 else math.sqrt(2.0 * x)) + 2.0
+    tol = ROOT_TOLERANCE * x
+    y = 0.5 * lo + 0.5 * hi
+    for _ in range(MAX_ITERATIONS):
+        residual = y * math.tanh(0.5 * y) - x
+        if abs(residual) <= tol:
+            return y
+        if residual > 0.0:
+            hi = y
+        else:
+            lo = y
+        slope = math.tanh(0.5 * y)
+        if y <= 100.0:
+            sech = 1.0 / math.cosh(0.5 * y)
+            slope = slope + 0.5 * y * sech * sech
+        candidate = y - residual / slope
+        if not (lo < candidate < hi):
+            candidate = 0.5 * (lo + hi)
+        if candidate == y or hi - lo <= 4.0 * math.ulp(hi):
+            return y
+        y = candidate
+    raise AssertionError(f"reference did not converge at x = {x!r}")
+
+
+def test_one_tanh_per_newton_step_keeps_every_root_bit_for_bit():
+    # every branch: zero, the smallest subnormal (538 halving steps), tiny
+    # x, the working range, the flat stretch near x = 31 to 60, the
+    # sech-free slope past gap 100, and huge x
+    xs = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-6, 200.0, 2001),
+                         np.linspace(30.0, 60.0, 601), np.geomspace(101.0, 1e4, 201),
+                         [1e300]])
+    got = gap_from_divergence(xs)
+    assert [g.hex() for g in got.tolist()] == \
+        [_newton_reference(x).hex() for x in xs.tolist()]
+
+
+def _oracle_gap(x: float):
+    """The root of y tanh(y / 2) = x at the working precision of mpmath,
+    by Newton's method from sqrt(2 x) or x, whichever is larger."""
+    x = mpmath.mpf(x)
+    y = max(mpmath.sqrt(2 * x), x)
+    for _ in range(200):
+        t = mpmath.tanh(y / 2)
+        step = (y * t - x) / (t + y / 2 * mpmath.sech(y / 2) ** 2)
+        y -= step
+        if abs(step) <= y * mpmath.mpf(10) ** (-mpmath.mp.dps + 2):
+            return y
+    raise AssertionError(f"oracle did not converge at x = {x}")
+
+
+def _slope(y):
+    t = mpmath.tanh(y / 2)
+    return t + y / 2 * mpmath.sech(y / 2) ** 2
+
+
+def test_the_gap_and_the_bound_against_a_40_digit_oracle():
+    # the stopping rule |h(y) - x| <= ROOT_TOLERANCE x, plus the rounding
+    # of h(y) in doubles (a few ulps of x), bounds |y - g| through the
+    # smallest slope of h between y and g; h' rises up to y ~ 2.4 and
+    # falls after it (h'' = sech^2(y/2) (1 - (y/2) tanh(y/2))), so that
+    # is the smaller of h'(y) and h'(g).  The bracket's last width, 4 ulps
+    # of y, covers an exit on an exhausted bracket.  B = (x / g)^2 is
+    # bounded over that interval of g, plus its own rounding.  The bounds
+    # come from the stopping rule alone: a tighter root finder must pass
+    # this test unchanged
+    xs = np.concatenate([[5e-324, 1e-300, 1e-100], np.geomspace(1e-12, 200.0, 121),
+                         np.linspace(30.0, 60.0, 31), [150.0, 1e3, 1e300]])
+    gaps, bounds = gap_from_divergence(xs), flux_ratio_sq_bound(xs)
+    with mpmath.workdps(40):
+        for x, y, b in zip(xs.tolist(), gaps.tolist(), bounds.tolist()):
+            g, xm = _oracle_gap(x), mpmath.mpf(x)
+            residual = ROOT_TOLERANCE * x + 4.0 * math.ulp(x)
+            gap_error = residual / min(_slope(mpmath.mpf(y)), _slope(g)) \
+                + 4.0 * math.ulp(y)
+            assert abs(y - g) <= gap_error, x
+            if x < sys.float_info.min:
+                # a subnormal h(y) leaves g, and so B, no relative accuracy
+                continue
+            worst = max(abs((xm / (g - gap_error)) ** 2 - (xm / g) ** 2),
+                        abs((xm / (g + gap_error)) ** 2 - (xm / g) ** 2))
+            assert abs(b - (xm / g) ** 2) <= worst + 4.0 * math.ulp(b), x

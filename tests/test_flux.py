@@ -405,3 +405,58 @@ def test_stacked_state_errors_name_the_first_bad_row():
     stack = np.stack([np.eye(2) / 2, np.eye(2) / 2, np.diag([1.5, -0.5])])
     with pytest.raises(ValidationError, match="row 2 of the stack"):
         validate_state(stack)
+
+
+def _full_spectrum_shift_check(observable, grid):
+    """optimal_shift_check as it scanned every eigenvalue, max_k |w_k - s|
+    over a (B, G, n) array, on a stack of observables."""
+    w = observable.eigenvalues
+    shifts = np.broadcast_to(np.asarray(grid, dtype=np.float64),
+                             (len(w), np.shape(grid)[-1]))
+    norms = np.max(np.abs(w[:, None, :] - shifts[:, :, None]), axis=2)
+    return ShiftCheck(
+        grid_min=norms.min(axis=1),
+        grid_argmin=shifts[np.arange(len(w)), norms.argmin(axis=1)],
+        value_at_lambda_star=np.abs(w - observable.lambda_star[:, None]).max(axis=1),
+        half_capacity=0.5 * observable.capacity,
+        grid_step=np.max(np.diff(np.sort(shifts, axis=1), axis=1), axis=1),
+    )
+
+
+def _shift_test_spectra(rng, dim):
+    """(B, dim, dim) Hermitian stacks: random ones at scales from 1e-150
+    to 1e148, diagonal ones with repeated eigenvalues, multiples of I.  The
+    grids below stay under 1e150 in magnitude, so no difference overflows."""
+    scales = 10.0 ** np.array([-150.0, -20.0, 0.0, 3.0, 20.0, 148.0])
+    a = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal((6, dim, dim))
+    random = 0.5 * (a + a.conj().swapaxes(1, 2)) * scales[:, None, None]
+    values = rng.integers(-2, 3, size=(6, dim)).astype(np.float64)
+    repeated = np.einsum("bi,ij->bij", values * scales[:, None], np.eye(dim))
+    multiples = np.array([0.0, -1.0, 7.5, 1e-150, -1e148, 2.0])
+    identity = np.einsum("b,ij->bij", multiples, np.eye(dim))
+    return random, repeated.astype(np.complex128), identity.astype(np.complex128)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_the_two_end_shift_scan_equals_the_full_spectrum_scan(dim):
+    # rounding is monotone, so max_k |fl(w_k - s)| is attained at an end of
+    # the sorted spectrum: the two-end scan gives every field bit for bit
+    rng = rng_for(1600 + dim)
+    for matrices in _shift_test_spectra(rng, dim):
+        theta = make_observable(matrices)
+        scale = np.maximum(np.abs(theta.eigenvalues).max(axis=1), 1e-150)
+        span = np.maximum(theta.capacity, scale)
+        # per-row grids below, across and above the spectrum, plus shared
+        # grids at fixed positions (ties and far shifts included)
+        low, high = theta.theta_min, theta.theta_max
+        grids = [np.linspace(low - 3.0 * span, low - span, 257, axis=1),
+                 np.linspace(low - span, high + span, 1001, axis=1),
+                 np.linspace(high + span, high + 3.0 * span, 257, axis=1),
+                 np.linspace(-2.0, 2.0, 401), np.linspace(-1e150, 1e150, 301),
+                 np.array([-1e-150, 0.0, 1e-150]), rng.uniform(-3.0, 3.0, 64)]
+        for grid in grids:
+            check = optimal_shift_check(theta, grid)
+            expected = _full_spectrum_shift_check(theta, grid)
+            for field in dataclasses.fields(ShiftCheck):
+                got, want = getattr(check, field.name), getattr(expected, field.name)
+                assert got.tobytes() == want.tobytes(), (field.name, grid[:3])

@@ -8,6 +8,7 @@ import pytest
 
 import fluxbound.bounds as bounds_module
 import fluxbound.linalg as linalg_module
+import fluxbound.verify as verify_module
 from conftest import rows_of
 from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
                        correlation_bound_report, divergence_from_gap,
@@ -368,6 +369,33 @@ def test_batched_suites_equal_a_draw_by_draw_run(monkeypatch, name, seed, draws)
     assert batched == expected
     assert batched.min_slack.hex() == expected.min_slack.hex()
     assert batched_checks == expected_checks
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_runs_of_block_rows_draws_equal_a_draw_by_draw_run(monkeypatch, name):
+    # runs of 4 draws split each dimension's draws over several stacks,
+    # and a halved suite's 20 draws over five runs
+    monkeypatch.setattr(verify_module, "BLOCK_ROWS", 4)
+    config = VerifyConfig(master_seed=7, draws=13)
+    suite, reference = REFERENCES[name]
+    blocked, blocked_checks = _run_logged(monkeypatch, suite, config)
+    expected, expected_checks = _run_logged(monkeypatch, reference, config)
+    assert blocked == expected
+    assert blocked_checks == expected_checks
+
+
+def test_a_suite_holds_one_run_of_draws_at_a_time(monkeypatch):
+    # memory stays flat as the draw count grows: no stack exceeds a run
+    rows = []
+    original = verify_module.make_observable
+
+    def counted(matrices):
+        rows.append(len(matrices))
+        return original(matrices)
+    monkeypatch.setattr(verify_module, "BLOCK_ROWS", 6)
+    monkeypatch.setattr(verify_module, "make_observable", counted)
+    assert suite_capacity(VerifyConfig(draws=40)).checks == 40
+    assert sum(rows) == 40 and max(rows) == 2
 
 
 def test_verify_solves_each_dimension_as_one_stack(monkeypatch):
