@@ -336,6 +336,48 @@ def test_a_run_too_large_for_memory_is_one_line(capsys):
     assert err.count("\n") == 1
 
 
+# each subcommand's size flag at a small value, and every numeric flag it
+# takes; no fuzzed value parses as a large size, and the size limits are
+# tested by construction above (2^48 draws, MAX_GRID_POINTS + 1 points)
+FUZZ_FLAGS = {
+    "montecarlo": (("--draws", "3"), ("--seed", "--tolerance", "--draws")),
+    "spinpair": (("--t-steps", "3"), ("--seed", "--tolerance", "--p", "--q",
+                                      "--omega", "--g", "--omega0", "--t-max",
+                                      "--t-steps")),
+    "saturation": (("--a-steps", "3"), ("--seed", "--tolerance", "--a-min",
+                                        "--a-max", "--a-steps")),
+    "verify": (("--draws", "3"), ("--seed", "--tolerance", "--draws")),
+}
+# the columns that may carry the inf marker: an infinite divergence, and
+# the entropy cost 2 r artanh(r) at ratio 1
+INF_COLUMNS = {"montecarlo": {"s_tilde", "pinsker_rhs"},
+               "spinpair": {"onsager", "s_tilde"}}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308",
+                                   "5e-324", "abc"])
+@pytest.mark.parametrize("command, flag", [(command, flag)
+                                           for command, (_, flags) in FUZZ_FLAGS.items()
+                                           for flag in flags])
+def test_fuzzed_numeric_flags_exit_with_a_documented_code(command, flag, value,
+                                                          capsys):
+    size = FUZZ_FLAGS[command][0]
+    argv = [command, *(size if flag != size[0] else ()), f"{flag}={value}"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, EXIT_IO)
+    assert "Traceback" not in out + err
+    if code == EXIT_OK:
+        header, *rows = out.splitlines()
+        columns = zip(header.split(","), *(row.split(",") for row in rows))
+        for name, *cells in columns:
+            allowed = {"inf"} if name in INF_COLUMNS.get(command, ()) else set()
+            assert not ({"nan", "inf", "-inf"} - allowed) & set(cells), name
+
+
 def test_unwritable_output_path_is_an_io_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(
