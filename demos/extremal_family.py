@@ -30,4 +30,4 @@ dec = sign_decomposition(rho, sigma)
 check = qtur_check(dec.sign_operator, rho, sigma)
 print(f"\nvariance ratio lhs  {check.lhs:.12f}")
 print(f"floor f(S_tilde)    {check.floor:.12f}")
-print(f"slack               {check.slack:+.2e}")
+print(f"slack               {check.verdict.slack:+.2e}")

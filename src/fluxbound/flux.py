@@ -56,6 +56,46 @@ def lowers(slack: float, minimum: float) -> bool:
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """One inequality outcome: its slack (rhs minus lhs), and whether the
+    inequality applies; where it does not (an infinite entropy, a
+    degenerate capacity, coinciding states) it holds whatever the slack.
+    Arrays over the rows for a stack, scalars for a single row."""
+
+    slack: float
+    applies: bool
+
+    def holds_at(self, tolerance: float = DEFAULT_TOLERANCES.slack):
+        """~applies | clears(slack, tolerance), written as applies <= clears
+        so that a single row's Python bools give a bool."""
+        return self.applies <= clears(self.slack, tolerance)
+
+    holds = property(holds_at)
+
+    def tally(self, tolerance: float) -> tuple[int, float, int | None]:
+        """(violations, worst slack, row) over the rows where the verdict
+        applies: how many slacks fail to clear -tolerance, and the lowest
+        slack with the first row that attains it, a NaN slack counting as
+        the lowest.  No applying row gives (0, inf, None)."""
+        rows = np.flatnonzero(self.applies)
+        if not rows.size:
+            return 0, math.inf, None
+        slack = np.atleast_1d(self.slack)[rows]
+        worst = int(np.argmin(slack))  # numpy's argmin stops at a NaN
+        return (int(np.count_nonzero(~clears(slack, tolerance))),
+                float(slack[worst]), int(rows[worst]))
+
+
+def all_hold(verdicts: dict, tolerance: float = DEFAULT_TOLERANCES.slack):
+    """Whether every verdict of a dict holds at tolerance, per row for a
+    stack; a dict without verdicts holds."""
+    holds = True
+    for verdict in verdicts.values():
+        holds = holds & verdict.holds_at(tolerance)
+    return holds
+
+
+@dataclass(frozen=True)
 class Observable:
     """A Hermitian observable with cached spectrum and spread, or a stack
     of B of them (theta_max and theta_min are then arrays over the rows)."""
@@ -249,9 +289,9 @@ class QturCheck:
     """Variance uncertainty relation for a bounded observable.
 
     lhs = (Var_rho + Var_sigma) / ((mean gap)^2 / 2) must stay above
-    variance_ratio_floor(S) with S the symmetric relative entropy; the
-    relation is trivially satisfied when S is infinite (the floor tends
-    to zero).
+    variance_ratio_floor(S) with S the symmetric relative entropy: the
+    verdict's slack is lhs - floor.  The relation does not apply where S
+    is infinite (the floor tends to zero, and reads 0).
     """
 
     variance_sum: float
@@ -259,13 +299,7 @@ class QturCheck:
     lhs: float
     s_tilde: RelEntropyValue
     floor: float
-    slack: float
-    trivial: bool
-
-    @property
-    def holds(self) -> bool:
-        """Whether the slack clears -DEFAULT_TOLERANCES.slack."""
-        return clears(self.slack, DEFAULT_TOLERANCES.slack)
+    verdict: Verdict
 
 
 @batch_of_one
@@ -298,22 +332,7 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
     if finite.any():
         floor[finite] = _bounds.variance_ratio_floor(s_tilde.value[finite])
     return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, floor,
-                     np.where(finite, lhs - floor, math.inf), ~finite)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """One inequality outcome: its slack (rhs minus lhs), and whether it
-    holds trivially (infinite right-hand side / degenerate input, with
-    slack +inf).  Arrays over the rows in the report of a stack."""
-
-    slack: float
-    trivial: bool = False
-
-    @property
-    def holds(self):
-        """Whether the slack clears -DEFAULT_TOLERANCES.slack."""
-        return clears(self.slack, DEFAULT_TOLERANCES.slack)
+                     Verdict(lhs - floor, finite))
 
 
 @dataclass(frozen=True)
@@ -345,10 +364,7 @@ class BoundReport:
 
     def all_hold(self):
         """Whether every verdict holds (per row for a stack)."""
-        holds = True
-        for verdict in self.verdicts.values():
-            holds = holds & verdict.holds
-        return holds
+        return all_hold(self.verdicts)
 
 
 @batch_of_one
@@ -359,8 +375,8 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
 
     Degenerate inputs do not raise: an observable proportional to the
     identity or a coinciding pair of states yields a report (a row of the
-    report, for a stack) flagged accordingly, with all verdicts trivially
-    satisfied.
+    report, for a stack) flagged accordingly, where no verdict applies.
+    Nor do the entropy steps where the entropy they read is infinite.
     """
     _require_shape_of("observable", observable.matrix, rho, sigma)
     phi = flux(observable, rho, sigma)
@@ -370,7 +386,7 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     degenerate = capacity <= DEFAULT_TOLERANCES.capacity_floor * theta_scale
     decomposition = sign_decomposition(rho, sigma)
     equal = decomposition.states_equal & ~degenerate
-    trivial_rows = degenerate | equal
+    live = ~(degenerate | equal)  # the rows the report does not resolve
     forward, backward = directed_entropy_pair(rho, sigma)
     s_tilde = symmetric_average(forward, backward)
     finite = s_tilde.finite
@@ -386,40 +402,37 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     strengthened_rhs = (1.0 - decomposition.epsilon) * main_rhs
     pinsker_rhs = 0.5 * s_tilde.as_float()
     half_forward = 0.5 * forward.as_float()
-    # infinite entropy satisfies any cost; an infinite cost at ratio 1
-    # forces infinite entropy, which the finite case cannot represent
+    # an infinite cost at ratio 1 forces infinite entropy: a finite
+    # entropy falls short of it by -inf
     cost = _bounds.onsager_like(np.minimum(ratio, 1.0))
     both_finite = finite & np.isfinite(cost)
     s_value = np.where(both_finite, s_tilde.value, 0.0)
     cost = np.where(both_finite, cost, 0.0)
 
-    # (slack, trivial) per inequality
+    entropic = live & finite
     verdicts = {
-        "capacity": (capacity - np.abs(phi), False),
-        "trace_norm": (quarter_tn_sq - ratio_sq, False),
-        "pinsker_sym": (pinsker_rhs - quarter_tn_sq, ~finite),
-        "pinsker_fwd": (half_forward - quarter_tn_sq, ~forward.finite),
-        "main": (main_rhs - ratio_sq, ~finite),
-        "strengthened": (strengthened_rhs - quarter_tn_sq, ~finite),
-        "onsager": (np.where(both_finite, s_value - cost,
-                             np.where(finite, -math.inf, math.inf)),
-                    ~finite),
+        "capacity": Verdict(capacity - np.abs(phi), live),
+        "trace_norm": Verdict(quarter_tn_sq - ratio_sq, live),
+        "pinsker_sym": Verdict(pinsker_rhs - quarter_tn_sq, entropic),
+        "pinsker_fwd": Verdict(half_forward - quarter_tn_sq, live & forward.finite),
+        "main": Verdict(main_rhs - ratio_sq, entropic),
+        "strengthened": Verdict(strengthened_rhs - quarter_tn_sq, entropic),
+        "onsager": Verdict(np.where(both_finite, s_value - cost, -math.inf),
+                           entropic),
     }
     return BoundReport(
         flux=phi,
         capacity=capacity,
         flux_ratio_sq=np.where(degenerate, 0.0, ratio_sq),
-        trace_norm=np.where(trivial_rows, 0.0, trace_norm),
-        epsilon=np.where(trivial_rows, 0.0, decomposition.epsilon),
+        trace_norm=np.where(live, trace_norm, 0.0),
+        epsilon=np.where(live, decomposition.epsilon, 0.0),
         s_forward=_zero_where(forward, degenerate),
         s_backward=_zero_where(backward, degenerate),
         s_tilde=_zero_where(s_tilde, degenerate),
         pinsker_rhs=np.where(degenerate, 0.0, pinsker_rhs),
-        main_rhs=np.where(trivial_rows, 0.0, main_rhs),
-        strengthened_rhs=np.where(trivial_rows, 0.0, strengthened_rhs),
-        verdicts={name: Verdict(np.where(trivial_rows, math.inf, gap),
-                                trivial | trivial_rows)
-                  for name, (gap, trivial) in verdicts.items()},
+        main_rhs=np.where(live, main_rhs, 0.0),
+        strengthened_rhs=np.where(live, strengthened_rhs, 0.0),
+        verdicts=verdicts,
         degenerate_capacity=degenerate,
         states_equal=equal,
     )

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .flux import (BoundReport, Observable, clears, evaluate_bounds, lowers,
+from .flux import (BoundReport, Observable, all_hold, evaluate_bounds, lowers,
                    make_observable)
 from .linalg import in_blocks
 from .states import DensityMatrix, validate_state
@@ -274,33 +274,30 @@ def _evaluate_block(theta: np.ndarray, rho: np.ndarray,
 def _record_block(draws: np.ndarray, report: BoundReport, redraws: np.ndarray,
                   tolerance: float, summary: MonteCarloSummary) -> DrawRecord:
     """The block's records, and the block folded into the summary.
-    redraws holds each row's redraw count.  A verdict holds when its slack
-    clears -tolerance (flux.clears), and a NaN main slack becomes
-    min_slack_main."""
+    redraws holds each row's redraw count.  The verdicts are scored at
+    tolerance: row by row with flux.all_hold and Verdict.holds_at, and
+    over the block with Verdict.tally, whose violations add up and whose
+    worst main slack (a NaN one included) can lower min_slack_main."""
     s_tilde = report.s_tilde.as_float()
     infinite = ~report.s_tilde.finite
-    main = report.verdicts["main"]
-    holds = {name: clears(v.slack, tolerance) for name, v in report.verdicts.items()}
+    verdicts = report.verdicts
+    tallies = {name: v.tally(tolerance) for name, v in verdicts.items()}
     summary.total_redraws += int(redraws.sum())
     summary.infinite_records += int(np.count_nonzero(infinite))
     far = s_tilde >= 2.0
     summary.draws_s_tilde_ge_2 += int(np.count_nonzero(far))
     summary.draws_far_from_equilibrium += int(np.count_nonzero(
         far & ~infinite & (report.main_rhs < 1.0)))
-    for name, held in holds.items():
-        failed = int(np.count_nonzero(~held))
+    for name, (failed, _, _) in tallies.items():
         if failed:
             summary.violations[name] = summary.violations.get(name, 0) + failed
-    counted = ~main.trivial
-    if counted.any():
-        # a NaN slack is the block's minimum (numpy's min propagates it)
-        lowest = float(main.slack[counted].min())
-        if lowers(lowest, summary.min_slack_main):
-            summary.min_slack_main = lowest
+    lowest = tallies["main"][1]
+    if lowers(lowest, summary.min_slack_main):
+        summary.min_slack_main = lowest
     return DrawRecord(draws, report.flux_ratio_sq, s_tilde, report.pinsker_rhs,
                       report.main_rhs, report.strengthened_rhs, report.epsilon,
-                      redraws, np.logical_and.reduce(list(holds.values())),
-                      holds["main"], infinite)
+                      redraws, all_hold(verdicts, tolerance),
+                      verdicts["main"].holds_at(tolerance), infinite)
 
 
 def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=qubit_matrices,

@@ -51,7 +51,7 @@ import numpy as np
 from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
-from .flux import (BoundReport, Observable, clears, evaluate_bounds,
+from .flux import (BoundReport, Observable, Verdict, all_hold, evaluate_bounds,
                    make_observable)
 from .linalg import (as_stack, batch_of_one, eigh, expectation, first_row,
                      from_spectrum, in_blocks, partial_trace, row_label,
@@ -201,12 +201,12 @@ class ChainCheck:
     B chains (every field then an array over the rows), read from
     evaluate_bounds' report of the flux.
 
-    steps maps a name to its slack (rhs-to-lhs margin), +inf where the
-    step does not apply; s_tilde_dominates_cost is the report's onsager
-    slack.  A row the report resolves (degenerate capacity or equal
-    states) is trivial with +inf on every step, and so is an infinite
-    entropy; s_tilde reads 0 on a row of degenerate capacity, as the
-    report's does.  holds requires every step to clear the slack tolerance.
+    steps maps a name to its Verdict; s_tilde_dominates_cost is the
+    report's onsager verdict.  No step applies to a row the report
+    resolves (degenerate capacity or equal states), nor the production
+    step where the production is infinite, nor the quadratic one at ratio
+    1, where the cost is; s_tilde reads 0 on a row of degenerate
+    capacity, as the report's does.  holds requires every step to hold.
     """
 
     flux: float
@@ -215,39 +215,31 @@ class ChainCheck:
     s_tilde: RelEntropyValue
     production_mean: RelEntropyValue
     steps: dict
-    trivial: bool
 
     @property
     def holds(self):
-        """Whether every step clears -DEFAULT_TOLERANCES.slack (per row
-        for a stack)."""
-        holds = True
-        for slack in self.steps.values():
-            holds = holds & clears(slack, DEFAULT_TOLERANCES.slack)
-        return holds
+        """Whether every step holds (per row for a stack)."""
+        return all_hold(self.steps)
 
 
 def _chain_from_report(report: BoundReport,
                        production_mean: RelEntropyValue | None = None) -> ChainCheck:
     """The chain of a stacked report; production_mean is None for the
     local chain, which starts at S_tilde."""
-    degenerate, onsager = report.degenerate_capacity, report.verdicts["onsager"]
+    degenerate = report.degenerate_capacity
     ratio = np.where(degenerate, 0.0, np.minimum(
         np.abs(report.flux) / np.where(degenerate, 1.0, report.capacity), 1.0))
-    trivial, steps = onsager.trivial, {}
+    live, steps = ~(degenerate | report.states_equal), {}
     if production_mean is not None:
-        trivial = trivial | ~production_mean.finite
         # finite production but infinite marginal entropy cannot occur
-        steps["production_dominates_s_tilde"] = np.subtract(
-            production_mean.value, report.s_tilde.value,
-            out=np.full(len(ratio), math.inf), where=production_mean.finite)
-    steps["s_tilde_dominates_cost"] = onsager.slack
-    # an infinite cost (ratio 1) has no quadratic step: inf - 2 is inf
-    steps["cost_dominates_quadratic"] = _bounds.onsager_like(ratio) - 2.0 * ratio * ratio
-    resolved = degenerate | report.states_equal
-    steps = {name: np.where(resolved, math.inf, slack) for name, slack in steps.items()}
+        steps["production_dominates_s_tilde"] = Verdict(
+            np.where(production_mean.finite, production_mean.value, 0.0)
+            - report.s_tilde.value, live & production_mean.finite)
+    steps["s_tilde_dominates_cost"] = report.verdicts["onsager"]
+    steps["cost_dominates_quadratic"] = Verdict(
+        _bounds.onsager_like(ratio) - 2.0 * ratio * ratio, live & (ratio < 1.0))
     return ChainCheck(report.flux, report.capacity, ratio, report.s_tilde,
-                      production_mean, steps, trivial)
+                      production_mean, steps)
 
 
 @batch_of_one

@@ -20,7 +20,7 @@ Every suite, random or on a fixed grid, hands back its checks as columns
 (name, slacks, applies), arrays over the stack's rows; one helper (_rows)
 turns them into each row's checks, recorded as "draw k name" or as
 "name at x=..." for a grid point.  A check that does not apply to a row
-(an infinite chain step, a trivial verdict) is left out of that row.
+is left out of that row; a core Verdict's column is its (slack, applies).
 """
 
 from __future__ import annotations
@@ -193,18 +193,12 @@ def _record_grid(result: SuiteResult, axis: str, grid: np.ndarray, columns) -> N
 
 def _pair_inputs(k, dim, rng):
     # full-rank Ginibre states: an infinite divergence has measure zero,
-    # and the suites skip the checks it would make trivial
+    # and the suites skip the checks that do not apply to it
     return _state_matrix(rng, dim), _state_matrix(rng, dim)
 
 
 def _triple_inputs(k, dim, rng):
     return (random_hermitian(rng, dim), *_pair_inputs(k, dim, rng))
-
-
-def _chain_checks(chain) -> list:
-    """The steps of a stacked ChainCheck as check columns; a step whose
-    slack is +inf does not apply to the row."""
-    return [(name, slacks, slacks != math.inf) for name, slacks in chain.steps.items()]
 
 
 def suite_bound_functions(config: VerifyConfig) -> SuiteResult:
@@ -260,7 +254,7 @@ def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
         report = evaluate_bounds(make_observable(thetas), validate_state(rhos),
                                  validate_state(sigmas))
         main, ends = report.main_rhs, report.s_tilde.finite & ~report.degenerate_capacity
-        return [*((name, v.slack, ~v.trivial) for name, v in report.verdicts.items()),
+        return [*((name, v.slack, v.applies) for name, v in report.verdicts.items()),
                 ("curve <= 1", 1.0 - main, ends),
                 ("strengthened <= main", main - report.strengthened_rhs, ends)]
     return _check_draws(SuiteResult("bound_chain", config.slack_tolerance), config,
@@ -294,13 +288,14 @@ def suite_uncertainty(config: VerifyConfig) -> SuiteResult:
     def evaluate(rhos, sigmas):
         rho, sigma = validate_state(rhos), validate_state(sigmas)
         check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
-        return [(f"dim {rho.dim}", check.slack, ~check.trivial)]
+        return [(f"dim {rho.dim}", check.verdict.slack, check.verdict.applies)]
     result = _check_draws(SuiteResult("uncertainty", config.slack_tolerance),
                           config, _pair_inputs, evaluate)
     grid = np.linspace(0.2, 6.0, 30)
     rhos, sigmas, _ = saturating_family(grid)
     check = qtur_check(sign_decomposition(rhos, sigmas).sign_operator, rhos, sigmas)
-    _record_grid(result, "a=", grid, [("equality", 1e-8 - np.abs(check.slack), True)])
+    _record_grid(result, "a=", grid,
+                 [("equality", 1e-8 - np.abs(check.verdict.slack), True)])
     return result
 
 
@@ -347,7 +342,7 @@ def suite_thermo_chain(config: VerifyConfig) -> SuiteResult:
         ef = entropy_flux(thermal, thermal_outcome)
         heat = expectation(h_env, thermal_outcome.rho_environment.matrix
                            - gibbs.matrix)
-        return [*_chain_checks(chain),
+        return [*((name, v.slack, v.applies) for name, v in chain.steps.items()),
                 ("thermal identity", 1e-10 - np.abs(ef.value - beta * heat), True)]
     return _check_draws(SuiteResult("thermo_chain", config.slack_tolerance), config,
                         sample, evaluate, halved=True)
@@ -366,8 +361,9 @@ def suite_local_bound(config: VerifyConfig) -> SuiteResult:
     def evaluate(rho_s, rho_e, generators, thetas):
         scenario = _scenario(rho_s, rho_e, generators)
         outcome = evolve(scenario)
-        return _chain_checks(local_system_bound_check(
-            make_observable(thetas), outcome.rho_system, scenario.rho_system))
+        chain = local_system_bound_check(make_observable(thetas), outcome.rho_system,
+                                         scenario.rho_system)
+        return [(name, v.slack, v.applies) for name, v in chain.steps.items()]
     return _check_draws(result, config,
                         lambda k, dim, rng: (*_scenario_inputs(rng, 2, 2),
                                              random_hermitian(rng, 2)),

@@ -140,13 +140,13 @@ def test_sign_structure_and_variance_floor():
             worst_resolution = max(worst_resolution,
                                    float(np.max(np.abs(resolution - eye))))
             check = qtur_check(dec.sign_operator, rho, sigma)
-            worst_qtur = max(worst_qtur, max(0.0, -check.slack))
+            worst_qtur = max(worst_qtur, max(0.0, -check.verdict.slack))
     worst_equality = 0.0
     for a in np.linspace(0.2, 6.0, 30):
         rho, sigma, _ = saturating_family(float(a))
         dec = sign_decomposition(rho, sigma)
         check = qtur_check(dec.sign_operator, rho, sigma)
-        worst_equality = max(worst_equality, abs(check.slack))
+        worst_equality = max(worst_equality, abs(check.verdict.slack))
     ok = (worst_tn <= 1e-9 and worst_kernel <= 1e-9
           and worst_resolution <= 1e-9 and worst_qtur <= 1e-9
           and worst_equality <= 1e-8)
@@ -195,8 +195,9 @@ def test_entropy_chains_and_thermal_identity():
                                          outcome.rho_system,
                                          scenario.rho_system)
         for report in (chain, local):
-            if report.steps:
-                worst_chain = min(worst_chain, min(report.steps.values()))
+            slacks = [step.slack for step in report.steps.values() if step.applies]
+            if slacks:
+                worst_chain = min(worst_chain, min(slacks))
         h_env = np.diag(np.sort(rng.random(2) * 3.0)).astype(complex)
         beta = 0.1 + 4.9 * rng.random()
         gibbs = thermal_environment(h_env, beta)

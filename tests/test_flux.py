@@ -137,9 +137,9 @@ def test_qtur_check_reads_holds_from_its_slack():
     assert "holds" not in {f.name for f in dataclasses.fields(QturCheck)}
     rho, sigma = diag_state(0.2, 0.8), diag_state(0.6, 0.4)
     check = qtur_check(np.diag([1.0, -1.0]), rho, sigma)
-    for slack, holds in ((check.slack, True), (-2e-9, False), (-5e-10, True),
+    for slack, holds in ((check.verdict.slack, True), (-2e-9, False), (-5e-10, True),
                          (math.inf, True)):
-        assert dataclasses.replace(check, slack=slack).holds is holds
+        assert dataclasses.replace(check.verdict, slack=slack).holds is holds
 
 
 def test_sign_decomposition_two_level_closed_form():
@@ -191,11 +191,11 @@ def test_qtur_equality_on_the_extremal_family():
     rho, sigma, _ = saturating_family(2.0)
     dec = sign_decomposition(rho, sigma)
     check = qtur_check(dec.sign_operator, rho, sigma)
-    assert not check.trivial
-    assert check.holds
+    assert check.verdict.applies
+    assert check.verdict.holds
     assert check.floor == pytest.approx(FLOOR_AT_GAP_2, rel=1e-10)
     assert check.lhs == pytest.approx(check.floor, rel=1e-10)
-    assert abs(check.slack) <= 1e-10
+    assert abs(check.verdict.slack) <= 1e-10
 
 
 def test_qtur_holds_on_random_pairs():
@@ -206,8 +206,8 @@ def test_qtur_holds_on_random_pairs():
         sigma = validate_state(random_state_np(rng, dim))
         dec = sign_decomposition(rho, sigma)
         check = qtur_check(dec.sign_operator, rho, sigma)
-        assert check.holds
-        assert check.slack >= -1e-9
+        assert check.verdict.holds
+        assert check.verdict.slack >= -1e-9
 
 
 def test_single_input_checks_reject_stacks_by_name():
@@ -250,9 +250,9 @@ def test_qtur_is_trivial_at_infinite_divergence():
     mixed = validate_state(0.5 * np.eye(2))
     pure = diag_state(1.0, 0.0)
     check = qtur_check(np.diag([1.0, -1.0]), mixed, pure)
-    assert check.trivial and check.holds
+    assert not check.verdict.applies and check.verdict.holds
     assert check.floor == 0.0
-    assert check.slack == math.inf
+    assert not check.verdict.applies
 
 
 def test_evaluate_bounds_orders_the_whole_chain():
@@ -304,7 +304,7 @@ def test_evaluate_bounds_flags_a_degenerate_capacity():
     report = evaluate_bounds(theta, diag_state(0.2, 0.8), diag_state(0.6, 0.4))
     assert report.degenerate_capacity
     assert report.all_hold()
-    assert all(v.trivial for v in report.verdicts.values())
+    assert all(not v.applies for v in report.verdicts.values())
 
 
 def test_evaluate_bounds_flags_coinciding_states():
@@ -322,9 +322,9 @@ def test_evaluate_bounds_with_infinite_divergence():
     report = evaluate_bounds(theta, mixed, pure)
     assert not report.s_tilde.finite
     assert report.main_rhs == 1.0
-    assert report.verdicts["main"].trivial
-    assert report.verdicts["pinsker_sym"].trivial
-    assert report.verdicts["onsager"].trivial
+    assert not report.verdicts["main"].applies
+    assert not report.verdicts["pinsker_sym"].applies
+    assert not report.verdicts["onsager"].applies
     assert report.all_hold()
     assert report.pinsker_rhs == math.inf
 
@@ -375,27 +375,59 @@ def test_evaluate_bounds_on_a_stack_matches_row_by_row():
 
 
 def test_verdicts_read_holds_from_their_slack(monkeypatch):
-    # a verdict stores its slack and whether it is trivial; whether it holds
-    # is derived, per row of a stack, with trivial rows at slack +inf
+    # a verdict stores its slack and whether it applies; whether it holds
+    # is derived, per row of a stack: it holds where it does not apply
     import fluxbound.bounds as bounds_module
 
-    assert [f.name for f in dataclasses.fields(Verdict)] == ["slack", "trivial"]
+    assert [f.name for f in dataclasses.fields(Verdict)] == ["slack", "applies"]
     monkeypatch.setattr(bounds_module, "flux_ratio_sq_bound",
                         lambda x: 0.0 * np.asarray(x))
-    thetas = [np.diag([1.0, -1.0]), 3.0 * np.eye(2), np.diag([1.0, -1.0])]
-    rhos = [np.diag([0.2, 0.8]), np.diag([0.2, 0.8]), 0.5 * np.eye(2)]
-    sigmas = [np.diag([0.6, 0.4]), np.diag([0.6, 0.4]), np.diag([1.0, 0.0])]
+    # an ordinary row, a degenerate capacity, an infinite entropy and
+    # coinciding states
+    thetas = [np.diag([1.0, -1.0]), 3.0 * np.eye(2), np.diag([1.0, -1.0]),
+              np.diag([1.0, -1.0])]
+    rhos = [np.diag([0.2, 0.8]), np.diag([0.2, 0.8]), 0.5 * np.eye(2),
+            np.diag([0.3, 0.7])]
+    sigmas = [np.diag([0.6, 0.4]), np.diag([0.6, 0.4]), np.diag([1.0, 0.0]),
+              np.diag([0.3, 0.7])]
     report = evaluate_bounds(make_observable(np.stack(thetas)),
                              validate_state(np.stack(rhos)),
                              validate_state(np.stack(sigmas)))
     for verdict in report.verdicts.values():
         assert np.array_equal(verdict.holds,
-                              verdict.slack >= -DEFAULT_TOLERANCES.slack)
+                              ~verdict.applies
+                              | (verdict.slack >= -DEFAULT_TOLERANCES.slack))
     main = report.verdicts["main"]
-    assert main.holds.tolist() == [False, True, True]
-    assert main.trivial.tolist() == [False, True, True]
-    assert main.slack[1] == math.inf
-    assert report.all_hold().tolist() == [False, True, True]
+    assert main.holds.tolist() == [False, True, True, True]
+    assert main.applies.tolist() == [True, False, False, False]
+    assert not main.applies[1]
+    assert report.all_hold().tolist() == [False, True, True, True]
+    # a single row's verdict holds as a bool
+    for slack, applies, holds in ((-1.0, True, False), (-1.0, False, True),
+                                  (math.nan, True, False), (math.nan, False, True),
+                                  (-5e-10, True, True)):
+        assert Verdict(slack, applies).holds is holds
+
+
+def test_a_verdict_tallies_the_rows_where_it_applies():
+    # (violations, worst slack, row) at a tolerance
+    tally = Verdict(np.array([0.5, -1.0, 0.2, -1.0, -5e-10]), np.full(5, True)).tally
+    assert tally(1e-9) == (2, -1.0, 1)  # the first row of the minimum
+    assert tally(1e-10) == (3, -1.0, 1)
+    # a NaN slack stays the worst, though a lower slack follows it
+    failed, worst, row = Verdict(np.array([0.5, math.nan, -2.0, math.nan]),
+                                 np.full(4, True)).tally(1e-9)
+    assert (failed, row) == (3, 1) and math.isnan(worst)
+    # rows that do not apply are never counted, NaN or not
+    rows = Verdict(np.array([-5.0, 0.1, math.nan, -1.0]),
+                   np.array([False, True, False, True]))
+    assert rows.tally(1e-9) == (1, -1.0, 3)
+    # no applying row
+    assert Verdict(np.array([-1.0, math.nan]), np.full(2, False)).tally(1e-9) == (
+        0, math.inf, None)
+    # a single row's verdict is a stack of one
+    assert Verdict(-1.0, True).tally(1e-9) == (1, -1.0, 0)
+    assert Verdict(-1.0, False).tally(1e-9) == (0, math.inf, None)
 
 
 def test_stacked_state_errors_name_the_first_bad_row():

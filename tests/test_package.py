@@ -117,3 +117,48 @@ def test_the_core_does_not_call_lapack():
     probe = ast.parse("import scipy.linalg\nfrom numpy import linalg\n"
                       "from numpy.linalg import eigh\nw = np.linalg.eigh(a)\n")
     assert [line for line, _ in _lapack_uses(probe)] == [1, 2, 3, 4]
+
+
+def _is_positive_inf(node) -> bool:
+    """Whether an expression is math.inf or np.inf (or +inf of them), or
+    float("inf")."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+        node = node.operand
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "inf" and isinstance(node.value, ast.Name)
+                and node.value.id in ("math", "np", "numpy"))
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+            and [getattr(arg, "value", None) for arg in node.args] in (["inf"], ["+inf"]))
+
+
+def _inf_sentinels(tree) -> list:
+    """np.where and np.full calls with a positive infinity among their
+    arguments, as (line, name)."""
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("where", "full")
+                and getattr(node.func.value, "id", None) in ("np", "numpy")
+                and any(map(_is_positive_inf,
+                            [*node.args, *(k.value for k in node.keywords)]))):
+            uses.append((node.lineno, f"np.{node.func.attr}"))
+    return uses
+
+
+def test_the_core_marks_no_inapplicable_row_with_an_infinite_slack():
+    # a Verdict's applies mask says where an inequality does not apply;
+    # -inf stays allowed, as the real slack of a finite entropy against an
+    # infinite cost
+    sources = sorted((ROOT / "src" / "fluxbound").glob("*.py"))
+    found = {path.name: _inf_sentinels(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sources}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    probe = ast.parse("np.where(finite, lhs - floor, math.inf)\n"
+                      "np.where(finite, -math.inf, np.where(a, b, np.inf))\n"
+                      "out = np.full(len(ratio), math.inf)\n"
+                      "np.full(3, fill_value=+numpy.inf)\n"
+                      "np.where(rows, float('inf'), gap)\n"
+                      "np.where(finite, gap, -math.inf)\n"
+                      "np.full(3, -np.inf)\n"
+                      "slack != math.inf\n")
+    assert sorted(line for line, _ in _inf_sentinels(probe)) == [1, 2, 3, 4, 5]

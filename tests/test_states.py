@@ -256,8 +256,8 @@ def test_pinsker_on_equal_states_is_trivial():
     rho = validate_state(np.diag([0.4, 0.6]))
     report, check = pinsker_check(rho, rho)
     assert report.states_equal
-    assert check.holds and check.trivial
-    assert check.slack == math.inf
+    assert check.holds and not check.applies
+    assert not check.applies
 
 
 def test_pinsker_small_gap_closed_form():
@@ -277,8 +277,8 @@ def test_pinsker_infinite_divergence_is_trivial():
     maximally_mixed = validate_state(0.5 * np.eye(2))
     pure = validate_state(np.diag([1.0, 0.0]))
     report, check = pinsker_check(maximally_mixed, pure)
-    assert check.trivial and check.holds
-    assert check.slack == math.inf
+    assert not check.applies and check.holds
+    assert not check.applies
 
 
 def test_relative_entropy_contracts_under_partial_trace():

@@ -11,8 +11,8 @@ import pytest
 from conftest import (random_state_np, rng_for, rows_of, saturating_point,
                       spin_pair_point_by_point)
 from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SpinPairParams,
-                       correlation, correlation_bound_report, entropy_flux,
-                       evaluate_bounds, entropy_flux_chain_check, evolve,
+                       Verdict, correlation, correlation_bound_report,
+                       entropy_flux, evaluate_bounds, entropy_flux_chain_check, evolve,
                        exchange_generator, expectation,
                        local_system_bound_check, make_observable,
                        make_scenario, random_observable, random_scenario,
@@ -153,8 +153,8 @@ def test_entropy_flux_chain_holds_on_random_scenarios():
         assert set(chain.steps) <= {"production_dominates_s_tilde",
                                     "s_tilde_dominates_cost",
                                     "cost_dominates_quadratic"}
-        for slack in chain.steps.values():
-            assert slack >= -1e-9
+        for step in chain.steps.values():
+            assert not step.applies or step.slack >= -1e-9
 
 
 def test_chain_check_reads_holds_from_its_steps():
@@ -163,7 +163,7 @@ def test_chain_check_reads_holds_from_its_steps():
                              SWAP)
     chain = entropy_flux_chain_check(scenario, evolve(scenario))
     assert chain.steps and chain.holds
-    failing = dict(chain.steps, s_tilde_dominates_cost=-2e-9)
+    failing = dict(chain.steps, s_tilde_dominates_cost=Verdict(-2e-9, True))
     assert not dataclasses.replace(chain, steps=failing).holds
     # a chain without steps holds trivially
     assert dataclasses.replace(chain, steps={}).holds
@@ -171,22 +171,22 @@ def test_chain_check_reads_holds_from_its_steps():
 
 def test_entropy_flux_chain_is_all_zero_without_dynamics():
     # the environment does not move, so evaluate_bounds flags equal states
-    # and the chain is resolved: trivial, with +inf on every step
+    # and the chain is resolved: no step applies
     scenario = make_scenario(diag_state(0.3, 0.7), diag_state(0.6, 0.4),
                              np.eye(4))
     chain = entropy_flux_chain_check(scenario, evolve(scenario))
     assert chain.holds
-    assert chain.trivial
+    assert not chain.steps["s_tilde_dominates_cost"].applies
     assert chain.flux == pytest.approx(0.0, abs=1e-12)
     assert chain.ratio == pytest.approx(0.0, abs=1e-12)
     assert chain.s_tilde.value == pytest.approx(0.0, abs=1e-10)
     assert len(chain.steps) == 3
-    assert all(slack == math.inf for slack in chain.steps.values())
+    assert not any(step.applies for step in chain.steps.values())
 
 
 def _assert_resolved(chain):
-    assert chain.trivial and chain.holds
-    assert chain.steps and all(slack == math.inf for slack in chain.steps.values())
+    assert not chain.steps["s_tilde_dominates_cost"].applies and chain.holds
+    assert chain.steps and not any(step.applies for step in chain.steps.values())
 
 
 def test_local_chain_on_a_degenerate_observable_is_resolved():
@@ -227,19 +227,19 @@ def test_chain_cost_step_is_the_onsager_verdict_of_evaluate_bounds():
     report = evaluate_bounds(theta, rho, sigma)
     chain = local_system_bound_check(theta, rho, sigma)
     onsager = report.verdicts["onsager"]
-    assert np.array_equal(chain.steps["s_tilde_dominates_cost"], onsager.slack)
-    assert np.array_equal(chain.trivial, onsager.trivial)
+    assert np.array_equal(chain.steps["s_tilde_dominates_cost"].slack, onsager.slack)
+    assert np.array_equal(chain.steps["s_tilde_dominates_cost"].applies, onsager.applies)
     resolved = report.degenerate_capacity | report.states_equal
     assert resolved.tolist() == [False, True, True, True] + [False] * (rows - 4)
-    for slack in chain.steps.values():
-        assert (slack[resolved] == math.inf).all()
+    for step in chain.steps.values():
+        assert not step.applies[resolved].any()
     assert np.array_equal(chain.s_tilde.value, report.s_tilde.value)
     assert chain.holds.all()
     # each row is its single call
     for k in range(rows):
         single = local_system_bound_check(take_row(theta, k), take_row(rho, k),
                                           take_row(sigma, k))
-        assert single.steps == {name: slack[k] for name, slack in chain.steps.items()}
+        assert single.steps == {name: take_row(step, k) for name, step in chain.steps.items()}
 
 
 def test_entropy_chain_cost_step_is_the_onsager_verdict_of_evaluate_bounds():
@@ -252,7 +252,7 @@ def test_entropy_chain_cost_step_is_the_onsager_verdict_of_evaluate_bounds():
     env = stack.rho_environment
     report = evaluate_bounds(_log_environment(env), env, outcome.rho_environment)
     chain = entropy_flux_chain_check(stack, outcome)
-    assert np.array_equal(chain.steps["s_tilde_dominates_cost"],
+    assert np.array_equal(chain.steps["s_tilde_dominates_cost"].slack,
                           report.verdicts["onsager"].slack)
     assert np.array_equal(chain.flux, entropy_flux(stack, outcome).value)
 
@@ -290,7 +290,7 @@ def test_local_system_bound_matches_the_exchange_series():
     assert chain.holds
     assert abs(chain.flux) == pytest.approx(point.flux, abs=1e-12)
     assert chain.s_tilde.value == pytest.approx(point.s_tilde, abs=1e-12)
-    assert chain.steps["s_tilde_dominates_cost"] == pytest.approx(
+    assert chain.steps["s_tilde_dominates_cost"].slack == pytest.approx(
         point.s_tilde - point.onsager, abs=1e-12)
 
 

@@ -158,10 +158,10 @@ def _reference_draws(config, stream, halved=False):
 
 
 def _record_chain(result, chain, k):
-    # a step whose slack is +inf does not apply to the draw
-    for name, slack in chain.steps.items():
-        if slack != math.inf:
-            result.record(slack, f"draw {k} {name}")
+    # a step that does not apply to the draw is left out
+    for name, step in chain.steps.items():
+        if step.applies:
+            result.record(step.slack, f"draw {k} {name}")
 
 
 def _reference_bound_functions(config):
@@ -206,7 +206,7 @@ def _reference_bound_chain(config):
             rho, sigma = random_density(rng, dim), random_density(rng, dim)
         report = evaluate_bounds(theta, rho, sigma)
         for name, verdict in report.verdicts.items():
-            if not verdict.trivial:
+            if verdict.applies:
                 result.record(verdict.slack, f"draw {k} {name}")
         if report.s_tilde.finite and not report.degenerate_capacity:
             result.record(1.0 - report.main_rhs, f"draw {k} curve <= 1")
@@ -237,14 +237,14 @@ def _reference_uncertainty(config):
     for k, dim, rng in _reference_draws(config, 5):
         rho, sigma = random_density(rng, dim), random_density(rng, dim)
         check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
-        if not check.trivial:
-            result.record(check.slack, f"draw {k} dim {dim}")
+        if check.verdict.applies:
+            result.record(check.verdict.slack, f"draw {k} dim {dim}")
     grid = np.linspace(0.2, 6.0, 30)
     rhos, sigmas, _ = saturating_family(grid)
     for k, a in enumerate(grid.tolist()):
         rho, sigma = take_row(rhos, k), take_row(sigmas, k)
         check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
-        result.record(1e-8 - abs(check.slack), f"equality at a={a!r}")
+        result.record(1e-8 - abs(check.verdict.slack), f"equality at a={a!r}")
     return result
 
 
