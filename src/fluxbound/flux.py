@@ -65,12 +65,12 @@ class Verdict:
     slack: float
     applies: bool
 
-    def holds_at(self, tolerance: float = DEFAULT_TOLERANCES.slack):
+    def holds_at(self, tolerance: float):
         """~applies | clears(slack, tolerance), written as applies <= clears
         so that a single row's Python bools give a bool."""
         return self.applies <= clears(self.slack, tolerance)
 
-    holds = property(holds_at)
+    holds = property(lambda self: self.holds_at(DEFAULT_TOLERANCES.slack))
 
     def tally(self, tolerance: float) -> tuple[int, float, int | None]:
         """(violations, worst slack, row) over the rows where the verdict
@@ -86,7 +86,7 @@ class Verdict:
                 float(slack[worst]), int(rows[worst]))
 
 
-def all_hold(verdicts: dict, tolerance: float = DEFAULT_TOLERANCES.slack):
+def all_hold(verdicts: dict, tolerance: float):
     """Whether every verdict of a dict holds at tolerance, per row for a
     stack; a dict without verdicts holds."""
     holds = True
@@ -364,7 +364,7 @@ class BoundReport:
 
     def all_hold(self):
         """Whether every verdict holds (per row for a stack)."""
-        return all_hold(self.verdicts)
+        return all_hold(self.verdicts, DEFAULT_TOLERANCES.slack)
 
 
 @batch_of_one

@@ -219,7 +219,7 @@ class ChainCheck:
     @property
     def holds(self):
         """Whether every step holds (per row for a stack)."""
-        return all_hold(self.steps)
+        return all_hold(self.steps, DEFAULT_TOLERANCES.slack)
 
 
 def _chain_from_report(report: BoundReport,

@@ -1,6 +1,7 @@
 """Observables, fluxes, sign decomposition, and the bound chain."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -407,6 +408,12 @@ def test_verdicts_read_holds_from_their_slack(monkeypatch):
                                   (math.nan, True, False), (math.nan, False, True),
                                   (-5e-10, True, True)):
         assert Verdict(slack, applies).holds is holds
+    # holds reads the tolerance at call time, as config promises (the
+    # package's flux function hides the module of that name)
+    flux_module = importlib.import_module("fluxbound.flux")
+    monkeypatch.setattr(flux_module, "DEFAULT_TOLERANCES",
+                        dataclasses.replace(DEFAULT_TOLERANCES, slack=1.0))
+    assert Verdict(-0.5, True).holds is True
 
 
 def test_a_verdict_tallies_the_rows_where_it_applies():
