@@ -84,6 +84,25 @@ def test_eigh_matches_lapack_reference(dim):
         assert np.array_equal(stacked.eigenvectors[row], spec.eigenvectors)
 
 
+# the most sweeps any of the ten matrices of test_eigh_matches_lapack_reference
+# needs at each dimension, measured on the round-robin kernel; a kernel that
+# needs more sweeps converges more slowly
+SWEEPS_NEEDED = {2: 1, 3: 4, 4: 4, 5: 4, 6: 5, 7: 6, 8: 5, 9: 6, 10: 6,
+                 11: 6, 12: 6, 13: 6, 14: 7, 15: 7, 16: 7}
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_eigh_converges_within_the_measured_sweeps(dim, monkeypatch):
+    monkeypatch.setattr(linalg_module, "DEFAULT_TOLERANCES",
+                        replace(linalg_module.DEFAULT_TOLERANCES,
+                                jacobi_max_sweeps=SWEEPS_NEEDED[dim]))
+    matrices = [random_hermitian_np(rng_for(100 * dim + k, stream=101), dim)
+                for k in range(10)]
+    for h in matrices:
+        eigh(h)
+    eigh(np.stack(matrices))
+
+
 def test_eigh_reconstruction_invariant_sweep():
     # at least a thousand matrices spread over every supported dimension
     count = 0
