@@ -20,14 +20,16 @@ result, and in_blocks fills one from blocks of config.BLOCK_ROWS rows.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
-rounds, each a set of disjoint (p, q) pairs that are rotated together,
-across the whole stack at once.  For the dimensions this library targets
-(<= 16) it is simple, accurate to near machine precision and free of
-LAPACK.  It is bit-for-bit reproducible: the schedule is fixed, every
-step is elementwise, a reduction along one matrix or the product of one
-matrix with its own rotation, and a matrix that has converged drops out
-of the remaining sweeps, so no matrix's result depends on what else is
-in its stack.
+rounds, each a set of disjoint pairs that are rotated together, across
+the whole stack at once.  Each matrix is scaled by a power of two and
+held in slot order, a round's pair j in slots 2j and 2j + 1, and each
+round's rotation carries the fixed move of the slots to the next round.
+For the dimensions this library targets (<= 16) it is simple, accurate to
+near machine precision and free of LAPACK.  It is bit-for-bit
+reproducible: the schedule is fixed, every step is elementwise, a
+reduction along one matrix or the product of one matrix with its own
+rotation, and a matrix that has converged drops out of the remaining
+sweeps, so no matrix's result depends on what else is in its stack.
 """
 
 from __future__ import annotations
@@ -226,99 +228,86 @@ def require_hermitian(matrix) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _round_robin(n: int) -> tuple:
-    """The fixed rotation schedule for dimension n.
+    """The rotation schedule for dimension n in slot order, built once.
 
-    Returns (identity, upper, rounds): the n x n identity; the (rows,
-    cols) index arrays of the strict upper triangle; and a tuple of
-    rounds, each the index arrays (p, q, zero_rows, zero_cols, rot_rows,
-    rot_cols) of disjoint pairs p < q, the positions (p, q) and (q, p)
-    that their rotations zero, and the positions (p, p), (q, q), (p, q),
-    (q, p) of the rotation's entries.  The rounds cover every pair once
-    (the circle method; an odd n plays against a dummy index that is
-    dropped).  Built on first use of each n and kept.
+    The m = n + n % 2 indices (an odd n adds a zero index, whose rotations
+    are the identity) play the circle method: in each of a sweep's m - 1
+    rounds slots 2j and 2j + 1 hold pair j, every pair meets once, and the
+    index in slot sigma[i] moves to slot i between rounds.  Returns m, the
+    slot of each index at a sweep's start, the flat slot-order positions of
+    an n x n matrix's entries, sigma, the flat positions of the nonzeros of
+    J P (rotation J, move P) for the values (c, c, s, -s^*) of the even
+    rows and then the odd ones, and those of the strict upper triangle.
     """
     m = n + n % 2
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = sorted((min(a, b), max(a, b))
-                       for a, b in zip(players[:m // 2], players[::-1])
-                       if max(a, b) < n)
-        players = [players[0], players[-1]] + players[1:-1]
-        if not pairs:
-            continue  # n = 1
-        p, q = zip(*pairs)
-        rounds.append(tuple(_frozen(side) for side in (p, q, p + q, q + p,
-                                                       p + q + p + q,
-                                                       p + q + q + p)))
-    upper = tuple(_frozen(side) for side in np.triu_indices(n, 1))
-    identity = np.eye(n, dtype=np.complex128)
-    identity.setflags(write=False)
-    return identity, upper, tuple(rounds)
+    slots = [index for j in range(m // 2) for index in (j, m - 1 - j)]
+    after = [0, m - 1] + list(range(1, m - 1))  # the circle turns by one
+    sigma = [slots.index(after[index]) for index in slots]
+    slot_of = [slots.index(index) for index in range(n)]
+    rows = [*range(0, m, 2), *range(1, m, 2)]
+    return (m, *map(_frozen, (
+        slot_of, [i * m + k for i in slot_of for k in slot_of], sigma,
+        [r * m + sigma.index(r) for r in rows] + [r * m + sigma.index(r ^ 1) for r in rows],
+        [i * m + k for i in range(m) for k in range(i + 1, m)])))
 
 
 def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=np.intp)
+    out = np.array(values)
     out.setflags(write=False)
     return out
 
 
-# relative size below which an off-diagonal entry is not rotated
-_NEGLIGIBLE = 1e-290
+# the smallest normal double, the floor of a rotation's denominator
+_TINY = np.finfo(np.float64).tiny
 
 
-def _upper_mass(a: np.ndarray, upper: tuple) -> np.ndarray:
+def _upper_mass(w: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of the strict upper triangle of each matrix
-    of a stack: half the squared off-diagonal mass of a Hermitian matrix.
+    of a work stack: half the squared off-diagonal mass of a Hermitian
+    matrix.
 
     Summed over the off-diagonal entries only; subtracting the diagonal
     mass from the total would cancel catastrophically once the iteration
     is nearly converged.
     """
-    entries = np.ascontiguousarray(a[:, upper[0], upper[1]]).view(np.float64)
+    entries = np.take(w.reshape(len(w), -1), upper, axis=1).view(np.float64)
     return (entries * entries).sum(axis=1)
 
 
-def _sweep(w: np.ndarray, diagonal: np.ndarray, identity: np.ndarray,
-           rounds: tuple) -> None:
-    """One sweep of round-robin rotations on a (b, 2n, n) work stack, in
-    place.  Rows [:n] hold the matrices, rows [n:] accumulate the
-    eigenvectors, and `diagonal` (b, n) holds the real diagonal: the
-    entries on the diagonal of w are never read back, since no
-    off-diagonal result depends on them.
-
-    A round's rotations form one unitary J per matrix (the identity
-    outside its pairs); [A; V] <- [A; V] J and then A <- J^dag A."""
-    b, n = diagonal.shape
-    a = w[:, :n]
-    for p, q, zero_rows, zero_cols, rot_rows, rot_cols in rounds:
-        k = len(p)
-        apq = a[:, p, q]
-        pair_diagonal = diagonal[:, zero_rows]
-        app, aqq = pair_diagonal[:, :k], pair_diagonal[:, k:]
+def _sweep(w: np.ndarray, diagonal: np.ndarray, sigma: np.ndarray,
+           rotation_at: np.ndarray) -> None:
+    """One sweep, in place, on a (b, 2m, m) work stack in slot order: rows
+    [:m] hold the matrices, rows [m:] the eigenvectors and `diagonal`
+    (b, m) the real diagonal, since no off-diagonal result reads w's own.
+    A round's rotation J, a 2 x 2 block per slot pair, and the move P to
+    the next round's slots act at once, [A; V] <- [A; V] J P and then
+    A <- (J P)^dag A, so a_pq is a strided view of w and app, aqq are the
+    even and odd slots of the diagonal."""
+    b, m = diagonal.shape
+    a = w[:, :m]
+    apq = w.reshape(b, -1)[:, 1:m * m:2 * m + 2]
+    app, aqq = diagonal[:, 0::2], diagonal[:, 1::2]
+    rotation = np.zeros((b, m, m), dtype=np.complex128)
+    entries = rotation.reshape(b, m * m)
+    for _ in range(m - 1):
         mag = np.hypot(apq.real, apq.imag)
         diff = aqq - app
-        # an entry this small next to the diagonal gap takes the identity
-        # rotation: theta = diff / (2 mag) would overflow, and the update
-        # it would make is below rounding
-        live = mag > _NEGLIGIBLE * np.abs(diff)
-        safe = np.where(live, mag, 1.0)
-        theta = diff / (2.0 * safe)
-        # smaller-magnitude root of t^2 + 2 theta t - 1 = 0
-        t = live * (np.copysign(1.0, theta)
-                    / (np.abs(theta) + np.hypot(theta, 1.0)))
+        # t, the smaller-magnitude root of t^2 + 2 theta t - 1 = 0 with
+        # theta = diff / (2 mag), as 2 mag sign(diff) / (|diff| +
+        # hypot(diff, 2 mag)), which cannot overflow; the floor keeps the
+        # pair mag = diff = 0 from dividing 0 by 0
+        denominator = np.abs(diff) + np.hypot(diff, mag + mag)
+        ratio = np.copysign(2.0, diff) / np.maximum(denominator, _TINY)
+        t = ratio * mag
         c = 1.0 / np.hypot(t, 1.0)
-        s = (t * c / safe) * apq
+        s = (c * ratio) * apq
         shift = t * mag
-        rotation = np.repeat(identity[None], b, axis=0)
-        rotation[:, rot_rows, rot_cols] = np.concatenate((c, c, s, -s.conj()), axis=1)
+        entries[:, rotation_at] = np.concatenate((c, c, s, -s.conj()), axis=1)
         np.matmul(w, rotation, out=w)
         np.matmul(rotation.conj().swapaxes(1, 2), a, out=a)
-        # the rotation zeroes (p,q) exactly in exact arithmetic; enforce it
-        a[:, zero_rows, zero_cols] = 0.0
         app -= shift
         aqq += shift
-        diagonal[:, zero_rows] = pair_diagonal
+        np.take(diagonal, sigma, axis=1, out=diagonal)  # buffered: out may alias
 
 
 def _sorted_spectrum(values: np.ndarray, vectors: np.ndarray) -> Spectrum:
@@ -349,47 +338,56 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
         # no off-diagonal entry anywhere: no work array, no rotation
         order = np.argsort(diagonal.real, axis=1, kind="stable")
         return Spectrum(diagonal.real[np.arange(b)[:, None], order],
-                        _round_robin(n)[0][order].swapaxes(1, 2))
-    identity, upper, rounds = _round_robin(n)
-    diagonal = diagonal.real.copy()
-    with np.errstate(over="ignore"):
-        mass = _upper_mass(a, upper)
-        norm_sq = (diagonal * diagonal).sum(axis=1) + 2.0 * mass
-    # an infinite threshold would pass any matrix as converged
-    huge = ~np.isfinite(norm_sq)
+                        np.eye(n, dtype=np.complex128)[order].swapaxes(1, 2))
+    m, slot_of, place, sigma, rotation_at, upper = _round_robin(n)
+    # each matrix times the power of two that brings its largest real or
+    # imaginary part into [1, 2), so that the squares summed below neither
+    # underflow nor overflow (numpy takes the maximum faster along axis 0)
+    parts = a.reshape(b, n * n).view(np.float64)
+    shift = 1 - np.frexp(np.abs(parts.T, order="C").max(axis=0))[1]
+    w = np.zeros((b, 2 * m, m), dtype=np.complex128)
+    flat = w.reshape(b, 2 * m * m)
+    flat[:, place] = np.ldexp(parts, shift[:, None]).view(np.complex128)
+    flat[:, m * m::m + 1] = 1.0
+    diagonal = flat[:, :m * m:m + 1].real.copy()
+    mass = _upper_mass(w, upper)
+    norm_sq = (diagonal * diagonal).sum(axis=1) + 2.0 * mass
+    # an infinite threshold would pass any matrix as converged: reject a
+    # matrix whose ||H||_F^2, norm_sq 4^-shift, is beyond the largest double
+    huge = np.frexp(norm_sq)[1] - 2 * shift > 1024
     if huge.any():
         raise ValidationError(f"matrix entries too large for the eigensolver"
                               f"{row_label(huge)}: ||H||_F^2 overflows")
     # the criterion mass <= jacobi_offdiag * ||H||_F, squared and halved
     threshold = 0.5 * DEFAULT_TOLERANCES.jacobi_offdiag ** 2 * norm_sq
-    w = np.empty((b, 2 * n, n), dtype=np.complex128)
-    w[:, :n] = a
-    w[:, n:] = identity
     for _ in range(DEFAULT_TOLERANCES.jacobi_max_sweeps):
         active = mass > threshold
         count = np.count_nonzero(active)
         if count == 0:
             break
         if count == b:
-            _sweep(w, diagonal, identity, rounds)
+            _sweep(w, diagonal, sigma, rotation_at)
             mass = _upper_mass(w, upper)
         else:
             rows = np.flatnonzero(active)
             part, part_diagonal = w[rows], diagonal[rows]
-            _sweep(part, part_diagonal, identity, rounds)
+            _sweep(part, part_diagonal, sigma, rotation_at)
             w[rows] = part
             diagonal[rows] = part_diagonal
             mass[rows] = _upper_mass(part, upper)
     else:
         failed = mass > threshold
         if failed.any():
-            residual = math.sqrt(2.0 * mass[first_row(failed)])
+            row = first_row(failed)
+            residual = math.ldexp(math.sqrt(2.0 * mass[row]), -int(shift[row]))
             raise NumericError(
                 f"Jacobi eigensolver did not converge in "
                 f"{DEFAULT_TOLERANCES.jacobi_max_sweeps} sweeps"
                 f"{row_label(failed)} (dim {n}, residual {residual:.3e})"
             )
-    return _sorted_spectrum(diagonal, w[:, n:])
+    # back to index order before the stable sort, without the zero index
+    return _sorted_spectrum(np.ldexp(diagonal[:, slot_of], -shift[:, None]),
+                            w[:, m + slot_of[:, None], slot_of])
 
 
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:

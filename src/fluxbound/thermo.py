@@ -292,8 +292,10 @@ class SpinPairParams:
                              ("environment", self.excited_population_environment)):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{label} excited population must lie in [0, 1]")
-        if self.level_splitting <= 0.0:
-            raise ValidationError("level splitting must be positive")
+        # the series divides the flux by it, which a subnormal one rounds away
+        if self.level_splitting < np.finfo(np.float64).tiny:
+            raise ValidationError(f"level_splitting must be at least "
+                                  f"{np.finfo(np.float64).tiny:.3e}, the smallest normal double")
         if self.coupling_strength <= 0.0:
             raise ValidationError("coupling strength must be positive")
         times = list(self.times)

@@ -212,6 +212,8 @@ def test_saturation_handles_any_finite_gap(capsys):
     (["montecarlo", "--tolerance", "inf"], "--tolerance"),
     # finite, but g t overflows in the phases of the evolution
     (["spinpair", "--t-max", "1e308"], "times"),
+    # positive, but subnormal: flux / omega used to print two_phi_sq = 2
+    (["spinpair", "--t-steps", "3", "--omega", "5e-324"], "level_splitting"),
 ])
 def test_non_finite_parameters_are_rejected_by_name(argv, name, capsys):
     with warnings.catch_warnings(record=True) as caught:

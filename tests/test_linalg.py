@@ -179,6 +179,95 @@ def test_eigh_rejects_entries_whose_norm_overflows(scale):
     assert np.allclose(values, [-1e150, 1e150], rtol=1e-14, atol=0.0)
 
 
+def _assert_decomposes(h, spec, tolerance):
+    """Ascending eigenvalues against LAPACK's, and orthonormal eigenvectors
+    that rebuild h, each within tolerance times the largest eigenvalue."""
+    reference = np.linalg.eigvalsh(h)
+    scale = np.max(np.abs(reference))
+    assert spec.eigenvalues.shape == (len(h),)
+    assert spec.eigenvectors.shape == h.shape
+    assert np.max(np.abs(spec.eigenvalues - reference)) <= tolerance * scale
+    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+    assert np.max(np.abs(rebuilt - h)) <= tolerance * scale
+    gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+    assert np.max(np.abs(gram - np.eye(len(h)))) <= tolerance
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_eigh_of_tiny_matrices_matches_lapack_reference(scale):
+    # the squared off-diagonal entries used to underflow to 0, so the
+    # convergence test passed before any rotation and, from 1e-200 on, the
+    # diagonal came back as the spectrum
+    h = random_hermitian_np(rng_for(9, stream=109), 4)
+    tiny = h * scale
+    spec = eigh(tiny)
+    np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(tiny),
+                               rtol=1e-12, atol=0.0)
+    _assert_decomposes(tiny, spec, 1e-12)
+    # each matrix is scaled on its own, next to a row at normal scale
+    stacked = eigh(np.stack([h, tiny]))
+    assert np.array_equal(stacked.eigenvalues[1], spec.eigenvalues)
+    assert np.array_equal(stacked.eigenvectors[1], spec.eigenvectors)
+    np.testing.assert_allclose(stacked.eigenvalues[0], np.linalg.eigvalsh(h),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_eigh_keeps_entries_near_1e150_accurate():
+    for dim in (2, 5, 8, 16):
+        h = random_hermitian_np(rng_for(dim, stream=110), dim) * 1e150
+        _assert_decomposes(h, eigh(h), 1e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 15])
+def test_rank_deficient_odd_dimensions_keep_the_padding_out(dim):
+    # an odd dimension is padded with a zero index; exact zero rows and
+    # columns, and exact zero eigenvalues, must not mix with it
+    rng = rng_for(dim, stream=111)
+    rank = dim // 2
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    low_rank = g @ g.conj().T
+    spec = eigh(low_rank)
+    _assert_decomposes(low_rank, spec, 1e-10)
+    assert np.count_nonzero(np.abs(spec.eigenvalues) <= 1e-10) == dim - rank
+    embedded = np.zeros((dim, dim), dtype=complex)
+    kept = np.sort(rng.permutation(dim)[:rank + 1])
+    embedded[np.ix_(kept, kept)] = random_hermitian_np(rng, rank + 1)
+    spec = eigh(embedded)
+    _assert_decomposes(embedded, spec, 1e-10)
+    assert np.count_nonzero(spec.eigenvalues == 0.0) == dim - rank - 1
+
+
+@pytest.mark.parametrize("tiny", [0.0, 5e-324, 1e-310])
+def test_pairs_with_a_negligible_entry_and_equal_diagonal_rotate_finitely(tiny):
+    # the first round pairs (0, 3) and (1, 2): both have equal diagonal
+    # entries and an off-diagonal one that is zero or subnormal, so the
+    # rotation's denominator |diff| + hypot(diff, 2 |a_pq|) is below the
+    # smallest normal double; RuntimeWarnings are errors in this suite
+    h = np.array([[1.0, 0.5, 0.25j, tiny],
+                  [0.5, 1.0, tiny, -0.75],
+                  [-0.25j, tiny, 1.0, 0.5],
+                  [tiny, -0.75, 0.5, 1.0]])
+    spec = eigh(h)
+    assert np.isfinite(spec.eigenvalues).all()
+    assert np.isfinite(spec.eigenvectors).all()
+    _assert_decomposes(h, spec, 1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_rows_converging_after_different_sweeps_equal_each_row_alone(dim):
+    rng = rng_for(dim, stream=112)
+    dense = random_hermitian_np(rng, dim)
+    diagonal = np.diag(rng.standard_normal(dim)).astype(complex)
+    rows = [dense, diagonal + 1e-9 * dense, diagonal, 1e-250 * dense,
+            np.zeros((dim, dim), dtype=complex), 1e150 * dense,
+            diagonal + 1e-3 * dense]
+    stacked = eigh(np.stack(rows))
+    for row, h in enumerate(rows):
+        alone = eigh(h)
+        assert np.array_equal(stacked.eigenvalues[row], alone.eigenvalues)
+        assert np.array_equal(stacked.eigenvectors[row], alone.eigenvectors)
+
+
 def test_require_hermitian_does_not_overflow_near_the_largest_double():
     m = np.array([[0.0, 1e308], [1e308, 1.7e308]])
     with warnings.catch_warnings():
