@@ -247,7 +247,7 @@ def _round_robin(n: int) -> tuple:
     rows = [*range(0, m, 2), *range(1, m, 2)]
     return (m, *map(_frozen, (
         slot_of, [i * m + k for i in slot_of for k in slot_of], sigma,
-        [r * m + sigma.index(r) for r in rows] + [r * m + sigma.index(r ^ 1) for r in rows],
+        [r * m + sigma.index(r ^ flip) for flip in (0, 1) for r in rows],
         [i * m + k for i in range(m) for k in range(i + 1, m)])))
 
 
@@ -307,7 +307,7 @@ def _sweep(w: np.ndarray, diagonal: np.ndarray, sigma: np.ndarray,
         np.matmul(rotation.conj().swapaxes(1, 2), a, out=a)
         app -= shift
         aqq += shift
-        np.take(diagonal, sigma, axis=1, out=diagonal)  # buffered: out may alias
+        np.take(diagonal, sigma, axis=1, out=diagonal)  # 'raise' mode buffers out
 
 
 def _sorted_spectrum(values: np.ndarray, vectors: np.ndarray) -> Spectrum:
@@ -348,7 +348,7 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     w = np.zeros((b, 2 * m, m), dtype=np.complex128)
     flat = w.reshape(b, 2 * m * m)
     flat[:, place] = np.ldexp(parts, shift[:, None]).view(np.complex128)
-    flat[:, m * m::m + 1] = 1.0
+    flat[:, m * m::m + 1] = 1.0  # the eigenvectors start as the identity
     diagonal = flat[:, :m * m:m + 1].real.copy()
     mass = _upper_mass(w, upper)
     norm_sq = (diagonal * diagonal).sum(axis=1) + 2.0 * mass

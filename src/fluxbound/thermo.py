@@ -294,8 +294,8 @@ class SpinPairParams:
                 raise ValidationError(f"{label} excited population must lie in [0, 1]")
         # the series divides the flux by it, which a subnormal one rounds away
         if self.level_splitting < np.finfo(np.float64).tiny:
-            raise ValidationError(f"level_splitting must be at least "
-                                  f"{np.finfo(np.float64).tiny:.3e}, the smallest normal double")
+            raise ValidationError(f"level_splitting must be at least the smallest "
+                                  f"normal double, {np.finfo(np.float64).tiny:.3e}")
         if self.coupling_strength <= 0.0:
             raise ValidationError("coupling strength must be positive")
         times = list(self.times)
