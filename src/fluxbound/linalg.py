@@ -340,21 +340,21 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
         return Spectrum(diagonal.real[np.arange(b)[:, None], order],
                         np.eye(n, dtype=np.complex128)[order].swapaxes(1, 2))
     m, slot_of, place, sigma, rotation_at, upper = _round_robin(n)
-    # each matrix times the power of two that brings its largest real or
-    # imaginary part into [1, 2), so that the squares summed below neither
+    # each matrix times 2^-exponent, which brings its largest real or
+    # imaginary part into [0.5, 1): the squares summed below then neither
     # underflow nor overflow (numpy takes the maximum faster along axis 0)
     parts = a.reshape(b, n * n).view(np.float64)
-    shift = 1 - np.frexp(np.abs(parts.T, order="C").max(axis=0))[1]
+    exponent = np.frexp(np.abs(parts.T, order="C").max(axis=0))[1]
     w = np.zeros((b, 2 * m, m), dtype=np.complex128)
     flat = w.reshape(b, 2 * m * m)
-    flat[:, place] = np.ldexp(parts, shift[:, None]).view(np.complex128)
+    flat[:, place] = np.ldexp(parts, -exponent[:, None]).view(np.complex128)
     flat[:, m * m::m + 1] = 1.0  # the eigenvectors start as the identity
     diagonal = flat[:, :m * m:m + 1].real.copy()
     mass = _upper_mass(w, upper)
     norm_sq = (diagonal * diagonal).sum(axis=1) + 2.0 * mass
-    # an infinite threshold would pass any matrix as converged: reject a
-    # matrix whose ||H||_F^2, norm_sq 4^-shift, is beyond the largest double
-    huge = np.frexp(norm_sq)[1] - 2 * shift > 1024
+    # reject an infinite ||H||_F^2 = norm_sq 4^exponent, which would pass any
+    # matrix as converged (in floats: int32 loops add 0.2 MB of peak memory)
+    huge = np.frexp(norm_sq)[1] + 2.0 * exponent > 1024
     if huge.any():
         raise ValidationError(f"matrix entries too large for the eigensolver"
                               f"{row_label(huge)}: ||H||_F^2 overflows")
@@ -379,14 +379,14 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
         failed = mass > threshold
         if failed.any():
             row = first_row(failed)
-            residual = math.ldexp(math.sqrt(2.0 * mass[row]), -int(shift[row]))
+            residual = math.ldexp(math.sqrt(2.0 * mass[row]), int(exponent[row]))
             raise NumericError(
                 f"Jacobi eigensolver did not converge in "
                 f"{DEFAULT_TOLERANCES.jacobi_max_sweeps} sweeps"
                 f"{row_label(failed)} (dim {n}, residual {residual:.3e})"
             )
     # back to index order before the stable sort, without the zero index
-    return _sorted_spectrum(np.ldexp(diagonal[:, slot_of], -shift[:, None]),
+    return _sorted_spectrum(np.ldexp(diagonal[:, slot_of], exponent[:, None]),
                             w[:, m + slot_of[:, None], slot_of])
 
 
