@@ -18,7 +18,9 @@ in fluxbound.verify (1e-8, 1e-9, 1e-10 or 1e-12).  Identical flags and
 seed give byte-identical primary output; summaries go to stderr.
 
 Exit codes: 0 success, 1 usage error (or not enough memory for the run),
-2 verification failure, 3 I/O error.
+2 verification failure, 3 I/O error.  main decides every code: a
+subcommand returns 0 or 2, and main maps what it raises to 1 or 3 (a
+flag argparse cannot parse exits 1 from the parser).
 """
 
 from __future__ import annotations
@@ -110,17 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, headers, rows) -> int:
-    try:
-        if args.out is None:
-            _io.write_table(sys.stdout, headers, rows, args.format)
-        else:
-            with open(args.out, "w", encoding="ascii", newline="") as stream:
-                _io.write_table(stream, headers, rows, args.format)
-    except OSError as exc:
-        print(f"fluxbound: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+def _emit(args, headers, rows) -> None:
+    if args.out is None:
+        _io.write_table(sys.stdout, headers, rows, args.format)
+    else:
+        with open(args.out, "w", encoding="ascii", newline="") as stream:
+            _io.write_table(stream, headers, rows, args.format)
 
 
 def _cmd_montecarlo(args) -> int:
@@ -130,9 +127,7 @@ def _cmd_montecarlo(args) -> int:
                         rejection_policy=policy,
                         slack_tolerance=args.tolerance)
     records, summary = run_montecarlo(config)
-    status = _emit(args, _io.MONTECARLO_HEADERS, _io.montecarlo_rows(records))
-    if status != EXIT_OK:
-        return status
+    _emit(args, _io.MONTECARLO_HEADERS, _io.montecarlo_rows(records))
     total_violations = sum(summary.violations.values())
     print(f"draws={summary.n_draws} violations={total_violations} "
           f"min_slack_main={summary.min_slack_main:.3e} "
@@ -168,7 +163,8 @@ def _cmd_spinpair(args) -> int:
         times=tuple(np.linspace(0.0, args.t_max, args.t_steps)),
     )
     points = spin_pair_timeseries(params)
-    return _emit(args, _io.SPINPAIR_HEADERS, _io.spinpair_rows(points))
+    _emit(args, _io.SPINPAIR_HEADERS, _io.spinpair_rows(points))
+    return EXIT_OK
 
 
 def _cmd_saturation(args) -> int:
@@ -178,9 +174,7 @@ def _cmd_saturation(args) -> int:
     if args.a_steps < 1 or args.a_max < args.a_min or args.a_min < 0.0:
         raise ValidationError("invalid gap grid")
     family = saturating_family(np.linspace(args.a_min, args.a_max, args.a_steps))[2]
-    status = _emit(args, _io.SATURATION_HEADERS, _io.saturation_rows(family))
-    if status != EXIT_OK:
-        return status
+    _emit(args, _io.SATURATION_HEADERS, _io.saturation_rows(family))
     print(f"points={args.a_steps} max_abs_diff={np.max(family.gap):.3e}",
           file=sys.stderr)
     return EXIT_OK
@@ -190,9 +184,7 @@ def _cmd_verify(args) -> int:
     config = VerifyConfig(master_seed=args.seed, draws=args.draws,
                           slack_tolerance=args.tolerance)
     report = run_verify(config)
-    status = _emit(args, _io.VERIFY_HEADERS, _io.verify_rows(report.suites))
-    if status != EXIT_OK:
-        return status
+    _emit(args, _io.VERIFY_HEADERS, _io.verify_rows(report.suites))
     for suite in report.suites:
         marker = "ok" if suite.violations == 0 else "FAIL"
         print(f"{marker} {suite.name}: checks={suite.checks} "
@@ -211,13 +203,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tolerance <= 0.0 or not math.isfinite(args.tolerance):
-        print("fluxbound: --tolerance must be a positive finite number",
-              file=sys.stderr)
-        return EXIT_USAGE
+    """Run one subcommand; the only place an outcome becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.tolerance < math.inf:
+            raise ValidationError("--tolerance must be a positive finite number")
         return _COMMANDS[args.command](args)
     except FluxboundError as exc:
         print(f"fluxbound: {exc}", file=sys.stderr)
@@ -225,6 +215,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"fluxbound: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"fluxbound: I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -380,12 +380,18 @@ def test_fuzzed_numeric_flags_exit_with_a_documented_code(command, flag, value,
             assert not ({"nan", "inf", "-inf"} - allowed) & set(cells), name
 
 
-def test_unwritable_output_path_is_an_io_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--draws", "3"], ["spinpair", "--t-steps", "3"],
+    ["saturation", "--a-steps", "3"], ["verify", "--draws", "1"]],
+    ids=lambda argv: argv[0])
+def test_unwritable_output_path_is_an_io_error(argv, tmp_path, capsys):
+    # the failed write is the run's one report: no summary line follows it
     target = tmp_path / "missing" / "out.csv"
-    code, out, err = run_cli(
-        ["saturation", "--a-steps", "3", "--out", str(target)], capsys)
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
     assert code == EXIT_IO
-    assert "I/O error" in err
+    assert out == ""
+    assert err.startswith("fluxbound: I/O error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_subprocess_runs_are_byte_identical(tmp_path):
