@@ -208,11 +208,16 @@ def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, rho, sigma
 
 
+def validate_triple(theta, rho, sigma) -> tuple[Observable, DensityMatrix, DensityMatrix]:
+    """Raw (theta, rho, sigma) matrices, or stacks of them, validated in
+    that order."""
+    return make_observable(theta), validate_state(rho), validate_state(sigma)
+
+
 def triple_from_uniforms(u) -> tuple[Observable, DensityMatrix, DensityMatrix]:
     """Deterministic (theta, rho, sigma) from seven uniforms in [0, 1), or
     stacks of them from a (B, 7) array."""
-    theta, rho, sigma = qubit_matrices(u)
-    return make_observable(theta), validate_state(rho), validate_state(sigma)
+    return validate_triple(*qubit_matrices(u))
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +267,6 @@ class MonteCarloSummary:
     draws_far_from_equilibrium: int = 0  # finite s_tilde >= 2 and main_rhs < 1
     infinite_records: int = 0
     total_redraws: int = 0
-
-
-def _evaluate_block(theta: np.ndarray, rho: np.ndarray,
-                    sigma: np.ndarray) -> BoundReport:
-    """Validate the block's stacks once each and evaluate them."""
-    return evaluate_bounds(make_observable(theta), validate_state(rho),
-                           validate_state(sigma))
 
 
 def _record_block(draws: np.ndarray, report: BoundReport, redraws: np.ndarray,
@@ -324,7 +322,7 @@ def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=qubit_matrices,
         redraws = np.zeros(len(draws), dtype=np.int64)
         uniforms = philox_uniforms(config.master_seed, draws, redraws)
         stacks = [np.array(m, dtype=np.complex128) for m in sampler(uniforms)]
-        report = _evaluate_block(*stacks)
+        report = evaluate_bounds(*validate_triple(*stacks))
         while (pending := np.flatnonzero(~report.s_tilde.finite
                                          & (redraws < limit))).size:
             redraws[pending] += 1
@@ -332,7 +330,7 @@ def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=qubit_matrices,
                                        UNIFORMS_PER_DRAW * redraws[pending])
             for stack, fresh in zip(stacks, sampler(uniforms)):
                 stack[pending] = fresh
-            report = _evaluate_block(*stacks)
+            report = evaluate_bounds(*validate_triple(*stacks))
         return (_record_block(draws, report, redraws, config.slack_tolerance,
                               summary),)
 

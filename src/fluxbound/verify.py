@@ -37,7 +37,8 @@ from .flux import (Observable, ShiftCheck, clears, evaluate_bounds, lowers,
                    sign_decomposition)
 from .linalg import expectation, take_row, unitary_from_generator
 from .montecarlo import (check_draw_count, check_master_seed,
-                         check_slack_tolerance, qubit_matrices, substream)
+                         check_slack_tolerance, qubit_matrices, substream,
+                         validate_triple)
 from .states import DensityMatrix, validate_state
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      correlation, correlation_bound_report, entropy_flux,
@@ -250,9 +251,8 @@ def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
         return _triple_inputs(k, dim, rng)
 
     def evaluate(*inputs):
-        thetas, rhos, sigmas = qubit_matrices(*inputs) if len(inputs) == 1 else inputs
-        report = evaluate_bounds(make_observable(thetas), validate_state(rhos),
-                                 validate_state(sigmas))
+        raw = qubit_matrices(*inputs) if len(inputs) == 1 else inputs
+        report = evaluate_bounds(*validate_triple(*raw))
         main, ends = report.main_rhs, report.s_tilde.finite & ~report.degenerate_capacity
         return [*((name, v.slack, v.applies) for name, v in report.verdicts.items()),
                 ("curve <= 1", 1.0 - main, ends),
