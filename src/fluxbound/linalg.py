@@ -336,9 +336,8 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     diagonal = a.diagonal(axis1=1, axis2=2)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
         # no off-diagonal entry anywhere: no work array, no rotation
-        order = np.argsort(diagonal.real, axis=1, kind="stable")
-        return Spectrum(diagonal.real[np.arange(b)[:, None], order],
-                        np.eye(n, dtype=np.complex128)[order].swapaxes(1, 2))
+        return _sorted_spectrum(diagonal.real, np.repeat(
+            np.eye(n, dtype=np.complex128)[None], b, axis=0))
     m, slot_of, place, sigma, rotation_at, upper = _round_robin(n)
     # each matrix times 2^-exponent, which brings its largest real or
     # imaginary part into [0.5, 1): the squares summed below then neither
