@@ -46,12 +46,6 @@ from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      local_system_bound_check, make_scenario, saturating_family,
                      spin_pair_timeseries, thermal_environment)
 
-# the Philox stream of each suite's draws: 1 to 10, in this order
-_SUITE_STREAMS = {name: stream for stream, name in enumerate((
-    "bound_functions", "capacity", "bound_chain", "sign_identities", "uncertainty",
-    "optimal_shift", "thermo_chain", "local_bound", "correlation", "saturation"), 1)}
-
-
 @dataclass
 class SuiteResult:
     """A suite's tally; a check is violated when its slack does not clear
@@ -166,7 +160,8 @@ def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
     name".  Every row of a stack is computed as it would be alone, so the
     grouping changes no check.  A halved suite, whose draws cost more,
     takes max(draws // 2, 20) draws."""
-    stream = _SUITE_STREAMS[result.name]
+    # suite_<name> draws from Philox stream 1 + its place in _SUITES
+    stream = 1 + [suite.__name__ for suite in _SUITES].index(f"suite_{result.name}")
     count = max(config.draws // 2, 20) if halved else config.draws
     for first in range(0, count, BLOCK_ROWS):
         groups: dict = {}
