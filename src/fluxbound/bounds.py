@@ -48,7 +48,7 @@ MAX_ITERATIONS = 600
 def divergence_from_gap(gap):
     """x = gap * tanh(gap / 2), the divergence of the extremal two-level
     pair with log-odds gap `gap`.  Strictly increasing on [0, inf)."""
-    return _entrywise(_divergence_from_gap, gap)
+    return entrywise(_divergence_from_gap, gap)
 
 
 def _divergence_from_gap(gap: float) -> float:
@@ -67,11 +67,12 @@ def _divergence_slope(gap: float, t: float) -> float:
     return t + 0.5 * gap * sech * sech
 
 
-def _entrywise(fn, x):
-    """fn on a float, or on every entry of an array, in order."""
+def entrywise(fn, x):
+    """fn on a float, or on every entry of an array, in order, as an array
+    of x's shape and fn's dtype: the package's one way to take a closed form
+    value by value, libm's math or cmath whatever SIMD numpy dispatches."""
     if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.ravel().tolist()],
-                        dtype=np.float64).reshape(x.shape)
+        return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
     return fn(float(x))
 
 
@@ -88,7 +89,7 @@ def gap_from_divergence(x):
     lies above x because tanh < 1, and near sqrt(2 x) for small x), and
     falls back to bisection whenever a Newton step leaves the bracket.
     """
-    return _entrywise(_gap_from_divergence, x)
+    return entrywise(_gap_from_divergence, x)
 
 
 def _gap_from_divergence(x: float) -> float:
@@ -145,7 +146,7 @@ def variance_ratio_floor(x):
     """Lower bound on the variance ratio of the uncertainty relation,
     1 / sinh(gap_from_divergence(x) / 2)^2.  Diverges as x -> 0+, so
     x = 0 is outside the domain; decreasing in x."""
-    return _entrywise(_variance_ratio_floor, x)
+    return entrywise(_variance_ratio_floor, x)
 
 
 def _variance_ratio_floor(x: float) -> float:
@@ -167,7 +168,7 @@ def onsager_like(ratio):
     divergence_from_gap(2 artanh |r|), dominates 2 r^2, and diverges at
     |r| = 1 (returned as +inf; callers only compare against it).
     """
-    return _entrywise(_onsager_like, ratio)
+    return entrywise(_onsager_like, ratio)
 
 
 def _onsager_like(ratio: float) -> float:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import entrywise
 from .errors import ValidationError
 from .flux import (BoundReport, Observable, all_hold, evaluate_bounds, lowers,
                    make_observable)
@@ -56,6 +57,7 @@ _STREAM_BITS = 16  # stream ids fill the key word above the draw index
 # divergence is reported after all (0 under report_infinite)
 MAX_REDRAWS = 64
 UNIFORMS_PER_DRAW = 7  # the qubit protocol's u1..u7
+_TWO_PI_I = 2j * math.pi  # the protocol's 2j * math.pi * u, folded once
 
 # Philox4x64-10: round multipliers and key increments (Random123), one
 # row per multiplied word, shaped to broadcast over (2, rows, counters)
@@ -179,13 +181,6 @@ def philox_uniforms(master_seed: int, draws, first_words, stream: int = 0) -> np
     return (picked >> np.uint64(11)) * 2.0 ** -53
 
 
-def _phases(u: np.ndarray) -> np.ndarray:
-    """exp(2 pi i u), row by row through cmath.exp, so that the phases are
-    libm's cos and sin on every machine, whatever SIMD numpy dispatches."""
-    return np.array([cmath.exp(2j * math.pi * v) for v in np.ravel(u).tolist()],
-                    dtype=np.complex128).reshape(np.shape(u))
-
-
 def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The protocol's raw (theta, rho, sigma) matrices from seven uniforms
     in [0, 1), not yet validated: a (7,) array gives one triple and a
@@ -195,10 +190,12 @@ def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if u.ndim not in (1, 2) or u.shape[-1] != UNIFORMS_PER_DRAW:
         raise ValidationError("the qubit protocol consumes exactly 7 uniforms "
                               f"per draw, got an array of shape {u.shape}")
-    p1, q1, u3, u4, u5, u6, u7 = u.T  # columns of a stack, or seven floats
-    coherence = np.sqrt(u3 * q1 * (1.0 - q1)) * _phases(u4)
+    p1, q1, u3, _, u5, u6, _ = u.T  # columns of a stack, or seven floats
+    # arg C and arg D from u4 and u7, value by value
+    phase_c, phase_d = entrywise(lambda v: cmath.exp(_TWO_PI_I * v), u.T[3::3])
+    coherence = np.sqrt(u3 * q1 * (1.0 - q1)) * phase_c
     w = 4.0 * u5
-    offdiag = np.sqrt(u6) * _phases(u7)
+    offdiag = np.sqrt(u6) * phase_d
     theta, rho, sigma = np.zeros((3, *u.shape[:-1], 2, 2), dtype=np.complex128)
     rho[..., 0, 0], rho[..., 1, 1] = 1.0 - p1, p1
     sigma[..., 0, 0], sigma[..., 0, 1] = 1.0 - q1, coherence

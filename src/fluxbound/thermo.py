@@ -36,8 +36,8 @@ flux.evaluate_bounds, so its rule resolves a row (see ChainCheck).
 spin_pair_timeseries and saturating_family evaluate their grids as
 (B, n, n) stacks, BLOCK_ROWS points at a time (linalg.in_blocks), into
 records of arrays whose row k equals point k evaluated alone.  The closed
-forms are taken point by point with the math module, whose sin, exp and
-tanh do not depend on the CPU's vector units.
+forms are taken point by point through bounds.entrywise, so their sin,
+exp and tanh do not depend on the CPU's vector units.
 """
 
 from __future__ import annotations
@@ -369,8 +369,9 @@ def spin_pair_timeseries(params: SpinPairParams) -> SpinPairPoint:
                                   rho_s.matrix - rho_s0.matrix))
         ratio = np.minimum(flux / omega, 1.0)
         s_tilde = symmetric_relative_entropy(rho_s, as_stack(rho_s0, len(t)))
-        flux_analytic = [math.sin(g * x) ** 2 * abs(p - q) * omega for x in t.tolist()]
-        return (SpinPairPoint(t, flux, np.array(flux_analytic), 2.0 * ratio * ratio,
+        flux_analytic = _bounds.entrywise(
+            lambda x: math.sin(g * x) ** 2 * abs(p - q) * omega, t)
+        return (SpinPairPoint(t, flux, flux_analytic, 2.0 * ratio * ratio,
                               _bounds.onsager_like(ratio), s_tilde.as_float()),)
 
     return in_blocks(block, len(times))[0]
@@ -494,8 +495,8 @@ def saturating_family(
 
 def _saturating_block(gaps: np.ndarray):
     """(rho, sigma, record) of a 1-D block of gaps, as stacks."""
-    magnitudes = np.abs(gaps).tolist()
-    t = np.array([math.exp(-m) for m in magnitudes])
+    magnitudes = np.abs(gaps)
+    t = _bounds.entrywise(math.exp, -magnitudes)
     small, large = t / (1.0 + t), 1.0 / (1.0 + t)
     positive = gaps >= 0.0
     low, high = np.where(positive, small, large), np.where(positive, large, small)
@@ -512,8 +513,8 @@ def _saturating_block(gaps: np.ndarray):
         finite, _bounds.flux_ratio_sq_bound(np.where(finite, s_value, 0.0)), 1.0)
     return rho, sigma, SaturatingFamily(
         log_odds_gap=gaps,
-        trace_norm_closed=np.array([2.0 * math.tanh(0.5 * m) for m in magnitudes]),
-        s_tilde_closed=_bounds.divergence_from_gap(np.abs(gaps)),
+        trace_norm_closed=2.0 * _bounds.entrywise(math.tanh, 0.5 * magnitudes),
+        s_tilde_closed=_bounds.divergence_from_gap(magnitudes),
         epsilon=np.zeros(len(gaps)),
         trace_norm=tn,
         s_tilde=s_value,
