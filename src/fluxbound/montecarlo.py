@@ -96,11 +96,6 @@ def check_master_seed(master_seed: int) -> None:
             f"master seed {master_seed} out of range [0, 2^64)")
 
 
-def _check_stream(stream: int) -> None:
-    if not 0 <= stream < (1 << _STREAM_BITS):
-        raise ValidationError(f"stream {stream} out of range [0, 2^16)")
-
-
 def check_slack_tolerance(slack_tolerance: float) -> None:
     """The scoring tolerance of a run must be positive and finite; a NaN
     would score every check as violated."""
@@ -112,11 +107,11 @@ def check_slack_tolerance(slack_tolerance: float) -> None:
 def substream(master_seed: int, draw_index: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for one draw: key = (seed, stream | index)."""
     check_master_seed(master_seed)
-    _check_stream(stream)
-    if draw_index < 0 or draw_index >= (1 << _STREAM_SHIFT):
-        raise ValidationError(f"draw index {draw_index} out of range")
-    key = np.array([np.uint64(master_seed),
-                    np.uint64((stream << _STREAM_SHIFT) + draw_index)],
+    draw = _key_words("draw index", draw_index, _STREAM_SHIFT)
+    stream = _key_words("stream", stream, _STREAM_BITS)
+    if draw.ndim or stream.ndim:
+        raise ValidationError("a substream takes one draw index and one stream")
+    key = np.array([master_seed, (int(stream) << _STREAM_SHIFT) + int(draw)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -137,8 +132,10 @@ def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _key_words(name: str, values, bits: int) -> np.ndarray:
     """values as a uint64 array, each an integer in [0, 2^bits)."""
     values = np.asarray(values)
-    if values.size and (values.dtype.kind not in "iu" or values.min() < 0
-                        or values.max() >= 1 << bits):
+    # the ends as Python numbers: numpy's min and max cost more on few values
+    words = values.ravel().tolist()
+    if words and (values.dtype.kind not in "iu" or min(words) < 0
+                  or max(words) >= 1 << bits):
         raise ValidationError(f"{name} must be integers in [0, 2^{bits})")
     return values.astype(np.uint64)
 
@@ -155,7 +152,7 @@ def philox_uniforms(master_seed: int, draws, first_words, stream: int = 0) -> np
     uniform is the word's top 53 bits times 2^-53, as Generator.random
     takes it."""
     check_master_seed(master_seed)
-    _check_stream(stream)
+    stream = _key_words("stream", stream, _STREAM_BITS)
     draws = _key_words("draw indices", draws, _STREAM_SHIFT)
     first_words = _key_words("word offsets", first_words, 63)
     lanes = (first_words % np.uint64(4)).astype(np.intp)
@@ -168,7 +165,7 @@ def philox_uniforms(master_seed: int, draws, first_words, stream: int = 0) -> np
     xored = np.zeros_like(multiplied)
     key = np.empty((2, rows, 1), dtype=np.uint64)
     key[0] = master_seed
-    key[1, :, 0] = draws + np.uint64(stream << _STREAM_SHIFT)
+    key[1, :, 0] = draws + np.uint64(int(stream) << _STREAM_SHIFT)
     for round_ in range(10):
         if round_:
             key = key + _PHILOX_W

@@ -412,6 +412,19 @@ def test_seeds_and_draw_counts_must_be_integers_in_range():
                 make(seed)
     # integer types other than int are accepted as their value
     assert substream(np.uint64(42), 7).random() == substream(42, 7).random()
+    assert (substream(42, np.int64(7), stream=np.uint16(3)).random()
+            == substream(42, 7, stream=3).random())
+    # a float draw index used to run as its integer part, substream(42, 1.5)
+    # as draw 1, and a float stream escaped as a bare TypeError
+    for draw_index in (1.5, 7.0, "7", None):
+        with pytest.raises(ValidationError, match="draw index"):
+            substream(42, draw_index)
+    for stream in (1.5, 3.0, "3", None):
+        with pytest.raises(ValidationError, match="stream"):
+            substream(42, 0, stream=stream)
+    for key in ({"draw_index": [1, 2]}, {"draw_index": 0, "stream": [3]}):
+        with pytest.raises(ValidationError, match="one draw index and one stream"):
+            substream(42, **key)
     # n_draws = 2.5 used to escape as a bare TypeError from range()
     for n_draws in (2.5, 10.0, "10"):
         with pytest.raises(ValidationError, match="n_draws must be an integer"):
