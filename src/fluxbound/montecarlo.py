@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -97,9 +98,10 @@ def check_master_seed(master_seed: int) -> None:
 
 
 def check_slack_tolerance(slack_tolerance: float) -> None:
-    """The scoring tolerance of a run must be positive and finite; a NaN
-    would score every check as violated."""
-    if not 0.0 < slack_tolerance < math.inf:
+    """The scoring tolerance of a run must be a positive finite real; a
+    NaN would score every check as violated."""
+    if not (isinstance(slack_tolerance, numbers.Real)
+            and 0.0 < slack_tolerance < math.inf):
         raise ValidationError(f"slack_tolerance must be positive and finite, "
                               f"got {slack_tolerance!r}")
 

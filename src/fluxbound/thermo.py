@@ -43,6 +43,7 @@ exp and tanh do not depend on the CPU's vector units.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -285,8 +286,18 @@ class SpinPairParams:
     times: Sequence[float] = (0.0,)
 
     def __post_init__(self):
+        for name in ("excited_population_system", "excited_population_environment",
+                     "level_splitting", "coupling_strength", "coupling_phase"):
+            if not isinstance(value := getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            times = np.asarray(self.times)
+        except ValueError:  # a ragged nesting
+            times = None
+        if times is None or times.ndim != 1 or times.dtype.kind not in "biuf":
+            raise ValidationError("times must be a sequence of real numbers")
         for name in ("level_splitting", "coupling_strength", "coupling_phase", "times"):
-            if not np.isfinite(getattr(self, name)).all():
+            if not np.isfinite(times if name == "times" else getattr(self, name)).all():
                 raise ValidationError(f"{name} must be finite")
         for label, value in (("system", self.excited_population_system),
                              ("environment", self.excited_population_environment)):
@@ -298,10 +309,9 @@ class SpinPairParams:
                                   f"normal double, {np.finfo(np.float64).tiny:.3e}")
         if self.coupling_strength <= 0.0:
             raise ValidationError("coupling strength must be positive")
-        times = list(self.times)
-        if not times or any(t < 0.0 for t in times):
+        if not times.size or (times < 0.0).any():
             raise ValidationError("times must be a nonempty list of nonnegative reals")
-        if any(b < a for a, b in zip(times, times[1:])):
+        if (times[1:] < times[:-1]).any():
             raise ValidationError("times must be nondecreasing")
         if not math.isfinite(float(self.coupling_strength) * float(times[-1])):
             raise ValidationError(

@@ -383,6 +383,11 @@ def test_draw_config_validation():
     for slack in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="slack_tolerance"):
             DrawConfig(slack_tolerance=slack)
+    # a tolerance that is no number used to escape as a bare TypeError
+    for make in (DrawConfig, VerifyConfig):
+        for slack in ("1e-9", None):
+            with pytest.raises(ValidationError, match="^slack_tolerance"):
+                make(slack_tolerance=slack)
 
 
 def test_seed_and_stream_ranges_are_checked():

@@ -357,6 +357,15 @@ def test_spin_pair_params_validation():
         SpinPairParams(times=(0.5, 0.1))
     with pytest.raises(ValidationError):
         SpinPairParams(times=(-0.1, 0.5))
+    # values of the wrong type used to escape as bare TypeErrors
+    for field, value in (("excited_population_system", None),
+                         ("excited_population_environment", "0.1"),
+                         ("level_splitting", None), ("coupling_phase", 1j)):
+        with pytest.raises(ValidationError, match=f"^{field} must be a real number"):
+            SpinPairParams(**{field: value})
+    for times in ([[0.0, 1.0]], [0.0, [1.0]], None, 1.0, ("0.5",)):
+        with pytest.raises(ValidationError, match="^times must be a sequence"):
+            SpinPairParams(times=times)
 
 
 @pytest.mark.parametrize("field, value", [
