@@ -160,7 +160,7 @@ def _cmd_spinpair(args) -> int:
         level_splitting=args.omega,
         coupling_strength=args.g,
         coupling_phase=args.omega0,
-        times=tuple(np.linspace(0.0, args.t_max, args.t_steps)),
+        times=np.linspace(0.0, args.t_max, args.t_steps),
     )
     points = spin_pair_timeseries(params)
     _emit(args, _io.SPINPAIR_HEADERS, _io.spinpair_rows(points))

@@ -37,10 +37,9 @@ from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
 from .linalg import (Spectrum, batch_of_one, eigh, expectation, first_row,
-                     from_spectrum, require_hermitian, row_label, shape_label)
-from .states import (DensityMatrix, RelEntropyValue, check_same_shape,
-                     directed_entropy_pair, symmetric_average,
-                     symmetric_relative_entropy)
+                     from_spectrum, require_hermitian, require_shape, row_label)
+from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
+                     symmetric_average, symmetric_relative_entropy)
 
 
 def clears(slack, tolerance: float):
@@ -134,14 +133,13 @@ def make_observable(matrix) -> Observable:
 def flux(observable: Observable, rho: DensityMatrix, sigma: DensityMatrix):
     """tr(theta (rho - sigma)); always within capacity up to slack.  An
     array over the rows for stacked arguments."""
+    require_shape("observable", observable.matrix, rho=rho.matrix, sigma=sigma.matrix)
     value = expectation(observable.matrix, rho.matrix - sigma.matrix)
     bad = np.abs(value) > observable.capacity + DEFAULT_TOLERANCES.slack
     if bad.any():
         k = first_row(bad)
-        raise NumericError(
-            f"flux {value[k].item()!r} exceeds capacity "
-            f"{observable.capacity[k].item()!r}{row_label(bad)}"
-        )
+        raise NumericError(f"flux {value[k].item()!r} exceeds capacity "
+                           f"{observable.capacity[k].item()!r}{row_label(bad)}")
     return value
 
 
@@ -238,7 +236,7 @@ def sign_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecompos
 @batch_of_one
 def _sign_rows(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
     """sign_decomposition of two stacks, with coinciding rows flagged."""
-    check_same_shape(rho, sigma)
+    require_shape("rho", rho.matrix, sigma=sigma.matrix)
     difference = rho.matrix - sigma.matrix
     w, vecs = eigh(difference, checked=True)
     magnitude = np.abs(w)
@@ -275,15 +273,6 @@ def _sign_rows(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
     )
 
 
-def _require_shape_of(name: str, matrix: np.ndarray, rho, sigma) -> None:
-    """Reject the first of rho and sigma without the shape of `matrix`,
-    naming it, the argument `name` and both shapes."""
-    for label, state in (("rho", rho), ("sigma", sigma)):
-        if state.matrix.shape != matrix.shape:
-            raise ValidationError(f"{label} has shape {shape_label(state.matrix)}, "
-                                  f"{name} {shape_label(matrix)}")
-
-
 @dataclass(frozen=True)
 class QturCheck:
     """Variance uncertainty relation for a bounded observable.
@@ -309,7 +298,7 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
     Raises DegenerateInputError, naming the first such row of a stack,
     where the means coincide or the states do (the floor diverges)."""
     h = require_hermitian(operator)
-    _require_shape_of("operator", h, rho, sigma)
+    require_shape("operator", h, rho=rho.matrix, sigma=sigma.matrix)
     h2 = h @ h
     mean_rho = expectation(h, rho.matrix)
     mean_sigma = expectation(h, sigma.matrix)
@@ -378,7 +367,6 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
     report, for a stack) flagged accordingly, where no verdict applies.
     Nor do the entropy steps where the entropy they read is infinite.
     """
-    _require_shape_of("observable", observable.matrix, rho, sigma)
     phi = flux(observable, rho, sigma)
     capacity = observable.capacity
     theta_scale = np.maximum(1.0, np.maximum(np.abs(observable.theta_max),

@@ -9,14 +9,16 @@ require_hermitian, eigh, partial_trace and expectation take one (n, n)
 matrix or a (B, n, n) stack.  Their bodies, like those of the stacked
 functions of states, flux and thermo, handle stacks only: batch_of_one
 runs a single input as a stack of one and returns its row 0, and errors
-name the failing row of a stack of two or more.  tensor_product takes
-two matrices or two stacks, and a single factor broadcasts against a
-stack.  unitary_from_generator takes one generator with one time or a 1-D
-grid of T times, or a (B, n, n) stack of generators with one time, and
-returns exp(-i t G) as (n, n), (T, n, n) or (B, n, n); it is the
-package's only matrix exponential, and from_spectrum, V diag(x) V^dag for
-one matrix or a stack, its only rebuild.  take_row is row k of a stacked
-result, and in_blocks fills one from blocks of config.BLOCK_ROWS rows.
+name the failing row of a stack of two or more.  as_complex_stack is the
+one coercer of a matrix operand, and require_shape the one rule that
+operands share a shape.  tensor_product takes two matrices or two stacks,
+and a single factor broadcasts against a stack.  unitary_from_generator
+takes one generator with one time or a 1-D grid of T times, or a
+(B, n, n) stack of generators with one time, and returns exp(-i t G) as
+(n, n), (T, n, n) or (B, n, n); it is the package's only matrix
+exponential, and from_spectrum, V diag(x) V^dag for one matrix or a
+stack, its only rebuild.  take_row is row k of a stacked result, and
+in_blocks fills one from blocks of config.BLOCK_ROWS rows.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -57,13 +59,14 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a square complex128 ndarray with finite entries:
-    one matrix, or a (B, n, n) stack whose error names the failing row."""
-    a = np.asarray(matrix, dtype=np.complex128)
+def as_complex_stack(matrix) -> np.ndarray:
+    """A square matrix, a (B, n, n) stack or a record carrying one in
+    .matrix, as complex128 in its layout; _require_finite checks entries."""
+    a = np.asarray(getattr(matrix, "matrix", matrix), dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    return _require_finite(a)
+        raise ValidationError(f"expected a square matrix or a stack of them, "
+                              f"got shape {shape_label(a)}")
+    return a
 
 
 def _require_finite(a: np.ndarray) -> np.ndarray:
@@ -76,13 +79,13 @@ def _require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_complex_stack(matrix) -> np.ndarray:
-    """Coerce a stack of square matrices to a (B, n, n) complex128 array."""
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"expected a square matrix or a stack of them, "
-                              f"got shape {shape_label(a)}")
-    return a
+def require_shape(name: str, matrix: np.ndarray, **operands) -> None:
+    """Each keyword operand must have the shape of `matrix`; the error names
+    the first that does not, `name` and both shapes, as shape_label reads them."""
+    for label, operand in operands.items():
+        if operand.shape != matrix.shape:
+            raise ValidationError(f"{label} has shape {shape_label(operand)}, "
+                                  f"{name} {shape_label(matrix)}")
 
 
 def first_row(flags: np.ndarray) -> int:
@@ -156,17 +159,6 @@ def _map_fields(function, record, argument):
     return record
 
 
-def as_array(operator) -> np.ndarray:
-    """The matrix of an ndarray, of a record carrying one in .matrix, or of
-    anything numpy can convert."""
-    if isinstance(operator, np.ndarray):
-        return operator
-    m = getattr(operator, "matrix", None)
-    if m is not None:
-        return m
-    return np.asarray(operator, dtype=np.complex128)
-
-
 def _is_single(argument) -> bool:
     """Whether an argument is one (n, n) matrix, a record carrying one in
     .matrix, or a record of such records whose first field is single."""
@@ -184,7 +176,7 @@ def _lift_argument(argument):
         return argument
     if hasattr(argument, "__dataclass_fields__"):
         return as_stack(argument)
-    return as_array(argument)[None]
+    return np.asarray(getattr(argument, "matrix", argument))[None]
 
 
 def batch_of_one(function):
@@ -424,7 +416,7 @@ def tensor_product(a, b) -> np.ndarray:
     row by row of a (B, m, m) and a (B, n, n) stack; a single factor
     broadcasts against a stack.  Each entry is the one product
     a[i, j] * b[k, l], as in np.kron."""
-    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    a, b = _require_finite(as_complex_stack(a)), _require_finite(as_complex_stack(b))
     if a.ndim == b.ndim == 3 and len(a) != len(b):
         raise ValidationError(f"tensor factors are stacks of {len(a)} and "
                               f"{len(b)} matrices")
@@ -471,19 +463,19 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
 @batch_of_one
 def expectation(operator, state):
     """tr(H rho) for Hermitian H, or for each pair of two (B, n, n) stacks
-    (an array over the rows); the imaginary part must be rounding noise.
-    Each trace is one sum along its own matrix, so it does not depend on
-    the stack."""
-    h = as_complex_stack(as_array(operator))
-    r = as_complex_stack(as_array(state))
-    if h.shape != r.shape:
-        raise ValidationError(f"shape mismatch {h.shape} vs {r.shape}")
+    (an array over the rows); the entries must be finite and the imaginary
+    part rounding noise.  Each trace is one sum along its own matrix, so it
+    does not depend on the stack."""
+    h, r = as_complex_stack(operator), as_complex_stack(state)
+    require_shape("operator", h, state=r)
     b, n = h.shape[0], h.shape[-1]
-    values = (h * r.swapaxes(1, 2)).reshape(b, n * n).sum(axis=1)
-    bad = np.abs(values.imag) > DEFAULT_TOLERANCES.imaginary_part
-    if bad.any():
-        raise NumericError(
-            f"expectation of a Hermitian operator has imaginary part "
-            f"{values.imag[first_row(bad)]:.3e}{row_label(bad)}"
-        )
+    # a NaN or inf entry makes its term's imaginary part NaN or inf (inf * 0)
+    with np.errstate(invalid="ignore"):
+        values = (h * r.swapaxes(1, 2)).reshape(b, n * n).sum(axis=1)
+    ok = np.abs(values.imag) <= DEFAULT_TOLERANCES.imaginary_part  # False for NaN
+    if not ok.all():
+        _require_finite(h)
+        _require_finite(r)
+        raise NumericError(f"expectation of a Hermitian operator has imaginary part "
+                           f"{values.imag[first_row(~ok)]:.3e}{row_label(~ok)}")
     return values.real

@@ -157,6 +157,13 @@ def philox_uniforms(master_seed: int, draws, first_words, stream: int = 0) -> np
     stream = _key_words("stream", stream, _STREAM_BITS)
     draws = _key_words("draw indices", draws, _STREAM_SHIFT)
     first_words = _key_words("word offsets", first_words, 63)
+    if stream.ndim:
+        raise ValidationError(f"stream must be one integer, got shape {stream.shape}")
+    if draws.ndim != 1:
+        raise ValidationError(f"draw indices must be 1-D, got shape {draws.shape}")
+    if first_words.shape != draws.shape:
+        raise ValidationError(f"word offsets must be one per draw index, got shape "
+                              f"{first_words.shape}, draw indices {draws.shape}")
     lanes = (first_words % np.uint64(4)).astype(np.intp)
     counters = (int(lanes.max(initial=0)) + UNIFORMS_PER_DRAW - 1) // 4 + 1
     rows = len(draws)

@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .errors import NumericError, ValidationError
 from .linalg import (batch_of_one, eigh, first_row, from_spectrum,
-                     require_hermitian, row_label, shape_label)
+                     require_hermitian, require_shape, row_label)
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,6 @@ def _directed_entropies(p: np.ndarray, s: np.ndarray,
     return value
 
 
-def check_same_shape(rho: DensityMatrix, sigma: DensityMatrix) -> None:
-    """Two states, or two stacks of them, must share one shape."""
-    if rho.matrix.shape != sigma.matrix.shape:
-        raise ValidationError(f"dimension mismatch {shape_label(rho.matrix)} "
-                              f"vs {shape_label(sigma.matrix)}")
-
-
 @batch_of_one
 def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
                           ) -> tuple[RelEntropyValue, RelEntropyValue]:
@@ -165,7 +158,7 @@ def directed_entropy_pair(rho: DensityMatrix, sigma: DensityMatrix,
     [-entropy_floor, 0) are rounded up to 0; anything lower raises,
     naming the first failing row of the caller's stack.
     """
-    check_same_shape(rho, sigma)
+    require_shape("rho", rho.matrix, sigma=sigma.matrix)
     overlap = np.abs(rho.eigenvectors.conj().swapaxes(1, 2) @ sigma.eigenvectors) ** 2
     values = _directed_entropies(
         np.concatenate([rho.eigenvalues, sigma.eigenvalues]),
@@ -209,7 +202,7 @@ def symmetric_relative_entropy(rho: DensityMatrix,
 def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix):
     """Trace norm ||rho - sigma||_1 (twice the trace distance); an array
     over the rows for two stacks of B states."""
-    check_same_shape(rho, sigma)
+    require_shape("rho", rho.matrix, sigma=sigma.matrix)
     # the difference of two validated states is exactly Hermitian
     w = eigh(rho.matrix - sigma.matrix, checked=True).eigenvalues
     return np.abs(w).sum(axis=1)

@@ -225,10 +225,9 @@ def suite_bound_functions(config: VerifyConfig) -> SuiteResult:
 def suite_capacity(config: VerifyConfig, tols=None) -> SuiteResult:
     """|flux| <= capacity for random triples.  tols is ignored; the
     benchmark's set-up still passes config.DEFAULT_TOLERANCES."""
-    def evaluate(thetas, rhos, sigmas):
-        theta = make_observable(thetas)
-        phi = expectation(theta.matrix, validate_state(rhos).matrix
-                          - validate_state(sigmas).matrix)
+    def evaluate(*raw):
+        theta, rho, sigma = validate_triple(*raw)
+        phi = expectation(theta.matrix, rho.matrix - sigma.matrix)
         return [(f"dim {theta.dim}", theta.capacity - np.abs(phi), True)]
     return _check_draws(SuiteResult("capacity", config.slack_tolerance), config,
                         _triple_inputs, evaluate)

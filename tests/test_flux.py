@@ -224,9 +224,10 @@ def test_single_input_checks_reject_stacks_by_name():
         qtur_check(np.diag([1.0, -1.0]), rho, take_row(sigma, 0))
 
 
-@pytest.mark.parametrize("check", [evaluate_bounds, local_system_bound_check])
+@pytest.mark.parametrize("check", [evaluate_bounds, flux, local_system_bound_check])
 def test_bound_checks_name_the_state_of_another_shape(check):
-    # used to say only "observable and states must share one dimension"
+    # used to say only "observable and states must share one dimension";
+    # flux escaped as numpy's "operands could not be broadcast together"
     thetas = make_observable(np.stack([np.diag([1.0, -1.0])] * 2))
     rhos = validate_state(np.stack([np.diag([0.2, 0.8])] * 2))
     sigmas = validate_state(np.stack([np.diag([0.6, 0.4])] * 3))

@@ -14,7 +14,7 @@ from fluxbound import (eigh, expectation, partial_trace, tensor_product,
                        unitary_from_generator)
 from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import DomainError, NumericError, ValidationError
-from fluxbound.linalg import (as_complex_matrix, from_spectrum, in_blocks,
+from fluxbound.linalg import (as_complex_stack, from_spectrum, in_blocks,
                               require_hermitian)
 
 
@@ -283,11 +283,11 @@ def test_stacked_hermiticity_error_names_the_first_bad_row():
     assert out.shape == (2, 2, 2)
 
 
-def test_as_complex_matrix_rejects_non_square():
+def test_as_complex_stack_rejects_non_square():
     with pytest.raises(ValidationError):
-        as_complex_matrix(np.zeros((2, 3)))
+        as_complex_stack(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
-        as_complex_matrix(np.zeros(4))
+        as_complex_stack(np.zeros(4))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -300,7 +300,7 @@ def test_partial_trace_and_tensor_product_reject_non_finite_entries(bad):
     with pytest.raises(ValidationError, match="non-finite"):
         tensor_product(np.eye(2), m[:2, :2])
     with pytest.raises(ValidationError, match="non-finite"):
-        as_complex_matrix(m)
+        expectation(m, m)
 
 
 def test_require_hermitian_reports_the_largest_entry_of_the_defect():
@@ -508,6 +508,34 @@ def test_expectation_rejects_a_complex_trace():
     r = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
     with pytest.raises(NumericError):
         expectation(h, r)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_expectation_refuses_non_finite_entries(bad, side):
+    # a NaN operand used to give a NaN trace, an infinite one a NaN trace
+    # after numpy's RuntimeWarning
+    operands = [np.eye(2, dtype=complex), np.diag([0.25, 0.75]).astype(complex)]
+    operands[side][0, 1] = bad
+    with pytest.raises(ValidationError, match=r"^matrix has non-finite entries$"):
+        expectation(*operands)
+    stacks = [np.stack([np.eye(2)] * 3).astype(complex),
+              np.stack([np.diag([0.25, 0.75])] * 3).astype(complex)]
+    stacks[side][1, 1, 1] = bad
+    with pytest.raises(ValidationError,
+                       match=r"^matrix has non-finite entries \(row 1 of the stack\)$"):
+        expectation(*stacks)
+
+
+def test_expectation_names_the_operand_of_another_shape():
+    # two single inputs used to print their lifted stack shapes,
+    # "shape mismatch (1, 2, 2) vs (1, 3, 3)"
+    with pytest.raises(ValidationError,
+                       match=r"^state has shape \(3, 3\), operator \(2, 2\)$"):
+        expectation(np.eye(2), np.eye(3) / 3.0)
+    with pytest.raises(ValidationError,
+                       match=r"^state has shape \(2, 2, 2\), operator \(3, 2, 2\)$"):
+        expectation(np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 2))
 
 
 def test_expectation_accepts_wrapped_operands():

@@ -111,6 +111,15 @@ def test_philox_uniforms_reject_out_of_range_keys():
     for offsets in ([-7], [7.0]):
         with pytest.raises(ValidationError, match="word offsets"):
             philox_uniforms(42, [0], offsets)
+    # each used to escape as a bare TypeError or numpy broadcasting error
+    with pytest.raises(ValidationError, match="^stream must be one integer"):
+        philox_uniforms(42, [0], [0], stream=[1, 2])
+    for draws in (0, [[0, 1]]):
+        with pytest.raises(ValidationError, match="^draw indices must be 1-D"):
+            philox_uniforms(42, draws, [0])
+    for offsets in ([[0]], [0, 0], 0):
+        with pytest.raises(ValidationError, match="^word offsets must be one per draw"):
+            philox_uniforms(42, [0], offsets)
 
 
 def _per_row_matrices(u):

@@ -9,9 +9,9 @@ import pytest
 from conftest import (random_state_np, reference_relative_entropy, rng_for)
 from fluxbound import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                        evaluate_bounds, make_observable, partial_trace,
-                       random_unitary, relative_entropy, symmetric_average,
-                       symmetric_relative_entropy, tensor_product,
-                       trace_distance_norm, validate_state)
+                       random_unitary, relative_entropy, sign_decomposition,
+                       symmetric_average, symmetric_relative_entropy,
+                       tensor_product, trace_distance_norm, validate_state)
 from fluxbound.errors import NumericError, ValidationError
 
 # two-level pair with populations (e^{-a/2}, e^{a/2}) / (2 cosh(a/2)) and
@@ -298,3 +298,14 @@ def test_support_dim_counts_nonzero_eigenvalues():
     pure = validate_state(np.diag([0.0, 1.0, 0.0]))
     assert pure.support_dim() == 1
     assert pure.dim == 3
+
+
+@pytest.mark.parametrize("pair_function", [directed_entropy_pair,
+                                           trace_distance_norm, sign_decomposition])
+def test_pair_functions_name_the_state_of_another_shape(pair_function):
+    # used to read "dimension mismatch (2, 2) vs (3, 3)"
+    rho = validate_state(np.diag([0.2, 0.8]))
+    sigma = validate_state(np.diag([0.1, 0.2, 0.7]))
+    with pytest.raises(ValidationError,
+                       match=r"^sigma has shape \(3, 3\), rho \(2, 2\)$"):
+        pair_function(rho, sigma)

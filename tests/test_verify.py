@@ -8,6 +8,7 @@ import pytest
 
 import fluxbound.bounds as bounds_module
 import fluxbound.linalg as linalg_module
+import fluxbound.montecarlo as montecarlo_module
 import fluxbound.verify as verify_module
 from conftest import rows_of
 from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
@@ -387,13 +388,13 @@ def test_runs_of_block_rows_draws_equal_a_draw_by_draw_run(monkeypatch, name):
 def test_a_suite_holds_one_run_of_draws_at_a_time(monkeypatch):
     # memory stays flat as the draw count grows: no stack exceeds a run
     rows = []
-    original = verify_module.make_observable
+    original = montecarlo_module.make_observable
 
     def counted(matrices):
         rows.append(len(matrices))
         return original(matrices)
     monkeypatch.setattr(verify_module, "BLOCK_ROWS", 6)
-    monkeypatch.setattr(verify_module, "make_observable", counted)
+    monkeypatch.setattr(montecarlo_module, "make_observable", counted)
     assert suite_capacity(VerifyConfig(draws=40)).checks == 40
     assert sum(rows) == 40 and max(rows) == 2
 
