@@ -39,9 +39,7 @@ from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, ChainCheck,
                      local_system_bound_check, make_scenario,
                      saturating_family, spin_hamiltonian, spin_pair_scenario,
                      spin_pair_timeseries, thermal_environment)
-from .verify import (VerifyConfig, VerifyReport, random_density,
-                     random_hermitian, random_observable, random_scenario,
-                     random_unitary, run_verify)
+from .verify import VerifyConfig, VerifyReport, random_hermitian, run_verify
 
 __version__ = "0.1.0"
 

@@ -216,7 +216,6 @@ class SignDecomposition:
     sign_operator: np.ndarray
     kernel_projector: np.ndarray
     epsilon: float
-    zero_tolerance: float
     difference_spectrum: Spectrum
     states_equal: bool = False
 
@@ -267,7 +266,6 @@ def _sign_rows(rho: DensityMatrix, sigma: DensityMatrix) -> SignDecomposition:
         sign_operator=omega,
         kernel_projector=eps_op,
         epsilon=np.clip(0.5 * (eps_rho + eps_sigma), 0.0, 1.0),
-        zero_tolerance=zero_tolerance,
         difference_spectrum=Spectrum(w, vecs),
         states_equal=equal,
     )

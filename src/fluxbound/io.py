@@ -54,11 +54,6 @@ def _tokens(column, header, rules):
                           "a bool, integer, float or string")
 
 
-def format_value(value) -> str:
-    """The CSV token of one value."""
-    return "".join(_tokens((value,), "value", _RULES[FORMAT_CSV]))
-
-
 def write_table(stream, headers, rows, fmt: str = FORMAT_CSV) -> None:
     """Write rows (sequences aligned with headers) as CSV or JSON lines."""
     if fmt not in _RULES:

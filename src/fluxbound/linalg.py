@@ -11,14 +11,16 @@ functions of states, flux and thermo, handle stacks only: batch_of_one
 runs a single input as a stack of one and returns its row 0, and errors
 name the failing row of a stack of two or more.  as_complex_stack is the
 one coercer of a matrix operand, and require_shape the one rule that
-operands share a shape.  tensor_product takes two matrices or two stacks,
-and a single factor broadcasts against a stack.  unitary_from_generator
-takes one generator with one time or a 1-D grid of T times, or a
-(B, n, n) stack of generators with one time, and returns exp(-i t G) as
-(n, n), (T, n, n) or (B, n, n); it is the package's only matrix
-exponential, and from_spectrum, V diag(x) V^dag for one matrix or a
-stack, its only rebuild.  take_row is row k of a stacked result, and
-in_blocks fills one from blocks of config.BLOCK_ROWS rows.
+operands share a shape; their errors name the operand.  tensor_product,
+partial_trace and expectation refuse a result that overflows.
+tensor_product takes two matrices or two stacks, and a single factor
+broadcasts against a stack.  unitary_from_generator takes one generator
+with one time or a 1-D grid of T times, or a (B, n, n) stack of
+generators with one time, and returns exp(-i t G) as (n, n), (T, n, n)
+or (B, n, n); it is the package's only matrix exponential, and
+from_spectrum, V diag(x) V^dag for one matrix or a stack, its only
+rebuild.  take_row is row k of a stacked result, and in_blocks fills one
+from blocks of config.BLOCK_ROWS rows.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -59,23 +61,23 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_complex_stack(matrix) -> np.ndarray:
-    """A square matrix, a (B, n, n) stack or a record carrying one in
-    .matrix, as complex128 in its layout; _require_finite checks entries."""
+def as_complex_stack(matrix, name: str) -> np.ndarray:
+    """Operand `name` (a square matrix, a (B, n, n) stack or a record with
+    one in .matrix) as complex128 in its layout; _require_finite checks entries."""
     a = np.asarray(getattr(matrix, "matrix", matrix), dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"expected a square matrix or a stack of them, "
-                              f"got shape {shape_label(a)}")
+        raise ValidationError(f"{name} must be a square matrix or a stack of "
+                              f"them, got shape {shape_label(a)}")
     return a
 
 
-def _require_finite(a: np.ndarray) -> np.ndarray:
+def _require_finite(a: np.ndarray, name: str) -> np.ndarray:
     """One matrix or a (B, n, n) stack, checked for non-finite entries;
-    the error names the first failing row of a stack."""
+    the error names the operand and the first failing row of a stack."""
     finite = np.isfinite(a)
     if not finite.all():
         bad = np.atleast_1d(~finite.all(axis=(-2, -1)))
-        raise ValidationError(f"matrix has non-finite entries{row_label(bad)}")
+        raise ValidationError(f"{name} has non-finite entries{row_label(bad)}")
     return a
 
 
@@ -202,7 +204,7 @@ def require_hermitian(matrix) -> np.ndarray:
     One check covers the whole stack; the error names the first failing
     row of a stack.
     """
-    a = _require_finite(as_complex_stack(matrix))
+    a = _require_finite(as_complex_stack(matrix, "matrix"), "matrix")
     ah = a.conj().swapaxes(1, 2)
     defect = np.abs(a - ah)
     tolerance = DEFAULT_TOLERANCES.hermiticity
@@ -323,7 +325,7 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     (entries beyond about 1e154).  checked=True skips the input validation
     for a stack that already went through require_hermitian.
     """
-    a = as_complex_stack(matrix) if checked else require_hermitian(matrix)
+    a = as_complex_stack(matrix, "matrix") if checked else require_hermitian(matrix)
     b, n = a.shape[0], a.shape[-1]
     diagonal = a.diagonal(axis1=1, axis2=2)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
@@ -415,14 +417,20 @@ def tensor_product(a, b) -> np.ndarray:
     """Kronecker product (first factor varies slowest) of two matrices, or
     row by row of a (B, m, m) and a (B, n, n) stack; a single factor
     broadcasts against a stack.  Each entry is the one product
-    a[i, j] * b[k, l], as in np.kron."""
-    a, b = _require_finite(as_complex_stack(a)), _require_finite(as_complex_stack(b))
+    a[i, j] * b[k, l], as in np.kron; an entry that overflows raises."""
+    a = _require_finite(as_complex_stack(a, "first factor"), "first factor")
+    b = _require_finite(as_complex_stack(b, "second factor"), "second factor")
     if a.ndim == b.ndim == 3 and len(a) != len(b):
         raise ValidationError(f"tensor factors are stacks of {len(a)} and "
                               f"{len(b)} matrices")
     m, n = a.shape[-1], b.shape[-1]
-    product = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return product.reshape(product.shape[:-4] + (m * n, m * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    product = product.reshape(product.shape[:-4] + (m * n, m * n))
+    if not np.isfinite(product).all():
+        bad = np.atleast_1d(~np.isfinite(product).all(axis=(-2, -1)))
+        raise NumericError(f"tensor product overflows{row_label(bad)}")
+    return product
 
 
 @batch_of_one
@@ -437,7 +445,7 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
     input's layout, (d, d) or (B, d, d); errors name the first failing row
     of a stack.
     """
-    a = _require_finite(as_complex_stack(matrix))
+    a = _require_finite(as_complex_stack(matrix, "matrix"), "matrix")
     if dim_system < 1 or dim_environment < 1:
         raise ValidationError("tensor factor dimensions must be positive")
     if a.shape[-1] != dim_system * dim_environment:
@@ -446,14 +454,16 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
             f"{dim_system} x {dim_environment}"
         )
     blocks = a.reshape(-1, dim_system, dim_environment, dim_system, dim_environment)
-    if keep == "system":
-        reduced = np.einsum("bikjk->bij", blocks)
-    elif keep == "environment":
-        reduced = np.einsum("bkikj->bij", blocks)
-    else:
+    if keep not in ("system", "environment"):
         raise ValidationError(f"keep must be 'system' or 'environment', got {keep!r}")
-    defect = np.abs(np.trace(reduced, axis1=1, axis2=2) - np.trace(a, axis1=1, axis2=2))
-    bad = defect > DEFAULT_TOLERANCES.trace_preservation
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = np.einsum("bikjk->bij" if keep == "system" else "bkikj->bij", blocks)
+        defect = np.abs(reduced.trace(axis1=1, axis2=2) - a.trace(axis1=1, axis2=2))
+    finite = np.isfinite(defect)  # an overflow leaves an inf trace or a NaN defect
+    if not (finite.all() and np.isfinite(reduced).all()):
+        bad = ~(finite & np.isfinite(reduced).all(axis=(1, 2)))
+        raise NumericError(f"partial trace overflows{row_label(bad)}")
+    bad = ~(defect <= DEFAULT_TOLERANCES.trace_preservation)  # True for NaN
     if bad.any():
         raise NumericError(f"partial trace changed the trace by "
                            f"{defect[first_row(bad)]:.3e}{row_label(bad)}")
@@ -464,18 +474,20 @@ def partial_trace(matrix, dim_system: int, dim_environment: int,
 def expectation(operator, state):
     """tr(H rho) for Hermitian H, or for each pair of two (B, n, n) stacks
     (an array over the rows); the entries must be finite and the imaginary
-    part rounding noise.  Each trace is one sum along its own matrix, so it
-    does not depend on the stack."""
-    h, r = as_complex_stack(operator), as_complex_stack(state)
+    part rounding noise, and a trace that overflows raises.  Each trace is
+    one sum along its own matrix, so it does not depend on the stack."""
+    h, r = as_complex_stack(operator, "operator"), as_complex_stack(state, "state")
     require_shape("operator", h, state=r)
     b, n = h.shape[0], h.shape[-1]
-    # a NaN or inf entry makes its term's imaginary part NaN or inf (inf * 0)
-    with np.errstate(invalid="ignore"):
+    # a NaN or inf entry makes its term non-finite (inf * 0 is NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
         values = (h * r.swapaxes(1, 2)).reshape(b, n * n).sum(axis=1)
-    ok = np.abs(values.imag) <= DEFAULT_TOLERANCES.imaginary_part  # False for NaN
+    if not np.isfinite(values).all():
+        _require_finite(h, "operator")
+        _require_finite(r, "state")
+        raise NumericError(f"expectation overflows{row_label(~np.isfinite(values))}")
+    ok = np.abs(values.imag) <= DEFAULT_TOLERANCES.imaginary_part
     if not ok.all():
-        _require_finite(h)
-        _require_finite(r)
         raise NumericError(f"expectation of a Hermitian operator has imaginary part "
                            f"{values.imag[first_row(~ok)]:.3e}{row_label(~ok)}")
     return values.real

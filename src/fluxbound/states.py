@@ -49,11 +49,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    def support_dim(self):
-        """Number of eigenvalues above the rank tolerance, per row of a stack."""
-        count = np.sum(self.eigenvalues > DEFAULT_TOLERANCES.rank, axis=-1)
-        return int(count) if count.ndim == 0 else count
-
 
 @batch_of_one
 def validate_state(matrix) -> DensityMatrix:
@@ -102,10 +97,6 @@ class RelEntropyValue:
     """
 
     value: float
-
-    @classmethod
-    def infinite(cls) -> "RelEntropyValue":
-        return cls(math.inf)
 
     def __post_init__(self):
         ok = np.asarray(self.value) >= 0.0  # False for NaN too

@@ -54,8 +54,8 @@ from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import (BoundReport, Observable, Verdict, all_hold, evaluate_bounds,
                    make_observable)
-from .linalg import (as_stack, batch_of_one, eigh, expectation, first_row,
-                     from_spectrum, in_blocks, partial_trace, row_label,
+from .linalg import (as_complex_stack, as_stack, batch_of_one, eigh, expectation,
+                     first_row, from_spectrum, in_blocks, partial_trace, row_label,
                      shape_label, take_row, tensor_product, unitary_from_generator)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      symmetric_average, symmetric_relative_entropy,
@@ -85,7 +85,7 @@ def make_scenario(rho_system: DensityMatrix, rho_environment: DensityMatrix,
                   unitary) -> BipartiteScenario:
     """Check the unitary of a scenario, or of each row of stacks of B
     states and unitaries; errors name the first failing row."""
-    u = np.asarray(unitary, dtype=np.complex128)
+    u = as_complex_stack(unitary, "unitary")
     rows, d = len(rho_system.matrix), rho_system.dim * rho_environment.dim
     if u.shape != (rows, d, d) or len(rho_environment.matrix) != rows:
         raise ValidationError(
@@ -466,7 +466,6 @@ class SaturatingFamily:
     log_odds_gap: float
     trace_norm_closed: float
     s_tilde_closed: float
-    epsilon: float
     trace_norm: float
     s_tilde: float
     bound_value: float
@@ -525,7 +524,6 @@ def _saturating_block(gaps: np.ndarray):
         log_odds_gap=gaps,
         trace_norm_closed=2.0 * _bounds.entrywise(math.tanh, 0.5 * magnitudes),
         s_tilde_closed=_bounds.divergence_from_gap(magnitudes),
-        epsilon=np.zeros(len(gaps)),
         trace_norm=tn,
         s_tilde=s_value,
         bound_value=bound_value,

@@ -32,14 +32,14 @@ import numpy as np
 
 from . import bounds as _bounds
 from .config import BLOCK_ROWS
-from .flux import (Observable, ShiftCheck, clears, evaluate_bounds, lowers,
+from .flux import (ShiftCheck, clears, evaluate_bounds, lowers,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
 from .linalg import expectation, take_row, unitary_from_generator
 from .montecarlo import (check_draw_count, check_master_seed,
                          check_slack_tolerance, qubit_matrices, substream,
                          validate_triple)
-from .states import DensityMatrix, validate_state
+from .states import validate_state
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      correlation, correlation_bound_report, entropy_flux,
                      entropy_flux_chain_check, evolve,
@@ -90,7 +90,7 @@ class VerifyReport:
         return all(s.violations == 0 for s in self.suites)
 
 
-# generic random objects, used by the suites and the tests
+# the raw random inputs of the suites, drawn from a draw's substream
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -98,29 +98,16 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _state_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """The matrix of random_density's state, not yet validated."""
+    """Full-rank G G^dag / tr from a square Ginibre G, not yet validated."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return m / float(np.trace(m).real)
 
 
-def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Full-rank state from a square Ginibre factor, rho = G G^dag / tr."""
-    return validate_state(_state_matrix(rng, dim))
-
-
-def random_observable(rng: np.random.Generator, dim: int) -> Observable:
-    return make_observable(random_hermitian(rng, dim))
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return unitary_from_generator(random_hermitian(rng, dim), 1.0)
-
-
 def _scenario_inputs(rng: np.random.Generator, dim_system: int,
                      dim_environment: int) -> tuple:
     """A scenario's raw inputs (rho_S, rho_E, generator of U), in the
-    order random_scenario draws them."""
+    order they are drawn."""
     return (_state_matrix(rng, dim_system),
             _state_matrix(rng, dim_environment),
             random_hermitian(rng, dim_system * dim_environment))
@@ -130,11 +117,6 @@ def _scenario(rho_system, rho_environment, generator) -> BipartiteScenario:
     """The scenario of raw inputs, or the stack of scenarios of stacks."""
     return make_scenario(validate_state(rho_system), validate_state(rho_environment),
                          unitary_from_generator(generator, 1.0))
-
-
-def random_scenario(rng: np.random.Generator, dim_system: int = 2,
-                    dim_environment: int = 2) -> BipartiteScenario:
-    return _scenario(*_scenario_inputs(rng, dim_system, dim_environment))
 
 
 def _rows(columns) -> list:

@@ -16,11 +16,13 @@ import pytest
 
 from fluxbound import (DrawRecord, SaturatingFamily, SpinPairPoint,
                        divergence_from_gap, evaluate_bounds, exchange_generator,
-                       expectation, flux_ratio_sq_bound, onsager_like,
-                       partial_trace, spin_hamiltonian, substream,
-                       symmetric_relative_entropy, take_row, tensor_product,
-                       trace_distance_norm, triple_from_uniforms,
+                       expectation, flux_ratio_sq_bound, make_observable,
+                       onsager_like, partial_trace, random_hermitian,
+                       spin_hamiltonian, substream, symmetric_relative_entropy,
+                       take_row, tensor_product, trace_distance_norm,
                        unitary_from_generator, validate_state)
+from fluxbound.montecarlo import qubit_matrices, validate_triple
+from fluxbound.verify import _scenario, _scenario_inputs, _state_matrix
 
 
 @pytest.fixture
@@ -75,6 +77,26 @@ def random_hermitian_np(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+# validated random objects, drawn as the verify suites draw their raw inputs
+
+def random_density(rng: np.random.Generator, dim: int):
+    """Full-rank state from a square Ginibre factor, rho = G G^dag / tr."""
+    return validate_state(_state_matrix(rng, dim))
+
+
+def random_observable(rng: np.random.Generator, dim: int):
+    return make_observable(random_hermitian(rng, dim))
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return unitary_from_generator(random_hermitian(rng, dim), 1.0)
+
+
+def random_scenario(rng: np.random.Generator, dim_system: int = 2,
+                    dim_environment: int = 2):
+    return _scenario(*_scenario_inputs(rng, dim_system, dim_environment))
+
+
 def rows_of(record) -> list:
     """Every row of a record of arrays, through take_row."""
     return [take_row(record, k) for k in range(len(next(iter(vars(record).values()))))]
@@ -83,7 +105,7 @@ def rows_of(record) -> list:
 def replay_draw(seed: int, draw: int) -> DrawRecord:
     """Draw `draw` of the Monte Carlo sweep under report_infinite, sampled
     from its own substream and evaluated alone."""
-    theta, rho, sigma = triple_from_uniforms(substream(seed, draw).random(7))
+    theta, rho, sigma = validate_triple(*qubit_matrices(substream(seed, draw).random(7)))
     report = evaluate_bounds(theta, rho, sigma)
     return DrawRecord(draw, report.flux_ratio_sq, report.s_tilde.as_float(),
                       report.pinsker_rhs, report.main_rhs, report.strengthened_rhs,
@@ -125,5 +147,5 @@ def saturating_point(a: float):
     s_tilde = symmetric_relative_entropy(rho, sigma)
     bound = flux_ratio_sq_bound(s_tilde.value) if s_tilde.finite else 1.0
     return rho, sigma, SaturatingFamily(
-        a, 2.0 * math.tanh(0.5 * abs(a)), divergence_from_gap(abs(a)), 0.0,
-        tn, s_tilde.as_float(), bound, abs(0.25 * tn * tn - bound))
+        a, 2.0 * math.tanh(0.5 * abs(a)), divergence_from_gap(abs(a)), tn,
+        s_tilde.as_float(), bound, abs(0.25 * tn * tn - bound))

@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import random_density, random_observable, random_scenario
 from fluxbound import (DrawConfig, SpinPairParams, divergence_from_gap,
                        entropy_flux, entropy_flux_chain_check, evolve,
                        expectation, flux_ratio_sq_bound, gap_from_divergence,
                        local_system_bound_check, make_scenario, optimal_shift_check,
-                       qtur_check, random_density, random_observable,
-                       random_scenario, run_montecarlo, saturating_family,
+                       qtur_check, run_montecarlo, saturating_family,
                        sign_decomposition, spin_hamiltonian, spin_pair_scenario,
                        spin_pair_timeseries, substream, take_row, tensor_product,
                        thermal_environment, trace_distance_norm,

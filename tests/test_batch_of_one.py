@@ -7,13 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_state_np, rng_for
+from conftest import random_observable, random_state_np, rng_for
 from fluxbound import (BOTH_RESET, correlation, correlation_bound_report,
                        directed_entropy_pair, eigh, entropy_flux,
                        entropy_flux_chain_check, evaluate_bounds, evolve,
                        expectation, flux, make_observable, make_scenario,
                        optimal_shift_check, partial_trace, qtur_check,
-                       random_observable, sign_decomposition,
+                       sign_decomposition,
                        thermal_environment, trace_distance_norm,
                        unitary_from_generator, validate_state)
 from fluxbound.errors import FluxboundError

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state_np, rng_for
+from conftest import random_observable, random_state_np, rng_for
 from fluxbound import (DEFAULT_TOLERANCES, QturCheck, ShiftCheck, Verdict,
                        evaluate_bounds, flux, local_system_bound_check,
                        make_observable, optimal_shift_check, qtur_check,
-                       random_observable, sign_decomposition, validate_state)
+                       sign_decomposition, validate_state)
 from fluxbound.errors import (DegenerateInputError, FluxboundError,
                               NumericError, ValidationError)
 from fluxbound.linalg import take_row

@@ -15,9 +15,9 @@ from fluxbound import saturating_family, spin_pair_timeseries, SpinPairParams
 from fluxbound.errors import FluxboundError, ValidationError
 from fluxbound.io import (CHUNK_ROWS, FORMAT_CSV, FORMAT_JSONL,
                           MONTECARLO_HEADERS, SATURATION_HEADERS,
-                          SPINPAIR_HEADERS, VERIFY_HEADERS, format_value,
-                          montecarlo_rows, saturation_rows, spinpair_rows,
-                          verify_rows, write_table)
+                          SPINPAIR_HEADERS, VERIFY_HEADERS, montecarlo_rows,
+                          saturation_rows, spinpair_rows, verify_rows,
+                          write_table)
 from fluxbound.montecarlo import (POLICY_REDRAW, POLICY_REPORT_INFINITE,
                                   DrawConfig, qubit_matrices, run_montecarlo)
 from fluxbound.verify import VerifyConfig, run_verify
@@ -60,6 +60,12 @@ def _written(headers, rows, fmt):
     return out.getvalue()
 
 
+def _csv_token(value) -> str:
+    """The CSV token of one value, alone in a one-column table."""
+    _, token = _written(("value",), [(value,)], FORMAT_CSV).splitlines()
+    return token
+
+
 def _assert_matches_reference(headers, rows, fmt):
     written = _written(headers, rows, fmt).splitlines(keepends=True)
     expected = _reference_table(headers, rows, fmt).splitlines(keepends=True)
@@ -82,21 +88,21 @@ def test_headers_are_pinned():
     assert VERIFY_HEADERS == ("suite", "checks", "violations", "min_slack")
 
 
-def test_format_value_round_trips_floats():
+def test_csv_tokens_round_trip_floats():
     rng = np.random.default_rng(3)
     for x in rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50):
-        assert float(format_value(float(x))) == float(x)
+        assert float(_csv_token(float(x))) == float(x)
 
 
-def test_format_value_special_cases():
-    assert format_value(math.inf) == "inf"
-    assert format_value(-math.inf) == "-inf"
-    assert format_value(math.nan) == "nan"
-    assert format_value(True) == "true"
-    assert format_value(False) == "false"
-    assert format_value(7) == "7"
-    assert format_value("saturation") == "saturation"
-    assert format_value(0.1) == "0.10000000000000001"
+def test_csv_token_special_cases():
+    assert _csv_token(math.inf) == "inf"
+    assert _csv_token(-math.inf) == "-inf"
+    assert _csv_token(math.nan) == "nan"
+    assert _csv_token(True) == "true"
+    assert _csv_token(False) == "false"
+    assert _csv_token(7) == "7"
+    assert _csv_token("saturation") == "saturation"
+    assert _csv_token(0.1) == "0.10000000000000001"
 
 
 def test_write_table_csv_layout():
@@ -259,8 +265,8 @@ def test_numpy_scalars_are_written_as_python_values():
         for rows in ([row], [row, python]):
             assert _written(headers, rows, fmt) == _reference_table(
                 headers, [python] * len(rows), fmt)
-    assert format_value(np.bool_(False)) == "false"
-    assert format_value(np.uint8(255)) == "255"
+    assert _csv_token(np.bool_(False)) == "false"
+    assert _csv_token(np.uint8(255)) == "255"
 
 
 @pytest.mark.parametrize("fmt", [FORMAT_CSV, FORMAT_JSONL])

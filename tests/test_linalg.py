@@ -7,13 +7,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluxbound.linalg as linalg_module
 from conftest import random_hermitian_np, reference_partial_trace, rng_for
 from fluxbound import (eigh, expectation, partial_trace, tensor_product,
                        unitary_from_generator)
 from fluxbound.config import BLOCK_ROWS
-from fluxbound.errors import DomainError, NumericError, ValidationError
+from fluxbound.errors import (DomainError, FluxboundError, NumericError,
+                              ValidationError)
 from fluxbound.linalg import (as_complex_stack, from_spectrum, in_blocks,
                               require_hermitian)
 
@@ -284,10 +287,92 @@ def test_stacked_hermiticity_error_names_the_first_bad_row():
 
 
 def test_as_complex_stack_rejects_non_square():
-    with pytest.raises(ValidationError):
-        as_complex_stack(np.zeros((2, 3)))
-    with pytest.raises(ValidationError):
-        as_complex_stack(np.zeros(4))
+    with pytest.raises(ValidationError, match=r"^unitary must be a square matrix "
+                       r"or a stack of them, got shape \(2, 3\)$"):
+        as_complex_stack(np.zeros((2, 3)), "unitary")
+    with pytest.raises(ValidationError, match=r"^matrix must be .* \(4,\)$"):
+        as_complex_stack(np.zeros(4), "matrix")
+
+
+def test_gate_functions_name_their_operand():
+    # both used to read "matrix has non-finite entries" and "expected a
+    # square matrix or a stack of them, got shape ..."
+    with pytest.raises(ValidationError, match=r"^second factor has non-finite entries$"):
+        tensor_product(np.eye(2), np.full((2, 2), np.nan))
+    with pytest.raises(ValidationError, match=r"^first factor must be a square matrix "
+                       r"or a stack of them, got shape \(2, 3\)$"):
+        tensor_product(np.zeros((2, 3)), np.eye(2))
+    with pytest.raises(ValidationError, match=r"^operator must be .* \(2, 3\)$"):
+        expectation(np.zeros((2, 3)), np.eye(2))
+    with pytest.raises(ValidationError, match=r"^state must be .* \(4,\)$"):
+        expectation(np.eye(2), np.zeros(4))
+    with pytest.raises(ValidationError, match=r"^matrix must be .* \(4, 2\)$"):
+        partial_trace(np.zeros((4, 2)), 2, 2)
+
+
+# finite inputs whose results overflow: these used to return nan or inf,
+# some of them after numpy's RuntimeWarning
+OVERFLOWS = {
+    "expectation, inf - inf": (expectation, (np.diag([1e200, -1e200]),
+                                             np.diag([1e200, 1e200]))),
+    "expectation, inf": (expectation, (np.diag([1e300, 1e300]),
+                                       np.diag([1e300, 1e300]))),
+    "tensor product": (tensor_product, (np.full((2, 2), 1e200), 1e200 * np.eye(2))),
+    "partial trace": (partial_trace, (1e308 * np.eye(4), 2, 2)),
+    "partial trace, trace": (partial_trace, (np.diag([1e308, 1e308, 0.0, 0.0]),
+                                             2, 2, "environment")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_gate_functions_refuse_a_result_that_overflows(case):
+    function, args = OVERFLOWS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"overflows$"):
+            function(*args)
+        # a stack names the row that overflows
+        stacks = [np.stack([np.eye(len(a)), a, a]) if isinstance(a, np.ndarray)
+                  else a for a in args]
+        with pytest.raises(NumericError, match=r"overflows \(row 1 of the stack\)$"):
+            function(*stacks)
+
+
+def _entry(k: int) -> float:
+    """0 for k = 0, else sign(k) 10^(|k| - 301): a finite magnitude from
+    1e-300 to 1e300 for 0 < |k| <= 601."""
+    return 0.0 if k == 0 else math.copysign(10.0 ** (abs(k) - 301), k)
+
+
+@st.composite
+def _hermitian(draw, n: int) -> np.ndarray:
+    """A Hermitian n x n matrix whose entries mix scales: the real parts
+    come from the diagonal and upper triangle, the imaginary ones from the
+    lower triangle."""
+    codes = draw(st.lists(st.integers(-601, 601), min_size=n * n, max_size=n * n))
+    parts = np.array([_entry(k) for k in codes]).reshape(n, n)
+    upper = np.triu(parts, 1) + 1j * np.tril(parts, -1).T
+    return np.diag(parts.diagonal()) + upper + upper.conj().T
+
+
+def _finite_or_refused(function, *args) -> None:
+    try:
+        result = function(*args)
+    except FluxboundError:
+        return
+    assert np.isfinite(result).all()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_gate_functions_return_finite_values_or_refuse(data):
+    # pytest turns any numpy RuntimeWarning into a failure
+    n, m = data.draw(st.sampled_from([2, 4])), data.draw(st.sampled_from([2, 4]))
+    a, b, c = (data.draw(_hermitian(k)) for k in (n, n, m))
+    _finite_or_refused(expectation, a, b)
+    _finite_or_refused(tensor_product, a, c)
+    for keep in ("system", "environment"):
+        _finite_or_refused(partial_trace, a, 2, n // 2, keep)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -426,7 +511,7 @@ def test_tensor_product_names_a_non_finite_row_of_a_stack():
     with pytest.raises(ValidationError,
                        match=r"non-finite entries \(row 1 of the stack\)"):
         tensor_product(a, a)
-    with pytest.raises(ValidationError, match=r"^matrix has non-finite entries$"):
+    with pytest.raises(ValidationError, match=r"^first factor has non-finite entries$"):
         tensor_product(a[1], np.eye(2))
 
 
@@ -517,13 +602,14 @@ def test_expectation_refuses_non_finite_entries(bad, side):
     # after numpy's RuntimeWarning
     operands = [np.eye(2, dtype=complex), np.diag([0.25, 0.75]).astype(complex)]
     operands[side][0, 1] = bad
-    with pytest.raises(ValidationError, match=r"^matrix has non-finite entries$"):
+    name = ("operator", "state")[side]
+    with pytest.raises(ValidationError, match=rf"^{name} has non-finite entries$"):
         expectation(*operands)
     stacks = [np.stack([np.eye(2)] * 3).astype(complex),
               np.stack([np.diag([0.25, 0.75])] * 3).astype(complex)]
     stacks[side][1, 1, 1] = bad
     with pytest.raises(ValidationError,
-                       match=r"^matrix has non-finite entries \(row 1 of the stack\)$"):
+                       match=rf"^{name} has non-finite entries \(row 1 of the stack\)$"):
         expectation(*stacks)
 
 

@@ -9,16 +9,16 @@ import pytest
 
 import fluxbound.bounds as bounds_module
 import fluxbound.montecarlo as montecarlo_module
-from conftest import replay_draw, rows_of
-from fluxbound import (DrawConfig, POLICY_REDRAW, POLICY_REPORT_INFINITE,
-                       evaluate_bounds, make_observable, random_density,
-                       random_observable, random_scenario, random_unitary,
-                       run_montecarlo, substream, triple_from_uniforms,
-                       validate_state)
+from conftest import (random_density, random_observable, random_scenario,
+                      random_unitary, replay_draw, rows_of)
+from fluxbound import (DEFAULT_TOLERANCES, DrawConfig, POLICY_REDRAW,
+                       POLICY_REPORT_INFINITE, evaluate_bounds, make_observable,
+                       run_montecarlo, substream, validate_state)
 from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import ValidationError
 from fluxbound.montecarlo import (MAX_REDRAWS, check_master_seed,
-                                  philox_uniforms, qubit_matrices)
+                                  philox_uniforms, qubit_matrices,
+                                  validate_triple)
 from fluxbound.verify import VerifyConfig
 
 
@@ -39,7 +39,7 @@ def test_substream_rejects_out_of_range_indices():
 
 
 def test_triple_from_uniforms_midpoint():
-    theta, rho, sigma = triple_from_uniforms([0.5] * 7)
+    theta, rho, sigma = validate_triple(*qubit_matrices([0.5] * 7))
     assert np.max(np.abs(rho.matrix - 0.5 * np.eye(2))) <= 1e-15
     c = -math.sqrt(0.125)  # |C|^2 = 0.5 * 0.5 * 0.5, phase pi
     expected_sigma = np.array([[0.5, c], [c, 0.5]])
@@ -52,11 +52,12 @@ def test_triple_from_uniforms_midpoint():
 
 def test_triple_from_uniforms_edge_values_stay_valid():
     # u3 = 1 puts sigma on the boundary of positivity (a pure state)
-    theta, rho, sigma = triple_from_uniforms([0.3, 0.5, 1.0, 0.0, 0.5, 0.5, 0.0])
+    theta, rho, sigma = validate_triple(
+        *qubit_matrices([0.3, 0.5, 1.0, 0.0, 0.5, 0.5, 0.0]))
     assert min(sigma.eigenvalues) >= 0.0
-    assert sigma.support_dim() == 1
+    assert np.sum(sigma.eigenvalues > DEFAULT_TOLERANCES.rank) == 1
     # u values of exactly zero collapse the off-diagonals
-    theta, rho, sigma = triple_from_uniforms([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    theta, rho, sigma = validate_triple(*qubit_matrices([0.0] * 7))
     assert np.max(np.abs(sigma.matrix - np.diag([1.0, 0.0]))) <= 1e-15
     assert theta.capacity == 0.0
 
@@ -64,7 +65,7 @@ def test_triple_from_uniforms_edge_values_stay_valid():
 def test_triple_from_uniforms_consumes_exactly_seven():
     for shape in ((6,), (8,), (3, 6), (2, 3, 7)):
         with pytest.raises(ValidationError, match="7 uniforms"):
-            triple_from_uniforms(np.full(shape, 0.5))
+            qubit_matrices(np.full(shape, 0.5))
 
 
 def _substream_words(seed, draw, first_word, stream=0):
@@ -452,7 +453,7 @@ def test_seeds_and_draw_counts_must_be_integers_in_range():
 def test_random_objects_are_well_formed():
     rng = substream(11, 0, stream=60)
     state = random_density(rng, 3)
-    assert state.support_dim() == 3
+    assert np.sum(state.eigenvalues > DEFAULT_TOLERANCES.rank) == 3
     u = random_unitary(rng, 4)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
     theta = random_observable(rng, 3)
@@ -465,7 +466,8 @@ def test_random_objects_are_well_formed():
 
 def test_qubit_protocol_positivity_over_many_draws():
     for k in range(300):
-        theta, rho, sigma = triple_from_uniforms(substream(13, k, stream=61).random(7))
+        theta, rho, sigma = validate_triple(*qubit_matrices(
+            substream(13, k, stream=61).random(7)))
         assert float(min(rho.eigenvalues)) >= 0.0
         assert float(min(sigma.eigenvalues)) >= 0.0
         assert abs(float(np.sum(sigma.eigenvalues)) - 1.0) <= 1e-12

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (random_state_np, reference_relative_entropy, rng_for)
-from fluxbound import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                       evaluate_bounds, make_observable, partial_trace,
-                       random_unitary, relative_entropy, sign_decomposition,
+from conftest import (random_state_np, random_unitary,
+                      reference_relative_entropy, rng_for)
+from fluxbound import (DEFAULT_TOLERANCES, DensityMatrix, RelEntropyValue,
+                       directed_entropy_pair, evaluate_bounds, make_observable,
+                       partial_trace, relative_entropy, sign_decomposition,
                        symmetric_average, symmetric_relative_entropy,
                        tensor_product, trace_distance_norm, validate_state)
 from fluxbound.errors import NumericError, ValidationError
@@ -17,6 +18,11 @@ from fluxbound.errors import NumericError, ValidationError
 # two-level pair with populations (e^{-a/2}, e^{a/2}) / (2 cosh(a/2)) and
 # its reverse; both directed entropies equal a tanh(a/2)
 TWO_TANH_ONE = 1.5231883119115297  # 2 * tanh(1), the a = 2 value
+
+
+def support(state) -> int:
+    """The number of eigenvalues above the rank tolerance."""
+    return int(np.sum(state.eigenvalues > DEFAULT_TOLERANCES.rank))
 
 
 def two_level_pair(a):
@@ -31,7 +37,7 @@ def test_validate_state_keeps_a_clean_input():
     assert state.dim == 2
     assert not state.clamped
     assert np.allclose(state.eigenvalues, [0.25, 0.75], atol=0.0)
-    assert state.support_dim() == 2
+    assert support(state) == 2
     assert abs(float(np.trace(state.matrix).real) - 1.0) < 1e-15
 
 
@@ -51,7 +57,7 @@ def test_validate_state_clamps_rounding_noise():
     assert state.clamped
     assert float(state.eigenvalues[0]) == 0.0
     assert abs(float(np.sum(state.eigenvalues)) - 1.0) < 1e-15
-    assert state.support_dim() == 1
+    assert support(state) == 1
 
 
 def test_relative_entropy_closed_form_two_level():
@@ -146,8 +152,8 @@ def test_stacked_entropy_error_names_the_callers_row():
 def test_symmetric_average_propagates_infinity():
     finite = RelEntropyValue(1.0)
     assert symmetric_average(finite, finite).value == 1.0
-    assert not symmetric_average(finite, RelEntropyValue.infinite()).finite
-    assert symmetric_average(finite, RelEntropyValue.infinite()).as_float() == math.inf
+    assert not symmetric_average(finite, RelEntropyValue(math.inf)).finite
+    assert symmetric_average(finite, RelEntropyValue(math.inf)).as_float() == math.inf
 
 
 def test_rel_entropy_value_rejects_negative_or_nan():
@@ -155,7 +161,7 @@ def test_rel_entropy_value_rejects_negative_or_nan():
         RelEntropyValue(-1e-3)
     with pytest.raises(ValidationError):
         RelEntropyValue(math.nan)
-    assert RelEntropyValue.infinite().as_float() == math.inf
+    assert RelEntropyValue(math.inf).as_float() == math.inf
 
 
 def test_rel_entropy_value_reads_finite_from_its_value():
@@ -294,9 +300,9 @@ def test_relative_entropy_contracts_under_partial_trace():
         assert local.value <= joint.value + 1e-9
 
 
-def test_support_dim_counts_nonzero_eigenvalues():
+def test_support_counts_eigenvalues_above_the_rank_tolerance():
     pure = validate_state(np.diag([0.0, 1.0, 0.0]))
-    assert pure.support_dim() == 1
+    assert support(pure) == 1
     assert pure.dim == 3
 
 

@@ -8,15 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (random_state_np, rng_for, rows_of, saturating_point,
+from conftest import (random_observable, random_scenario, random_state_np,
+                      rng_for, rows_of, saturating_point,
                       spin_pair_point_by_point)
 from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SpinPairParams,
                        Verdict, correlation, correlation_bound_report,
                        entropy_flux, evaluate_bounds, entropy_flux_chain_check, evolve,
                        exchange_generator, expectation,
                        local_system_bound_check, make_observable,
-                       make_scenario, random_observable, random_scenario,
-                       relative_entropy, saturating_family, spin_hamiltonian,
+                       make_scenario, relative_entropy, saturating_family,
+                       sign_decomposition, spin_hamiltonian,
                        spin_pair_scenario, spin_pair_timeseries,
                        tensor_product, thermal_environment,
                        unitary_from_generator, validate_state)
@@ -41,6 +42,15 @@ def test_make_scenario_rejects_non_unitaries_and_bad_shapes():
         make_scenario(rho, rho, np.eye(3))
     with pytest.raises(ValidationError):
         make_scenario(rho, rho, 0.5 * np.eye(4))
+
+
+def test_make_scenario_names_a_unitary_that_is_not_square():
+    # its own coercion used to print "unitary shape (4, 3) does not match
+    # joint dim 4"
+    rho = diag_state(0.5, 0.5)
+    with pytest.raises(ValidationError, match=r"^unitary must be a square matrix "
+                       r"or a stack of them, got shape \(4, 3\)$"):
+        make_scenario(rho, rho, np.zeros((4, 3)))
 
 
 def test_make_scenario_rejects_a_nan_unitary():
@@ -429,7 +439,8 @@ def test_saturating_family_closed_forms():
     rho, sigma, family = saturating_family(3.0)
     assert family.trace_norm_closed == pytest.approx(2.0 * math.tanh(1.5), abs=1e-15)
     assert family.s_tilde_closed == pytest.approx(3.0 * math.tanh(1.5), abs=1e-15)
-    assert family.epsilon == 0.0
+    # the kernel weight vanishes: no eigenvalue of rho - sigma is zero
+    assert sign_decomposition(rho, sigma).epsilon == 0.0
     assert family.trace_norm == pytest.approx(family.trace_norm_closed, abs=1e-10)
     assert family.s_tilde == pytest.approx(family.s_tilde_closed, abs=1e-10)
     assert family.gap <= 1e-10

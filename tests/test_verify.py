@@ -10,20 +10,20 @@ import fluxbound.bounds as bounds_module
 import fluxbound.linalg as linalg_module
 import fluxbound.montecarlo as montecarlo_module
 import fluxbound.verify as verify_module
-from conftest import rows_of
+from conftest import (random_density, random_observable, random_scenario,
+                      rows_of)
 from fluxbound import (BATH_RESET, BOTH_RESET, SpinPairParams, correlation,
                        correlation_bound_report, divergence_from_gap,
                        entropy_flux, entropy_flux_chain_check, evaluate_bounds,
                        evolve, expectation, flux_ratio_sq_bound,
                        gap_from_divergence, local_system_bound_check,
                        make_scenario, optimal_shift_check, qtur_check,
-                       random_density, random_observable, random_scenario,
                        saturating_family, sign_decomposition,
                        spin_pair_timeseries, substream, thermal_environment,
-                       triple_from_uniforms, variance_ratio_floor)
+                       variance_ratio_floor)
 from fluxbound.errors import ValidationError
 from fluxbound.linalg import take_row
-from fluxbound.montecarlo import DrawConfig
+from fluxbound.montecarlo import DrawConfig, qubit_matrices, validate_triple
 from fluxbound.verify import (SuiteResult, VerifyConfig, run_verify,
                               suite_bound_chain, suite_bound_functions,
                               suite_capacity, suite_correlation,
@@ -201,7 +201,7 @@ def _reference_bound_chain(config):
     result = SuiteResult("bound_chain", config.slack_tolerance)
     for k, dim, rng in _reference_draws(config, 3):
         if k % 2 == 0:
-            theta, rho, sigma = triple_from_uniforms(rng.random(7))
+            theta, rho, sigma = validate_triple(*qubit_matrices(rng.random(7)))
         else:
             theta = random_observable(rng, dim)
             rho, sigma = random_density(rng, dim), random_density(rng, dim)
