@@ -8,18 +8,31 @@ record at call time through its own module-level name DEFAULT_TOLERANCES
 
 BLOCK_ROWS is the number of rows linalg.in_blocks stacks at a time, for
 the Monte Carlo sweep and the grids of the exchange time series and the
-extremal family, each returned as one record of arrays; a verify suite
-checks its draws in runs of as many.
+extremal family, each returned as one record of arrays.  VERIFY_RUN_ROWS
+is the number of draws a verify suite checks in one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# rows evaluated as one stack: the cost per row levels off from about a
-# hundred rows on, and a block of 128 keeps the peak memory at that of
-# row-by-row evaluation
-BLOCK_ROWS = 128
+# rows evaluated as one stack.  A block carries about 2 ms of fixed cost
+# (a few dozen small numpy calls), whatever its rows.  A scan on a 2-core
+# VM, in-process with the sizes in alternating order, read the median time
+# against 128 rows at 256, 512, 1024, 2048 and 4096 rows as 0.80, 0.70,
+# 0.65, 0.64 and 0.66 for montecarlo --draws 1000, 0.83, 0.78, 0.72, 0.64
+# and 0.65 for --draws 10000, and 0.92, 0.88, 0.86, 0.85 and 0.85 for a
+# 1,501-point spinpair and saturation pair.  Past 1024 rows only the long
+# sweep gains, and a block's working memory grows: montecarlo --draws 10000
+# peaked at 34.2, 34.3, 35.6 and 37.8 MB at 128, 1024, 2048 and 4096 rows.
+# No output bit depends on the size.
+BLOCK_ROWS = 1024
+# draws a verify suite checks in one run.  It stays at 128: a run holds
+# every draw's validated inputs and checks at once, so its memory grows
+# with the run (verify --draws 2000 peaked at 38.6 MB with runs of 128 and
+# 45.3 MB with runs of 1024), and verify --draws 24, which fits in one run
+# at either size, read no gain (a paired median of 1.01)
+VERIFY_RUN_ROWS = 128
 
 
 @dataclass(frozen=True)

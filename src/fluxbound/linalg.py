@@ -205,19 +205,22 @@ def require_hermitian(matrix) -> np.ndarray:
     row of a stack.
     """
     a = _require_finite(as_complex_stack(matrix, "matrix"), "matrix")
-    ah = a.conj().swapaxes(1, 2)
-    defect = np.abs(a - ah)
+    # halves first: a + ah and a - ah overflow for entries near the largest
+    # double, and the halved defect is |M - M^dag| / 2 bit for bit above the
+    # subnormals
+    half, half_ah = 0.5 * a, 0.5 * a.conj().swapaxes(1, 2)
+    half_defect = np.abs(half - half_ah)
     tolerance = DEFAULT_TOLERANCES.hermiticity
-    if a.size and defect.max() > tolerance:
-        defect = defect.max(axis=(1, 2))
-        bad = defect > tolerance
+    if a.size and half_defect.max() > tolerance / 2:
+        half_defect = half_defect.max(axis=(1, 2))
+        bad = half_defect > tolerance / 2
+        # doubled as a Python float, which overflows to inf without a warning
+        defect = 2.0 * float(half_defect[first_row(bad)])
         raise ValidationError(
             f"matrix is not Hermitian{row_label(bad)}: "
-            f"max |M - M^dag| = {defect[first_row(bad)]:.3e} "
-            f"exceeds {tolerance:.3e}"
+            f"max |M - M^dag| = {defect:.3e} exceeds {tolerance:.3e}"
         )
-    # halves first: a + ah overflows for entries near the largest double
-    return 0.5 * a + 0.5 * ah
+    return half + half_ah
 
 
 @functools.lru_cache(maxsize=None)

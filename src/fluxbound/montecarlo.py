@@ -23,13 +23,14 @@ All magnitudes are taken as square roots of uniformly drawn squared
 magnitudes; phases are uniform on the half-open interval [0, 2 pi).
 Redraw r of a draw reads words 7r to 7r + 6 of the draw's stream.
 
-The sweep samples a block of BLOCK_ROWS draws with one philox_uniforms
-call and one protocol call, and validates and evaluates it as one stack;
-then it redraws the block's infinite draws with one call each over the
-pending rows.  Each draw reads only its own stream and every row of a
-stack is computed as it would be alone, so the records, one DrawRecord of
-arrays over the draws (linalg.in_blocks), depend neither on the blocking
-nor on the order in which draws are sampled.
+The sweep samples a block of config.BLOCK_ROWS draws (1024, chosen by a
+measured scan, see config) with one philox_uniforms call and one protocol
+call, and validates and evaluates it as one stack; then it redraws the
+block's infinite draws with one call each over the pending rows.  Each
+draw reads only its own stream and every row of a stack is computed as it
+would be alone, so the records, one DrawRecord of arrays over the draws
+(linalg.in_blocks), depend neither on the block size nor on the order in
+which draws are sampled.
 """
 
 from __future__ import annotations

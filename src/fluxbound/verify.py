@@ -6,11 +6,13 @@ number of checks, the number of violations and the smallest slack seen.
 A violation pinpoints the suite, the draw index and the offending
 quantity, so a broken bound is named rather than silently averaged away.
 
-A random suite works through its draws in runs of BLOCK_ROWS, in three
-steps per run (_check_draws): it samples each draw's raw inputs (Ginibre
-states, Hermitian matrices, uniforms) from the draw's own substream, in
-draw order; it validates and evaluates the draws whose inputs share
-their shapes, one stack per dimension, through the stacked core; and it
+A random suite works through its draws in runs of config.VERIFY_RUN_ROWS
+(128 draws, fewer than the sweep's blocks of config.BLOCK_ROWS, because a
+run's memory grows with its length), in three steps per run
+(_check_draws): it samples each draw's raw inputs (Ginibre states,
+Hermitian matrices, uniforms) from the draw's own substream, in draw
+order; it validates and evaluates the draws whose inputs share their
+shapes, one stack per dimension, through the stacked core; and it
 records the checks in draw order.  Every row of a stack is computed as
 it would be alone, so the tallies are those of a draw-by-draw run, bit
 for bit, draw i of a suite stays a pure function of (seed, suite stream,
@@ -31,7 +33,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .config import BLOCK_ROWS
+from .config import VERIFY_RUN_ROWS
 from .flux import (ShiftCheck, clears, evaluate_bounds, lowers,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
@@ -132,7 +134,7 @@ def _rows(columns) -> list:
 
 def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
                  halved: bool = False) -> SuiteResult:
-    """Check the draws in runs of BLOCK_ROWS, in draw order, so memory
+    """Check the draws in runs of VERIFY_RUN_ROWS, in draw order, so memory
     stays flat as the draw count grows.  In each run, sample each draw's
     raw inputs with sample(k, dim, rng) (a tuple of arrays and floats),
     where rng is draw k's substream of the suite's stream and dim cycles
@@ -145,9 +147,9 @@ def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
     # suite_<name> draws from Philox stream 1 + its place in _SUITES
     stream = 1 + [suite.__name__ for suite in _SUITES].index(f"suite_{result.name}")
     count = max(config.draws // 2, 20) if halved else config.draws
-    for first in range(0, count, BLOCK_ROWS):
+    for first in range(0, count, VERIFY_RUN_ROWS):
         groups: dict = {}
-        for k in range(first, min(first + BLOCK_ROWS, count)):
+        for k in range(first, min(first + VERIFY_RUN_ROWS, count)):
             inputs = sample(k, 2 + k % 3, substream(config.master_seed, k, stream))
             groups.setdefault(tuple(map(np.shape, inputs)), []).append((k, inputs))
         checks = {}

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import fluxbound.linalg as linalg_module
 from fluxbound import (DrawRecord, SaturatingFamily, SpinPairPoint,
                        divergence_from_gap, evaluate_bounds, exchange_generator,
                        expectation, flux_ratio_sq_bound, make_observable,
@@ -24,12 +25,25 @@ from fluxbound import (DrawRecord, SaturatingFamily, SpinPairPoint,
 from fluxbound.montecarlo import qubit_matrices, validate_triple
 from fluxbound.verify import _scenario, _scenario_inputs, _state_matrix
 
+# the block size of the block-edge tests: small beside config.BLOCK_ROWS,
+# so that runs of a few hundred rows cross two block edges or more, and the
+# size their lengths (1, 127, 128, 129, 259, ...) were first written for
+SMALL_BLOCK_ROWS = 128
+
 
 @pytest.fixture
 def rng():
     """Deterministic generator for a test; independent per test module
     via the caller passing distinct stream ids where it matters."""
     return substream(20260826, 0, stream=77)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch) -> int:
+    """linalg.in_blocks takes SMALL_BLOCK_ROWS rows at a time in this test;
+    returns that size."""
+    monkeypatch.setattr(linalg_module, "BLOCK_ROWS", SMALL_BLOCK_ROWS)
+    return SMALL_BLOCK_ROWS
 
 
 def rng_for(index: int, stream: int = 77) -> np.random.Generator:
@@ -100,6 +114,18 @@ def random_scenario(rng: np.random.Generator, dim_system: int = 2,
 def rows_of(record) -> list:
     """Every row of a record of arrays, through take_row."""
     return [take_row(record, k) for k in range(len(next(iter(vars(record).values()))))]
+
+
+def differing_fields(record, expected) -> list:
+    """The fields of two records of arrays whose dtype, shape or bytes
+    differ; tobytes compares every bit, the signs of zeros included."""
+    different = []
+    for name, value in vars(record).items():
+        value, other = np.asarray(value), np.asarray(vars(expected)[name])
+        if (value.dtype, value.shape, value.tobytes()) != (
+                other.dtype, other.shape, other.tobytes()):
+            different.append(name)
+    return different
 
 
 def replay_draw(seed: int, draw: int) -> DrawRecord:

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxbound.linalg as linalg_module
-from conftest import random_hermitian_np, reference_partial_trace, rng_for
+from conftest import (SMALL_BLOCK_ROWS, random_hermitian_np,
+                      reference_partial_trace, rng_for)
 from fluxbound import (eigh, expectation, partial_trace, tensor_product,
                        unitary_from_generator)
-from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import (DomainError, FluxboundError, NumericError,
                               ValidationError)
 from fluxbound.linalg import (as_complex_stack, from_spectrum, in_blocks,
@@ -276,6 +276,18 @@ def test_require_hermitian_does_not_overflow_near_the_largest_double():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(require_hermitian(m), m)
+
+
+def test_require_hermitian_refuses_an_overflowing_defect_without_a_warning():
+    # |M - M^dag| = 2e308 overflows; the error reports it as inf
+    m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    stack = np.stack([np.eye(2), m])
+    for matrix, row in ((m, ""), (stack, r" \(row 1 of the stack\)")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^matrix is not Hermitian{row}: "
+                               r"max \|M - M\^dag\| = inf exceeds 1\.000e-12$"):
+                require_hermitian(matrix)
 
 
 def test_stacked_hermiticity_error_names_the_first_bad_row():
@@ -703,8 +715,9 @@ def _rows(first: int, stop: int, n: int) -> _Rows:
                  (index + 1j * index)[:, None, None] * np.ones((n, n)))
 
 
-@pytest.mark.parametrize("count", [1, 127, 128, 129, 259])
-def test_in_blocks_copies_each_block_into_records_of_count_rows(count):
+@pytest.mark.parametrize("count", [1, SMALL_BLOCK_ROWS - 1, SMALL_BLOCK_ROWS,
+                                   SMALL_BLOCK_ROWS + 1, 2 * SMALL_BLOCK_ROWS + 3])
+def test_in_blocks_copies_each_block_into_records_of_count_rows(small_blocks, count):
     calls = []
 
     def evaluate(first, stop):
@@ -712,8 +725,8 @@ def test_in_blocks_copies_each_block_into_records_of_count_rows(count):
         return _rows(first, stop, 2), _rows(count - stop, count - first, 3)
 
     stacks = in_blocks(evaluate, count)
-    assert calls == [(first, min(first + BLOCK_ROWS, count))
-                     for first in range(0, count, BLOCK_ROWS)]
+    assert calls == [(first, min(first + small_blocks, count))
+                     for first in range(0, count, small_blocks)]
     blocks = [(_rows(first, stop, 2), _rows(count - stop, count - first, 3))
               for first, stop in calls]
     assert len(stacks) == 2

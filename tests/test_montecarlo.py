@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import fluxbound.bounds as bounds_module
+import fluxbound.linalg as linalg_module
 import fluxbound.montecarlo as montecarlo_module
-from conftest import (random_density, random_observable, random_scenario,
-                      random_unitary, replay_draw, rows_of)
+from conftest import (differing_fields, random_density, random_observable,
+                      random_scenario, random_unitary, replay_draw, rows_of)
 from fluxbound import (DEFAULT_TOLERANCES, DrawConfig, POLICY_REDRAW,
                        POLICY_REPORT_INFINITE, evaluate_bounds, make_observable,
                        run_montecarlo, substream, validate_state)
@@ -168,11 +169,11 @@ def test_run_montecarlo_is_deterministic():
     assert summary_a.violations == summary_b.violations
 
 
-def test_run_montecarlo_records_match_an_independent_replay():
+def test_run_montecarlo_records_match_an_independent_replay(small_blocks):
     # the sweep evaluates blocks of draws as one stack; runs that end
     # inside the first block, at its edge and past two of them replay
     # draw by draw, bit for bit
-    for n_draws in (1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3):
+    for n_draws in (1, small_blocks - 1, small_blocks, 2 * small_blocks + 3):
         config = DrawConfig(n_draws=n_draws, master_seed=42)
         records = rows_of(run_montecarlo(config)[0])
         assert [r.draw for r in records] == list(range(n_draws))
@@ -291,15 +292,17 @@ def _evaluate_alone(uniforms):
 
 
 @pytest.mark.parametrize("limit", [2, MAX_REDRAWS])
-def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, limit):
+def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, small_blocks,
+                                                     limit):
     # the sweep redraws a block's infinite draws after sampling the whole
     # block, over the pending rows only; each draw reads only its own
     # substream, so a replay that redraws each draw from its substream
     # before sampling the next gives the same records.
-    # 300 draws are two full blocks and a partial one; at a limit of 2
-    # some draws stay infinite
+    # two full blocks and a partial one; at a limit of 2 some draws stay
+    # infinite
     monkeypatch.setattr(montecarlo_module, "MAX_REDRAWS", limit)
-    config = DrawConfig(n_draws=300, master_seed=3,
+    n_draws = 2 * small_blocks + 44
+    config = DrawConfig(n_draws=n_draws, master_seed=3,
                         rejection_policy=POLICY_REDRAW)
     sampled = []
 
@@ -309,9 +312,9 @@ def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, limit):
 
     records, summary = run_montecarlo(config, sampler=sampler)
     records = rows_of(records)
-    assert [r.draw for r in records] == list(range(300))
+    assert [r.draw for r in records] == list(range(n_draws))
     # each call samples a whole block or the pending rows of one only
-    assert sum(sampled) == 300 + sum(r.redraws for r in records)
+    assert sum(sampled) == n_draws + sum(r.redraws for r in records)
     for record in records:
         rng = substream(3, record.draw)
         report = _evaluate_alone(rng.random(7))
@@ -331,12 +334,32 @@ def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, limit):
         assert record.holds_main is report.verdicts["main"].holds
     counts = [r.redraws for r in records]
     # redraws of 0, 1 and more than 1 occur in every block
-    for first in range(0, 300, BLOCK_ROWS):
-        block = counts[first:first + BLOCK_ROWS]
+    for first in range(0, n_draws, small_blocks):
+        block = counts[first:first + small_blocks]
         assert {0, 1} <= set(block) and max(block) > 1
     assert summary.total_redraws == sum(counts)
     assert summary.infinite_records == sum(r.infinite for r in records)
     assert (summary.infinite_records > 0) is (limit == 2)
+
+
+@pytest.mark.parametrize("policy", [POLICY_REPORT_INFINITE, POLICY_REDRAW])
+def test_records_are_bit_identical_at_every_block_size(monkeypatch, policy):
+    # draw i reads only its own stream and each row of a stack is computed
+    # as it would be alone, so no bit of a record depends on the block
+    # size; the sampler makes draws that need zero, one or more redraws
+    config = DrawConfig(n_draws=259, master_seed=5, rejection_policy=policy)
+    runs = []
+    for rows in (1, 7, 128, BLOCK_ROWS):
+        monkeypatch.setattr(linalg_module, "BLOCK_ROWS", rows)
+        runs.append(run_montecarlo(config, sampler=_sometimes_infinite))
+    (expected, expected_summary), *others = runs
+    if policy == POLICY_REDRAW:
+        assert expected.redraws.max() > 1
+    else:
+        assert expected.infinite.any()
+    for records, summary in others:
+        assert differing_fields(records, expected) == []
+        assert summary == expected_summary
 
 
 def test_redraw_policy_gives_up_after_max_redraws():

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (random_observable, random_scenario, random_state_np,
-                      rng_for, rows_of, saturating_point,
-                      spin_pair_point_by_point)
+import fluxbound.linalg as linalg_module
+from conftest import (SMALL_BLOCK_ROWS, differing_fields, random_observable,
+                      random_scenario, random_state_np, rng_for, rows_of,
+                      saturating_point, spin_pair_point_by_point)
 from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SpinPairParams,
                        Verdict, correlation, correlation_bound_report,
                        entropy_flux, evaluate_bounds, entropy_flux_chain_check, evolve,
@@ -499,8 +500,9 @@ def test_thermal_environment_rejects_an_overflowing_inverse_temperature():
         thermal_environment(np.diag([0.0, 3.0]), 1e308)
 
 
-# grid lengths inside the first block, at its edge and past two of them
-GRID_LENGTHS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
+# grid lengths inside the first block, at its edge and past two of them,
+# in the blocks of the small_blocks fixture
+GRID_LENGTHS = (1, SMALL_BLOCK_ROWS - 1, SMALL_BLOCK_ROWS, 2 * SMALL_BLOCK_ROWS + 3)
 
 
 @pytest.mark.parametrize("length", GRID_LENGTHS)
@@ -511,7 +513,7 @@ GRID_LENGTHS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3)
     (1.0, 0.0, 0.8, 1.7, 5.0, 2.0),
 ])
 def test_stacked_spin_pair_series_matches_a_point_by_point_reference(
-        length, p, q, omega, g, phase, t_max):
+        small_blocks, length, p, q, omega, g, phase, t_max):
     # the quarter period g t = pi / 2 completes the swap, where the ratio
     # reaches 1 and the cost is infinite
     times = np.sort(np.append(np.linspace(0.0, t_max, length)[:-1],
@@ -528,7 +530,8 @@ def _same_state(a, b) -> bool:
 
 
 @pytest.mark.parametrize("length", GRID_LENGTHS)
-def test_stacked_saturating_family_matches_a_point_by_point_reference(length):
+def test_stacked_saturating_family_matches_a_point_by_point_reference(small_blocks,
+                                                                     length):
     # negative, zero and positive gaps, a gap of 800 (e^{-a} underflows,
     # disjoint supports) and gaps past the rank tolerance (infinite s_tilde)
     gaps = np.linspace(-35.0, 35.0, length)
@@ -543,6 +546,24 @@ def test_stacked_saturating_family_matches_a_point_by_point_reference(length):
         assert rows[k] == expected and type(rows[k].gap) is float
         assert _same_state(take_row(rhos, k), rho)
         assert _same_state(take_row(sigmas, k), sigma)
+
+
+def test_grids_are_bit_identical_at_every_block_size(monkeypatch):
+    # every row of a stack is computed as it would be alone, so no bit of
+    # a grid's records depends on the block size; at the quarter period
+    # pi / (2 g) the cost is infinite
+    times = np.append(np.linspace(0.0, 4.0, 2 * SMALL_BLOCK_ROWS + 2), math.pi / 2.2)
+    params = SpinPairParams(0.7, 0.2, 1.3, 1.1, 2.4, tuple(np.sort(times)))
+    gaps = np.linspace(-35.0, 35.0, 2 * SMALL_BLOCK_ROWS + 3)
+    gaps[-1] = 800.0
+    runs = []
+    for rows in (1, 7, 128, BLOCK_ROWS):
+        monkeypatch.setattr(linalg_module, "BLOCK_ROWS", rows)
+        runs.append((spin_pair_timeseries(params), *saturating_family(gaps)))
+    expected, *others = runs
+    for records in others:
+        for record, expected_record in zip(records, expected):
+            assert differing_fields(record, expected_record) == []
 
 
 @pytest.mark.parametrize("a", [-1.3, 0.0, 3.0, 800.0])

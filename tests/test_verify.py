@@ -376,7 +376,7 @@ def test_batched_suites_equal_a_draw_by_draw_run(monkeypatch, name, seed, draws)
 def test_runs_of_block_rows_draws_equal_a_draw_by_draw_run(monkeypatch, name):
     # runs of 4 draws split each dimension's draws over several stacks,
     # and a halved suite's 20 draws over five runs
-    monkeypatch.setattr(verify_module, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(verify_module, "VERIFY_RUN_ROWS", 4)
     config = VerifyConfig(master_seed=7, draws=13)
     suite, reference = REFERENCES[name]
     blocked, blocked_checks = _run_logged(monkeypatch, suite, config)
@@ -393,7 +393,7 @@ def test_a_suite_holds_one_run_of_draws_at_a_time(monkeypatch):
     def counted(matrices):
         rows.append(len(matrices))
         return original(matrices)
-    monkeypatch.setattr(verify_module, "BLOCK_ROWS", 6)
+    monkeypatch.setattr(verify_module, "VERIFY_RUN_ROWS", 6)
     monkeypatch.setattr(montecarlo_module, "make_observable", counted)
     assert suite_capacity(VerifyConfig(draws=40)).checks == 40
     assert sum(rows) == 40 and max(rows) == 2
