@@ -20,15 +20,15 @@ from .errors import (DegenerateInputError, DomainError, FluxboundError,
                      NumericError, ValidationError)
 from .flux import (BoundReport, Observable, QturCheck, ShiftCheck,
                    SignDecomposition, Verdict, evaluate_bounds, flux,
-                   make_observable, optimal_shift_check, qtur_check,
-                   sign_decomposition)
+                   make_observable, optimal_shift_check, product_observable,
+                   qtur_check, sign_decomposition)
 from .linalg import (Spectrum, eigh, expectation, partial_trace, take_row,
                      tensor_product, unitary_from_generator)
 from .montecarlo import (DrawConfig, DrawRecord, MonteCarloSummary,
                          POLICY_REDRAW, POLICY_REPORT_INFINITE, philox_uniforms,
                          run_montecarlo, substream, triple_from_uniforms)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                     relative_entropy, symmetric_average,
+                     product_state, relative_entropy, symmetric_average,
                      symmetric_relative_entropy, trace_distance_norm,
                      validate_state)
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, ChainCheck,

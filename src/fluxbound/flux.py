@@ -17,13 +17,13 @@ shared weight both states place on the kernel of rho - sigma, together
 with the entropy-cost form 2 r artanh(r) <= S and the variance
 uncertainty relation with floor variance_ratio_floor(S).
 
-make_observable, flux, sign_decomposition, qtur_check, evaluate_bounds
-and optimal_shift_check take single inputs or stacks, a single input as
-a stack of one (linalg.batch_of_one).  evaluate_bounds and
-sign_decomposition flag a degenerate row, and only a single coinciding
-pair raises; qtur_check raises on a degenerate row, naming it.  clears is
-the one pass/fail rule of every inequality; a NaN slack fails it, and
-lowers makes the first NaN a running minimum.
+make_observable, product_observable, flux, sign_decomposition,
+qtur_check, evaluate_bounds and optimal_shift_check take single inputs
+or stacks, a single input as a stack of one (linalg.batch_of_one).
+evaluate_bounds and sign_decomposition flag a degenerate row, and only a
+single coinciding pair raises; qtur_check raises on a degenerate row,
+naming it.  clears is the one pass/fail rule of every inequality; a NaN
+slack fails it, and lowers makes the first NaN a running minimum.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
 from .linalg import (Spectrum, batch_of_one, eigh, expectation, first_row,
-                     from_spectrum, require_hermitian, require_shape, row_label)
+                     from_spectrum, product_spectrum, require_hermitian,
+                     require_shape, row_label, tensor_product)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      symmetric_average, symmetric_relative_entropy)
 
@@ -126,6 +127,15 @@ def make_observable(matrix) -> Observable:
     spectrum."""
     a = require_hermitian(matrix)
     w, v = eigh(a, checked=True)
+    return Observable(a, w, v, w[:, -1], w[:, 0])
+
+
+@batch_of_one
+def product_observable(first: Observable, second: Observable) -> Observable:
+    """The observable first x second, or row by row for stacks, with its
+    spectrum from the factors' (linalg.product_spectrum): no eigensolve."""
+    a = require_hermitian(tensor_product(first.matrix, second.matrix))
+    w, v = product_spectrum(first, second)
     return Observable(a, w, v, w[:, -1], w[:, 0])
 
 

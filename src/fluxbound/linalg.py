@@ -14,13 +14,15 @@ one coercer of a matrix operand, and require_shape the one rule that
 operands share a shape; their errors name the operand.  tensor_product,
 partial_trace and expectation refuse a result that overflows.
 tensor_product takes two matrices or two stacks, and a single factor
-broadcasts against a stack.  unitary_from_generator takes one generator
-with one time or a 1-D grid of T times, or a (B, n, n) stack of
-generators with one time, and returns exp(-i t G) as (n, n), (T, n, n)
-or (B, n, n); it is the package's only matrix exponential, and
-from_spectrum, V diag(x) V^dag for one matrix or a stack, its only
-rebuild.  take_row is row k of a stacked result, and in_blocks fills one
-from blocks of config.BLOCK_ROWS rows.
+broadcasts against a stack; product_spectrum gives a tensor product's
+spectrum from its factors', with no eigensolve.  unitary_from_generator
+takes one generator with one time or a 1-D grid of T times, or a
+(B, n, n) stack of generators with one time, and returns exp(-i t G) as
+(n, n), (T, n, n) or (B, n, n); it is the package's only matrix
+exponential, and from_spectrum, V diag(x) V^dag for one matrix or a
+stack, its only rebuild.  take_row is row k, or a slice of rows, of a
+stacked result, put_rows writes rows back into one, and in_blocks fills
+one from blocks of config.BLOCK_ROWS rows.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -106,12 +108,14 @@ def shape_label(a: np.ndarray) -> tuple:
     return a.shape[1:] if a.ndim == 3 and len(a) == 1 else a.shape
 
 
-def take_row(record, index: int):
-    """Row `index` of a stacked result: arrays lose their leading axis (a
-    0-d remainder becomes a Python scalar), records are taken apart field
-    by field, and other values, shared by all rows, pass through."""
+def take_row(record, index):
+    """Row `index` of a stacked result, or the rows of a slice: arrays are
+    indexed along their leading axis (a row's 0-d remainder becomes a
+    Python scalar), records are taken apart field by field, and other
+    values, shared by all rows, pass through."""
     if isinstance(record, np.ndarray):
-        return record.item(index) if record.ndim == 1 else record[index]
+        single = record.ndim == 1 and not isinstance(index, slice)
+        return record.item(index) if single else record[index]
     return _map_fields(take_row, record, index)
 
 
@@ -137,10 +141,26 @@ def in_blocks(evaluate, count: int) -> tuple:
         if first == 0:
             stacks = tuple(_map_fields(lambda rows, n: np.empty(
                 (n, *rows.shape[1:]), rows.dtype), part, count) for part in block)
-        for stack, part in zip(stacks, block):
-            for name, rows in vars(part).items():
-                getattr(stack, name)[first:stop] = rows
+        put_rows(stacks, slice(first, stop), block)
     return stacks
+
+
+def put_rows(record, index, rows) -> None:
+    """Write a stacked result into rows `index` (a slice or an index
+    array) of a record of the same structure, in place: arrays row by
+    row, records field by field, at any depth; other values, shared by
+    all rows, are left as they are."""
+    if isinstance(record, np.ndarray):
+        record[index] = rows
+    elif isinstance(record, dict):
+        for key, value in record.items():
+            put_rows(value, index, rows[key])
+    elif isinstance(record, tuple):
+        for value, part in zip(record, rows):
+            put_rows(value, index, part)
+    elif hasattr(record, "__dataclass_fields__"):
+        for name, value in vars(record).items():
+            put_rows(value, index, getattr(rows, name))
 
 
 def _map_fields(function, record, argument):
@@ -384,6 +404,20 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     # back to index order before the stable sort, without the zero index
     return _sorted_spectrum(np.ldexp(diagonal[:, slot_of], exponent[:, None]),
                             w[:, m + slot_of[:, None], slot_of])
+
+
+def product_spectrum(first, second) -> Spectrum:
+    """The spectrum of the tensor product of two Hermitian matrices, or of
+    two stacks row by row, from the factors' (Spectrum records, states or
+    observables), with no eigensolve: the products of the eigenvalues,
+    stably sorted, so ties keep Kronecker order, and the Kronecker
+    products of the eigenvectors."""
+    values = first.eigenvalues[..., :, None] * second.eigenvalues[..., None, :]
+    values = values.reshape(*values.shape[:-2], -1)
+    order = np.argsort(values, axis=-1, kind="stable")
+    vectors = tensor_product(first.eigenvectors, second.eigenvectors)
+    return Spectrum(np.take_along_axis(values, order, axis=-1),
+                    np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -26,11 +26,11 @@ Redraw r of a draw reads words 7r to 7r + 6 of the draw's stream.
 The sweep samples a block of config.BLOCK_ROWS draws (1024, chosen by a
 measured scan, see config) with one philox_uniforms call and one protocol
 call, and validates and evaluates it as one stack; then it redraws the
-block's infinite draws with one call each over the pending rows.  Each
-draw reads only its own stream and every row of a stack is computed as it
-would be alone, so the records, one DrawRecord of arrays over the draws
-(linalg.in_blocks), depend neither on the block size nor on the order in
-which draws are sampled.
+block's infinite draws, sampling and evaluating only the pending rows
+in each round.  Each draw reads only its own stream and every row of a
+stack is computed as it would be alone, so the records, one DrawRecord
+of arrays over the draws (linalg.in_blocks), depend neither on the block
+size nor on the order in which draws are sampled.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .bounds import entrywise
 from .errors import ValidationError
 from .flux import (BoundReport, Observable, all_hold, evaluate_bounds, lowers,
                    make_observable)
-from .linalg import in_blocks
+from .linalg import in_blocks, put_rows
 from .states import DensityMatrix, validate_state
 
 POLICY_REDRAW = "redraw"
@@ -314,27 +314,27 @@ def run_montecarlo(config: DrawConfig = DrawConfig(), sampler=qubit_matrices,
     relative entropy and fewer redraws than the limit (MAX_REDRAWS under
     redraw, 0 under report_infinite), those draws are sampled again, with
     one call over the pending rows that reads each draw's next seven
-    words, and the block is evaluated again.  A draw still infinite is
-    emitted with its markers.  Each verdict is scored against
-    config.slack_tolerance.
+    words, evaluated, and written back into the block's report
+    (linalg.put_rows).  A draw still infinite is emitted with its
+    markers.  Each verdict is scored against config.slack_tolerance.
     """
     limit = MAX_REDRAWS if config.rejection_policy == POLICY_REDRAW else 0
     summary = MonteCarloSummary(n_draws=config.n_draws)
 
+    def evaluate(draws: np.ndarray, redraws: np.ndarray) -> BoundReport:
+        """The report of the draws, each at its redraw count."""
+        uniforms = philox_uniforms(config.master_seed, draws,
+                                   UNIFORMS_PER_DRAW * redraws)
+        return evaluate_bounds(*validate_triple(*sampler(uniforms)))
+
     def block(first: int, stop: int) -> tuple[DrawRecord]:
         draws = np.arange(first, stop)
         redraws = np.zeros(len(draws), dtype=np.int64)
-        uniforms = philox_uniforms(config.master_seed, draws, redraws)
-        stacks = [np.array(m, dtype=np.complex128) for m in sampler(uniforms)]
-        report = evaluate_bounds(*validate_triple(*stacks))
+        report = evaluate(draws, redraws)
         while (pending := np.flatnonzero(~report.s_tilde.finite
                                          & (redraws < limit))).size:
             redraws[pending] += 1
-            uniforms = philox_uniforms(config.master_seed, draws[pending],
-                                       UNIFORMS_PER_DRAW * redraws[pending])
-            for stack, fresh in zip(stacks, sampler(uniforms)):
-                stack[pending] = fresh
-            report = evaluate_bounds(*validate_triple(*stacks))
+            put_rows(report, pending, evaluate(draws[pending], redraws[pending]))
         return (_record_block(draws, report, redraws, config.slack_tolerance,
                               summary),)
 

@@ -1,8 +1,10 @@
 """Density matrices and relative entropy.
 
 A DensityMatrix is a validated quantum state carrying its spectrum, so
-that entropies and distances never re-diagonalize.  Relative entropy is
-evaluated in the eigenbasis of the second argument,
+that entropies and distances never re-diagonalize: validate_state
+diagonalizes a raw matrix, and product_state takes a tensor product's
+spectrum from its factors'.  Relative entropy is evaluated in the
+eigenbasis of the second argument,
 
     S(rho || sigma) = sum_i p_i ln p_i
                       - sum_{i,j} p_i |<p_i|s_j>|^2 ln s_j,
@@ -23,8 +25,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import NumericError, ValidationError
-from .linalg import (batch_of_one, eigh, first_row, from_spectrum,
-                     require_hermitian, require_shape, row_label)
+from .linalg import (as_complex_stack, batch_of_one, eigh, first_row,
+                     from_spectrum, product_spectrum, require_hermitian,
+                     require_shape, row_label, tensor_product)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,30 @@ def validate_state(matrix) -> DensityMatrix:
             f"tr = {trace[first_row(bad)].item()!r}, "
             f"|tr - 1| > {tols.state_trace:.1e}"
         )
-    values, vecs = eigh(a, checked=True)
+    return _settled(a, *eigh(a, checked=True))
+
+
+@batch_of_one
+def product_state(first: DensityMatrix, second: DensityMatrix,
+                  unitary=None) -> DensityMatrix:
+    """first x second, or U (first x second) U^dag for a unitary U of its
+    shape, row by row for stacks, with no eigensolve: the spectrum is the
+    factors' (linalg.product_spectrum), its eigenvectors turned by U.  U
+    is trusted to be unitary, as make_scenario checks it."""
+    values, vecs = product_spectrum(first, second)
+    matrix = tensor_product(first.matrix, second.matrix)
+    if unitary is not None:
+        u = as_complex_stack(unitary, "unitary")
+        require_shape("product state", matrix, unitary=u)
+        matrix = u @ matrix @ u.conj().swapaxes(1, 2)
+        vecs = u @ vecs
+    return _settled(require_hermitian(matrix), values, vecs)
+
+
+def _settled(a: np.ndarray, values: np.ndarray, vecs: np.ndarray) -> DensityMatrix:
+    """The states of Hermitian matrices a with ascending spectra: reject
+    a value below -state_negativity, clamp, renormalize, rebuild."""
+    tols = DEFAULT_TOLERANCES
     smallest = values[:, 0]
     bad = smallest < -tols.state_negativity
     if bad.any():

@@ -26,6 +26,11 @@ The two-spin exchange model used throughout is two levels per side with
 splitting Omega, excitation exchange at strength g_coupling and phase
 phase0; basis order is |gg>, |ge>, |eg>, |ee> (system factor first).
 
+The evolved joint state U (rho_S x rho_E) U^dag, the references and the
+product observable theta_S x theta_E take their spectra from their
+factors' (states.product_state, flux.product_observable), so evolve
+solves only the two marginals.
+
 The scenario layer (make_scenario, evolve, entropy_flux,
 thermal_environment, the two chain checks and the correlations) takes
 one scenario or a stack of B of them, whose records then hold B rows; a
@@ -53,12 +58,12 @@ from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import (BoundReport, Observable, Verdict, all_hold, evaluate_bounds,
-                   make_observable)
+                   product_observable)
 from .linalg import (as_complex_stack, as_stack, batch_of_one, eigh, expectation,
                      first_row, from_spectrum, in_blocks, partial_trace, row_label,
                      shape_label, take_row, tensor_product, unitary_from_generator)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
-                     symmetric_average, symmetric_relative_entropy,
+                     product_state, symmetric_average, symmetric_relative_entropy,
                      trace_distance_norm, validate_state)
 
 
@@ -119,15 +124,12 @@ class ScenarioOutcome:
 @batch_of_one
 def evolve(scenario: BipartiteScenario) -> ScenarioOutcome:
     """Evolve a scenario, or each row of a stack of them."""
-    u = scenario.unitary
-    joint0 = tensor_product(scenario.rho_system.matrix,
-                            scenario.rho_environment.matrix)
-    joint = validate_state(u @ joint0 @ u.conj().swapaxes(1, 2))
+    joint = product_state(scenario.rho_system, scenario.rho_environment,
+                          scenario.unitary)
     ds, de = scenario.dim_system, scenario.dim_environment
     marg_s = validate_state(partial_trace(joint.matrix, ds, de, "system"))
     marg_e = validate_state(partial_trace(joint.matrix, ds, de, "environment"))
-    reference = validate_state(
-        tensor_product(marg_s.matrix, scenario.rho_environment.matrix))
+    reference = product_state(marg_s, scenario.rho_environment)
     production, dual = directed_entropy_pair(joint, reference)
     return ScenarioOutcome(joint, marg_s, marg_e, reference, production, dual)
 
@@ -445,11 +447,9 @@ def correlation_bound_report(theta_system: Observable,
     matching the protocol, for one scenario or a stack; its flux equals
     correlation()."""
     system, environment, reference = _reset_states(scenario, outcome, protocol)
-    joint_obs = make_observable(
-        tensor_product(theta_system.matrix, theta_environment.matrix))
+    joint_obs = product_observable(theta_system, theta_environment)
     if reference is None:
-        reference = validate_state(
-            tensor_product(system.matrix, environment.matrix))
+        reference = product_state(system, environment)
     return evaluate_bounds(joint_obs, outcome.rho_joint, reference)
 
 

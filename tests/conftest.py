@@ -18,12 +18,12 @@ import fluxbound.linalg as linalg_module
 from fluxbound import (DrawRecord, SaturatingFamily, SpinPairPoint,
                        divergence_from_gap, evaluate_bounds, exchange_generator,
                        expectation, flux_ratio_sq_bound, make_observable,
-                       onsager_like, partial_trace, random_hermitian,
+                       make_scenario, onsager_like, partial_trace, random_hermitian,
                        spin_hamiltonian, substream, symmetric_relative_entropy,
                        take_row, tensor_product, trace_distance_norm,
                        unitary_from_generator, validate_state)
 from fluxbound.montecarlo import qubit_matrices, validate_triple
-from fluxbound.verify import _scenario, _scenario_inputs, _state_matrix
+from fluxbound.verify import _scenario_inputs, _state_matrix
 
 # the block size of the block-edge tests: small beside config.BLOCK_ROWS,
 # so that runs of a few hundred rows cross two block edges or more, and the
@@ -108,7 +108,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_scenario(rng: np.random.Generator, dim_system: int = 2,
                     dim_environment: int = 2):
-    return _scenario(*_scenario_inputs(rng, dim_system, dim_environment))
+    rho_s, rho_e, generator = _scenario_inputs(rng, dim_system, dim_environment)
+    return make_scenario(validate_state(rho_s), validate_state(rho_e),
+                         unitary_from_generator(generator, 1.0))
 
 
 def rows_of(record) -> list:

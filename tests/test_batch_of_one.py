@@ -12,8 +12,8 @@ from fluxbound import (BOTH_RESET, correlation, correlation_bound_report,
                        directed_entropy_pair, eigh, entropy_flux,
                        entropy_flux_chain_check, evaluate_bounds, evolve,
                        expectation, flux, make_observable, make_scenario,
-                       optimal_shift_check, partial_trace, qtur_check,
-                       sign_decomposition,
+                       optimal_shift_check, partial_trace, product_observable,
+                       product_state, qtur_check, sign_decomposition,
                        thermal_environment, trace_distance_norm,
                        unitary_from_generator, validate_state)
 from fluxbound.errors import FluxboundError
@@ -167,6 +167,13 @@ def _observable_pair(bad):
     return theta_s, theta_e
 
 
+def _args_product_state(bad):
+    rho, sigma = _states()
+    if bad:
+        rho = _with_bad_row(rho, matrix=np.full((2, 2), np.nan))
+    return rho, sigma, _args_make_scenario(bad=False)[-1]
+
+
 def _args_correlation(bad):
     scenario = _scenario()
     return (*_observable_pair(bad), scenario, evolve(scenario), BOTH_RESET)
@@ -204,6 +211,9 @@ CASES = {
     "correlation": (correlation, _args_correlation, "imaginary part"),
     "correlation_bound_report": (correlation_bound_report, _args_correlation,
                                  "not Hermitian"),
+    "product_state": (product_state, _args_product_state,
+                      "first factor has non-finite entries"),
+    "product_observable": (product_observable, _observable_pair, "not Hermitian"),
 }
 
 

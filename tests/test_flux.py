@@ -10,8 +10,8 @@ import pytest
 from conftest import random_observable, random_state_np, rng_for
 from fluxbound import (DEFAULT_TOLERANCES, QturCheck, ShiftCheck, Verdict,
                        evaluate_bounds, flux, local_system_bound_check,
-                       make_observable, optimal_shift_check, qtur_check,
-                       sign_decomposition, validate_state)
+                       make_observable, optimal_shift_check, product_observable,
+                       qtur_check, sign_decomposition, validate_state)
 from fluxbound.errors import (DegenerateInputError, FluxboundError,
                               NumericError, ValidationError)
 from fluxbound.linalg import take_row
@@ -500,3 +500,23 @@ def test_the_two_end_shift_scan_equals_the_full_spectrum_scan(dim):
             for field in dataclasses.fields(ShiftCheck):
                 got, want = getattr(check, field.name), getattr(expected, field.name)
                 assert got.tobytes() == want.tobytes(), (field.name, grid[:3])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_product_observable_takes_its_spectrum_from_its_factors(dims, degenerate):
+    rng = rng_for(10 * dims[0] + dims[1], stream=614)
+    first, second = (random_observable(rng, d) for d in dims)
+    if degenerate:  # a multiple of the identity repeats every value
+        second = make_observable(2.5 * np.eye(dims[1]))
+    joint = product_observable(first, second)
+    raw = np.kron(first.matrix, second.matrix)
+    assert np.array_equal(joint.matrix, make_observable(raw).matrix)
+    w, v = joint.eigenvalues, joint.eigenvectors
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.all(np.diff(w) >= 0.0)
+    assert (joint.theta_min, joint.theta_max) == (w[0], w[-1])
+    assert np.max(np.abs(w - np.linalg.eigvalsh(raw))) <= 1e-10 * scale
+    # eigh's reconstruction and orthogonality bounds
+    assert np.max(np.abs((v * w) @ v.conj().T - raw)) <= 1e-10 * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(len(w)))) <= 1e-10

@@ -17,9 +17,10 @@ from fluxbound import (DEFAULT_TOLERANCES, DrawConfig, POLICY_REDRAW,
                        run_montecarlo, substream, validate_state)
 from fluxbound.config import BLOCK_ROWS
 from fluxbound.errors import ValidationError
-from fluxbound.montecarlo import (MAX_REDRAWS, check_master_seed,
-                                  philox_uniforms, qubit_matrices,
-                                  validate_triple)
+from fluxbound.linalg import in_blocks
+from fluxbound.montecarlo import (MAX_REDRAWS, MonteCarloSummary,
+                                  check_master_seed, philox_uniforms,
+                                  qubit_matrices, validate_triple)
 from fluxbound.verify import VerifyConfig
 
 
@@ -340,6 +341,64 @@ def test_redraw_policy_matches_a_draw_by_draw_replay(monkeypatch, small_blocks,
     assert summary.total_redraws == sum(counts)
     assert summary.infinite_records == sum(r.infinite for r in records)
     assert (summary.infinite_records > 0) is (limit == 2)
+
+
+def _whole_block_sweep(config, sampler, limit):
+    """The redraw sweep with every round evaluating the whole block again,
+    with the fresh samples written into the block's raw stacks."""
+    summary = MonteCarloSummary(n_draws=config.n_draws)
+
+    def block(first, stop):
+        draws = np.arange(first, stop)
+        redraws = np.zeros(len(draws), dtype=np.int64)
+        stacks = [np.array(m, dtype=np.complex128) for m in
+                  sampler(philox_uniforms(config.master_seed, draws, redraws))]
+        report = evaluate_bounds(*validate_triple(*stacks))
+        while (pending := np.flatnonzero(~report.s_tilde.finite
+                                         & (redraws < limit))).size:
+            redraws[pending] += 1
+            uniforms = philox_uniforms(config.master_seed, draws[pending],
+                                       7 * redraws[pending])
+            for stack, fresh in zip(stacks, sampler(uniforms)):
+                stack[pending] = fresh
+            report = evaluate_bounds(*validate_triple(*stacks))
+        return (montecarlo_module._record_block(draws, report, redraws,
+                                                config.slack_tolerance, summary),)
+
+    return in_blocks(block, config.n_draws)[0], summary
+
+
+@pytest.mark.parametrize("limit", [2, MAX_REDRAWS])
+def test_redraw_rounds_evaluate_only_the_pending_rows(monkeypatch, small_blocks,
+                                                      limit):
+    # a redraw round samples and evaluates the pending rows alone and
+    # writes them back into the block's report; every row of a stack is
+    # computed as it would be alone, so the records are those of a sweep
+    # that evaluates the whole block in every round, bit for bit
+    monkeypatch.setattr(montecarlo_module, "MAX_REDRAWS", limit)
+    config = DrawConfig(n_draws=2 * small_blocks + 44, master_seed=11,
+                        rejection_policy=POLICY_REDRAW)
+    expected, expected_summary = _whole_block_sweep(config, _sometimes_infinite,
+                                                    limit)
+    evaluated = []
+
+    def counted(theta, rho, sigma):
+        evaluated.append(len(theta.matrix))
+        return evaluate_bounds(theta, rho, sigma)
+    monkeypatch.setattr(montecarlo_module, "evaluate_bounds", counted)
+    records, summary = run_montecarlo(config, sampler=_sometimes_infinite)
+    assert differing_fields(records, expected) == []
+    assert summary == expected_summary
+    assert expected.redraws.max() > 1
+    assert bool(expected.infinite.any()) is (limit == 2)
+    # per block: its first pass over every row, then round r over the
+    # draws redrawn at least r times only
+    rounds = []
+    for first in range(0, config.n_draws, small_blocks):
+        counts = records.redraws[first:first + small_blocks]
+        rounds += [len(counts), *(int(np.count_nonzero(counts >= r))
+                                  for r in range(1, counts.max() + 1))]
+    assert evaluated == rounds
 
 
 @pytest.mark.parametrize("policy", [POLICY_REPORT_INFINITE, POLICY_REDRAW])

@@ -10,10 +10,12 @@ from conftest import (random_state_np, random_unitary,
                       reference_relative_entropy, rng_for)
 from fluxbound import (DEFAULT_TOLERANCES, DensityMatrix, RelEntropyValue,
                        directed_entropy_pair, evaluate_bounds, make_observable,
-                       partial_trace, relative_entropy, sign_decomposition,
-                       symmetric_average, symmetric_relative_entropy,
-                       tensor_product, trace_distance_norm, validate_state)
+                       partial_trace, product_state, relative_entropy,
+                       sign_decomposition, symmetric_average,
+                       symmetric_relative_entropy, tensor_product,
+                       trace_distance_norm, validate_state)
 from fluxbound.errors import NumericError, ValidationError
+from fluxbound.linalg import take_row
 
 # two-level pair with populations (e^{-a/2}, e^{a/2}) / (2 cosh(a/2)) and
 # its reverse; both directed entropies equal a tanh(a/2)
@@ -315,3 +317,69 @@ def test_pair_functions_name_the_state_of_another_shape(pair_function):
     with pytest.raises(ValidationError,
                        match=r"^sigma has shape \(3, 3\), rho \(2, 2\)$"):
         pair_function(rho, sigma)
+
+
+def _product_factors(case, rng):
+    """Validated factor states of a product-spectrum case."""
+    if case == "pure factor":  # rank deficient: its products hold zeros
+        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        return validate_state(pure), validate_state(random_state_np(rng, 3))
+    if case == "maximally mixed factor":  # every product value is threefold
+        return (validate_state(random_state_np(rng, 2)),
+                validate_state(np.eye(3) / 3.0))
+    dims = (2, 3) if case == "2 x 3" else (2, 2)
+    return tuple(validate_state(random_state_np(rng, d)) for d in dims)
+
+
+PRODUCT_CASES = ("full rank", "pure factor", "maximally mixed factor", "2 x 3")
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_state_takes_its_spectrum_from_its_factors(case, rotated):
+    rng = rng_for(PRODUCT_CASES.index(case), stream=612)
+    first, second = _product_factors(case, rng)
+    d = first.dim * second.dim
+    u = random_unitary(rng, d) if rotated else None
+    raw = tensor_product(first.matrix, second.matrix)
+    if rotated:
+        raw = u @ raw @ u.conj().T
+    state = product_state(first, second, u)
+    assert not state.clamped
+    # the matrix is the raw product's, symmetrized as validate_state does
+    assert np.array_equal(state.matrix, 0.5 * raw + 0.5 * raw.conj().T)
+    w, v = state.eigenvalues, state.eigenvectors
+    assert np.all(np.diff(w) >= 0.0) and np.all(w >= 0.0)
+    assert abs(float(w.sum()) - 1.0) <= 1e-15
+    assert np.max(np.abs(w - np.linalg.eigvalsh(raw))) <= 1e-10
+    # eigh's reconstruction and orthogonality bounds
+    assert np.max(np.abs((v * w) @ v.conj().T - state.matrix)) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-10
+    assert support(state) == support(first) * support(second)
+    if case == "maximally mixed factor":
+        # exact ties, which the stable sort keeps in Kronecker order
+        assert np.all(w.reshape(2, 3) == w.reshape(2, 3)[:, :1])
+        if not rotated:
+            assert np.array_equal(
+                v, np.kron(first.eigenvectors, second.eigenvectors))
+
+
+def test_a_product_state_of_stacks_is_never_clamped():
+    # products of clamped spectra are never negative, whatever the factors
+    rng = rng_for(0, stream=613)
+    firsts = validate_state(np.stack(
+        [np.diag([1.0 + 5e-11, -5e-11]), np.eye(2) / 2.0, random_state_np(rng, 2)]))
+    assert firsts.clamped.tolist() == [True, False, False]
+    seconds = validate_state(np.stack([random_state_np(rng, 3) for _ in range(3)]))
+    states = product_state(firsts, seconds,
+                           np.stack([random_unitary(rng, 6) for _ in range(3)]))
+    assert states.clamped.tolist() == [False] * 3
+    assert support(take_row(states, 0)) == 3
+
+
+def test_product_state_names_a_unitary_of_another_shape():
+    rho = validate_state(np.diag([0.2, 0.8]))
+    with pytest.raises(ValidationError,
+                       match=r"^unitary has shape \(2, 2\), product state \(4, 4\)$"):
+        product_state(rho, rho, np.eye(2))

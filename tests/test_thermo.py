@@ -581,3 +581,32 @@ def test_saturating_family_rejects_nan_and_grids_of_grids():
     for grid in (np.ones((2, 2)), np.array([])):
         with pytest.raises(ValidationError, match="1-D"):
             saturating_family(grid)
+
+
+@pytest.mark.parametrize("protocol", [BATH_RESET, BOTH_RESET])
+def test_product_states_and_observables_take_no_eigensolve(monkeypatch, protocol):
+    # the evolved joint state, the references and the product observable
+    # take their spectra from their factors; only the marginals and the
+    # difference of the report's two states are diagonalized
+    scenario = random_scenario(rng_for(0, stream=615), 2, 3)
+    rng = rng_for(1, stream=615)
+    theta_s, theta_e = random_observable(rng, 2), random_observable(rng, 3)
+    solved = []
+    original = linalg_module._sorted_spectrum
+
+    def counted(values, vectors):
+        solved.append(values.shape[-1])
+        return original(values, vectors)
+    monkeypatch.setattr(linalg_module, "_sorted_spectrum", counted)
+    outcome = evolve(scenario)
+    report = correlation_bound_report(theta_s, theta_e, scenario, outcome, protocol)
+    assert solved == [2, 3, 6]
+    joint = tensor_product(theta_s.matrix, theta_e.matrix)
+    assert report.capacity == pytest.approx(np.ptp(np.linalg.eigvalsh(joint)),
+                                            abs=1e-10)
+    for state in (outcome.rho_joint, outcome.sigma_reference):
+        w, v = state.eigenvalues, state.eigenvectors
+        assert not state.clamped
+        assert np.max(np.abs(w - np.linalg.eigvalsh(state.matrix))) <= 1e-10
+        assert np.max(np.abs((v * w) @ v.conj().T - state.matrix)) <= 1e-10
+        assert np.max(np.abs(v.conj().T @ v - np.eye(6))) <= 1e-10

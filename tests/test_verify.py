@@ -8,7 +8,6 @@ import pytest
 
 import fluxbound.bounds as bounds_module
 import fluxbound.linalg as linalg_module
-import fluxbound.montecarlo as montecarlo_module
 import fluxbound.verify as verify_module
 from conftest import (random_density, random_observable, random_scenario,
                       rows_of)
@@ -388,19 +387,21 @@ def test_runs_of_block_rows_draws_equal_a_draw_by_draw_run(monkeypatch, name):
 def test_a_suite_holds_one_run_of_draws_at_a_time(monkeypatch):
     # memory stays flat as the draw count grows: no stack exceeds a run
     rows = []
-    original = montecarlo_module.make_observable
+    original = verify_module.make_observable
 
     def counted(matrices):
         rows.append(len(matrices))
         return original(matrices)
     monkeypatch.setattr(verify_module, "VERIFY_RUN_ROWS", 6)
-    monkeypatch.setattr(montecarlo_module, "make_observable", counted)
+    monkeypatch.setattr(verify_module, "make_observable", counted)
     assert suite_capacity(VerifyConfig(draws=40)).checks == 40
     assert sum(rows) == 40 and max(rows) == 2
 
 
 def test_verify_solves_each_dimension_as_one_stack(monkeypatch):
-    # one eigensolve per stack, not per draw: the draw-by-draw run made 981
+    # one eigensolve per stack, not per draw: the draw-by-draw run made 981.
+    # A stack validates all of a run's same-shape states at once, and
+    # product states and observables take their factors' spectra
     calls = []
     original = linalg_module._sorted_spectrum
 
@@ -409,4 +410,4 @@ def test_verify_solves_each_dimension_as_one_stack(monkeypatch):
         return original(values, vectors)
     monkeypatch.setattr(linalg_module, "_sorted_spectrum", counted)
     assert run_verify(VerifyConfig(draws=24)).ok
-    assert len(calls) < 200
+    assert len(calls) == 67
