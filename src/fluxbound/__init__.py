@@ -30,7 +30,7 @@ from .montecarlo import (DrawConfig, DrawRecord, MonteCarloSummary,
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      product_state, relative_entropy, symmetric_average,
                      symmetric_relative_entropy, trace_distance_norm,
-                     validate_state)
+                     validate_state, validate_states)
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, ChainCheck,
                      EntropyFlux, SaturatingFamily, ScenarioOutcome,
                      SpinPairParams, SpinPairPoint, correlation,

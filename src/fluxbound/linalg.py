@@ -30,6 +30,10 @@ rounds, each a set of disjoint pairs that are rotated together, across
 the whole stack at once.  Each matrix is scaled by a power of two and
 held in slot order, a round's pair j in slots 2j and 2j + 1, and each
 round's rotation carries the fixed move of the slots to the next round.
+The rotation is applied as real products: it is built as its real
+embedding, each complex entry x + iy a 2 x 2 block [[x, y], [-y, x]],
+which right-multiplies the float64 view of a complex matrix, since numpy's
+stacked float64 products cost a fraction of its complex ones.
 For the dimensions this library targets (<= 16) it is simple, accurate to
 near machine precision and free of LAPACK.  It is bit-for-bit
 reproducible: the schedule is fixed, every step is elementwise, a
@@ -134,7 +138,11 @@ def in_blocks(evaluate, count: int) -> tuple:
     """Records of `count` rows, BLOCK_ROWS rows at a time: evaluate(first,
     stop), called for each block in order, returns a tuple of dataclasses
     whose fields are arrays over rows first to stop - 1, and each block is
-    copied into records allocated from the first block's."""
+    copied into records allocated from the first block's; a count below 1
+    raises ValidationError."""
+    if count < 1:
+        raise ValidationError(f"in_blocks needs at least one row, "
+                              f"got a count of {count}")
     for first in range(0, count, BLOCK_ROWS):
         stop = min(first + BLOCK_ROWS, count)
         block = evaluate(first, stop)
@@ -252,19 +260,35 @@ def _round_robin(n: int) -> tuple:
     rounds slots 2j and 2j + 1 hold pair j, every pair meets once, and the
     index in slot sigma[i] moves to slot i between rounds.  Returns m, the
     slot of each index at a sweep's start, the flat slot-order positions of
-    an n x n matrix's entries, sigma, the flat positions of the nonzeros of
-    J P (rotation J, move P) for the values (c, c, s, -s^*) of the even
-    rows and then the odd ones, and those of the strict upper triangle.
+    an n x n matrix's entries, sigma, rotation_at and the flat positions of
+    the strict upper triangle.  rotation_at gives, for each column of
+    (c, c, s, -s) -- c for the even rows and then the odd ones, s and -s as
+    float views, real and imaginary part per pair -- the two flat positions
+    it takes in the real (2m, 2m) embedding of J P (rotation J, move P), in
+    which a complex entry x + iy is the block [[x, y], [-y, x]] and J's
+    pair block [[c, s], [-s^*, c]] lands at J P's entries (r, sigma.index(r')).
     """
     m = n + n % 2
     slots = [index for j in range(m // 2) for index in (j, m - 1 - j)]
     after = [0, m - 1] + list(range(1, m - 1))  # the circle turns by one
     sigma = [slots.index(after[index]) for index in slots]
     slot_of = [slots.index(index) for index in range(n)]
-    rows = [*range(0, m, 2), *range(1, m, 2)]
+
+    def at(r, flip):  # J's entry (r, r ^ flip) as J P's block, in 2m x 2m
+        return 4 * m * r + 2 * sigma.index(r ^ flip)
+
+    # a block [[x, y], [-y, x]] holds x at its flat position p and at
+    # p + 2m + 1, y at p + 1 and -y at p + 2m; s sits in the even row of a
+    # pair and -s^* = -Re s + i Im s in the odd one
+    pairs = [(at(r, 1), at(r + 1, 1)) for r in range(0, m, 2)]
+    cosines = [[at(r, 0), at(r, 0) + 2 * m + 1]
+               for r in (*range(0, m, 2), *range(1, m, 2))]
+    sines = [place for p, q in pairs for place in ([p, p + 2 * m + 1], [p + 1, q + 1])]
+    negated = [place for p, q in pairs
+               for place in ([q, q + 2 * m + 1], [p + 2 * m, q + 2 * m])]
     return (m, *map(_frozen, (
         slot_of, [i * m + k for i in slot_of for k in slot_of], sigma,
-        [r * m + sigma.index(r ^ flip) for flip in (0, 1) for r in rows],
+        cosines + sines + negated,
         [i * m + k for i in range(m) for k in range(i + 1, m)])))
 
 
@@ -293,19 +317,28 @@ def _upper_mass(w: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 def _sweep(w: np.ndarray, diagonal: np.ndarray, sigma: np.ndarray,
            rotation_at: np.ndarray) -> None:
-    """One sweep, in place, on a (b, 2m, m) work stack in slot order: rows
-    [:m] hold the matrices, rows [m:] the eigenvectors and `diagonal`
-    (b, m) the real diagonal, since no off-diagonal result reads w's own.
-    A round's rotation J, a 2 x 2 block per slot pair, and the move P to
-    the next round's slots act at once, [A; V] <- [A; V] J P and then
-    A <- (J P)^dag A, so a_pq is a strided view of w and app, aqq are the
-    even and odd slots of the diagonal."""
+    """One sweep, in place, on a contiguous (b, 2m, m) work stack in slot
+    order: rows [:m] hold the matrices, rows [m:] the eigenvectors and
+    `diagonal` (b, m) the real diagonal, since no off-diagonal result reads
+    w's own.  A round's rotation J, a 2 x 2 block per slot pair, and the
+    move P to the next round's slots act at once, as real products: J P is
+    built as its real (2m, 2m) embedding, each complex entry x + iy the
+    block [[x, y], [-y, x]], which right-multiplies the float64 view of a
+    complex stack.  [A; V] <- [A; V] J P, and then A <- C^dag (J P) with C
+    the new A, the Hermitian (J P)^dag A (J P), from a conjugate-transposed
+    copy of C.  a_pq is a strided view of w and app, aqq are the even and
+    odd slots of the diagonal."""
     b, m = diagonal.shape
     a = w[:, :m]
     apq = w.reshape(b, -1)[:, 1:m * m:2 * m + 2]
     app, aqq = diagonal[:, 0::2], diagonal[:, 1::2]
-    rotation = np.zeros((b, m, m), dtype=np.complex128)
-    entries = rotation.reshape(b, m * m)
+    # real views of whole contiguous arrays, sliced afterwards
+    w_parts = w.view(np.float64)
+    a_parts = w_parts[:, :m]
+    adjoint = np.empty((b, m, m), dtype=np.complex128)
+    adjoint_parts = adjoint.view(np.float64)
+    rotation = np.zeros((b, 2 * m, 2 * m))
+    entries = rotation.reshape(b, 4 * m * m)
     for _ in range(m - 1):
         mag = np.hypot(apq.real, apq.imag)
         diff = aqq - app
@@ -317,11 +350,13 @@ def _sweep(w: np.ndarray, diagonal: np.ndarray, sigma: np.ndarray,
         ratio = np.copysign(2.0, diff) / np.maximum(denominator, _TINY)
         t = ratio * mag
         c = 1.0 / np.hypot(t, 1.0)
-        s = (c * ratio) * apq
+        s = ((c * ratio) * apq).view(np.float64)
         shift = t * mag
-        entries[:, rotation_at] = np.concatenate((c, c, s, -s.conj()), axis=1)
-        np.matmul(w, rotation, out=w)
-        np.matmul(rotation.conj().swapaxes(1, 2), a, out=a)
+        entries[:, rotation_at] = np.concatenate(
+            (c, c, s, np.negative(s)), axis=1)[:, :, None]
+        np.matmul(w_parts, rotation, out=w_parts)
+        np.conjugate(a.swapaxes(1, 2), out=adjoint)
+        np.matmul(adjoint_parts, rotation, out=a_parts)
         app -= shift
         aqq += shift
         np.take(diagonal, sigma, axis=1, out=diagonal)  # 'raise' mode buffers out

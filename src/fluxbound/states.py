@@ -2,9 +2,9 @@
 
 A DensityMatrix is a validated quantum state carrying its spectrum, so
 that entropies and distances never re-diagonalize: validate_state
-diagonalizes a raw matrix, and product_state takes a tensor product's
-spectrum from its factors'.  Relative entropy is evaluated in the
-eigenbasis of the second argument,
+diagonalizes a raw matrix, validate_states several with one eigensolve,
+and product_state takes a tensor product's spectrum from its factors'.
+Relative entropy is evaluated in the eigenbasis of the second argument,
 
     S(rho || sigma) = sum_i p_i ln p_i
                       - sum_{i,j} p_i |<p_i|s_j>|^2 ln s_j,
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import NumericError, ValidationError
+from .errors import FluxboundError, NumericError, ValidationError
 from .linalg import (as_complex_stack, batch_of_one, eigh, first_row,
                      from_spectrum, product_spectrum, require_hermitian,
-                     require_shape, row_label, tensor_product)
+                     require_shape, row_label, take_row, tensor_product)
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,27 @@ def validate_state(matrix) -> DensityMatrix:
             f"|tr - 1| > {tols.state_trace:.1e}"
         )
     return _settled(a, *eigh(a, checked=True))
+
+
+@batch_of_one
+def validate_states(*matrices) -> tuple:
+    """validate_state of each argument, one matrix or a (B, n, n) stack
+    each: arguments of one shape are validated as one stack, with one
+    eigensolve, and split back into their parts, every row bit for bit as
+    alone; arguments of different shapes one by one.  An error is the one
+    the first failing argument raises alone, naming its own row."""
+    stacks = [as_complex_stack(matrix, "matrix") for matrix in matrices]
+    if len({stack.shape for stack in stacks}) > 1:
+        return tuple(map(validate_state, stacks))
+    try:
+        states = validate_state(np.concatenate(stacks))
+    except FluxboundError:
+        for stack in stacks:
+            validate_state(stack)
+        raise
+    rows = len(stacks[0])
+    return tuple(take_row(states, slice(first, first + rows))
+                 for first in range(0, len(states.matrix), rows))
 
 
 @batch_of_one

@@ -60,11 +60,12 @@ from .errors import DomainError, ValidationError
 from .flux import (BoundReport, Observable, Verdict, all_hold, evaluate_bounds,
                    product_observable)
 from .linalg import (as_complex_stack, as_stack, batch_of_one, eigh, expectation,
-                     first_row, from_spectrum, in_blocks, partial_trace, row_label,
-                     shape_label, take_row, tensor_product, unitary_from_generator)
-from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
+                     first_row, from_spectrum, in_blocks, partial_trace,
+                     require_hermitian, row_label, shape_label, take_row,
+                     tensor_product, unitary_from_generator)
+from .states import (DensityMatrix, RelEntropyValue, _settled, directed_entropy_pair,
                      product_state, symmetric_average, symmetric_relative_entropy,
-                     trace_distance_norm, validate_state)
+                     trace_distance_norm, validate_state, validate_states)
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ def evolve(scenario: BipartiteScenario) -> ScenarioOutcome:
     joint = product_state(scenario.rho_system, scenario.rho_environment,
                           scenario.unitary)
     ds, de = scenario.dim_system, scenario.dim_environment
-    marg_s = validate_state(partial_trace(joint.matrix, ds, de, "system"))
-    marg_e = validate_state(partial_trace(joint.matrix, ds, de, "environment"))
+    marg_s, marg_e = validate_states(partial_trace(joint.matrix, ds, de, "system"),
+                                     partial_trace(joint.matrix, ds, de, "environment"))
     reference = product_state(marg_s, scenario.rho_environment)
     production, dual = directed_entropy_pair(joint, reference)
     return ScenarioOutcome(joint, marg_s, marg_e, reference, production, dual)
@@ -195,7 +196,11 @@ def thermal_environment(hamiltonian, beta) -> DensityMatrix:
     # subtract the ground energy before exponentiating for stability
     weights = np.exp(-betas[:, None] * (spec.eigenvalues - spec.eigenvalues[:, :1]))
     weights = weights / weights.sum(axis=1, keepdims=True)
-    return validate_state(from_spectrum(spec.eigenvectors, weights))
+    # the state has H's eigenvectors, and its weights fall as the energies
+    # rise: reversed, they ascend, with no second eigensolve
+    matrix = require_hermitian(from_spectrum(spec.eigenvectors, weights))
+    return _settled(matrix, weights[:, ::-1],
+                    np.ascontiguousarray(spec.eigenvectors[:, :, ::-1]))
 
 
 @dataclass(frozen=True)

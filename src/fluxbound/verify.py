@@ -14,7 +14,7 @@ Hermitian matrices, uniforms) from the draw's own substream, in draw
 order; it validates and evaluates the draws whose inputs share their
 shapes, one stack per dimension, through the stacked core, with the
 run's states of one shape (a draw's rho and sigma, or rho_S and rho_E)
-in one validate_state call (_states); and it records the checks in draw
+in one states.validate_states call; and it records the checks in draw
 order.  Every row of a stack is computed as it would be alone, so the
 tallies are those of a draw-by-draw run, bit for bit, draw i of a suite
 stays a pure function of (seed, suite stream, i), and memory stays flat
@@ -42,7 +42,7 @@ from .flux import (ShiftCheck, clears, evaluate_bounds, lowers,
 from .linalg import expectation, take_row, unitary_from_generator
 from .montecarlo import (check_draw_count, check_master_seed,
                          check_slack_tolerance, qubit_matrices, substream)
-from .states import validate_state
+from .states import validate_states
 from .thermo import (BATH_RESET, BOTH_RESET, BipartiteScenario, SpinPairParams,
                      correlation, correlation_bound_report, entropy_flux,
                      entropy_flux_chain_check, evolve,
@@ -116,19 +116,10 @@ def _scenario_inputs(rng: np.random.Generator, dim_system: int,
             random_hermitian(rng, dim_system * dim_environment))
 
 
-def _states(*stacks) -> tuple:
-    """Raw state stacks of one shape, validated as one stack (one
-    eigensolve) and split back into their parts."""
-    rows = len(stacks[0])
-    states = validate_state(np.concatenate(stacks))
-    return tuple(take_row(states, slice(first, first + rows))
-                 for first in range(0, len(stacks) * rows, rows))
-
-
 def _scenario(rho_system, rho_environment, generator) -> BipartiteScenario:
     """The stack of scenarios of raw input stacks whose system and
     environment share a shape."""
-    return make_scenario(*_states(rho_system, rho_environment),
+    return make_scenario(*validate_states(rho_system, rho_environment),
                          unitary_from_generator(generator, 1.0))
 
 
@@ -221,7 +212,7 @@ def suite_capacity(config: VerifyConfig, tols=None) -> SuiteResult:
     """|flux| <= capacity for random triples.  tols is ignored; the
     benchmark's set-up still passes config.DEFAULT_TOLERANCES."""
     def evaluate(thetas, rhos, sigmas):
-        theta, (rho, sigma) = make_observable(thetas), _states(rhos, sigmas)
+        theta, (rho, sigma) = make_observable(thetas), validate_states(rhos, sigmas)
         phi = expectation(theta.matrix, rho.matrix - sigma.matrix)
         return [(f"dim {theta.dim}", theta.capacity - np.abs(phi), True)]
     return _check_draws(SuiteResult("capacity", config.slack_tolerance), config,
@@ -241,7 +232,8 @@ def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
 
     def evaluate(*inputs):
         thetas, rhos, sigmas = qubit_matrices(*inputs) if len(inputs) == 1 else inputs
-        report = evaluate_bounds(make_observable(thetas), *_states(rhos, sigmas))
+        report = evaluate_bounds(make_observable(thetas),
+                                 *validate_states(rhos, sigmas))
         main, ends = report.main_rhs, report.s_tilde.finite & ~report.degenerate_capacity
         return [*((name, v.slack, v.applies) for name, v in report.verdicts.items()),
                 ("curve <= 1", 1.0 - main, ends),
@@ -256,7 +248,7 @@ def suite_sign_identities(config: VerifyConfig) -> SuiteResult:
     tol = 1e-9  # a fixed identity threshold, as in the other suites
 
     def evaluate(rhos, sigmas):
-        rho, sigma = _states(rhos, sigmas)
+        rho, sigma = validate_states(rhos, sigmas)
         dec = sign_decomposition(rho, sigma)
         tn = np.abs(dec.difference_spectrum.eigenvalues).sum(axis=1)
         gap = expectation(dec.sign_operator, rho.matrix - sigma.matrix)
@@ -275,7 +267,7 @@ def suite_uncertainty(config: VerifyConfig) -> SuiteResult:
     """Variance uncertainty relation for the sign operator, plus its
     equality on the extremal two-level family."""
     def evaluate(rhos, sigmas):
-        rho, sigma = _states(rhos, sigmas)
+        rho, sigma = validate_states(rhos, sigmas)
         check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
         return [(f"dim {rho.dim}", check.verdict.slack, check.verdict.applies)]
     result = _check_draws(SuiteResult("uncertainty", config.slack_tolerance),

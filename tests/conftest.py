@@ -46,6 +46,20 @@ def small_blocks(monkeypatch) -> int:
     return SMALL_BLOCK_ROWS
 
 
+@pytest.fixture
+def eigensolves(monkeypatch) -> list:
+    """The (rows, n) shape of each eigensolve in this test, in order: a
+    list that grows as linalg._sorted_spectrum is called."""
+    shapes = []
+    original = linalg_module._sorted_spectrum
+
+    def counted(values, vectors):
+        shapes.append(values.shape)
+        return original(values, vectors)
+    monkeypatch.setattr(linalg_module, "_sorted_spectrum", counted)
+    return shapes
+
+
 def rng_for(index: int, stream: int = 77) -> np.random.Generator:
     return substream(20260826, index, stream=stream)
 

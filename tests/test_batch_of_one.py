@@ -15,7 +15,7 @@ from fluxbound import (BOTH_RESET, correlation, correlation_bound_report,
                        optimal_shift_check, partial_trace, product_observable,
                        product_state, qtur_check, sign_decomposition,
                        thermal_environment, trace_distance_norm,
-                       unitary_from_generator, validate_state)
+                       unitary_from_generator, validate_state, validate_states)
 from fluxbound.errors import FluxboundError
 from fluxbound.linalg import as_stack, require_hermitian, take_row
 
@@ -73,6 +73,15 @@ def _args_validate_state(bad):
     if bad:
         rhos[BAD_ROW] *= 1.2
     return (rhos,)
+
+
+def _args_validate_states(bad):
+    # the bad row in the second argument, which the joined stack would
+    # name as row ROWS + BAD_ROW
+    _, rhos, sigmas = _matrices(3, 4)
+    if bad:
+        sigmas[BAD_ROW] *= 1.2
+    return rhos, sigmas
 
 
 def _args_entropy_pair(bad):
@@ -189,6 +198,8 @@ CASES = {
     "expectation": (expectation, _args_expectation, "imaginary part"),
     "validate_state": (validate_state, _args_validate_state,
                        "trace invariant"),
+    "validate_states": (validate_states, _args_validate_states,
+                        "trace invariant"),
     "directed_entropy_pair": (directed_entropy_pair, _args_entropy_pair,
                               "relative entropy evaluated to"),
     "trace_distance_norm": (trace_distance_norm, _args_huge_pair,

@@ -271,6 +271,34 @@ def test_rows_converging_after_different_sweeps_equal_each_row_alone(dim):
         assert np.array_equal(stacked.eigenvectors[row], alone.eigenvectors)
 
 
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_the_embedded_rotation_is_the_schedules_unitary_move(dim):
+    # fill the cached positions as a round does, with (c, c, s, -s) for
+    # random (c, s), and read the real (2m, 2m) buffer back as complex
+    # 2 x 2 blocks [[x, y], [-y, x]]
+    m, _, _, sigma, rotation_at, _ = linalg_module._round_robin(dim)
+    assert rotation_at.shape == (3 * m, 2)
+    assert len(np.unique(rotation_at)) == rotation_at.size
+    angle, phase = rng_for(dim, stream=113).uniform(0.0, 2.0 * math.pi, (2, m // 2))
+    c, s = np.cos(angle), np.sin(angle) * np.exp(1j * phase)
+    embedded = np.zeros(4 * m * m)
+    embedded[rotation_at] = np.concatenate(
+        (c, c, s.view(np.float64), -s.view(np.float64)))[:, None]
+    blocks = embedded.reshape(m, 2, m, 2).swapaxes(1, 2)
+    assert np.array_equal(blocks[..., 0, 0], blocks[..., 1, 1])
+    assert np.array_equal(blocks[..., 0, 1], -blocks[..., 1, 0])
+    rotation = blocks[..., 0, 0] + 1j * blocks[..., 0, 1]
+    # J rotates slots 2j, 2j + 1 by [[c, s], [-s^*, c]]; P moves the index
+    # in slot sigma[i] to slot i
+    turn = np.zeros((m, m), dtype=complex)
+    for j in range(m // 2):
+        turn[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c[j], s[j]], [-s[j].conj(), c[j]]]
+    move = np.zeros((m, m))
+    move[sigma, np.arange(m)] = 1.0
+    assert np.array_equal(rotation, turn @ move)
+    assert np.abs(rotation.conj().T @ rotation - np.eye(m)).max() <= 1e-15
+
+
 def test_require_hermitian_does_not_overflow_near_the_largest_double():
     m = np.array([[0.0, 1e308], [1e308, 1.7e308]])
     with warnings.catch_warnings():
@@ -739,3 +767,11 @@ def test_in_blocks_copies_each_block_into_records_of_count_rows(small_blocks, co
             assert np.array_equal(rows, np.concatenate(pieces))
     assert stacks[1].matrix.shape[1:] == (3, 3)
     assert stacks[0].even.dtype == bool and stacks[0].index.dtype == np.int64
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_in_blocks_refuses_a_count_below_one(count):
+    def evaluate(first, stop):
+        raise AssertionError("no block to evaluate")
+    with pytest.raises(ValidationError, match=rf"got a count of {count}$"):
+        in_blocks(evaluate, count)

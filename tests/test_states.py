@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (random_state_np, random_unitary,
+from conftest import (differing_fields, random_state_np, random_unitary,
                       reference_relative_entropy, rng_for)
 from fluxbound import (DEFAULT_TOLERANCES, DensityMatrix, RelEntropyValue,
                        directed_entropy_pair, evaluate_bounds, make_observable,
                        partial_trace, product_state, relative_entropy,
                        sign_decomposition, symmetric_average,
                        symmetric_relative_entropy, tensor_product,
-                       trace_distance_norm, validate_state)
+                       trace_distance_norm, validate_state, validate_states)
 from fluxbound.errors import NumericError, ValidationError
 from fluxbound.linalg import take_row
 
@@ -32,6 +32,24 @@ def two_level_pair(a):
     rho = validate_state(np.diag([math.exp(-0.5 * a) / z, math.exp(0.5 * a) / z]))
     sigma = validate_state(np.diag([math.exp(0.5 * a) / z, math.exp(-0.5 * a) / z]))
     return rho, sigma
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (2, 3)])
+def test_validate_states_equals_each_alone_with_one_eigensolve_per_shape(
+        eigensolves, dims):
+    rng = rng_for(len(dims), stream=614)
+    # a clamped row among full-rank ones
+    stacks = [np.stack([random_state_np(rng, d), np.diag([1.0 + 5e-11] + [0.0] * (d - 2)
+                                                      + [-5e-11])]) for d in dims]
+    alone = [validate_state(stack) for stack in stacks]
+    eigensolves.clear()
+    states = validate_states(*stacks)
+    one_shape = len(set(dims)) == 1
+    assert eigensolves == ([(2 * len(dims), dims[0])] if one_shape
+                           else [(2, d) for d in dims])
+    for state, expected in zip(states, alone, strict=True):
+        assert state.clamped.tolist() == [False, True]
+        assert not differing_fields(state, expected)
 
 
 def test_validate_state_keeps_a_clean_input():

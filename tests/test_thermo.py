@@ -17,7 +17,8 @@ from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SpinPairParams,
                        entropy_flux, evaluate_bounds, entropy_flux_chain_check, evolve,
                        exchange_generator, expectation,
                        local_system_bound_check, make_observable,
-                       make_scenario, relative_entropy, saturating_family,
+                       make_scenario, partial_trace, relative_entropy,
+                       saturating_family,
                        sign_decomposition, spin_hamiltonian,
                        spin_pair_scenario, spin_pair_timeseries,
                        tensor_product, thermal_environment,
@@ -118,6 +119,38 @@ def test_entropy_flux_requires_a_full_rank_environment():
     outcome = evolve(scenario)
     with pytest.raises(DomainError):
         entropy_flux(scenario, outcome)
+
+
+def test_evolve_validates_marginals_of_one_shape_as_one_stack(eigensolves):
+    scenario = random_scenario(rng_for(0, stream=616), 2, 2)
+    eigensolves.clear()
+    outcome = evolve(scenario)
+    assert eigensolves == [(2, 2)]
+    joint = outcome.rho_joint.matrix
+    for keep, marginal in (("system", outcome.rho_system),
+                           ("environment", outcome.rho_environment)):
+        assert not differing_fields(marginal,
+                                    validate_state(partial_trace(joint, 2, 2, keep)))
+
+
+@pytest.mark.parametrize("energies", [[0.0, 1.0, 2.5], [0.3, 0.3, -1.0]])
+def test_thermal_environment_takes_no_second_eigensolve(eigensolves, energies):
+    # a rotated Hamiltonian, the second with a degenerate level; the state
+    # has its eigenvectors and ascending weights
+    rng = rng_for(len(energies), stream=617)
+    u = unitary_from_generator(random_observable(rng, 3).matrix, 1.0)
+    h = u @ np.diag(energies) @ u.conj().T
+    eigensolves.clear()
+    gibbs = thermal_environment(h, 0.7)
+    assert eigensolves == [(1, 3)]
+    w, v = gibbs.eigenvalues, gibbs.eigenvectors
+    expected = np.exp(-0.7 * np.sort(energies))
+    assert np.all(np.diff(w) >= 0.0) and not gibbs.clamped
+    assert np.max(np.abs(w - np.sort(expected / expected.sum()))) <= 1e-14
+    assert np.max(np.abs(w - np.linalg.eigvalsh(gibbs.matrix))) <= 1e-10
+    assert np.max(np.abs((v * w) @ v.conj().T - gibbs.matrix)) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(3))) <= 1e-10
+    assert np.array_equal(gibbs.matrix, gibbs.matrix.conj().T)
 
 
 def test_thermal_environment_populations():

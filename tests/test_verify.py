@@ -410,4 +410,4 @@ def test_verify_solves_each_dimension_as_one_stack(monkeypatch):
         return original(values, vectors)
     monkeypatch.setattr(linalg_module, "_sorted_spectrum", counted)
     assert run_verify(VerifyConfig(draws=24)).ok
-    assert len(calls) == 67
+    assert len(calls) == 62
