@@ -18,8 +18,7 @@ from fluxbound import (BATH_RESET, BOTH_RESET, ChainCheck, SpinPairParams,
                        exchange_generator, expectation,
                        local_system_bound_check, make_observable,
                        make_scenario, partial_trace, relative_entropy,
-                       saturating_family,
-                       sign_decomposition, spin_hamiltonian,
+                       saturating_family, sign_decomposition, spin_hamiltonian,
                        spin_pair_scenario, spin_pair_timeseries,
                        tensor_product, thermal_environment,
                        unitary_from_generator, validate_state)
