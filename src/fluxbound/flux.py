@@ -36,9 +36,9 @@ import numpy as np
 from . import bounds as _bounds
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, NumericError, ValidationError
-from .linalg import (Spectrum, batch_of_one, eigh, expectation, first_row,
-                     from_spectrum, product_spectrum, require_hermitian,
-                     require_shape, row_label, tensor_product)
+from .linalg import (Spectrum, as_real, batch_of_one, eigh, expectation,
+                     first_row, from_spectrum, product_spectrum,
+                     require_hermitian, require_shape, row_label, tensor_product)
 from .states import (DensityMatrix, RelEntropyValue, directed_entropy_pair,
                      symmetric_average, symmetric_relative_entropy)
 
@@ -60,7 +60,7 @@ class Verdict:
     """One inequality outcome: its slack (rhs minus lhs), and whether the
     inequality applies; where it does not (an infinite entropy, a
     degenerate capacity, coinciding states) it holds whatever the slack.
-    Arrays over the rows for a stack, scalars for a single row."""
+    Arrays over the rows for a stack (applies may be one bool), or scalars."""
 
     slack: float
     applies: bool
@@ -77,7 +77,7 @@ class Verdict:
         applies: how many slacks fail to clear -tolerance, and the lowest
         slack with the first row that attains it, a NaN slack counting as
         the lowest.  No applying row gives (0, inf, None)."""
-        rows = np.flatnonzero(self.applies)
+        rows = np.flatnonzero(np.broadcast_to(self.applies, np.shape(self.slack)))
         if not rows.size:
             return 0, math.inf, None
         slack = np.atleast_1d(self.slack)[rows]
@@ -184,7 +184,7 @@ def optimal_shift_check(observable: Observable, grid) -> ShiftCheck:
     or a stack of B: grid is one 1-D grid shared by all rows, or a (B, G)
     grid, one per row, of >= 2 finite shifts (an error names its row)."""
     w = observable.eigenvalues
-    shifts = np.asarray(grid, dtype=np.float64)
+    shifts = as_real(grid, "shift grid")
     if shifts.shape[:-1] not in ((), w.shape[:1]) or shifts.shape[-1:] < (2,):
         raise ValidationError(f"shift grid must be 1-D or one row per observable, "
                               f"of >= 2 points, got shape {shifts.shape}")
@@ -291,8 +291,6 @@ class QturCheck:
     is infinite (the floor tends to zero, and reads 0).
     """
 
-    variance_sum: float
-    mean_gap: float
     lhs: float
     s_tilde: RelEntropyValue
     floor: float
@@ -328,8 +326,7 @@ def qtur_check(operator, rho: DensityMatrix, sigma: DensityMatrix) -> QturCheck:
     floor = np.zeros(len(lhs))
     if finite.any():
         floor[finite] = _bounds.variance_ratio_floor(s_tilde.value[finite])
-    return QturCheck(var_rho + var_sigma, gap, lhs, s_tilde, floor,
-                     Verdict(lhs - floor, finite))
+    return QturCheck(lhs, s_tilde, floor, Verdict(lhs - floor, finite))
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,6 @@ class BoundReport:
     trace_norm: float
     epsilon: float
     s_forward: RelEntropyValue
-    s_backward: RelEntropyValue
     s_tilde: RelEntropyValue
     pinsker_rhs: float
     main_rhs: float
@@ -423,7 +419,6 @@ def evaluate_bounds(observable: Observable, rho: DensityMatrix,
         trace_norm=np.where(live, trace_norm, 0.0),
         epsilon=np.where(live, decomposition.epsilon, 0.0),
         s_forward=_zero_where(forward, degenerate),
-        s_backward=_zero_where(backward, degenerate),
         s_tilde=_zero_where(s_tilde, degenerate),
         pinsker_rhs=np.where(degenerate, 0.0, pinsker_rhs),
         main_rhs=np.where(live, main_rhs, 0.0),

@@ -21,7 +21,10 @@ from .errors import ValidationError
 
 FORMAT_CSV = "csv"
 FORMAT_JSONL = "jsonl"
-CHUNK_ROWS = 256  # rows formatted together, which bounds a write's memory
+# rows formatted together, which bounds a write's memory; 1,024-row chunks
+# were slower (in-process medians of 15, 2-core VM): montecarlo CSV 4.61 ->
+# 4.89 ms, spinpair JSONL 6.79 -> 8.17 ms, saturation CSV 4.73 -> 5.10 ms
+CHUNK_ROWS = 256
 
 
 def _json_floats(column):

@@ -9,20 +9,20 @@ require_hermitian, eigh, partial_trace and expectation take one (n, n)
 matrix or a (B, n, n) stack.  Their bodies, like those of the stacked
 functions of states, flux and thermo, handle stacks only: batch_of_one
 runs a single input as a stack of one and returns its row 0, and errors
-name the failing row of a stack of two or more.  as_complex_stack is the
-one coercer of a matrix operand, and require_shape the one rule that
-operands share a shape; their errors name the operand.  tensor_product,
-partial_trace and expectation refuse a result that overflows.
-tensor_product takes two matrices or two stacks, and a single factor
-broadcasts against a stack; product_spectrum gives a tensor product's
-spectrum from its factors', with no eigensolve.  unitary_from_generator
-takes one generator with one time or a 1-D grid of T times, or a
-(B, n, n) stack of generators with one time, and returns exp(-i t G) as
-(n, n), (T, n, n) or (B, n, n); it is the package's only matrix
-exponential, and from_spectrum, V diag(x) V^dag for one matrix or a
-stack, its only rebuild.  take_row is row k, or a slice of rows, of a
-stacked result, put_rows writes rows back into one, and in_blocks fills
-one from blocks of config.BLOCK_ROWS rows.
+name the failing row of a stack of two or more.  as_complex_stack and
+as_real are the one coercers of a matrix and of a real operand, and
+require_shape the one rule that operands share a shape; their errors
+name the operand.  tensor_product, partial_trace and expectation refuse
+a result that overflows.  tensor_product takes two matrices or two
+stacks, and a single factor broadcasts against a stack; product_spectrum
+gives a tensor product's spectrum from its factors', with no eigensolve.
+unitary_from_generator takes one generator with one time or a 1-D grid
+of T times, or a (B, n, n) stack of generators with one time, and
+returns exp(-i t G) as (n, n), (T, n, n) or (B, n, n); it is the
+package's only matrix exponential, and from_spectrum, V diag(x) V^dag
+for one matrix or a stack, its only rebuild.  take_row is row k, or a
+slice of rows, of a stacked result, put_rows writes rows back into one,
+and in_blocks fills one from blocks of config.BLOCK_ROWS rows.
 
 The eigensolver is a Jacobi iteration with complex Givens rotations in
 round-robin order (Brent & Luk, 1985): a sweep is a fixed sequence of
@@ -75,6 +75,17 @@ def as_complex_stack(matrix, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix or a stack of "
                               f"them, got shape {shape_label(a)}")
     return a
+
+
+def as_real(value, name: str) -> np.ndarray:
+    """Real operand `name` as float64 in its shape; anything else raises, naming it."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be a real number or an array of them")
+    return a.astype(np.float64, copy=False)
 
 
 def _require_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -472,7 +483,7 @@ def unitary_from_generator(generator, t=1.0) -> np.ndarray:
     elementwise in t, so it does not depend on the other times or rows.
     """
     spec = generator if isinstance(generator, Spectrum) else eigh(generator)
-    times = np.asarray(t, dtype=np.float64)
+    times = as_real(t, "times")
     if times.ndim > 1:
         raise ValidationError(f"times must be a scalar or 1-D, got shape {times.shape}")
     if times.ndim == 1 and spec.eigenvalues.ndim > 1:

@@ -47,7 +47,7 @@ from .bounds import entrywise
 from .errors import ValidationError
 from .flux import (BoundReport, Observable, all_hold, evaluate_bounds, lowers,
                    make_observable)
-from .linalg import in_blocks, put_rows
+from .linalg import as_real, in_blocks, put_rows
 from .states import DensityMatrix, validate_state
 
 POLICY_REDRAW = "redraw"
@@ -193,7 +193,7 @@ def qubit_matrices(u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in [0, 1), not yet validated: a (7,) array gives one triple and a
     (B, 7) array a stack of B.  Each row is bit for bit what the
     protocol's formulas give it alone in Python floats."""
-    u = np.asarray(u, dtype=np.float64)
+    u = as_real(u, "uniforms")
     if u.ndim not in (1, 2) or u.shape[-1] != UNIFORMS_PER_DRAW:
         raise ValidationError("the qubit protocol consumes exactly 7 uniforms "
                               f"per draw, got an array of shape {u.shape}")

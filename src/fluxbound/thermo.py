@@ -59,10 +59,10 @@ from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, ValidationError
 from .flux import (BoundReport, Observable, Verdict, all_hold, evaluate_bounds,
                    product_observable)
-from .linalg import (as_complex_stack, as_stack, batch_of_one, eigh, expectation,
-                     first_row, from_spectrum, in_blocks, partial_trace,
-                     require_hermitian, row_label, shape_label, take_row,
-                     tensor_product, unitary_from_generator)
+from .linalg import (as_complex_stack, as_real, as_stack, batch_of_one, eigh,
+                     expectation, first_row, from_spectrum, in_blocks,
+                     partial_trace, require_hermitian, row_label, shape_label,
+                     take_row, tensor_product, unitary_from_generator)
 from .states import (DensityMatrix, RelEntropyValue, _settled, directed_entropy_pair,
                      product_state, symmetric_average, symmetric_relative_entropy,
                      trace_distance_norm, validate_state, validate_states)
@@ -174,7 +174,7 @@ def thermal_environment(hamiltonian, beta) -> DensityMatrix:
     inverse temperature, Phi = beta tr((rho_E' - rho_E) H), and the
     capacity to beta * (E_max - E_min).
     """
-    betas, rows = np.asarray(beta, dtype=np.float64), len(hamiltonian)
+    betas, rows = as_real(beta, "beta"), len(hamiltonian)
     if betas.ndim > 1 or betas.size not in (1, rows):
         raise ValidationError(f"beta of shape {betas.shape} is neither one value "
                               f"nor one per Hamiltonian ({rows})")
@@ -221,7 +221,6 @@ class ChainCheck:
     capacity: float
     ratio: float
     s_tilde: RelEntropyValue
-    production_mean: RelEntropyValue
     steps: dict
 
     @property
@@ -246,8 +245,7 @@ def _chain_from_report(report: BoundReport,
     steps["s_tilde_dominates_cost"] = report.verdicts["onsager"]
     steps["cost_dominates_quadratic"] = Verdict(
         _bounds.onsager_like(ratio) - 2.0 * ratio * ratio, live & (ratio < 1.0))
-    return ChainCheck(report.flux, report.capacity, ratio, report.s_tilde,
-                      production_mean, steps)
+    return ChainCheck(report.flux, report.capacity, ratio, report.s_tilde, steps)
 
 
 @batch_of_one
@@ -297,12 +295,7 @@ class SpinPairParams:
                      "level_splitting", "coupling_strength", "coupling_phase"):
             if not isinstance(value := getattr(self, name), numbers.Real):
                 raise ValidationError(f"{name} must be a real number, got {value!r}")
-        try:
-            times = np.asarray(self.times)
-        except ValueError:  # a ragged nesting
-            times = None
-        if times is None or times.ndim != 1 or times.dtype.kind not in "biuf":
-            raise ValidationError("times must be a sequence of real numbers")
+        times = as_real(self.times, "times")
         for name in ("level_splitting", "coupling_strength", "coupling_phase", "times"):
             if not np.isfinite(times if name == "times" else getattr(self, name)).all():
                 raise ValidationError(f"{name} must be finite")
@@ -316,7 +309,7 @@ class SpinPairParams:
                                   f"normal double, {np.finfo(np.float64).tiny:.3e}")
         if self.coupling_strength <= 0.0:
             raise ValidationError("coupling strength must be positive")
-        if not times.size or (times < 0.0).any():
+        if times.ndim != 1 or not times.size or (times < 0.0).any():
             raise ValidationError("times must be a nonempty list of nonnegative reals")
         if (times[1:] < times[:-1]).any():
             raise ValidationError("times must be nondecreasing")
@@ -359,9 +352,8 @@ class SpinPairPoint:
 def _spin_pair_initial_states(
         params: SpinPairParams) -> tuple[DensityMatrix, DensityMatrix]:
     """The exchange model's initial states (rho_S0, rho_E0)."""
-    return tuple(validate_state(np.diag([1.0 - x, x]))
-                 for x in (params.excited_population_system,
-                           params.excited_population_environment))
+    p, q = params.excited_population_system, params.excited_population_environment
+    return validate_states(np.diag([1.0 - p, p]), np.diag([1.0 - q, q]))
 
 
 def spin_pair_timeseries(params: SpinPairParams) -> SpinPairPoint:
@@ -495,7 +487,7 @@ def saturating_family(
     two stacks of B states and a record of arrays, evaluated in blocks of
     BLOCK_ROWS gaps.
     """
-    gaps = np.asarray(log_odds_gap, dtype=np.float64)
+    gaps = as_real(log_odds_gap, "log-odds gaps")
     if gaps.ndim > 1 or gaps.size == 0:
         raise ValidationError(f"log-odds gaps must be a scalar or a nonempty "
                               f"1-D grid, got shape {gaps.shape}")

@@ -20,11 +20,11 @@ tallies are those of a draw-by-draw run, bit for bit, draw i of a suite
 stays a pure function of (seed, suite stream, i), and memory stays flat
 as the draw count grows.
 
-Every suite, random or on a fixed grid, hands back its checks as columns
-(name, slacks, applies), arrays over the stack's rows; one helper (_rows)
-turns them into each row's checks, recorded as "draw k name" or as
-"name at x=..." for a grid point.  A check that does not apply to a row
-is left out of that row; a core Verdict's column is its (slack, applies).
+Every suite, random or on a fixed grid, hands back its checks as a dict
+{name: flux.Verdict} over the stack's rows, so the core's verdicts pass
+through as they are; one helper (_rows) turns it into each row's checks,
+recorded as "draw k name" or as "name at x=..." for a grid point.  A
+check that does not apply to a row is left out of that row.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .config import VERIFY_RUN_ROWS
-from .flux import (ShiftCheck, clears, evaluate_bounds, lowers,
+from .flux import (ShiftCheck, Verdict, clears, evaluate_bounds, lowers,
                    make_observable, optimal_shift_check, qtur_check,
                    sign_decomposition)
 from .linalg import expectation, take_row, unitary_from_generator
@@ -123,13 +123,13 @@ def _scenario(rho_system, rho_environment, generator) -> BipartiteScenario:
                          unitary_from_generator(generator, 1.0))
 
 
-def _rows(columns) -> list:
-    """Each row's checks, as (slack, name) pairs in column order.  A column
-    is (name, slacks, applies): slacks an array over the rows, applies a
-    bool array over them, or True where the check applies to every row."""
-    columns = [(name, slacks.tolist(),
-                np.broadcast_to(applies, slacks.shape).tolist())
-               for name, slacks, applies in columns]
+def _rows(verdicts: dict) -> list:
+    """Each row's checks, as (slack, name) pairs in the order of a dict
+    {name: Verdict} whose slacks are arrays over the rows, leaving out a
+    row where its verdict does not apply (applies may be one bool)."""
+    columns = [(name, v.slack.tolist(),
+                np.broadcast_to(v.applies, v.slack.shape).tolist())
+               for name, v in verdicts.items()]
     return [[(slacks[row], name) for name, slacks, applies in columns
              if applies[row]] for row in range(len(columns[0][1]))]
 
@@ -141,8 +141,8 @@ def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
     raw inputs with sample(k, dim, rng) (a tuple of arrays and floats),
     where rng is draw k's substream of the suite's stream and dim cycles
     2, 3, 4; evaluate the draws whose inputs share their shapes as one
-    stack, with evaluate(*stacked inputs), which returns the stack's check
-    columns (_rows); and record the checks in draw order, as "draw k
+    stack, with evaluate(*stacked inputs), which returns the stack's
+    verdicts (_rows); and record the checks in draw order, as "draw k
     name".  Every row of a stack is computed as it would be alone, so the
     grouping changes no check.  A halved suite, whose draws cost more,
     takes max(draws // 2, 20) draws."""
@@ -164,11 +164,11 @@ def _check_draws(result: SuiteResult, config: VerifyConfig, sample, evaluate,
     return result
 
 
-def _record_grid(result: SuiteResult, axis: str, grid: np.ndarray, columns) -> None:
-    """Record the check columns (_rows) of a grid evaluated as arrays, in
-    grid order, as "name at {axis}{point!r}"; the points are read as Python
+def _record_grid(result: SuiteResult, axis: str, grid: np.ndarray, verdicts) -> None:
+    """Record the verdicts (_rows) of a grid evaluated as arrays, in grid
+    order, as "name at {axis}{point!r}"; the points are read as Python
     floats, so the details print without numpy reprs."""
-    for point, checks in zip(grid.tolist(), _rows(columns)):
+    for point, checks in zip(grid.tolist(), _rows(verdicts)):
         for slack, name in checks:
             result.record(slack, f"{name} at {axis}{point!r}")
 
@@ -191,20 +191,20 @@ def suite_bound_functions(config: VerifyConfig) -> SuiteResult:
     x = np.geomspace(1e-6, 50.0, 121)
     roundtrip = _bounds.divergence_from_gap(_bounds.gap_from_divergence(x))
     _record_grid(result, "x=", x,
-                 [("roundtrip", 1e-10 - np.abs(roundtrip - x), True)])
+                 {"roundtrip": Verdict(1e-10 - np.abs(roundtrip - x), True)})
     x = np.geomspace(1e-4, 50.0, 121)
     product = bound(x) * (1.0 + floor(x))
     _record_grid(result, "x=", x,
-                 [("product identity", 1e-10 - np.abs(product - 1.0), True)])
+                 {"product identity": Verdict(1e-10 - np.abs(product - 1.0), True)})
     x = np.geomspace(1e-6, 200.0, 121)
     _record_grid(result, "x=", x,
-                 [("envelope", np.minimum(1.0, 0.5 * x) - bound(x), True)])
+                 {"envelope": Verdict(np.minimum(1.0, 0.5 * x) - bound(x), True)})
     result.record(1e-3 - abs(bound(1e-8) / 0.5e-8 - 1.0), "small-x limit")
     # monotonicity on a coarse grid
     x = np.geomspace(1e-4, 60.0, 61)
     bs, fs = bound(x), floor(x)
-    _record_grid(result, "", x[:-1], [("bound monotone", bs[1:] - bs[:-1], True),
-                                      ("floor monotone", fs[:-1] - fs[1:], True)])
+    _record_grid(result, "", x[:-1], {"bound monotone": Verdict(bs[1:] - bs[:-1], True),
+                                      "floor monotone": Verdict(fs[:-1] - fs[1:], True)})
     return result
 
 
@@ -214,7 +214,7 @@ def suite_capacity(config: VerifyConfig, tols=None) -> SuiteResult:
     def evaluate(thetas, rhos, sigmas):
         theta, (rho, sigma) = make_observable(thetas), validate_states(rhos, sigmas)
         phi = expectation(theta.matrix, rho.matrix - sigma.matrix)
-        return [(f"dim {theta.dim}", theta.capacity - np.abs(phi), True)]
+        return {f"dim {theta.dim}": Verdict(theta.capacity - np.abs(phi), True)}
     return _check_draws(SuiteResult("capacity", config.slack_tolerance), config,
                         _triple_inputs, evaluate)
 
@@ -235,9 +235,8 @@ def suite_bound_chain(config: VerifyConfig) -> SuiteResult:
         report = evaluate_bounds(make_observable(thetas),
                                  *validate_states(rhos, sigmas))
         main, ends = report.main_rhs, report.s_tilde.finite & ~report.degenerate_capacity
-        return [*((name, v.slack, v.applies) for name, v in report.verdicts.items()),
-                ("curve <= 1", 1.0 - main, ends),
-                ("strengthened <= main", main - report.strengthened_rhs, ends)]
+        return {**report.verdicts, "curve <= 1": Verdict(1.0 - main, ends),
+                "strengthened <= main": Verdict(main - report.strengthened_rhs, ends)}
     return _check_draws(SuiteResult("bound_chain", config.slack_tolerance), config,
                         sample, evaluate)
 
@@ -256,9 +255,9 @@ def suite_sign_identities(config: VerifyConfig) -> SuiteResult:
         eps_sigma = expectation(dec.kernel_projector, sigma.matrix)
         unit = dec.sign_operator @ dec.sign_operator + dec.kernel_projector
         unit_error = np.abs(unit - np.eye(rho.dim)).max(axis=(1, 2))
-        return [("trace-norm recovery", tol - np.abs(gap - tn), True),
-                ("kernel weight", tol - np.abs(eps_rho - eps_sigma), True),
-                ("squares to identity", tol - unit_error, True)]
+        return {"trace-norm recovery": Verdict(tol - np.abs(gap - tn), True),
+                "kernel weight": Verdict(tol - np.abs(eps_rho - eps_sigma), True),
+                "squares to identity": Verdict(tol - unit_error, True)}
     return _check_draws(SuiteResult("sign_identities", config.slack_tolerance),
                         config, _pair_inputs, evaluate)
 
@@ -269,14 +268,14 @@ def suite_uncertainty(config: VerifyConfig) -> SuiteResult:
     def evaluate(rhos, sigmas):
         rho, sigma = validate_states(rhos, sigmas)
         check = qtur_check(sign_decomposition(rho, sigma).sign_operator, rho, sigma)
-        return [(f"dim {rho.dim}", check.verdict.slack, check.verdict.applies)]
+        return {f"dim {rho.dim}": check.verdict}
     result = _check_draws(SuiteResult("uncertainty", config.slack_tolerance),
                           config, _pair_inputs, evaluate)
     grid = np.linspace(0.2, 6.0, 30)
     rhos, sigmas, _ = saturating_family(grid)
     check = qtur_check(sign_decomposition(rhos, sigmas).sign_operator, rhos, sigmas)
     _record_grid(result, "a=", grid,
-                 [("equality", 1e-8 - np.abs(check.verdict.slack), True)])
+                 {"equality": Verdict(1e-8 - np.abs(check.verdict.slack), True)})
     return result
 
 
@@ -296,10 +295,10 @@ def suite_optimal_shift(config: VerifyConfig) -> SuiteResult:
             scans.append(astuple(optimal_shift_check(theta, grid)))
         check = ShiftCheck(*np.array(scans).T)
         half = check.half_capacity
-        return [("grid minimum", check.grid_min - half, True),
-                ("grid resolution", half + check.grid_step - check.grid_min, True),
-                ("value at the optimal shift",
-                 1e-12 - np.abs(check.value_at_lambda_star - half), True)]
+        return {"grid minimum": Verdict(check.grid_min - half, True),
+                "grid resolution": Verdict(half + check.grid_step - check.grid_min, True),
+                "value at the optimal shift": Verdict(
+                    1e-12 - np.abs(check.value_at_lambda_star - half), True)}
     return _check_draws(SuiteResult("optimal_shift", config.slack_tolerance), config,
                         lambda k, dim, rng: (random_hermitian(rng, dim),),
                         evaluate, halved=True)
@@ -323,8 +322,8 @@ def suite_thermo_chain(config: VerifyConfig) -> SuiteResult:
         ef = entropy_flux(thermal, thermal_outcome)
         heat = expectation(h_env, thermal_outcome.rho_environment.matrix
                            - gibbs.matrix)
-        return [*((name, v.slack, v.applies) for name, v in chain.steps.items()),
-                ("thermal identity", 1e-10 - np.abs(ef.value - beta * heat), True)]
+        return {**chain.steps, "thermal identity": Verdict(
+            1e-10 - np.abs(ef.value - beta * heat), True)}
     return _check_draws(SuiteResult("thermo_chain", config.slack_tolerance), config,
                         sample, evaluate, halved=True)
 
@@ -336,15 +335,14 @@ def suite_local_bound(config: VerifyConfig) -> SuiteResult:
     points = spin_pair_timeseries(SpinPairParams(times=tuple(np.linspace(0.0, 1.5, 61))))
     finite = ~np.isinf(points.onsager)
     _record_grid(result, "t=", points.t,
-                 [("exchange model", points.s_tilde - points.onsager, finite),
-                  ("exchange cost", points.onsager - points.two_phi_sq, finite)])
+                 {"exchange model": Verdict(points.s_tilde - points.onsager, finite),
+                  "exchange cost": Verdict(points.onsager - points.two_phi_sq, finite)})
 
     def evaluate(rho_s, rho_e, generators, thetas):
         scenario = _scenario(rho_s, rho_e, generators)
         outcome = evolve(scenario)
-        chain = local_system_bound_check(make_observable(thetas), outcome.rho_system,
-                                         scenario.rho_system)
-        return [(name, v.slack, v.applies) for name, v in chain.steps.items()]
+        return local_system_bound_check(make_observable(thetas), outcome.rho_system,
+                                        scenario.rho_system).steps
     return _check_draws(result, config,
                         lambda k, dim, rng: (*_scenario_inputs(rng, 2, 2),
                                              random_hermitian(rng, 2)),
@@ -358,17 +356,18 @@ def suite_correlation(config: VerifyConfig) -> SuiteResult:
         scenario = _scenario(rho_s, rho_e, generators)
         outcome = evolve(scenario)
         theta_s, theta_e = make_observable(h_system), make_observable(h_environment)
-        columns = []
+        checks = {}
         for protocol in (BATH_RESET, BOTH_RESET):
             value = correlation(theta_s, theta_e, scenario, outcome, protocol)
             report = correlation_bound_report(theta_s, theta_e, scenario,
                                               outcome, protocol)
             capped = (report.capacity > 0) & report.s_tilde.finite
             ratio_sq = (value / np.where(capped, report.capacity, 1.0)) ** 2
-            columns += [(f"{protocol} definitional",
-                         1e-9 - np.abs(value - report.flux), True),
-                        (f"{protocol} entropy cap", report.main_rhs - ratio_sq, capped)]
-        return columns
+            checks[f"{protocol} definitional"] = Verdict(
+                1e-9 - np.abs(value - report.flux), True)
+            checks[f"{protocol} entropy cap"] = Verdict(
+                report.main_rhs - ratio_sq, capped)
+        return checks
     return _check_draws(SuiteResult("correlation", config.slack_tolerance), config,
                         lambda k, dim, rng: (*_scenario_inputs(rng, 2, 2),
                                              random_hermitian(rng, 2),
@@ -380,11 +379,11 @@ def suite_saturation(config: VerifyConfig) -> SuiteResult:
     """The extremal family meets the bound with equality at every gap."""
     result = SuiteResult("saturation", config.slack_tolerance)
     _, _, family = saturating_family(np.linspace(0.1, 10.0, 100))
-    trace_norm_error = np.abs(family.trace_norm - family.trace_norm_closed)
-    _record_grid(result, "a=", family.log_odds_gap, [
-        ("gap", 1e-8 - family.gap, True),
-        ("trace norm", 1e-8 - trace_norm_error, True),
-        ("divergence", 1e-8 - np.abs(family.s_tilde - family.s_tilde_closed), True)])
+    _record_grid(result, "a=", family.log_odds_gap, {
+        name: Verdict(1e-8 - error, True) for name, error in (
+            ("gap", family.gap),
+            ("trace norm", np.abs(family.trace_norm - family.trace_norm_closed)),
+            ("divergence", np.abs(family.s_tilde - family.s_tilde_closed)))})
     return result
 
 

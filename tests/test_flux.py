@@ -438,6 +438,13 @@ def test_a_verdict_tallies_the_rows_where_it_applies():
     assert Verdict(-1.0, False).tally(1e-9) == (0, math.inf, None)
 
 
+def test_one_applies_covers_every_row_of_a_stacked_tally():
+    # one bool over a stack of slacks used to count only row 0
+    verdict = Verdict(np.array([0.5, -1.0, -2.0]), True)
+    assert verdict.tally(1e-9) == (2, -2.0, 2)
+    assert verdict.tally(1e-9)[0] == np.count_nonzero(~verdict.holds_at(1e-9))
+
+
 def test_stacked_state_errors_name_the_first_bad_row():
     stack = np.stack([np.eye(2) / 2, np.diag([0.5, 0.6]), np.diag([0.5, 0.7])])
     with pytest.raises(ValidationError, match="row 1 of the stack"):

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 import fluxbound.linalg as linalg_module
 from conftest import (SMALL_BLOCK_ROWS, random_hermitian_np,
                       reference_partial_trace, rng_for)
-from fluxbound import (eigh, expectation, partial_trace, tensor_product,
-                       unitary_from_generator)
+from fluxbound import (eigh, expectation, make_observable, optimal_shift_check,
+                       partial_trace, saturating_family, tensor_product,
+                       thermal_environment, unitary_from_generator)
 from fluxbound.errors import (DomainError, FluxboundError, NumericError,
                               ValidationError)
 from fluxbound.linalg import (as_complex_stack, from_spectrum, in_blocks,
                               require_hermitian)
+from fluxbound.montecarlo import qubit_matrices
 
 
 def test_eigh_sorts_a_diagonal_matrix():
@@ -348,6 +350,36 @@ def test_gate_functions_name_their_operand():
         expectation(np.eye(2), np.zeros(4))
     with pytest.raises(ValidationError, match=r"^matrix must be .* \(4, 2\)$"):
         partial_trace(np.zeros((4, 2)), 2, 2)
+
+
+# real operands that are not real numbers: a complex one used to be
+# truncated after numpy's ComplexWarning, and a string or a ragged
+# nesting to escape as a bare ValueError (SpinPairParams' times are
+# checked in test_thermo)
+NOT_REAL = {
+    "beta, complex": ("beta", thermal_environment,
+                      (np.diag([0.0, 1.0]), np.complex128(1 + 1j))),
+    "beta, string": ("beta", thermal_environment, (np.diag([0.0, 1.0]), "x")),
+    "times, complex": ("times", unitary_from_generator, (np.eye(2), [0.5, 1j])),
+    "times, string": ("times", unitary_from_generator, (np.eye(2), "a")),
+    "shift grid, complex": ("shift grid", optimal_shift_check,
+                            (make_observable(np.eye(2)), [0.0, 1.0 + 1j])),
+    "shift grid, strings": ("shift grid", optimal_shift_check,
+                            (make_observable(np.eye(2)), ["a", "b"])),
+    "log-odds gaps, complex": ("log-odds gaps", saturating_family, ([1.0 + 1j],)),
+    "log-odds gaps, string": ("log-odds gaps", saturating_family, ("x",)),
+    "log-odds gaps, ragged": ("log-odds gaps", saturating_family, ([[1.0], [1.0, 2.0]],)),
+    "uniforms, complex": ("uniforms", qubit_matrices, (np.full(7, 0.5 + 0.5j),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL))
+def test_real_operands_refuse_what_is_not_real_by_name(case):
+    name, function, args = NOT_REAL[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number or"):
+            function(*args)
 
 
 # finite inputs whose results overflow: these used to return nan or inf,

@@ -406,8 +406,11 @@ def test_spin_pair_params_validation():
                          ("level_splitting", None), ("coupling_phase", 1j)):
         with pytest.raises(ValidationError, match=f"^{field} must be a real number"):
             SpinPairParams(**{field: value})
-    for times in ([[0.0, 1.0]], [0.0, [1.0]], None, 1.0, ("0.5",)):
-        with pytest.raises(ValidationError, match="^times must be a sequence"):
+    for times in ([[0.0, 1.0]], 1.0):
+        with pytest.raises(ValidationError, match="^times must be a nonempty list"):
+            SpinPairParams(times=times)
+    for times in ([0.0, [1.0]], None, ("0.5",), (0.0, 1j)):
+        with pytest.raises(ValidationError, match="^times must be a real number or"):
             SpinPairParams(times=times)
 
 

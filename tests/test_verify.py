@@ -400,8 +400,9 @@ def test_a_suite_holds_one_run_of_draws_at_a_time(monkeypatch):
 
 def test_verify_solves_each_dimension_as_one_stack(monkeypatch):
     # one eigensolve per stack, not per draw: the draw-by-draw run made 981.
-    # A stack validates all of a run's same-shape states at once, and
-    # product states and observables take their factors' spectra
+    # A stack validates all of a run's same-shape states at once (the
+    # exchange model's two initial states too), and product states and
+    # observables take their factors' spectra
     calls = []
     original = linalg_module._sorted_spectrum
 
@@ -410,4 +411,4 @@ def test_verify_solves_each_dimension_as_one_stack(monkeypatch):
         return original(values, vectors)
     monkeypatch.setattr(linalg_module, "_sorted_spectrum", counted)
     assert run_verify(VerifyConfig(draws=24)).ok
-    assert len(calls) == 62
+    assert len(calls) == 61
