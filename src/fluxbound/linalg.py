@@ -70,7 +70,8 @@ class Spectrum(NamedTuple):
 def as_complex_stack(matrix, name: str) -> np.ndarray:
     """Operand `name` (a square matrix, a (B, n, n) stack or a record with
     one in .matrix) as complex128 in its layout; _require_finite checks entries."""
-    a = np.asarray(getattr(matrix, "matrix", matrix), dtype=np.complex128)
+    a = _numbers(getattr(matrix, "matrix", matrix), np.complex128,
+                 f"{name} must be a matrix of numbers or a stack of them")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix or a stack of "
                               f"them, got shape {shape_label(a)}")
@@ -79,13 +80,20 @@ def as_complex_stack(matrix, name: str) -> np.ndarray:
 
 def as_real(value, name: str) -> np.ndarray:
     """Real operand `name` as float64 in its shape; anything else raises, naming it."""
+    return _numbers(value, np.float64,
+                    f"{name} must be a real number or an array of them")
+
+
+def _numbers(value, dtype, message: str) -> np.ndarray:
+    """value as an array of dtype, if numpy casts its numbers there within
+    their kind; a string, a ragged nesting or objects raise ValidationError(message)."""
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged nesting
         a = None
-    if a is None or a.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must be a real number or an array of them")
-    return a.astype(np.float64, copy=False)
+    if a is None or not np.can_cast(a.dtype, dtype, "same_kind"):
+        raise ValidationError(message)
+    return a.astype(dtype, copy=False)
 
 
 def _require_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -206,7 +214,10 @@ def _is_single(argument) -> bool:
     matrix = getattr(argument, "matrix", None)
     if matrix is None and hasattr(argument, "__dataclass_fields__"):
         return _is_single(next(iter(vars(argument).values()), None))
-    return np.ndim(argument if matrix is None else matrix) == 2
+    try:
+        return np.ndim(argument if matrix is None else matrix) == 2
+    except ValueError:  # a ragged nesting, which the function refuses by name
+        return False
 
 
 def _lift_argument(argument):

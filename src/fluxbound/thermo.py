@@ -367,7 +367,7 @@ def spin_pair_timeseries(params: SpinPairParams) -> SpinPairPoint:
     h_s = spin_hamiltonian(omega)
     joint0 = tensor_product(rho_s0.matrix, rho_e0.matrix)
     generator_spectrum = eigh(exchange_generator(g, params.coupling_phase))
-    times = np.asarray(params.times, dtype=np.float64)
+    times = as_real(params.times, "times")
 
     def block(first: int, stop: int) -> tuple[SpinPairPoint]:
         t = times[first:stop]

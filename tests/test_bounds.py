@@ -8,6 +8,7 @@ for x = 2 tanh(1), where the curve values are tanh(1)^2 and
 
 import math
 import sys
+import types
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.optimize import brentq
 
 from fluxbound import (divergence_from_gap, flux_ratio_sq_bound,
                        gap_from_divergence, onsager_like, variance_ratio_floor)
-from fluxbound.bounds import MAX_ITERATIONS, ROOT_TOLERANCE
+from fluxbound import bounds
 from fluxbound.errors import DomainError
 
 X_AT_GAP_2 = 1.5231883119115297      # 2 tanh(1)
@@ -44,15 +45,6 @@ def test_divergence_from_gap_rejects_nan():
     with pytest.raises(DomainError) as excinfo:
         divergence_from_gap(np.array([1.0, math.nan]))
     assert math.isnan(excinfo.value.offending_value)
-
-
-@settings(derandomize=True, database=None)
-@given(st.floats(min_value=0.0, max_value=1e300))
-def test_the_starting_bracket_holds_the_root(x):
-    # gap_from_divergence searches [x, max(x + 2, sqrt(2 x) + 2)] and no
-    # longer grows the bracket: h(x + 2) - x = 2 - 2 (x + 2) / (e^(x+2) + 1)
-    # >= 2 / (x + 3) > 0, and past x = 36.2 tanh rounds to 1, so h(hi) = hi
-    assert divergence_from_gap(max(x + 2.0, math.sqrt(2.0 * x) + 2.0)) >= x
 
 
 def test_divergence_from_gap_is_strictly_increasing():
@@ -140,14 +132,15 @@ def test_bound_saturates_at_large_argument():
 
 
 def test_curves_are_monotone():
-    xs = np.geomspace(1e-4, 60.0, 61)
-    bs = [flux_ratio_sq_bound(float(x)) for x in xs]
-    fs = [variance_ratio_floor(float(x)) for x in xs]
-    for a, b in zip(bs, bs[1:]):
-        # near saturation adjacent values differ below root-finder noise
-        assert b - a >= -1e-9
-    for a, b in zip(fs, fs[1:]):
-        assert a - b >= -1e-9
+    # on verify's grid, and densely where B is within 1e-12 of 1: there
+    # adjacent values differ by less than their rounding, a few ulps
+    for xs in (np.geomspace(1e-4, 60.0, 61), np.linspace(30.0, 60.0, 3001)):
+        bs = flux_ratio_sq_bound(xs).tolist()
+        fs = variance_ratio_floor(xs).tolist()
+        for a, b in zip(bs, bs[1:]):
+            assert b - a >= -4.0 * math.ulp(a)
+        for a, b in zip(fs, fs[1:]):
+            assert a - b >= -4.0 * math.ulp(a)
 
 
 def test_onsager_like_values():
@@ -221,22 +214,22 @@ DIVERGENCES = st.floats(min_value=0.0, max_value=sys.float_info.max)
 @PROPERTY
 @given(DIVERGENCES)
 def test_the_gap_inverts_the_divergence(x):
-    # down to the smallest subnormal x: below x ~ 1e-118, where Newton takes
-    # more than 200 halving steps down to sqrt(2 x), it used to stop with
-    # NumericError
+    # a root within an ulp or two moves h(y) by a few ulps of x, and at
+    # most by one ulp of the subnormal grid, to which 6 eps x underflows
     y = gap_from_divergence(x)
     assert y >= x
-    assert abs(divergence_from_gap(y) - x) <= 1e-12 * x + math.ulp(0.0)
+    assert abs(divergence_from_gap(y) - x) <= 6.0 * sys.float_info.epsilon * x \
+        + math.ulp(0.0)
 
 
 @PROPERTY
 @given(st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max))
 def test_the_bound_lies_under_its_envelope(x):
-    # min(1, x / 2), up to the curve's own error: B = (x / g)^2 carries
-    # twice the root's relative tolerance.  Below the smallest normal
-    # float B is subnormal and has no relative accuracy to check
-    b = flux_ratio_sq_bound(x)
-    assert 0.0 < b <= min(1.0, 0.5 * x) * (1.0 + 2.0 * ROOT_TOLERANCE)
+    # min(1, x / 2), up to the rounding of (x / g)^2: 3 ulps at most over
+    # 200,000 log-uniform x.  Below the smallest normal float B is
+    # subnormal and has no relative accuracy to check
+    b, envelope = flux_ratio_sq_bound(x), min(1.0, 0.5 * x)
+    assert 0.0 < b <= envelope + 4.0 * math.ulp(envelope)
     assert b <= 1.0
 
 
@@ -283,51 +276,10 @@ def test_the_bound_functions_at_the_ends_of_their_domain():
         assert variance_ratio_floor(x) == 0.0
 
 
-def _newton_reference(x: float) -> float:
-    """gap_from_divergence as it was when each Newton step evaluated h(y)
-    = y tanh(y / 2) and its slope with a tanh each."""
-    if x == 0.0:
-        return 0.0
-    lo = x
-    hi = (x if x > 2.0 else math.sqrt(2.0 * x)) + 2.0
-    tol = ROOT_TOLERANCE * x
-    y = 0.5 * lo + 0.5 * hi
-    for _ in range(MAX_ITERATIONS):
-        residual = y * math.tanh(0.5 * y) - x
-        if abs(residual) <= tol:
-            return y
-        if residual > 0.0:
-            hi = y
-        else:
-            lo = y
-        slope = math.tanh(0.5 * y)
-        if y <= 100.0:
-            sech = 1.0 / math.cosh(0.5 * y)
-            slope = slope + 0.5 * y * sech * sech
-        candidate = y - residual / slope
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        if candidate == y or hi - lo <= 4.0 * math.ulp(hi):
-            return y
-        y = candidate
-    raise AssertionError(f"reference did not converge at x = {x!r}")
-
-
-def test_one_tanh_per_newton_step_keeps_every_root_bit_for_bit():
-    # every branch: zero, the smallest subnormal (538 halving steps), tiny
-    # x, the working range, the flat stretch near x = 31 to 60, the
-    # sech-free slope past gap 100, and huge x
-    xs = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-6, 200.0, 2001),
-                         np.linspace(30.0, 60.0, 601), np.geomspace(101.0, 1e4, 201),
-                         [1e300]])
-    got = gap_from_divergence(xs)
-    assert [g.hex() for g in got.tolist()] == \
-        [_newton_reference(x).hex() for x in xs.tolist()]
-
-
 def _oracle_gap(x: float):
     """The root of y tanh(y / 2) = x at the working precision of mpmath,
-    by Newton's method from sqrt(2 x) or x, whichever is larger."""
+    by Newton's method from sqrt(2 x) or x, whichever is larger; the
+    stopping rule is relative, so it holds for subnormal x too."""
     x = mpmath.mpf(x)
     y = max(mpmath.sqrt(2 * x), x)
     for _ in range(200):
@@ -339,34 +291,63 @@ def _oracle_gap(x: float):
     raise AssertionError(f"oracle did not converge at x = {x}")
 
 
-def _slope(y):
-    t = mpmath.tanh(y / 2)
-    return t + y / 2 * mpmath.sech(y / 2) ** 2
+def _within_ulps(got: float, want, ulps: float) -> bool:
+    return abs(mpmath.mpf(got) - want) <= ulps * math.ulp(got)
+
+
+def test_every_root_is_within_three_ulps_of_the_oracle():
+    # every branch: zero, the smallest subnormal, tiny x, the series start
+    # below x = 2 and the exponential one above it, the flat stretch near
+    # x = 31 to 60, the sech-free step past gap 100, and huge x
+    xs = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-6, 200.0, 2001),
+                         np.linspace(30.0, 60.0, 601), np.geomspace(101.0, 1e4, 201),
+                         [1e300]])
+    with mpmath.workdps(40):
+        for x, y in zip(xs.tolist(), gap_from_divergence(xs).tolist()):
+            assert y == 0.0 if x == 0.0 else _within_ulps(y, _oracle_gap(x), 3.0), x
+
+
+def test_every_root_takes_at_most_three_steps(monkeypatch):
+    # one tanh per step; the bracketed Newton loop this replaced took 538
+    # steps at x = 5e-324 and up to 36 bisections above x = 37
+    calls = []
+    counting = types.SimpleNamespace(**vars(math))
+    counting.tanh = lambda v: calls.append(v) or math.tanh(v)
+    monkeypatch.setattr(bounds, "math", counting)
+    xs = np.concatenate([[5e-324, 1e-320, 1e-300], np.geomspace(1e-12, 1e300, 601),
+                         np.linspace(0.0, 60.0, 6001)[1:], np.linspace(1.9, 2.1, 201)])
+    for x in xs.tolist():
+        calls.clear()
+        gap_from_divergence(x)
+        assert 1 <= len(calls) <= 3, x
 
 
 def test_the_gap_and_the_bound_against_a_40_digit_oracle():
-    # the stopping rule |h(y) - x| <= ROOT_TOLERANCE x, plus the rounding
-    # of h(y) in doubles (a few ulps of x), bounds |y - g| through the
-    # smallest slope of h between y and g; h' rises up to y ~ 2.4 and
-    # falls after it (h'' = sech^2(y/2) (1 - (y/2) tanh(y/2))), so that
-    # is the smaller of h'(y) and h'(g).  The bracket's last width, 4 ulps
-    # of y, covers an exit on an exhausted bracket.  B = (x / g)^2 is
-    # bounded over that interval of g, plus its own rounding.  The bounds
-    # come from the stopping rule alone: a tighter root finder must pass
-    # this test unchanged
-    xs = np.concatenate([[5e-324, 1e-300, 1e-100], np.geomspace(1e-12, 200.0, 121),
-                         np.linspace(30.0, 60.0, 31), [150.0, 1e3, 1e300]])
+    # subnormal x included: g to 3 ulps; B = (x / g)^2 to 6 ulps (twice g's
+    # error, plus the rounding of the quotient and its square) and 1e-15;
+    # the floor 1 / sinh(g / 2)^2, where it is finite, to a few ulps times
+    # its condition number in g, 1 + g coth(g / 2), which reaches about 1400
+    # before the floor underflows to the 0 that gap > 1400 returns; and
+    # 2 r artanh r to a few ulps of libm's atanh
+    xs = np.concatenate([[5e-324, 1e-320, 1e-300, 1e-100],
+                         np.geomspace(1e-12, 200.0, 121), np.linspace(31.0, 60.0, 291),
+                         [150.0, 1e3, 1399.0, 1401.0, 1e4, 1e300]])
     gaps, bounds = gap_from_divergence(xs), flux_ratio_sq_bound(xs)
+    normal = xs[xs >= sys.float_info.min]
+    rs = np.concatenate([np.linspace(-1.0, 1.0, 81), [1e-300, 1e-8, math.nextafter(1.0, 0.0)]])
     with mpmath.workdps(40):
+        oracle = {x: _oracle_gap(x) for x in xs.tolist()}
         for x, y, b in zip(xs.tolist(), gaps.tolist(), bounds.tolist()):
-            g, xm = _oracle_gap(x), mpmath.mpf(x)
-            residual = ROOT_TOLERANCE * x + 4.0 * math.ulp(x)
-            gap_error = residual / min(_slope(mpmath.mpf(y)), _slope(g)) \
-                + 4.0 * math.ulp(y)
-            assert abs(y - g) <= gap_error, x
-            if x < sys.float_info.min:
-                # a subnormal h(y) leaves g, and so B, no relative accuracy
-                continue
-            worst = max(abs((xm / (g - gap_error)) ** 2 - (xm / g) ** 2),
-                        abs((xm / (g + gap_error)) ** 2 - (xm / g) ** 2))
-            assert abs(b - (xm / g) ** 2) <= worst + 4.0 * math.ulp(b), x
+            assert _within_ulps(y, oracle[x], 3.0), x
+            assert _within_ulps(b, (x / oracle[x]) ** 2, 6.0), x
+            assert abs(b - (x / oracle[x]) ** 2) <= 1e-15, x
+        for x, f in zip(normal.tolist(), variance_ratio_floor(normal).tolist()):
+            g = oracle[x]
+            condition = 1.0 + float(g * mpmath.coth(g / 2))
+            assert math.isfinite(f), x
+            assert _within_ulps(f, 1 / mpmath.sinh(g / 2) ** 2, 4.0 * condition), x
+        for r, cost in zip(rs.tolist(), onsager_like(rs).tolist()):
+            if abs(r) == 1.0:
+                assert cost == math.inf
+            else:
+                assert _within_ulps(cost, 2 * r * mpmath.atanh(r), 4.0), r

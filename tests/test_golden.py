@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from fluxbound.cli import EXIT_OK, EXIT_VERIFICATION, main
+from fluxbound.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -31,8 +31,7 @@ RUNS = {
     "verify": (["verify"], EXIT_OK),
     "verify_draws24_seed7": (["verify", "--draws", "24", "--seed", "7",
                               "--format", "jsonl"], EXIT_OK),
-    "verify_tolerance_1e-16": (["verify", "--tolerance", "1e-16"],
-                               EXIT_VERIFICATION),
+    "verify_tolerance_1e-16": (["verify", "--tolerance", "1e-16"], EXIT_OK),
 }
 
 # a number inside a line: an optional sign, digits with an optional

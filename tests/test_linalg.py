@@ -15,7 +15,8 @@ from conftest import (SMALL_BLOCK_ROWS, random_hermitian_np,
                       reference_partial_trace, rng_for)
 from fluxbound import (eigh, expectation, make_observable, optimal_shift_check,
                        partial_trace, saturating_family, tensor_product,
-                       thermal_environment, unitary_from_generator)
+                       thermal_environment, unitary_from_generator,
+                       validate_state)
 from fluxbound.errors import (DomainError, FluxboundError, NumericError,
                               ValidationError)
 from fluxbound.linalg import (as_complex_stack, from_spectrum, in_blocks,
@@ -379,6 +380,32 @@ def test_real_operands_refuse_what_is_not_real_by_name(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=f"^{name} must be a real number or"):
+            function(*args)
+
+
+# matrix operands that are not matrices of numbers: a string used to
+# escape as "complex() arg is a malformed string", a ragged nesting as
+# numpy's inhomogeneous-shape ValueError, and a string of digits to be
+# parsed as a number
+NOT_MATRICES = {
+    "operator, string": ("operator", expectation, ("x", np.eye(2))),
+    "state, string": ("state", expectation, (np.eye(2), "x")),
+    "matrix, string": ("matrix", validate_state, ("ab",)),
+    "matrix, strings of digits": ("matrix", make_observable, ([["1", "0"], ["0", "1"]],)),
+    "matrix, ragged": ("matrix", make_observable, ([[1.0, 2.0], [3.0]],)),
+    "matrix, None entry": ("matrix", validate_state, ([[1.0, 0.0], [0.0, None]],)),
+    "second factor, ragged": ("second factor", tensor_product,
+                              (np.eye(2), [[1.0, 0.0], [0.0]])),
+    "matrix, ragged stack": ("matrix", partial_trace, ([np.eye(4), np.eye(2)], 2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_MATRICES))
+def test_matrix_operands_refuse_what_is_not_numbers_by_name(case):
+    name, function, args = NOT_MATRICES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{name} must be a matrix of numbers"):
             function(*args)
 
 
