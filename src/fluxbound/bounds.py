@@ -22,11 +22,15 @@ curve increases to 1 as x -> inf.
 
 divergence_from_gap, gap_from_divergence, flux_ratio_sq_bound,
 variance_ratio_floor and onsager_like take a float or an array (a stack
-of values) and answer in kind.  They run entry by entry in Python
-floats: at a stack of one, masked numpy arithmetic costs tens of times
-more than the scalar iteration, and the per-entry results do not depend
-on the stack.  An entry outside the domain, NaN included, raises
-DomainError carrying it; only divergence_from_gap takes an infinite one.
+of values) and answer in kind: any other real operand (an int, a numpy
+scalar, a list) is taken through linalg.as_real, and one that is not
+real, a string or a complex number, raises ValidationError naming it.
+They run entry by entry in Python floats: at a stack of one, masked
+numpy arithmetic costs tens of times more than the scalar iteration, and
+the per-entry results do not depend on the stack.  An entry outside the
+domain, NaN included, raises DomainError carrying it; only
+divergence_from_gap takes an infinite one.  A floor that overflows, at
+a subnormal x, raises NumericError.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericError
+from .linalg import as_real
 
 # gap_from_divergence's step cap; from its closed-form starts it needs three
 HALLEY_STEPS = 8
@@ -44,7 +49,7 @@ HALLEY_STEPS = 8
 def divergence_from_gap(gap):
     """x = gap * tanh(gap / 2), the divergence of the extremal two-level
     pair with log-odds gap `gap`.  Strictly increasing on [0, inf)."""
-    return entrywise(_divergence_from_gap, gap)
+    return entrywise(_divergence_from_gap, gap, "gap")
 
 
 def _divergence_from_gap(gap: float) -> float:
@@ -54,13 +59,18 @@ def _divergence_from_gap(gap: float) -> float:
     return gap * math.tanh(0.5 * gap)
 
 
-def entrywise(fn, x):
+def entrywise(fn, x, name: str = "operand"):
     """fn on a float, or on every entry of an array, in order, as an array
     of x's shape and fn's dtype: the package's one way to take a closed form
-    value by value, libm's math or cmath whatever SIMD numpy dispatches."""
-    if isinstance(x, np.ndarray):
-        return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
-    return fn(float(x))
+    value by value, libm's math or cmath whatever SIMD numpy dispatches.
+    Any other x is real operand `name`, taken through as_real: a real
+    scalar answers as a float and a list as an array."""
+    if type(x) is float:
+        return fn(x)
+    a = as_real(x, name)
+    if a.ndim == 0 and not isinstance(x, np.ndarray):
+        return fn(float(a))
+    return np.array(list(map(fn, a.ravel().tolist()))).reshape(a.shape)
 
 
 def _require_divergence(x: float) -> None:
@@ -74,7 +84,7 @@ def gap_from_divergence(x):
     sqrt(2 x + x^2 / 3) below x = 2 and x + 2 x e^-x from 2 up.  It stops
     after a step below 1e-9 of the gap: cubic convergence leaves the next
     one far below an ulp."""
-    return entrywise(_gap_from_divergence, x)
+    return entrywise(_gap_from_divergence, x, "divergence")
 
 
 def _gap_from_divergence(x: float) -> float:
@@ -109,9 +119,12 @@ def flux_ratio_sq_bound(x):
     (x / gap_from_divergence(x))^2; 0 at x = 0 by continuity, increasing,
     bounded by min(1, x / 2).
     """
-    gap = gap_from_divergence(x)
-    # gap is zero exactly where x is
-    ratio = x / (gap + (gap == 0.0))
+    return entrywise(_flux_ratio_sq_bound, x, "divergence")
+
+
+def _flux_ratio_sq_bound(x: float) -> float:
+    gap = _gap_from_divergence(x)
+    ratio = x / gap if gap else 0.0  # gap is zero exactly where x is
     return ratio * ratio
 
 
@@ -119,19 +132,22 @@ def variance_ratio_floor(x):
     """Lower bound on the variance ratio of the uncertainty relation,
     1 / sinh(gap_from_divergence(x) / 2)^2.  Diverges as x -> 0+, so
     x = 0 is outside the domain; decreasing in x."""
-    return entrywise(_variance_ratio_floor, x)
+    return entrywise(_variance_ratio_floor, x, "divergence")
 
 
 def _variance_ratio_floor(x: float) -> float:
     if x <= 0.0:
         raise DomainError("variance_ratio_floor requires positive divergence",
                           offending_value=x)
-    gap = gap_from_divergence(x)
+    gap = _gap_from_divergence(x)
     if gap > 1400.0:
         # sinh overflows but its reciprocal square has long underflowed
         return 0.0
     s = math.sinh(0.5 * gap)
-    return 1.0 / (s * s)
+    floor = 1.0 / (s * s)
+    if floor == math.inf:  # s^2 ~ x / 2 is subnormal
+        raise NumericError(f"variance_ratio_floor overflows at x = {x!r}")
+    return floor
 
 
 def onsager_like(ratio):
@@ -141,7 +157,7 @@ def onsager_like(ratio):
     divergence_from_gap(2 artanh |r|), dominates 2 r^2, and diverges at
     |r| = 1 (returned as +inf; callers only compare against it).
     """
-    return entrywise(_onsager_like, ratio)
+    return entrywise(_onsager_like, ratio, "flux ratio")
 
 
 def _onsager_like(ratio: float) -> float:

@@ -4,8 +4,10 @@ One token rule per kind of value and format: integers as integers,
 booleans as true/false, floats as "%.17g" in CSV and as their shortest
 round-trip repr in JSONL (5 against 5.0), inf, -inf and nan quoted in
 JSONL so that every line is strict JSON, and numpy scalars as the Python
-values they hold.  No field needs quoting.  Rows are formatted CHUNK_ROWS
-at a time, column by column, and written through one %-template per table.
+values they hold.  No field needs quoting.  Rows are written CHUNK_ROWS at
+a time through a row template typed per chunk: an int or float column
+puts its conversion (%d, %.17g or JSONL's %r) in the template, and its
+values go to % as they are; any other column enters as %s with its tokens.
 """
 
 from __future__ import annotations
@@ -22,37 +24,43 @@ from .errors import ValidationError
 FORMAT_CSV = "csv"
 FORMAT_JSONL = "jsonl"
 # rows formatted together, which bounds a write's memory; 1,024-row chunks
-# were slower (in-process medians of 15, 2-core VM): montecarlo CSV 4.61 ->
-# 4.89 ms, spinpair JSONL 6.79 -> 8.17 ms, saturation CSV 4.73 -> 5.10 ms
+# were no faster (in-process medians of 40, 2-core VM): montecarlo CSV 2.92
+# -> 2.92 ms, spinpair JSONL 5.94 -> 5.90 ms, saturation CSV 2.89 -> 2.90 ms
 CHUNK_ROWS = 256
 
 
-def _json_floats(column):
-    if math.isfinite(sum(column)):  # only if every value is finite
-        return map(repr, column)
-    return [repr(x) if math.isfinite(x) else f'"{x!r}"' for x in column]
-
-
-# per format and kind of value, the rule from a column to its tokens
-_BOOLS, _INTS = partial(map, ("false", "true").__getitem__), partial(map, repr)
-_RULES = {FORMAT_CSV: {bool: _BOOLS, int: _INTS, str: iter,
-                       float: partial(map, "%.17g".__mod__)},
-          FORMAT_JSONL: {bool: _BOOLS, int: _INTS, float: _json_floats,
+# per format and kind of value, the %-conversion from a value to its token,
+# or the rule from a column to its tokens
+_BOOLS = partial(map, ("false", "true").__getitem__)
+_RULES = {FORMAT_CSV: {bool: _BOOLS, int: "%d", float: "%.17g", str: iter},
+          FORMAT_JSONL: {bool: _BOOLS, int: "%d", float: "%r",
                          str: partial(map, json.dumps)}}
 # the kinds, each with the types written as it, numpy scalars included
 _KINDS = {bool: (bool, np.bool_), int: (int, np.integer),
           float: (float, np.floating), str: str}
 
 
-def _tokens(column, header, rules):
+def _field(column, header, rules):
+    """The column's conversion in the row template and the values it fills
+    in, as the Python values they hold (kinds go by exact type: a bool is an
+    int, np.float64 a float): an int or float column's own conversion, and
+    "%s" with tokens for any other."""
     types = set(map(type, column))
     if len(types) > 1:  # each value of a mixed column takes its own rule
-        return ["".join(_tokens((value,), header, rules)) for value in column]
+        return "%s", [spec % tuple(values) for spec, values
+                      in (_field((value,), header, rules) for value in column)]
     found = types.pop()
     for kind, written in _KINDS.items():
         if issubclass(found, written):
-            return rules[kind](
-                column if found is kind else list(map(kind, column)))
+            rule = rules[kind]
+            values = column if found is kind else list(map(kind, column))
+            if not isinstance(rule, str):
+                return "%s", rule(values)
+            if rule == "%r" and not math.isfinite(sum(values)):
+                # JSONL quotes inf, -inf and nan, so that a line is strict JSON
+                return "%s", [repr(x) if math.isfinite(x) else f'"{x!r}"'
+                              for x in values]
+            return rule, values
     raise ValidationError(f"column {header!r} holds a {found.__name__}, not "
                           "a bool, integer, float or string")
 
@@ -68,16 +76,17 @@ def write_table(stream, headers, rows, fmt: str = FORMAT_CSV) -> None:
         stream.write(",".join(headers) + "\n")
         template = ",".join(["%s"] * width) + "\n"
     else:
+        # a key's % is escaped for both the chunk's % and the row's
         template = "{%s}\n" % ",".join(
-            json.dumps(h).replace("%", "%%") + ":%s" for h in headers)
+            json.dumps(h).replace("%", "%%%%") + ":%s" for h in headers)
     while chunk := list(islice(rows, CHUNK_ROWS)):
         if set(map(len, chunk)) != {width}:
             k = next(k for k, row in enumerate(chunk) if len(row) != width)
             raise ValidationError(f"row {done + k} has {len(chunk[k])} "
                                   f"values for {width} headers")
-        columns = [_tokens(column, header, _RULES[fmt])
-                   for header, column in zip(headers, zip(*chunk))]
-        stream.writelines(map(template.__mod__, zip(*columns)))
+        specs, columns = zip(*(_field(column, header, _RULES[fmt])
+                               for header, column in zip(headers, zip(*chunk))))
+        stream.writelines(map((template % specs).__mod__, zip(*columns)))
         done += len(chunk)
 
 

@@ -9,6 +9,7 @@ for x = 2 tanh(1), where the curve values are tanh(1)^2 and
 import math
 import sys
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.optimize import brentq
 from fluxbound import (divergence_from_gap, flux_ratio_sq_bound,
                        gap_from_divergence, onsager_like, variance_ratio_floor)
 from fluxbound import bounds
-from fluxbound.errors import DomainError
+from fluxbound.errors import DomainError, NumericError, ValidationError
 
 X_AT_GAP_2 = 1.5231883119115297      # 2 tanh(1)
 BOUND_AT_GAP_2 = 0.5800256583859739  # tanh(1)^2
@@ -205,6 +206,51 @@ def test_bound_functions_take_arrays_entry_by_entry():
     assert isinstance(flux_ratio_sq_bound(0.5), float)
 
 
+# operands that are not real numbers: a string of digits used to be parsed
+# as a number by float(), and the rest to escape as its bare ValueError or
+# TypeError (a list as "float() argument must be ...")
+NOT_REAL = {
+    "gap, string of digits": ("gap", divergence_from_gap, "0.5"),
+    "divergence, string of digits": ("divergence", gap_from_divergence, "0.5"),
+    "divergence, string": ("divergence", gap_from_divergence, "abc"),
+    "divergence, None": ("divergence", gap_from_divergence, None),
+    "divergence, complex": ("divergence", gap_from_divergence, 1 + 0j),
+    "bound's divergence, string of digits": ("divergence", flux_ratio_sq_bound, "0.5"),
+    "bound's divergence, string": ("divergence", flux_ratio_sq_bound, "abc"),
+    "bound's divergence, None": ("divergence", flux_ratio_sq_bound, None),
+    "bound's divergence, complex": ("divergence", flux_ratio_sq_bound, 1 + 0j),
+    "floor's divergence, string": ("divergence", variance_ratio_floor, "abc"),
+    "flux ratio, string of digits": ("flux ratio", onsager_like, "0.5"),
+    "flux ratio, string": ("flux ratio", onsager_like, "abc"),
+    "flux ratio, None": ("flux ratio", onsager_like, None),
+    "flux ratio, complex": ("flux ratio", onsager_like, 1 + 0j),
+    "flux ratio, ragged": ("flux ratio", onsager_like, [[0.5], [0.5, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL))
+def test_bound_operands_refuse_what_is_not_real_by_name(case):
+    name, function, operand = NOT_REAL[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number or"):
+            function(operand)
+
+
+@pytest.mark.parametrize("fn", [divergence_from_gap, gap_from_divergence,
+                                flux_ratio_sq_bound, variance_ratio_floor,
+                                onsager_like])
+def test_real_operands_answer_as_their_float_values(fn):
+    # a list answers as the array of its values, and an int, a bool or a
+    # numpy scalar as the float it holds
+    values = fn([0.5, 1.0])
+    assert isinstance(values, np.ndarray)
+    assert values.tolist() == fn(np.array([0.5, 1.0])).tolist()
+    for x in (1, True, np.int64(1), np.float64(0.5), np.float32(0.5)):
+        value = fn(x)
+        assert type(value) is float and value == fn(float(x))
+
+
 # property tests: derandomized and without an example database, so that
 # every run tries the same inputs
 PROPERTY = settings(derandomize=True, database=None, max_examples=300)
@@ -274,6 +320,17 @@ def test_the_bound_functions_at_the_ends_of_their_domain():
         assert gap_from_divergence(x) == x
         assert flux_ratio_sq_bound(x) == 1.0
         assert variance_ratio_floor(x) == 0.0
+
+
+def test_the_floor_refuses_to_overflow_below_the_normal_floats():
+    # 1 / sinh(g / 2)^2 ~ 2 / x used to come back as a silent inf for every
+    # x below about 1.1e-308, and qtur_check's slack as -inf
+    for x in (1e-310, 1e-320, 5e-324):
+        with pytest.raises(NumericError, match=f"at x = {x!r}$"):
+            variance_ratio_floor(x)
+        with pytest.raises(NumericError):
+            variance_ratio_floor(np.array([1.0, x]))
+    assert variance_ratio_floor(2.2e-308) == pytest.approx(1.0 / 1.1e-308, rel=1e-12)
 
 
 def _oracle_gap(x: float):

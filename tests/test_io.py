@@ -1,6 +1,7 @@
 """Serialization: value formatting, CSV/JSONL table layout, row adapters."""
 
 import dataclasses
+import enum
 import io
 import itertools
 import json
@@ -66,9 +67,19 @@ def _csv_token(value) -> str:
     return token
 
 
+def _python_value(value):
+    """The Python bool, int, float or string that a numpy scalar, or a value
+    of a subclass of one of them, holds: what the writer takes it as."""
+    if isinstance(value, np.generic):
+        return value.item()
+    return next(kind(value) for kind in (bool, int, float, str)
+                if isinstance(value, kind))
+
+
 def _assert_matches_reference(headers, rows, fmt):
     written = _written(headers, rows, fmt).splitlines(keepends=True)
-    expected = _reference_table(headers, rows, fmt).splitlines(keepends=True)
+    python_rows = [tuple(map(_python_value, row)) for row in rows]
+    expected = _reference_table(headers, python_rows, fmt).splitlines(keepends=True)
     # the first differing line, and not pytest's diff of two whole tables,
     # which would slow the shrinking of a failing example to minutes
     mismatch = next(((k, a, b) for k, (a, b)
@@ -180,6 +191,26 @@ EDGE_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
                1.7976931348623157e308, 0.1, 5.0)
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 KINDS = (st.booleans(), st.integers(), st.text(), FLOATS)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 40
+
+
+class _Real(float):
+    def __repr__(self):
+        return f"_Real({float(self)!r})"
+
+
+# numpy scalars and values of subclasses of int and float, which the writer
+# converts to the exact types (whose reprs differ: np.float64(0.1), _Real
+# and <_Level.LOW: 1>) before their conversion enters the row template;
+# and finite floats whose sum overflows, which JSONL still writes as reprs
+KINDS += (FLOATS.map(np.float64),
+          st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+          st.booleans().map(np.bool_), st.sampled_from(_Level),
+          FLOATS.map(_Real), st.just(1.7e308))
 MIXED = st.one_of(*KINDS)
 ROW_COUNTS = (0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
 # headers that a %-template or a JSON key must escape, among any text
