@@ -66,7 +66,9 @@ def _field(column, header, rules):
 
 
 def write_table(stream, headers, rows, fmt: str = FORMAT_CSV) -> None:
-    """Write rows (sequences aligned with headers) as CSV or JSON lines."""
+    """Write rows (sequences aligned with headers) as CSV or JSON lines; a
+    value of another kind, or an int with more digits than Python writes
+    as text, raises ValidationError naming its column."""
     if fmt not in _RULES:
         raise ValidationError(f"unknown output format {fmt!r}")
     if not headers:
@@ -84,10 +86,30 @@ def write_table(stream, headers, rows, fmt: str = FORMAT_CSV) -> None:
             k = next(k for k, row in enumerate(chunk) if len(row) != width)
             raise ValidationError(f"row {done + k} has {len(chunk[k])} "
                                   f"values for {width} headers")
-        specs, columns = zip(*(_field(column, header, _RULES[fmt])
-                               for header, column in zip(headers, zip(*chunk))))
-        stream.writelines(map((template % specs).__mod__, zip(*columns)))
+        try:
+            specs, columns = zip(*(_field(column, header, _RULES[fmt])
+                                   for header, column in zip(headers, zip(*chunk))))
+            stream.writelines(map((template % specs).__mod__, zip(*columns)))
+        except ValueError:
+            header = _long_int_header(headers, chunk)
+            if header is None:
+                raise
+            raise ValidationError(f"column {header!r} holds an integer with more "
+                                  "digits than Python writes as text") from None
         done += len(chunk)
+
+
+def _long_int_header(headers, chunk):
+    """The header of the chunk's first column holding an int whose decimal
+    digits pass Python's limit (sys.get_int_max_str_digits), or None."""
+    for header, column in zip(headers, zip(*chunk)):
+        for value in column:
+            if isinstance(value, int):
+                try:
+                    str(value)
+                except ValueError:
+                    return header
+    return None
 
 
 MONTECARLO_HEADERS = ("draw", "flux_ratio_sq", "s_tilde", "pinsker_rhs",

@@ -33,7 +33,13 @@ round's rotation carries the fixed move of the slots to the next round.
 The rotation is applied as real products: it is built as its real
 embedding, each complex entry x + iy a 2 x 2 block [[x, y], [-y, x]],
 which right-multiplies the float64 view of a complex matrix, since numpy's
-stacked float64 products cost a fraction of its complex ones.
+stacked float64 products cost a fraction of its complex ones.  An eigh
+call allocates its work stack and, once for all its sweeps, the buffers
+of a round: the rotation's embedding, a conjugate-transposed copy, a row
+of the rotation's values and three rows of pair quantities (a sweep over
+some rows of a stack runs on their copy, with buffers of its own).  A
+round writes into these and builds no view; its other temporaries are
+small arrays from numpy's cache.
 For the dimensions this library targets (<= 16) it is simple, accurate to
 near machine precision and free of LAPACK.  It is bit-for-bit
 reproducible: the schedule is fixed, every step is elementwise, a
@@ -322,6 +328,9 @@ def _frozen(values) -> np.ndarray:
 
 # the smallest normal double, the floor of a rotation's denominator
 _TINY = np.finfo(np.float64).tiny
+# the sweep's matrix product, np.matmul's signature; one module-level name,
+# so that a test can run the sweep on a kernel other than BLAS
+_product = np.matmul
 
 
 def _upper_mass(w: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -333,59 +342,86 @@ def _upper_mass(w: np.ndarray, upper: np.ndarray) -> np.ndarray:
     mass from the total would cancel catastrophically once the iteration
     is nearly converged.
     """
-    entries = np.take(w.reshape(len(w), -1), upper, axis=1).view(np.float64)
+    entries = w.reshape(len(w), -1).take(upper, axis=1).view(np.float64)
     return (entries * entries).sum(axis=1)
 
 
-def _sweep(w: np.ndarray, diagonal: np.ndarray, sigma: np.ndarray,
-           rotation_at: np.ndarray) -> None:
-    """One sweep, in place, on a contiguous (b, 2m, m) work stack in slot
-    order: rows [:m] hold the matrices, rows [m:] the eigenvectors and
-    `diagonal` (b, m) the real diagonal, since no off-diagonal result reads
-    w's own.  A round's rotation J, a 2 x 2 block per slot pair, and the
-    move P to the next round's slots act at once, as real products: J P is
-    built as its real (2m, 2m) embedding, each complex entry x + iy the
-    block [[x, y], [-y, x]], which right-multiplies the float64 view of a
-    complex stack.  [A; V] <- [A; V] J P, and then A <- C^dag (J P) with C
-    the new A, the Hermitian (J P)^dag A (J P), from a conjugate-transposed
-    copy of C.  a_pq is a strided view of w and app, aqq are the even and
-    odd slots of the diagonal."""
+def _sweeps(w: np.ndarray, diagonal: np.ndarray, sigma: np.ndarray,
+            rotation_at: np.ndarray):
+    """Sweeps, in place, one for each next(), on a contiguous (b, 2m, m)
+    work stack in slot order: rows [:m] hold the matrices, rows [m:] the
+    eigenvectors and `diagonal` (b, m) the real diagonal, since no
+    off-diagonal result reads w's own.  A round's rotation J, a 2 x 2 block
+    per slot pair, and the move P to the next round's slots act at once,
+    as real products: J P is built as its real (2m, 2m) embedding, each
+    complex entry x + iy the block [[x, y], [-y, x]], which right-multiplies
+    the float64 view of a complex stack.  [A; V] <- [A; V] J P, and then
+    A <- C^dag (J P) with C the new A, the Hermitian (J P)^dag A (J P),
+    from a conjugate-transposed copy of C.
+
+    The first next() makes the views and the buffers, once for all the
+    sweeps of a call: the embedding, the conjugate-transposed copy, a
+    (b, 3m, 1) row of the values (c, c, s, -s) in rotation_at's order, which
+    one scatter puts into the embedding, and three (b, m/2) rows, each
+    with a flat alias, that hold |a_pq| and then the diagonal's shift,
+    diff and then t / |a_pq|, and t and then 1 / c.  A round writes into
+    these and builds no view: a_pq is a strided view of w, and app and aqq,
+    the even and odd slots of the diagonal, are each one stride across the
+    whole stack, like the flat aliases.  Only the steps within one
+    expression take temporaries, small arrays from numpy's cache that die
+    with it; buffers for those too measured slower at n = 2."""
     b, m = diagonal.shape
-    a = w[:, :m]
+    half = m // 2
+    product = _product
     apq = w.reshape(b, -1)[:, 1:m * m:2 * m + 2]
-    app, aqq = diagonal[:, 0::2], diagonal[:, 1::2]
+    apq_real, apq_imag = apq.real, apq.imag
+    slots = diagonal.reshape(-1)
+    app, aqq = slots[0::2], slots[1::2]
     # real views of whole contiguous arrays, sliced afterwards
     w_parts = w.view(np.float64)
-    a_parts = w_parts[:, :m]
+    a_parts, transposed = w_parts[:, :m], w[:, :m].swapaxes(1, 2)
     adjoint = np.empty((b, m, m), dtype=np.complex128)
     adjoint_parts = adjoint.view(np.float64)
     rotation = np.zeros((b, 2 * m, 2 * m))
     entries = rotation.reshape(b, 4 * m * m)
-    for _ in range(m - 1):
-        mag = np.hypot(apq.real, apq.imag)
-        diff = aqq - app
-        # t, the smaller-magnitude root of t^2 + 2 theta t - 1 = 0 with
-        # theta = diff / (2 mag), as 2 mag sign(diff) / (|diff| +
-        # hypot(diff, 2 mag)), which cannot overflow; the floor keeps the
-        # pair mag = diff = 0 from dividing 0 by 0
-        denominator = np.abs(diff) + np.hypot(diff, mag + mag)
-        ratio = np.copysign(2.0, diff) / np.maximum(denominator, _TINY)
-        t = ratio * mag
-        c = 1.0 / np.hypot(t, 1.0)
-        s = ((c * ratio) * apq).view(np.float64)
-        shift = t * mag
-        entries[:, rotation_at] = np.concatenate(
-            (c, c, s, np.negative(s)), axis=1)[:, :, None]
-        np.matmul(w_parts, rotation, out=w_parts)
-        np.conjugate(a.swapaxes(1, 2), out=adjoint)
-        np.matmul(adjoint_parts, rotation, out=a_parts)
-        app -= shift
-        aqq += shift
-        np.take(diagonal, sigma, axis=1, out=diagonal)  # 'raise' mode buffers out
+    values = np.empty((b, 3 * m, 1))
+    c, c_odd = values[:, :half, 0], values[:, half:m, 0]
+    sines, negated = values[:, m:2 * m, 0], values[:, 2 * m:, 0]
+    s = sines.view(np.complex128)
+    mag_rows, ratio_rows, secant_rows = (np.empty((b, half)), np.empty((b, half)),
+                                         np.empty((b, half)))
+    mag, ratio, secant = mag_rows.ravel(), ratio_rows.ravel(), secant_rows.ravel()
+    while True:
+        for _ in range(m - 1):
+            np.hypot(apq_real, apq_imag, out=mag_rows)
+            diff = np.subtract(aqq, app, out=ratio)  # read before overwritten
+            # t, the smaller-magnitude root of t^2 + 2 theta t - 1 = 0 with
+            # theta = diff / (2 mag), as 2 mag sign(diff) / (|diff| +
+            # hypot(diff, 2 mag)), which cannot overflow; the floor keeps
+            # the pair mag = diff = 0 from dividing 0 by 0
+            np.divide(np.copysign(2.0, diff), np.maximum(
+                np.abs(diff) + np.hypot(diff, mag + mag), _TINY), out=ratio)
+            # t in the row of 1 / c, the shift t |a_pq| over |a_pq|
+            t = np.multiply(ratio, mag, out=secant)
+            shift = np.multiply(t, mag, out=mag)
+            # c = 1 / hypot(t, 1) in both of its columns, s = (c ratio) a_pq
+            np.hypot(t, 1.0, out=secant)
+            np.divide(1.0, secant_rows, out=c)
+            np.divide(1.0, secant_rows, out=c_odd)
+            np.multiply(c * ratio_rows, apq, out=s)
+            np.negative(sines, out=negated)
+            entries[:, rotation_at] = values
+            product(w_parts, rotation, out=w_parts)
+            np.conjugate(transposed, out=adjoint)
+            product(adjoint_parts, rotation, out=a_parts)
+            app -= shift
+            aqq += shift
+            diagonal.take(sigma, axis=1, out=diagonal)  # 'raise' mode buffers out
+        yield
 
 
 def _sorted_spectrum(values: np.ndarray, vectors: np.ndarray) -> Spectrum:
-    order = np.argsort(values, axis=1, kind="stable")
+    order = values.argsort(axis=1, kind="stable")
     rows = np.arange(len(values))[:, None]
     return Spectrum(values[rows, order],
                     vectors.swapaxes(1, 2)[rows, order].swapaxes(1, 2))
@@ -426,25 +462,29 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
     mass = _upper_mass(w, upper)
     norm_sq = (diagonal * diagonal).sum(axis=1) + 2.0 * mass
     # reject an infinite ||H||_F^2 = norm_sq 4^exponent, which would pass any
-    # matrix as converged (in floats: int32 loops add 0.2 MB of peak memory)
-    huge = np.frexp(norm_sq)[1] + 2.0 * exponent > 1024
-    if huge.any():
-        raise ValidationError(f"matrix entries too large for the eigensolver"
-                              f"{row_label(huge)}: ||H||_F^2 overflows")
+    # matrix as converged; norm_sq < 2 n^2, so only an exponent above
+    # 511 - n.bit_length() can overflow (in floats: int32 loops add 0.2 MB
+    # of peak memory)
+    if exponent.max() > 511 - n.bit_length():
+        huge = np.frexp(norm_sq)[1] + 2.0 * exponent > 1024
+        if huge.any():
+            raise ValidationError(f"matrix entries too large for the eigensolver"
+                                  f"{row_label(huge)}: ||H||_F^2 overflows")
     # the criterion mass <= jacobi_offdiag * ||H||_F, squared and halved
     threshold = 0.5 * DEFAULT_TOLERANCES.jacobi_offdiag ** 2 * norm_sq
+    sweeps = _sweeps(w, diagonal, sigma, rotation_at)
     for _ in range(DEFAULT_TOLERANCES.jacobi_max_sweeps):
         active = mass > threshold
         count = np.count_nonzero(active)
         if count == 0:
             break
         if count == b:
-            _sweep(w, diagonal, sigma, rotation_at)
+            next(sweeps)
             mass = _upper_mass(w, upper)
         else:
             rows = np.flatnonzero(active)
             part, part_diagonal = w[rows], diagonal[rows]
-            _sweep(part, part_diagonal, sigma, rotation_at)
+            next(_sweeps(part, part_diagonal, sigma, rotation_at))
             w[rows] = part
             diagonal[rows] = part_diagonal
             mass[rows] = _upper_mass(part, upper)
@@ -458,8 +498,9 @@ def eigh(matrix, *, checked: bool = False) -> Spectrum:
                 f"{DEFAULT_TOLERANCES.jacobi_max_sweeps} sweeps"
                 f"{row_label(failed)} (dim {n}, residual {residual:.3e})"
             )
+    sweeps.close()  # frees the buffers of a round before the gathers below
     # back to index order before the stable sort, without the zero index
-    return _sorted_spectrum(np.ldexp(diagonal[:, slot_of], exponent[:, None]),
+    return _sorted_spectrum(np.ldexp(diagonal.take(slot_of, axis=1), exponent[:, None]),
                             w[:, m + slot_of[:, None], slot_of])
 
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -306,6 +307,30 @@ def test_write_table_rejects_other_values_naming_the_header(fmt, value):
     for rows in ([(1, value)], [(1, 2.0), (1, value)]):
         with pytest.raises(ValidationError, match="'slack'"):
             write_table(io.StringIO(), ("n", "slack"), rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", [FORMAT_CSV, FORMAT_JSONL])
+def test_write_table_refuses_an_int_too_long_for_text_naming_the_header(fmt):
+    # Python writes an int of more than sys.get_int_max_str_digits() digits
+    # (4,300 by default) only once that limit is raised
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python writes ints of any length")
+    huge = 10 ** limit
+    for rows in ([(1, huge)], [(1, 2)] * (CHUNK_ROWS + 1) + [(1, huge)],
+                 [(1, 2.0), (1, huge)], [(1, "x"), (huge, huge)]):
+        with pytest.raises(ValidationError) as excinfo:
+            write_table(io.StringIO(), ("n", "count"), rows, fmt)
+        header = "n" if rows[-1][0] == huge else "count"
+        assert str(excinfo.value) == (f"column {header!r} holds an integer with "
+                                      "more digits than Python writes as text")
+    # the largest int it writes goes out as it is
+    assert _written(("n",), [(huge - 1,)], fmt).rstrip("}\n").endswith("9" * limit)
+    # a stream's own ValueError is not taken for a long int
+    closed = io.StringIO()
+    closed.close()
+    with pytest.raises(ValueError, match="closed"):
+        write_table(closed, ("n",), [(1,)], fmt)
 
 
 class _Recorder:

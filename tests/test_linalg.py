@@ -185,6 +185,24 @@ def test_eigh_rejects_entries_whose_norm_overflows(scale):
     assert np.allclose(values, [-1e150, 1e150], rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("dim", range(2, 17))
+@pytest.mark.parametrize("phase", [1.0, 1.0 + 1.0j])
+def test_eigh_refuses_exactly_the_norms_that_overflow(dim, phase):
+    # 2^k on the diagonal and phase 2^k above it: ||H||_F^2 is exactly
+    # weight 4^k, so the largest k below the overflow solves and the next
+    # raises; with phase 1 + i the weight is near its bound of 2 dim^2
+    weight = dim * dim if phase == 1.0 else 2 * dim * dim - dim
+    k = max(k for k in range(512) if weight << 2 * k < 1 << 1024)
+    for power in (k, k + 1):
+        upper = np.triu(np.full((dim, dim), phase * math.ldexp(1.0, power)), 1)
+        h = upper + upper.conj().T + np.diag(np.full(dim, math.ldexp(1.0, power)))
+        if power == k:
+            assert np.isfinite(eigh(h).eigenvalues).all()
+        else:
+            with pytest.raises(ValidationError, match="too large"):
+                eigh(h)
+
+
 def _assert_decomposes(h, spec, tolerance):
     """Ascending eigenvalues against LAPACK's, and orthonormal eigenvectors
     that rebuild h, each within tolerance times the largest eigenvalue."""
@@ -272,6 +290,26 @@ def test_rows_converging_after_different_sweeps_equal_each_row_alone(dim):
         alone = eigh(h)
         assert np.array_equal(stacked.eigenvalues[row], alone.eigenvalues)
         assert np.array_equal(stacked.eigenvectors[row], alone.eigenvectors)
+
+
+def test_eigh_keeps_no_state_between_calls():
+    # every call makes its own buffers: after calls on other stacks and
+    # dimensions, a repeat gives the same bits, and no result shares memory
+    # with a later one
+    rng = rng_for(0, stream=114)
+    stack = np.stack([random_hermitian_np(rng, 8) for _ in range(3)])
+    first = eigh(stack)
+    results = [first]
+    for dim in (2, 3, 8, 16):
+        results.append(eigh(random_hermitian_np(rng, dim)))
+        results.append(eigh(np.stack([random_hermitian_np(rng, dim) for _ in range(5)])))
+    again = eigh(stack)
+    results.append(again)
+    assert np.array_equal(again.eigenvalues, first.eigenvalues)
+    assert np.array_equal(again.eigenvectors, first.eigenvectors)
+    for k, earlier in enumerate(results):
+        for later in results[k + 1:]:
+            assert not any(np.shares_memory(x, y) for x in earlier for y in later)
 
 
 @pytest.mark.parametrize("dim", range(2, 17))
